@@ -211,25 +211,24 @@ def _stage_statements(ib: InfoBase, extended: bool):
         yield tuple(group), _history_groups(ib, i, extended)
 
 
-def check_simple_stability(fam: RegimeFamily, ib: InfoBase) -> bool:
-    """Stagewise regime-invariance of each observable kernel given the
-    observed past."""
+def _check_stability(fam: RegimeFamily, ib: InfoBase, extended: bool) -> bool:
     ib.validate_names(fam)
-    for group, past in _stage_statements(ib, extended=False):
+    for group, past in _stage_statements(ib, extended):
         fam2, stmt = _regime_statement(fam, group, past)
         if not check_eci(fam2, stmt)[0]:
             return False
     return True
+
+
+def check_simple_stability(fam: RegimeFamily, ib: InfoBase) -> bool:
+    """Stagewise regime-invariance of each observable kernel given the
+    observed past."""
+    return _check_stability(fam, ib, extended=False)
 
 
 def check_extended_stability(fam: RegimeFamily, ib: InfoBase) -> bool:
     """Stagewise regime-invariance with the unmeasured groups included."""
-    ib.validate_names(fam)
-    for group, past in _stage_statements(ib, extended=True):
-        fam2, stmt = _regime_statement(fam, group, past)
-        if not check_eci(fam2, stmt)[0]:
-            return False
-    return True
+    return _check_stability(fam, ib, extended=True)
 
 
 def g_formula(

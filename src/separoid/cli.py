@@ -152,21 +152,36 @@ def _cmd_check(args) -> int:
     return 0 if holds else 1
 
 
+def _parse_cards(text: str | None) -> dict[str, int]:
+    """``--cards "X=2,Y=3"`` as a name -> cardinality map."""
+    cards = {}
+    for item in (text.split(",") if text else []):
+        name, _, card = item.partition("=")
+        if not name.strip() or not card.strip().isdigit():
+            raise ValueError(f"--cards entry {item!r} is not NAME=CARDINALITY")
+        cards[name.strip()] = int(card)
+    return cards
+
+
 def _cmd_search_cx(args) -> int:
     ses = _load_session(args)
     goal = parse_statement(args.goal, ses.universe)
-    cards = {}
-    for item in (args.cards.split(",") if args.cards else []):
-        name, _, card = item.partition("=")
-        cards[name.strip()] = int(card)
+    cards = _parse_cards(args.cards)
     if not cards:
         cards = {n: 2 for n in ses.universe.names("stochastic" if args.semantics != "vci" else "decision")}
+    # random_family always adds the identity Sigma; other session decision
+    # variables are drawn as random functions on the regimes
+    decisions = (
+        {n: args.regimes for n in ses.universe.names("decision") if n != "Sigma"}
+        if args.semantics == "eci" else {}
+    )
     cfg = search.SearchConfig(
         seed=args.seed,
         trials=args.trials,
         var_cardinalities=cards,
         regime_count=args.regimes,
         probability_grid=args.grid,
+        decision_cardinalities=decisions,
     )
     result = search.search_counterexample(
         ses.premises, goal, cfg, args.semantics.upper(), exhaustive=args.exhaustive
@@ -270,13 +285,13 @@ def _cmd_gformula(args) -> int:
 
 
 def _cmd_scan_axioms(args) -> int:
+    cards = _parse_cards(args.cards)
     if args.exhaustive_vci:
-        report = search.exhaustive_vci_scan(args.regimes, len(args.cards.split(",")) if args.cards else 3)
+        if any(c != 2 for c in cards.values()):
+            raise ValueError("--exhaustive-vci enumerates binary decision maps only; "
+                             "every --cards cardinality must be 2")
+        report = search.exhaustive_vci_scan(args.regimes, len(cards) if cards else 3)
     else:
-        cards = {}
-        for item in (args.cards.split(",") if args.cards else []):
-            name, _, card = item.partition("=")
-            cards[name.strip()] = int(card)
         if not cards:
             cards = {"A": 2, "B": 2, "C": 2, "D": 2}
         cfg = search.SearchConfig(

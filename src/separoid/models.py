@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
@@ -39,6 +40,11 @@ def _names(vs) -> tuple[str, ...]:
     return tuple(sorted(vs))
 
 
+def mask_names(mask: int, names: Sequence[str]) -> tuple[str, ...]:
+    """The names whose bit is set in the mask (bit i for names[i])."""
+    return tuple(n for i, n in enumerate(names) if mask >> i & 1)
+
+
 class DiscreteDistribution:
     """Exact joint probability table over finitely many discrete variables."""
 
@@ -58,7 +64,6 @@ class DiscreteDistribution:
         self.pmf: dict[tuple, Fraction] = table
         self._marginal_cache: dict[tuple, dict] = {}
         self._int_cache: tuple[int, dict] | None = None
-        self._ctx_cache: dict[tuple, tuple[dict, dict]] = {}
         if validate:
             self._validate()
 
@@ -104,31 +109,10 @@ class DiscreteDistribution:
             self._int_cache = (den, {k: int(p * den) for k, p in self.pmf.items()})
         return self._int_cache
 
-    def grid(self, names: Sequence[str]):
-        """All value tuples for the given variables, in declared value order."""
-        return product(*(self.values[n] for n in names))
-
-    def context_tables(self, xs: tuple, ys: tuple, zs: tuple) -> tuple[dict, dict]:
-        """Integer-numerator tables n(y, z) and n(x, y, z) over positive
-        atoms, cached per slot triple (denominators cancel in ratios)."""
-        key = (xs, ys, zs)
-        cached = self._ctx_cache.get(key)
-        if cached is not None:
-            return cached
-        _, atoms = self.int_atoms()
-        xi, yi, zi = self.indices(xs), self.indices(ys), self.indices(zs)
-        nyz: dict[tuple, int] = {}
-        nxyz: dict[tuple, int] = {}
-        for akey, n in atoms.items():
-            if not n:
-                continue
-            ya = tuple(akey[i] for i in yi)
-            za = tuple(akey[i] for i in zi)
-            nyz[(ya, za)] = nyz.get((ya, za), 0) + n
-            xa = tuple(akey[i] for i in xi)
-            nxyz[(xa, ya, za)] = nxyz.get((xa, ya, za), 0) + n
-        self._ctx_cache[key] = (nyz, nxyz)
-        return nyz, nxyz
+    @cached_property
+    def kernel(self) -> "MaskKernel":
+        """The compiled form every exact check on this table goes through."""
+        return MaskKernel(self)
 
     def marginal(self, names) -> dict[tuple, Fraction]:
         names = _names(names)
@@ -153,6 +137,97 @@ class DiscreteDistribution:
         for key, p in self.marginal((name,)).items():
             out += p * value_map(key[0])
         return out
+
+
+class MaskKernel:
+    """Integer, mask-indexed form of one distribution.  Bit i of a mask
+    stands for the i-th variable name; rows are the positive atoms with
+    integer numerators over a common denominator (which cancels in every
+    test).  Projection columns, context counts and SCI verdicts are built per
+    mask on first use, never for all masks up front."""
+
+    def __init__(self, dist: DiscreteDistribution):
+        _, atoms = dist.int_atoms()
+        self.names = dist.names
+        self._bit = {n: 1 << i for i, n in enumerate(dist.names)}
+        self._values = [dist.values[n] for n in dist.names]
+        rows = [(key, n) for key, n in atoms.items() if n]
+        self._keys = [key for key, _ in rows]
+        self._weights = [n for _, n in rows]
+        self._proj: dict[int, list] = {}
+        self._contexts: dict[tuple, dict] = {}
+        self._sci: dict[tuple, bool] = {}
+
+    def mask(self, names: Iterable[str]) -> int:
+        m = 0
+        for n in names:
+            b = self._bit.get(n)
+            if b is None:
+                raise InvalidModel(f"unknown variable {n!r}")
+            m |= b
+        return m
+
+    def grid(self, mask: int) -> list[tuple]:
+        """All value tuples of the masked variables, in declared value order."""
+        return list(product(*(v for i, v in enumerate(self._values) if mask >> i & 1)))
+
+    def proj(self, mask: int) -> list[tuple]:
+        """Each positive row's values on the masked variables."""
+        col = self._proj.get(mask)
+        if col is None:
+            idx = [i for i in range(len(self.names)) if mask >> i & 1]
+            col = self._proj[mask] = [tuple(key[i] for i in idx) for key in self._keys]
+        return col
+
+    def contexts(self, x: int, y: int, z: int) -> dict:
+        """Positive context (y, z) -> [n(y, z), z value, {x value: n(x, y, z)}]."""
+        key = (x, y | z, z)
+        out = self._contexts.get(key)
+        if out is None:
+            out = self._contexts[key] = {}
+            for xa, ca, za, n in zip(self.proj(x), self.proj(y | z), self.proj(z), self._weights):
+                c = out.get(ca)
+                if c is None:
+                    c = out[ca] = [0, za, {}]
+                c[0] += n
+                c[2][xa] = c[2].get(xa, 0) + n
+        return out
+
+    def sci(self, x: int, y: int, z: int) -> bool:
+        """X _||_ Y | Z by mask.  Conditioning variables are dropped from the
+        outer slots (they are constant within each context), the pair is
+        ordered, and the verdict is cached per normalized triple."""
+        x &= ~z
+        y &= ~z
+        if x > y:
+            x, y = y, x
+        if not x:
+            return True
+        key = (x, y, z)
+        out = self._sci.get(key)
+        if out is None:
+            out = self._sci[key] = self._factorizes(x, y, z)
+        return out
+
+    def _factorizes(self, x: int, y: int, z: int) -> bool:
+        """For every positive context z the joint counts of (x, y) are the
+        product of their margins: n(x, y, z) n(z) = n(x, z) n(y, z)."""
+        slices: dict = {}
+        for xa, ya, za, n in zip(self.proj(x), self.proj(y), self.proj(z), self._weights):
+            s = slices.get(za)
+            if s is None:
+                s = slices[za] = [0, {}, {}, {}]
+            s[0] += n
+            s[1][xa] = s[1].get(xa, 0) + n
+            s[2][ya] = s[2].get(ya, 0) + n
+            s[3][(xa, ya)] = s[3].get((xa, ya), 0) + n
+        for total, dx, dy, dxy in slices.values():
+            if len(dxy) != len(dx) * len(dy):
+                return False
+            for (xa, ya), n in dxy.items():
+                if n * total != dx[xa] * dy[ya]:
+                    return False
+        return True
 
 
 def conditional(dist: DiscreteDistribution, targets, given: Assignment) -> dict[tuple, Fraction]:
@@ -184,36 +259,8 @@ def conditional_expectation(dist, name: str, given: Assignment,
 def check_sci(dist: DiscreteDistribution, X, Y, Z) -> bool:
     """Exact factorization check: for every conditioning value with positive
     mass, the joint table of (X, Y) is the product of its margins."""
-    xs, ys, zs = _names(X), _names(Y), _names(Z)
-    if not xs or not ys:
-        return True
-    _, atoms = dist.int_atoms()
-    xi, yi, zi = dist.indices(xs), dist.indices(ys), dist.indices(zs)
-    nz: dict[tuple, int] = {}
-    nxz: dict[tuple, dict] = {}
-    nyz: dict[tuple, dict] = {}
-    nxyz: dict[tuple, dict] = {}
-    for key, n in atoms.items():
-        if not n:
-            continue
-        za = tuple(key[i] for i in zi)
-        xa = tuple(key[i] for i in xi)
-        ya = tuple(key[i] for i in yi)
-        nz[za] = nz.get(za, 0) + n
-        dx = nxz.setdefault(za, {})
-        dx[xa] = dx.get(xa, 0) + n
-        dy = nyz.setdefault(za, {})
-        dy[ya] = dy.get(ya, 0) + n
-        dxy = nxyz.setdefault(za, {})
-        dxy[(xa, ya)] = dxy.get((xa, ya), 0) + n
-    for za, total in nz.items():
-        px, py, pxy = nxz[za], nyz[za], nxyz[za]
-        if len(pxy) != len(px) * len(py):
-            return False
-        for (xa, ya), n in pxy.items():
-            if n * total != px[xa] * py[ya]:
-                return False
-    return True
+    k = dist.kernel
+    return k.sci(k.mask(_names(X)), k.mask(_names(Y)), k.mask(_names(Z)))
 
 
 # -- variation independence -------------------------------------------------
@@ -243,15 +290,19 @@ def check_vci(decmap: DecMap, X, Y, Z, regimes: Sequence[str] | None = None) -> 
     """Range check: R(X | y, z) = R(X | z) for every attainable (y, z)."""
     if regimes is None:
         regimes = sorted({s for m in decmap.values() for s in m})
-    xs, ys, zs = _dec_names(X), _dec_names(Y), _dec_names(Z)
-    fx = _dec_fun(decmap, xs, regimes)
-    fy = _dec_fun(decmap, ys, regimes)
-    fz = _dec_fun(decmap, zs, regimes)
+    names = _dec_names(X), _dec_names(Y), _dec_names(Z)
+    fx, fy, fz = (_dec_fun(decmap, n, regimes).values() for n in names)
+    return variation_independent(fx, fy, fz)
+
+
+def variation_independent(fx: Iterable, fy: Iterable, fz: Iterable) -> bool:
+    """The VCI range test on three functions given as parallel per-regime
+    value sequences: R(X | y, z) = R(X | z) for every attainable (y, z)."""
     r_yz: dict[tuple, set] = {}
     r_z: dict[tuple, set] = {}
-    for s in regimes:
-        r_yz.setdefault((fy[s], fz[s]), set()).add(fx[s])
-        r_z.setdefault(fz[s], set()).add(fx[s])
+    for x, y, z in zip(fx, fy, fz):
+        r_yz.setdefault((y, z), set()).add(x)
+        r_z.setdefault(z, set()).add(x)
     return all(r_yz[(y, z)] == r_z[z] for (y, z) in r_yz)
 
 
@@ -334,6 +385,8 @@ class RegimeFamily:
                 raise InvalidModel(f"name {name!r} is both stochastic and decision")
             self.decvars[name] = {str(s): str(v) for s, v in mapping.items()}
         self.info_base = info_base
+        self._groups: dict[frozenset, dict] = {}
+        self._eci: dict[tuple, bool] = {}
 
     @property
     def variables(self) -> dict[str, tuple[str, ...]]:
@@ -361,6 +414,68 @@ class RegimeFamily:
             name += "_"
         return self.with_decision(name, {s: s for s in self.regimes}), name
 
+    # -- exact checks by mask (stochastic slots as masks of the shared
+    # signature, decision slots as frozensets of names) -------------------
+
+    @property
+    def kernel(self) -> MaskKernel:
+        """Kernel of the first regime; it carries the shared name -> bit map."""
+        return self.dists[self.regimes[0]].kernel
+
+    def phi_groups(self, phi: frozenset) -> dict[tuple, list]:
+        """Regimes grouped by their value of the decision names phi, in
+        sorted value order."""
+        out = self._groups.get(phi)
+        if out is None:
+            fn = _dec_fun(self.decvars, tuple(sorted(phi)), self.regimes)
+            groups: dict[tuple, list] = {}
+            for s in self.regimes:
+                groups.setdefault(fn[s], []).append(s)
+            out = self._groups[phi] = dict(sorted(groups.items()))
+        return out
+
+    def witness(self, x: int, y: int, z: int, phi: frozenset) -> dict | None:
+        """The ECI common-witness test: within each phi group one w(x, z)
+        must equal P(X=x | Y=y, Z=z) in every regime of the group and every
+        positive (y, z).  Returns (phi value, x value, z value) -> (n1, n2)
+        with w = n1/n2, or None; counts are compared by cross-multiplying."""
+        x_grid = self.kernel.grid(x)
+        entries: dict = {}
+        for phival, sigmas in self.phi_groups(phi).items():
+            for s in sigmas:
+                for n2, za, nx in self.dists[s].kernel.contexts(x, y, z).values():
+                    for xa in x_grid:
+                        n1 = nx.get(xa, 0)
+                        have = entries.setdefault((phival, xa, za), (n1, n2))
+                        if have[0] * n2 != n1 * have[1]:
+                            return None
+        return entries
+
+    def eci(self, x: int, y: int, z: int, phi: frozenset) -> bool:
+        """Verdict of witness(), cached per (x, y, z, phi)."""
+        key = (x, y, z, phi)
+        out = self._eci.get(key)
+        if out is None:
+            out = self._eci[key] = self.witness(x, y, z, phi) is not None
+        return out
+
+    def eci_general(self, x: int, K: frozenset, y: int, theta: frozenset, z: int,
+                    phi: frozenset) -> bool:
+        """check_eci_general on validated slots: (X, K) _||_ (Y, theta) | (Z, phi)."""
+        if not K:
+            return self.eci(x, y, z, phi)
+        if not self.eci(x, y, z, phi | K):
+            return False
+        if y and not self.eci(y, 0, z, phi | theta):
+            return False
+        if theta:
+            zs = mask_names(z, self.kernel.names)
+            for zvals in self.kernel.grid(z):
+                sz = compute_S_z(self, zs, dict(zip(zs, zvals))) if zs else self.regimes
+                if sz and not check_vci(self.decvars, theta, K, phi, regimes=sz):
+                    return False
+        return True
+
 
 def check_complementary(fam: RegimeFamily, names: Iterable[str]) -> bool:
     """True iff the joint map sigma -> values distinguishes every regime."""
@@ -369,20 +484,20 @@ def check_complementary(fam: RegimeFamily, names: Iterable[str]) -> bool:
     return len({fn[s] for s in fam.regimes}) == len(fam.regimes)
 
 
-def _split_statement(fam: RegimeFamily, stmt: CIStatement):
+def _slot_masks(fam: RegimeFamily, stmt: CIStatement) -> tuple[int, int, int]:
+    """Masks of the stochastic slots, once every name is known to the family
+    and the decision names identify the regime."""
     for n in stmt.left.stoch | stmt.right.stoch | stmt.cond.stoch:
         if n not in fam.variables:
             raise InvalidModel(f"unknown stochastic variable {n!r}")
     for n in stmt.decision_names:
         if n not in fam.decvars:
             raise InvalidModel(f"unknown decision variable {n!r}")
-    return (
-        tuple(sorted(stmt.left.stoch)),
-        tuple(sorted(stmt.right.stoch)),
-        tuple(sorted(stmt.cond.stoch)),
-        tuple(sorted(stmt.right.dec)),
-        tuple(sorted(stmt.cond.dec)),
-    )
+    decs = tuple(sorted(stmt.decision_names))
+    if decs and not check_complementary(fam, decs):
+        raise NotComplementary(f"decision family {decs} does not identify the regime")
+    k = fam.kernel
+    return k.mask(stmt.left.stoch), k.mask(stmt.right.stoch), k.mask(stmt.cond.stoch)
 
 
 @dataclass(frozen=True)
@@ -402,24 +517,13 @@ class WitnessTable:
         return self.entries.get((phi, x, z))
 
 
-def _phi_groups(fam: RegimeFamily, phi_names: Sequence[str]) -> dict[tuple, list]:
-    fn = _dec_fun(fam.decvars, phi_names, fam.regimes)
-    groups: dict[tuple, list] = {}
-    for s in fam.regimes:
-        groups.setdefault(fn[s], []).append(s)
-    return dict(sorted(groups.items()))
-
-
 def _validate_eci_statement(fam: RegimeFamily, stmt: CIStatement):
+    """Slot masks (x, y, z) and phi names of a well-formed ECI statement."""
     if stmt.left.dec:
         raise MalformedStatement(
             "decision variable in the left slot; use check_eci_general"
         )
-    xs, ys, zs, theta, phi = _split_statement(fam, stmt)
-    decs = tuple(sorted(set(theta) | set(phi)))
-    if decs and not check_complementary(fam, decs):
-        raise NotComplementary(f"decision family {decs} does not identify the regime")
-    return xs, ys, zs, theta, phi
+    return (*_slot_masks(fam, stmt), stmt.cond.dec)
 
 
 def check_eci(fam: RegimeFamily, stmt: CIStatement) -> tuple[bool, WitnessTable | None]:
@@ -428,50 +532,39 @@ def check_eci(fam: RegimeFamily, stmt: CIStatement) -> tuple[bool, WitnessTable 
     single witness w(x, z) equal to P(X=x | Y=y, Z=z) across all regimes of
     the group and all positive-probability (y, z).  Statements with no
     decision names are checked with a single group containing every regime."""
-    xs, ys, zs, _theta, phi = _validate_eci_statement(fam, stmt)
-    entries: dict = {}
-    x_grid = list(fam.dists[fam.regimes[0]].grid(xs)) if xs else [()]
-    for phival, sigmas in _phi_groups(fam, phi).items():
-        for s in sigmas:
-            nyz, nxyz = fam.dists[s].context_tables(xs, ys, zs)
-            for (ya, za), n2 in nyz.items():
-                for xa in x_grid:
-                    n1 = nxyz.get((xa, ya, za), 0)
-                    entry = (phival, xa, za)
-                    have = entries.get(entry)
-                    if have is None:
-                        entries[entry] = Fraction(n1, n2)
-                    elif have.numerator * n2 != n1 * have.denominator:
-                        return False, None
-    table = WitnessTable(tuple(phi), xs, zs, entries)
-    return True, table
+    x, y, z, phi = _validate_eci_statement(fam, stmt)
+    entries = fam.witness(x, y, z, phi)
+    if entries is None:
+        return False, None
+    k = fam.kernel
+    return True, WitnessTable(
+        tuple(sorted(phi)), mask_names(x, k.names), mask_names(z, k.names),
+        {e: Fraction(n1, n2) for e, (n1, n2) in entries.items()},
+    )
 
 
 def check_pairwise_eci(fam: RegimeFamily, stmt: CIStatement) -> bool:
     """Weakening of check_eci: a common witness is required only for each pair
     of regimes within a group (including the degenerate single-regime pair)."""
-    xs, ys, zs, _theta, phi = _validate_eci_statement(fam, stmt)
-    x_grid = list(fam.dists[fam.regimes[0]].grid(xs)) if xs else [()]
-    for _phival, sigmas in _phi_groups(fam, phi).items():
+    x, y, z, phi = _validate_eci_statement(fam, stmt)
+    x_grid = fam.kernel.grid(x)
+    for sigmas in fam.phi_groups(phi).values():
         tables = []
         for s in sigmas:
-            nyz, nxyz = fam.dists[s].context_tables(xs, ys, zs)
             table: dict = {}
-            for (ya, za), n2 in nyz.items():
+            for n2, za, nx in fam.dists[s].kernel.contexts(x, y, z).values():
                 for xa in x_grid:
-                    v = Fraction(nxyz.get((xa, ya, za), 0), n2)
-                    have = table.get((xa, za))
-                    if have is None:
-                        table[(xa, za)] = v
-                    elif have != v:
+                    n1 = nx.get(xa, 0)
+                    have = table.setdefault((xa, za), (n1, n2))
+                    if have[0] * n2 != n1 * have[1]:
                         return False  # fails already within one regime
             tables.append(table)
         for i in range(len(tables)):
             for j in range(i + 1, len(tables)):
                 ti, tj = tables[i], tables[j]
-                for ctx, v in ti.items():
+                for ctx, (a, b) in ti.items():
                     w = tj.get(ctx)
-                    if w is not None and w != v:
+                    if w is not None and a * w[1] != w[0] * b:
                         return False
     return True
 
@@ -495,42 +588,8 @@ def check_eci_general(fam: RegimeFamily, stmt: CIStatement) -> bool:
     K, the reverse part with K on the right, and variation independence of the
     right/left decision parts on every restriction to the regimes compatible
     with each conditioning outcome."""
-    xs = tuple(sorted(stmt.left.stoch))
-    K = tuple(sorted(stmt.left.dec))
-    ys = tuple(sorted(stmt.right.stoch))
-    theta = tuple(sorted(stmt.right.dec))
-    zs = tuple(sorted(stmt.cond.stoch))
-    phi = tuple(sorted(stmt.cond.dec))
-    _split_statement(fam, stmt)
-    decs = tuple(sorted(set(K) | set(theta) | set(phi)))
-    if decs and not check_complementary(fam, decs):
-        raise NotComplementary(f"decision family {decs} does not identify the regime")
-    if not K:
-        return check_eci(fam, stmt)[0]
-
-    sub1 = CIStatement(
-        VarSet(frozenset(xs)),
-        VarSet(frozenset(ys), frozenset(theta)),
-        VarSet(frozenset(zs), frozenset(phi) | frozenset(K)),
-    )
-    if not check_eci(fam, sub1)[0]:
-        return False
-    sub2 = CIStatement(
-        VarSet(frozenset(ys)),
-        VarSet(frozenset(), frozenset(K)),
-        VarSet(frozenset(zs), frozenset(phi) | frozenset(theta)),
-    )
-    if ys and not check_eci(fam, sub2)[0]:
-        return False
-    if theta:
-        dist0 = fam.dists[fam.regimes[0]]
-        for zvals in (dist0.grid(zs) if zs else [()]):
-            sz = compute_S_z(fam, zs, dict(zip(zs, zvals))) if zs else fam.regimes
-            if not sz:
-                continue
-            if not check_vci(fam.decvars, theta, K, phi, regimes=sz):
-                return False
-    return True
+    x, y, z = _slot_masks(fam, stmt)
+    return fam.eci_general(x, stmt.left.dec, y, stmt.right.dec, z, stmt.cond.dec)
 
 
 def product_space(
@@ -587,5 +646,5 @@ def dominating_per_group(fam: RegimeFamily, phi_names: Sequence[str]) -> bool:
     regime."""
     return all(
         find_dominating(fam, sigmas) is not None
-        for sigmas in _phi_groups(fam, tuple(_dec_names(phi_names))).values()
+        for sigmas in fam.phi_groups(frozenset(_dec_names(phi_names))).values()
     )

@@ -1,5 +1,8 @@
 """Randomized and exhaustive search for separating models, and soundness
-scans of the rule families against the finite-model checkers.
+scans of the rule families against the finite-model checkers.  The scans call
+the same mask-level tests as the public checkers (``MaskKernel.sci``,
+``RegimeFamily.eci``/``eci_general`` and ``variation_independent`` in
+``models``), so a fix to a checker reaches every scan.
 
 Random masses are drawn as integers on a coarse grid and normalized, so
 degenerate (zero-mass) contexts are common; that is deliberate, since the
@@ -28,9 +31,11 @@ from .models import (
     check_sci,
     check_vci,
     dominating_per_group,
+    mask_names,
     partition_meet,
+    variation_independent,
 )
-from .universe import CIStatement, VarSet
+from .universe import CIStatement
 
 SCI, VCI, ECI = "SCI", "VCI", "ECI"
 
@@ -285,61 +290,6 @@ class ScanReport:
         }
 
 
-def _mask_names(mask: int, names: Sequence[str]) -> tuple[str, ...]:
-    return tuple(n for i, n in enumerate(names) if mask >> i & 1)
-
-
-class _SciTables:
-    """Per-model memo of factorization checks, normalized by dropping
-    conditioning variables from the outer slots (sound: they are constant
-    within each conditioning context)."""
-
-    def __init__(self, dist: DiscreteDistribution):
-        _, atoms = dist.int_atoms()
-        self.names = dist.names
-        self.rows = [(key, n) for key, n in atoms.items() if n]
-        nbits = len(self.names)
-        self.proj = []
-        for mask in range(1 << nbits):
-            idx = [i for i in range(nbits) if mask >> i & 1]
-            self.proj.append([tuple(key[i] for i in idx) for key, _n in self.rows])
-        self.memo: dict[tuple, bool] = {}
-
-    def sci(self, x: int, y: int, z: int) -> bool:
-        x &= ~z
-        y &= ~z
-        if x > y:
-            x, y = y, x
-        if not x or not y:
-            return True
-        key = (x, y, z)
-        out = self.memo.get(key)
-        if out is None:
-            out = self._compute(x, y, z)
-            self.memo[key] = out
-        return out
-
-    def _compute(self, x: int, y: int, z: int) -> bool:
-        px_, py_, pz_ = self.proj[x], self.proj[y], self.proj[z]
-        slices: dict = {}
-        for i, (_key, n) in enumerate(self.rows):
-            s = slices.get(pz_[i])
-            if s is None:
-                s = slices[pz_[i]] = [0, {}, {}, {}]
-            xa, ya = px_[i], py_[i]
-            s[0] += n
-            s[1][xa] = s[1].get(xa, 0) + n
-            s[2][ya] = s[2].get(ya, 0) + n
-            s[3][(xa, ya)] = s[3].get((xa, ya), 0) + n
-        for total, dx, dy, dxy in slices.values():
-            if len(dxy) != len(dx) * len(dy):
-                return False
-            for (xa, ya), n in dxy.items():
-                if n * total != dx[xa] * dy[ya]:
-                    return False
-        return True
-
-
 def _scan_sci(cfg: SearchConfig, rs: RuleSet) -> ScanReport:
     names = tuple(sorted(cfg.var_cardinalities))
     nbits = len(names)
@@ -353,8 +303,7 @@ def _scan_sci(cfg: SearchConfig, rs: RuleSet) -> ScanReport:
         violations.append({"trial": trial, "rule": rule, **detail})
 
     for t in range(cfg.trials):
-        tab = _SciTables(random_distribution(cfg, t))
-        sci = tab.sci
+        sci = random_distribution(cfg, t).kernel.sci
 
         def inst(rule, ok, **masks):
             nonlocal instances
@@ -363,7 +312,7 @@ def _scan_sci(cfg: SearchConfig, rs: RuleSet) -> ScanReport:
                 record(
                     t,
                     rule,
-                    {k: _mask_names(v, names) for k, v in masks.items()},
+                    {k: mask_names(v, names) for k, v in masks.items()},
                 )
 
         for x in nonempty:
@@ -387,7 +336,7 @@ def _scan_sci(cfg: SearchConfig, rs: RuleSet) -> ScanReport:
 
 class _VciTables:
     """Per-decmap memo: value tuples per variable subset, refinement tests,
-    and variation-independence checks (on subsets or explicit functions)."""
+    and variation-independence verdicts per subset triple."""
 
     def __init__(self, decmap: Mapping[str, Mapping[str, str]], regimes: Sequence[str]):
         self.regimes = tuple(regimes)
@@ -419,17 +368,9 @@ class _VciTables:
         key = (x, y, z)
         out = self.memo.get(key)
         if out is None:
-            out = self.vci_funs(self.vals[x], self.vals[y], self.vals[z])
+            out = variation_independent(self.vals[x], self.vals[y], self.vals[z])
             self.memo[key] = out
         return out
-
-    def vci_funs(self, fx: Sequence, fy: Sequence, fz: Sequence) -> bool:
-        r_yz: dict = {}
-        r_z: dict = {}
-        for i in range(len(self.regimes)):
-            r_yz.setdefault((fy[i], fz[i]), set()).add(fx[i])
-            r_z.setdefault(fz[i], set()).add(fx[i])
-        return all(r_yz[(y, z)] == r_z[z] for (y, z) in r_yz)
 
 
 def _scan_vci_one(tab: _VciTables, names, trial, include_p6, inst) -> None:
@@ -469,7 +410,7 @@ def _scan_vci_one(tab: _VciTables, names, trial, include_p6, inst) -> None:
                             fm = meets[(z, w)] = tuple(meet[s] for s in tab.regimes)
                         ok = p6_memo.get((x, y, fm))
                         if ok is None:
-                            ok = tab.vci_funs(tab.vals[x], tab.vals[y], fm)
+                            ok = variation_independent(tab.vals[x], tab.vals[y], fm)
                             p6_memo[(x, y, fm)] = ok
                         inst(trial, "P6", ok, x=x, y=y, z=z, w=w)
 
@@ -486,7 +427,7 @@ def _scan_vci(cfg: SearchConfig, rs: RuleSet) -> ScanReport:
         instances += 1
         if not ok:
             violations.append(
-                {"trial": trial, "rule": rule, **{k: _mask_names(v, names) for k, v in masks.items()}}
+                {"trial": trial, "rule": rule, **{k: mask_names(v, names) for k, v in masks.items()}}
             )
 
     for t in range(cfg.trials):
@@ -510,7 +451,7 @@ def exhaustive_vci_scan(max_regimes: int = 4, n_vars: int = 3) -> ScanReport:
         instances += 1
         if not ok:
             violations.append(
-                {"trial": trial, "rule": rule, **{k: _mask_names(v, names) for k, v in masks.items()}}
+                {"trial": trial, "rule": rule, **{k: mask_names(v, names) for k, v in masks.items()}}
             )
 
     for size in range(1, max_regimes + 1):
@@ -543,25 +484,6 @@ def _dec_placements(fam: RegimeFamily) -> list[tuple[frozenset, frozenset]]:
     return out
 
 
-class _EciTables:
-    def __init__(self, fam: RegimeFamily):
-        self.fam = fam
-        self.memo: dict[tuple, bool] = {}
-
-    def eci(self, x: tuple, ys: tuple, theta: frozenset, zs: tuple, phi: frozenset) -> bool:
-        key = (x, ys, tuple(sorted(theta)), zs, tuple(sorted(phi)))
-        out = self.memo.get(key)
-        if out is None:
-            stmt = CIStatement(
-                VarSet(frozenset(x)),
-                VarSet(frozenset(ys), theta),
-                VarSet(frozenset(zs), phi),
-            )
-            out = check_eci(self.fam, stmt)[0]
-            self.memo[key] = out
-        return out
-
-
 def _scan_eci(cfg: SearchConfig, rs: RuleSet) -> ScanReport:
     stoch = tuple(sorted(cfg.var_cardinalities))
     nbits = len(stoch)
@@ -572,12 +494,9 @@ def _scan_eci(cfg: SearchConfig, rs: RuleSet) -> ScanReport:
     p4_modes = tuple(sorted(rs.flags & {"discrete_variables", "dominating_regime",
                                         "discrete_regime_space"}))
 
-    def names_of(m: int) -> tuple[str, ...]:
-        return _mask_names(m, stoch)
-
     for t in range(cfg.trials):
         fam = random_family(cfg, t)
-        tab = _EciTables(fam)
+        eci = fam.eci  # theta only decides well-formedness, which placements ensure
         placements = _dec_placements(fam)
         dom_ok = {phi: dominating_per_group(fam, tuple(sorted(phi)))
                   for _th, phi in placements}
@@ -585,63 +504,51 @@ def _scan_eci(cfg: SearchConfig, rs: RuleSet) -> ScanReport:
             {th | ph for th, ph in placements if th | ph}, key=sorted
         )
 
-        def inst(rule, ok, detail):
+        def inst(rule, ok, **parts):
             nonlocal instances
             instances += 1
             if not ok:
-                violations.append({"trial": t, "rule": rule, **detail})
+                violations.append({"trial": t, "rule": rule, **{
+                    k: sorted(v) if isinstance(v, frozenset) else mask_names(v, stoch)
+                    for k, v in parts.items()}})
 
         # P2': tautologies whose decision part is a complementary family
         for D in comp_families:
             for x in nonempty:
                 for y in range(full + 1):
-                    inst("P2'", tab.eci(names_of(x), names_of(y), D, names_of(y), D),
-                         {"x": names_of(x), "y": names_of(y), "family": sorted(D)})
+                    inst("P2'", eci(x, y, y, D), x=x, y=y, family=D)
 
         for theta, phi in placements:
             for x in nonempty:
-                xs = names_of(x)
                 for y in range(full + 1):
-                    ys = names_of(y)
                     if not (y or theta):
                         continue
                     for z in range(full + 1):
-                        zs = names_of(z)
-                        if not tab.eci(xs, ys, theta, zs, phi):
+                        if not eci(x, y, z, phi):
                             continue
-                        detail = {"x": xs, "y": ys, "theta": sorted(theta),
-                                  "z": zs, "phi": sorted(phi)}
-                        if not theta and ys and phi:
-                            inst("P1'", tab.eci(ys, xs, frozenset(), zs, phi), detail)
+                        slots = dict(x=x, y=y, theta=theta, z=z, phi=phi)
+                        if not theta and y and phi:
+                            inst("P1'", eci(y, x, z, phi), **slots)
                         for w in range(1, full + 1):
                             if w & ~y == 0:
                                 if w != y:
-                                    inst("P3'", tab.eci(xs, names_of(w), theta, zs, phi),
-                                         {**detail, "w": names_of(w)})
-                                inst("P4'", tab.eci(xs, ys, theta, names_of(z | w), phi),
-                                     {**detail, "w": names_of(w)})
+                                    inst("P3'", eci(x, w, z, phi), **slots, w=w)
+                                inst("P4'", eci(x, y, z | w, phi), **slots, w=w)
                             if w & ~x == 0:
                                 if w != x:
-                                    inst("P3''", tab.eci(names_of(w), ys, theta, zs, phi),
-                                         {**detail, "w": names_of(w)})
+                                    inst("P3''", eci(w, y, z, phi), **slots, w=w)
                                 for mode in p4_modes:
                                     if mode == "dominating_regime" and not dom_ok[phi]:
                                         continue
-                                    inst(f"P4''[{mode}]",
-                                         tab.eci(xs, ys, theta, names_of(z | w), phi),
-                                         {**detail, "w": names_of(w)})
+                                    inst(f"P4''[{mode}]", eci(x, y, z | w, phi), **slots, w=w)
                             # P5': second premise x _||_ w | (y v z, theta v phi)
-                            if tab.eci(xs, names_of(w), frozenset(), names_of(y | z),
-                                       theta | phi):
-                                inst("P5'", tab.eci(xs, names_of(y | w), theta, zs, phi),
-                                     {**detail, "w": names_of(w)})
+                            if eci(x, w, y | z, theta | phi):
+                                inst("P5'", eci(x, y | w, z, phi), **slots, w=w)
                             # P5'': second premise w _||_ (y,theta) | (x v z, phi)
-                            if tab.eci(names_of(w), ys, theta, names_of(x | z), phi):
-                                inst("P5''", tab.eci(names_of(x | w), ys, theta, zs, phi),
-                                     {**detail, "w": names_of(w)})
-                        if theta and ys:
-                            inst("DCMP", tab.eci(xs, ys, frozenset(), zs, theta | phi),
-                                 detail)
+                            if eci(w, y, x | z, phi):
+                                inst("P5''", eci(x | w, y, z, phi), **slots, w=w)
+                        if theta and y:
+                            inst("DCMP", eci(x, y, z, theta | phi), **slots)
         if violations:
             break
     return ScanReport(rs.name, tuple(sorted(rs.flags)), cfg.trials, instances, violations)
@@ -670,8 +577,6 @@ def _general_placements(fam: RegimeFamily):
 
 
 def _scan_general(cfg: SearchConfig, rs: RuleSet) -> ScanReport:
-    from .models import check_eci_general
-
     stoch = tuple(sorted(cfg.var_cardinalities))
     nbits = len(stoch)
     full = (1 << nbits) - 1
@@ -680,61 +585,47 @@ def _scan_general(cfg: SearchConfig, rs: RuleSet) -> ScanReport:
     instances = 0
     flag_gated = bool(rs.flags & {"discrete_variables", "dominating_regime",
                                   "discrete_regime_space"})
-
-    def names_of(m: int) -> tuple[str, ...]:
-        return _mask_names(m, stoch)
+    none = frozenset()
 
     for t in range(cfg.trials):
         fam = random_family(cfg, t)
         memo: dict = {}
 
-        def gen(x, K, ys, theta, zs, phi):
-            key = (x, tuple(sorted(K)), ys, tuple(sorted(theta)), zs, tuple(sorted(phi)))
-            if key not in memo:
-                stmt = CIStatement(
-                    VarSet(frozenset(x), K),
-                    VarSet(frozenset(ys), theta),
-                    VarSet(frozenset(zs), phi),
-                )
-                memo[key] = check_eci_general(fam, stmt)
-            return memo[key]
+        def gen(*slots):
+            out = memo.get(slots)
+            if out is None:
+                out = memo[slots] = fam.eci_general(*slots)
+            return out
 
-        def inst(rule, ok, detail):
+        def inst(rule, ok, **parts):
             nonlocal instances
             instances += 1
             if not ok:
-                violations.append({"trial": t, "rule": rule, **detail})
+                violations.append({"trial": t, "rule": rule, **{
+                    k: sorted(v) if isinstance(v, frozenset) else mask_names(v, stoch)
+                    for k, v in parts.items()}})
 
         for K, theta, phi in _general_placements(fam):
             for x in range(full + 1):
-                xs = names_of(x)
                 for y in range(full + 1):
-                    ys = names_of(y)
                     if not phi:  # P2g tautology: conditioning on the right slot
                         if y or theta:
-                            inst("P2g", gen(xs, K, ys, theta, ys, theta),
-                                 {"x": xs, "K": sorted(K), "y": ys,
-                                  "theta": sorted(theta)})
+                            inst("P2g", gen(x, K, y, theta, y, theta),
+                                 x=x, K=K, y=y, theta=theta)
                     for z in range(full + 1):
-                        zs = names_of(z)
-                        if not gen(xs, K, ys, theta, zs, phi):
+                        if not gen(x, K, y, theta, z, phi):
                             continue
-                        detail = {"x": xs, "K": sorted(K), "y": ys,
-                                  "theta": sorted(theta), "z": zs, "phi": sorted(phi)}
-                        inst("P1g", gen(ys, theta, xs, frozenset(K), zs, phi), detail)
+                        slots = dict(x=x, K=K, y=y, theta=theta, z=z, phi=phi)
+                        inst("P1g", gen(y, theta, x, K, z, phi), **slots)
                         for w in nonempty:
                             if w & ~y == 0:
                                 if w != y:
-                                    inst("P3g", gen(xs, K, names_of(w), theta, zs, phi),
-                                         {**detail, "w": names_of(w)})
+                                    inst("P3g", gen(x, K, w, theta, z, phi), **slots, w=w)
                                 if flag_gated:
-                                    inst("P4g", gen(xs, K, ys, frozenset(),
-                                                    names_of(z | w), theta | phi),
-                                         {**detail, "w": names_of(w)})
-                            if gen(xs, K, names_of(w), frozenset(),
-                                   names_of(y | z), theta | phi):
-                                inst("P5g", gen(xs, K, names_of(y | w), theta, zs, phi),
-                                     {**detail, "w": names_of(w)})
+                                    inst("P4g", gen(x, K, y, none, z | w, theta | phi),
+                                         **slots, w=w)
+                            if gen(x, K, w, none, y | z, theta | phi):
+                                inst("P5g", gen(x, K, y | w, theta, z, phi), **slots, w=w)
         if violations:
             break
     return ScanReport(rs.name, tuple(sorted(rs.flags)), cfg.trials, instances, violations)

@@ -10,7 +10,7 @@ by a small registry; kinds never mix under reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import UnknownVariable
 
@@ -248,9 +248,3 @@ def well_formed(
     if decs and not comp.is_declared(decs):
         return False
     return True
-
-
-def iter_slots(stmt: CIStatement) -> Iterator[VarSet]:
-    yield stmt.left
-    yield stmt.right
-    yield stmt.cond

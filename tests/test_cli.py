@@ -153,6 +153,16 @@ def test_search_cx_exit_codes(session_file, tmp_path, capsys):
     capsys.readouterr()
     rc = main(["search-cx", "-e", "stochastic X, Y;", "--trials", "50", "X _||_ Y | Y"])
     assert rc == 0
+    capsys.readouterr()
+    # a session decision variable other than Sigma is drawn on the regimes
+    theta = tmp_path / "theta.ci"
+    theta.write_text("stochastic X, Y;\ndecision Th;\ncomplementary {Th};\n"
+                     "premise X _||_ Y | Th;\n")
+    rc = main(["search-cx", "-s", str(theta), "--semantics", "eci", "--trials", "50",
+               "--json", "X _||_ Y, Th"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 1 and data["found"]
+    assert data["config"]["decision_cardinalities"] == {"Th": 2}
 
 
 def test_product_command(tmp_path, capsys):
@@ -204,3 +214,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["derive", "-e", "stochastic X;", "X _||_"]) == 2
     bad = write_json(tmp_path, "bad.json", {"variables": {}})
     assert main(["check", bad, "X _||_ Y"]) == 2
+    capsys.readouterr()
+    assert main(["scan-axioms", "--cards", "X"]) == 2
+    assert "--cards entry 'X'" in capsys.readouterr().err
+    assert main(["scan-axioms", "--exhaustive-vci", "--cards", "A=5"]) == 2
+    assert "binary" in capsys.readouterr().err

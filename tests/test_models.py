@@ -5,6 +5,7 @@ import pytest
 
 from separoid.errors import (
     EmptyContext,
+    InvalidModel,
     InvalidPrior,
     MalformedStatement,
     NotComplementary,
@@ -71,6 +72,11 @@ def test_sci_p2_shape_always_true(xor_model, two_fair_coins):
 def test_sci_xor(xor_model):
     assert check_sci(xor_model, "X", "Y", ())
     assert not check_sci(xor_model, "X", "Y", "W")
+
+
+def test_sci_unknown_variable(two_fair_coins):
+    with pytest.raises(InvalidModel):
+        check_sci(two_fair_coins, "Q", "X", ())
 
 
 def test_sci_matches_bruteforce_oracle():
@@ -177,6 +183,12 @@ def test_eci_malformed_left_decision():
     fam = interventional_pair(F(1, 2), F(1, 2))
     with pytest.raises(MalformedStatement):
         check_eci(fam, ci([], ["X"], (), ldec=["Sigma"]))
+
+
+def test_eci_unknown_stochastic_variable():
+    fam = interventional_pair(F(1, 2), F(1, 2))
+    with pytest.raises(InvalidModel):
+        check_eci(fam, ci(["Q"], (), ["T"], rdec=["Sigma"]))
 
 
 def test_eci_not_complementary():
