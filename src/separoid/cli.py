@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import causal, engine, files, models, search
 from .dsl import Session, parse_session, parse_statement, render_statement
 from .errors import CIError
-from .universe import Universe, well_formed
+from .universe import Universe
 
 
 def _load_session(args) -> Session:

@@ -26,7 +26,7 @@ P5 family consumes as second premises are produced.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import GuardViolation, IllFormed
@@ -315,13 +315,16 @@ class _Engine:
     # -- index maintenance ---------------------------------------------------
 
     def insert(self, k: tuple) -> None:
+        """Index k for pairing; trivial statements are never a first premise,
+        so they are indexed only as candidate second premises."""
         left, right, cond = (k[0], k[1]), (k[2], k[3]), (k[4], k[5])
-        rjoinc = (k[2] | k[4], k[3] | k[5])
-        ljoinc = (k[0] | k[4], k[5])
         self.by_left_cond.setdefault((left, cond), []).append(k)
-        self.by_left_rjoinc.setdefault((left, rjoinc), []).append(k)
         self.by_right_cond.setdefault((right, cond), []).append(k)
-        self.by_right_ljoinc.setdefault((right, ljoinc), []).append(k)
+        if not _r_triv(k) and not _l_triv(k):
+            rjoinc = (k[2] | k[4], k[3] | k[5])
+            ljoinc = (k[0] | k[4], k[5])
+            self.by_left_rjoinc.setdefault((left, rjoinc), []).append(k)
+            self.by_right_ljoinc.setdefault((right, ljoinc), []).append(k)
 
     # -- spontaneous rules ---------------------------------------------------
 
@@ -461,8 +464,6 @@ class _Engine:
                         yield (k, t), ck
             # role: second premise x _||_ w | (y v z)
             for s1 in self.by_left_rjoinc.get((left, cond), ()):
-                if _r_triv(s1) or _l_triv(s1):
-                    continue
                 ck = self._p5_combine(s1, k, pure_w)
                 if ck is not None:
                     yield (s1, k), ck
@@ -478,8 +479,6 @@ class _Engine:
             # role: second premise W _||_ (Y,Th) | (X,Z,Ph)
             if not k[1]:
                 for s1 in self.by_right_ljoinc.get((right, cond), ()):
-                    if _r_triv(s1) or _l_triv(s1):
-                        continue
                     ws = k[0]
                     if ws and not ws & s1[0]:
                         yield (s1, k), (s1[0] | ws, 0, s1[2], s1[3], s1[4], s1[5])

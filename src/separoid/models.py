@@ -387,6 +387,7 @@ class RegimeFamily:
         self.info_base = info_base
         self._groups: dict[frozenset, dict] = {}
         self._eci: dict[tuple, bool] = {}
+        self._vci: dict[tuple, bool] = {}
 
     @property
     def variables(self) -> dict[str, tuple[str, ...]]:
@@ -468,13 +469,22 @@ class RegimeFamily:
             return False
         if y and not self.eci(y, 0, z, phi | theta):
             return False
-        if theta:
-            zs = mask_names(z, self.kernel.names)
-            for zvals in self.kernel.grid(z):
-                sz = compute_S_z(self, zs, dict(zip(zs, zvals))) if zs else self.regimes
-                if sz and not check_vci(self.decvars, theta, K, phi, regimes=sz):
-                    return False
-        return True
+        return not theta or self._vci_on_supports(K, theta, z, phi)
+
+    def _vci_on_supports(self, K: frozenset, theta: frozenset, z: int, phi: frozenset) -> bool:
+        """theta _||_ K | phi by ranges on every S_z, the regimes in which the
+        outcome z of Z has positive probability; cached per (K, theta, z, phi)."""
+        key = (K, theta, z, phi)
+        out = self._vci.get(key)
+        if out is None:
+            supports: dict[tuple, list] = {}
+            for s in self.regimes:
+                for za in set(self.dists[s].kernel.proj(z)):
+                    supports.setdefault(za, []).append(s)
+            out = self._vci[key] = all(
+                check_vci(self.decvars, theta, K, phi, regimes=sz) for sz in supports.values()
+            )
+        return out
 
 
 def check_complementary(fam: RegimeFamily, names: Iterable[str]) -> bool:

@@ -1,6 +1,6 @@
 """Randomized and exhaustive search for separating models, and soundness
-scans of the rule families against the finite-model checkers.  The scans call
-the same mask-level tests as the public checkers (``MaskKernel.sci``,
+scans that run the engine's own rules over each model's true set.  Verdicts
+come from the same mask-level tests as the public checkers (``MaskKernel.sci``,
 ``RegimeFamily.eci``/``eci_general`` and ``variation_independent`` in
 ``models``), so a fix to a checker reaches every scan.
 
@@ -16,13 +16,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .dsl import render_statement
-from .engine import RuleSet
+from .engine import RuleSet, _Engine, _Space, rule_set
 from .errors import NotComplementary, SemanticsMismatch
-from .files import family_to_dict, model_from_dict, model_to_dict
+from .files import model_from_dict, model_to_dict
 from .models import (
     DiscreteDistribution,
     RegimeFamily,
@@ -35,7 +35,7 @@ from .models import (
     partition_meet,
     variation_independent,
 )
-from .universe import CIStatement
+from .universe import CIStatement, ComplementarityDecl, Universe
 
 SCI, VCI, ECI = "SCI", "VCI", "ECI"
 
@@ -270,11 +270,18 @@ def search_counterexample(
 
 @dataclass
 class ScanReport:
+    """Outcome of a soundness scan.  ``instances`` counts the rule instances
+    whose premises hold on a model, and ``instances_by_rule`` splits that
+    count per rule of the rule set (zero for a rule never exercised).  A
+    violation names the trial, the rule, and its premises and conclusion as
+    rendered statements."""
+
     rule_set: str
     flags: tuple[str, ...]
     trials: int
     instances: int
     violations: list
+    instances_by_rule: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -286,361 +293,191 @@ class ScanReport:
             "flags": list(self.flags),
             "trials": self.trials,
             "instances": self.instances,
+            "instances_by_rule": dict(self.instances_by_rule),
             "violations": self.violations,
         }
 
 
-def _scan_sci(cfg: SearchConfig, rs: RuleSet) -> ScanReport:
-    names = tuple(sorted(cfg.var_cardinalities))
-    nbits = len(names)
-    full = (1 << nbits) - 1
-    nonempty = [m for m in range(1, full + 1)]
-    subs_of = [[w for w in range(1, full + 1) if w & ~m == 0] for m in range(full + 1)]
-    violations: list = []
-    instances = 0
+class _Scan:
+    """The engine's own rules run over each model's true set.
 
-    def record(trial, rule, detail):
-        violations.append({"trial": trial, "rule": rule, **detail})
+    The legal keys with nonempty outer slots are listed once per scan, by
+    decision union.  On each model every key in the scan domain is evaluated
+    once; each true key is inserted into a fresh engine and expanded at once,
+    so every binary pair is met exactly once, when its later premise arrives.
+    Every spontaneous and expanded conclusion must be true on the model."""
 
-    for t in range(cfg.trials):
-        sci = random_distribution(cfg, t).kernel.sci
+    def __init__(self, rs: RuleSet, universe: Universe, mode: str | None = None):
+        self.rs = rs
+        self.mode = mode
+        self.space = sp = _Space(universe, None)
+        self.dec_sets = [frozenset(mask_names(d, sp.d_names)) for d in range(sp.d_all + 1)]
+        legal = _Engine(rs, sp, ComplementarityDecl(frozenset(self.dec_sets[1:])), mode).legal
+        slots = [(s, d) for s in range(sp.s_all + 1) for d in range(sp.d_all + 1)]
+        self.keys: dict[int, list] = {}
+        for left in slots[1:]:
+            for right in slots[1:]:
+                for cond in slots:
+                    k = left + right + cond
+                    if legal(k):
+                        self.keys.setdefault(k[1] | k[3] | k[5], []).append(k)
+        self.tally = dict.fromkeys(rs.rules, 0)
+        self.violations: list = []
 
-        def inst(rule, ok, **masks):
-            nonlocal instances
-            instances += 1
-            if not ok:
-                record(
-                    t,
-                    rule,
-                    {k: mask_names(v, names) for k, v in masks.items()},
-                )
+    def model(self, trial: int, holds, complementary=None, dominating=None) -> dict:
+        """Close one model's true set under the engine and return the truth
+        table of its keys.  ``holds(key)`` is the model's verdict;
+        ``complementary(union)`` admits a decision union to the domain (all
+        are admitted when absent); ``dominating(phi)`` licenses a P4''/P4g
+        premise conditioned on phi."""
+        unions = [u for u in self.keys if complementary is None or complementary(u)]
+        comp = ComplementarityDecl(frozenset(self.dec_sets[u] for u in unions if u))
+        eng = _Engine(self.rs, self.space, comp, self.mode)
+        truth = {k: holds(k) for u in unions for k in self.keys[u]}
+        true_keys = [k for k, ok in truth.items() if ok]
+        for rule, ck in eng.spontaneous():
+            self._conclude(trial, rule, (), ck, truth, holds)
+        for k in true_keys:
+            eng.insert(k)
+            for rule, prem, ck, _note in eng.expand(k):
+                if dominating is None or rule not in ("P4''", "P4g") or dominating(k[5]):
+                    self._conclude(trial, rule, prem, ck, truth, holds)
+        return truth
 
-        for x in nonempty:
-            for y in nonempty:
-                inst("P2", sci(x, y, y), x=x, y=y)
-                for z in range(full + 1):
-                    if not sci(x, y, z):
-                        continue
-                    inst("P1", sci(y, x, z), x=x, y=y, z=z)
-                    for w in subs_of[y]:
-                        if w != y:
-                            inst("P3", sci(x, w, z), x=x, y=y, z=z, w=w)
-                        inst("P4", sci(x, y, z | w), x=x, y=y, z=z, w=w)
-                    for w in nonempty:
-                        if sci(x, w, y | z):
-                            inst("P5", sci(x, y | w, z), x=x, y=y, z=z, w=w)
-        if violations:
-            break
-    return ScanReport(rs.name, tuple(sorted(rs.flags)), cfg.trials, instances, violations)
-
-
-class _VciTables:
-    """Per-decmap memo: value tuples per variable subset, refinement tests,
-    and variation-independence verdicts per subset triple."""
-
-    def __init__(self, decmap: Mapping[str, Mapping[str, str]], regimes: Sequence[str]):
-        self.regimes = tuple(regimes)
-        self.names = tuple(sorted(decmap))
-        nbits = len(self.names)
-        self.vals: list[list] = []
-        for mask in range(1 << nbits):
-            sel = [n for i, n in enumerate(self.names) if mask >> i & 1]
-            self.vals.append([tuple(str(decmap[n][s]) for n in sel) for s in self.regimes])
-        self.memo: dict[tuple, bool] = {}
-        self._refine: dict[tuple, bool] = {}
-
-    def leq(self, w: int, y: int) -> bool:
-        """w is a function of y on this regime space."""
-        key = (w, y)
-        out = self._refine.get(key)
-        if out is None:
-            seen: dict = {}
-            out = True
-            for i in range(len(self.regimes)):
-                yv, wv = self.vals[y][i], self.vals[w][i]
-                if seen.setdefault(yv, wv) != wv:
-                    out = False
-                    break
-            self._refine[key] = out
-        return out
-
-    def vci(self, x: int, y: int, z: int) -> bool:
-        key = (x, y, z)
-        out = self.memo.get(key)
-        if out is None:
-            out = variation_independent(self.vals[x], self.vals[y], self.vals[z])
-            self.memo[key] = out
-        return out
-
-
-def _scan_vci_one(tab: _VciTables, names, trial, include_p6, inst) -> None:
-    nbits = len(names)
-    full = (1 << nbits) - 1
-    nonempty = list(range(1, full + 1))
-    conds = list(range(full + 1))
-    V = [[[tab.vci(x, y, z) for z in conds] for y in conds] for x in conds]
-    leq = [[tab.leq(w, y) for y in conds] for w in conds]
-    meets: dict = {}
-    p6_memo: dict = {}
-    for x in nonempty:
-        Vx = V[x]
-        for y in nonempty:
-            Vxy = Vx[y]
-            inst(trial, "P2", Vxy[y], x=x, y=y)
-            for z in conds:
-                if not Vxy[z]:
-                    continue
-                inst(trial, "P1", V[y][x][z], x=x, y=y, z=z)
-                for w in nonempty:
-                    if leq[w][y]:
-                        if w != y:
-                            inst(trial, "P3", Vx[w][z], x=x, y=y, z=z, w=w)
-                        inst(trial, "P4", Vxy[z | w], x=x, y=y, z=z, w=w)
-                    if Vx[w][y | z]:
-                        inst(trial, "P5", Vx[y | w][z], x=x, y=y, z=z, w=w)
-                if include_p6 and leq[z][y]:
-                    for w in conds:
-                        if not (leq[w][y] and Vxy[w]):
-                            continue
-                        fm = meets.get((z, w))
-                        if fm is None:
-                            za = {s: tab.vals[z][i] for i, s in enumerate(tab.regimes)}
-                            wa = {s: tab.vals[w][i] for i, s in enumerate(tab.regimes)}
-                            meet = partition_meet(za, wa)
-                            fm = meets[(z, w)] = tuple(meet[s] for s in tab.regimes)
-                        ok = p6_memo.get((x, y, fm))
-                        if ok is None:
-                            ok = variation_independent(tab.vals[x], tab.vals[y], fm)
-                            p6_memo[(x, y, fm)] = ok
-                        inst(trial, "P6", ok, x=x, y=y, z=z, w=w)
-
-
-def _scan_vci(cfg: SearchConfig, rs: RuleSet) -> ScanReport:
-    names = tuple(sorted(cfg.var_cardinalities))
-    regimes = regime_labels(cfg.regime_count)
-    include_p6 = "P6" in rs.rules
-    violations: list = []
-    instances = 0
-
-    def inst(trial, rule, ok, **masks):
-        nonlocal instances
-        instances += 1
+    def _conclude(self, trial, rule, premises, ck, truth, holds) -> None:
+        self.tally[rule] += 1
+        ok = truth.get(ck)
+        if ok is None:
+            ok = truth[ck] = holds(ck)
         if not ok:
-            violations.append(
-                {"trial": trial, "rule": rule, **{k: mask_names(v, names) for k, v in masks.items()}}
-            )
+            self.violation(trial, rule, [self.render(p) for p in premises], self.render(ck))
 
-    for t in range(cfg.trials):
-        tab = _VciTables(random_decmap(cfg, t), regimes)
-        _scan_vci_one(tab, names, t, include_p6, inst)
-        if violations:
-            break
-    return ScanReport(rs.name, tuple(sorted(rs.flags)), cfg.trials, instances, violations)
+    def render(self, k: tuple) -> str:
+        return render_statement(self.space.stmt_of(k))
+
+    def violation(self, trial: int, rule: str, premises: list, conclusion: str) -> None:
+        self.violations.append(
+            {"trial": trial, "rule": rule, "premises": premises, "conclusion": conclusion}
+        )
+
+    def report(self, trials: int, flags: tuple[str, ...] | None = None) -> ScanReport:
+        return ScanReport(
+            self.rs.name,
+            tuple(sorted(self.rs.flags)) if flags is None else flags,
+            trials,
+            sum(self.tally.values()),
+            self.violations,
+            dict(self.tally),
+        )
+
+
+def _vci_model(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str]) -> None:
+    """Variation independence by mask, then P6 on the model, since meets are
+    not statements the engine can hold: X _||_ Y | Z and X _||_ Y | W with Z
+    and W functions of Y give X _||_ Y | Z ^ W."""
+    names = scan.space.d_names
+    vals = [[tuple(decmap[n][s] for n in mask_names(m, names)) for s in regimes]
+            for m in range(scan.space.d_all + 1)]
+    truth = scan.model(trial, lambda k: variation_independent(vals[k[1]], vals[k[3]], vals[k[5]]))
+    if "P6" not in scan.rs.rules:
+        return
+    masks = range(len(vals))
+    leq = [[len(set(zip(vals[y], vals[w]))) == len(set(vals[y])) for y in masks] for w in masks]
+    meets: dict = {}
+    verdicts: dict = {}
+    for k, ok in truth.items():
+        _, x, _, y, _, z = k
+        if not (ok and leq[z][y]):
+            continue
+        for w in masks:
+            if not (leq[w][y] and truth[(0, x, 0, y, 0, w)]):
+                continue
+            fm = meets.get((z, w))
+            if fm is None:
+                meet = partition_meet(dict(zip(regimes, vals[z])), dict(zip(regimes, vals[w])))
+                fm = meets[(z, w)] = tuple(meet[s] for s in regimes)
+            ok = verdicts.get((x, y, fm))
+            if ok is None:
+                ok = verdicts[(x, y, fm)] = variation_independent(vals[x], vals[y], fm)
+            scan.tally["P6"] += 1
+            if not ok:
+                premises = [scan.render(k), scan.render((0, x, 0, y, 0, w))]
+                meet_of = f"meet({','.join(mask_names(z, names))}; {','.join(mask_names(w, names))})"
+                scan.violation(trial, "P6", premises,
+                               f"{scan.render((0, x, 0, y, 0, 0))} | {meet_of}")
+
+
+def _eci_model(scan: _Scan, trial: int, fam: RegimeFamily) -> None:
+    """ECI and general-form verdicts through ``eci_general`` (which is ``eci``
+    when the left slot has no decision names), on the keys whose decision
+    union is complementary on the family."""
+    dec = scan.dec_sets
+    dominating = None
+    if scan.rs.flags == {"dominating_regime"}:
+        dominating = [dominating_per_group(fam, sorted(phi)) for phi in dec].__getitem__
+    scan.model(
+        trial,
+        lambda k: fam.eci_general(k[0], dec[k[1]], k[2], dec[k[3]], k[4], dec[k[5]]),
+        complementary=lambda u: check_complementary(fam, dec[u]),
+        dominating=dominating,
+    )
 
 
 def exhaustive_vci_scan(max_regimes: int = 4, n_vars: int = 3) -> ScanReport:
-    """P1..P6 against the variation checker over every decision map with
-    n_vars binary variables on every regime space of size <= max_regimes."""
+    """VCI_STRONG (P1..P6) against the variation checker over every decision
+    map with n_vars binary variables on every regime space of size <=
+    max_regimes."""
     names = tuple(chr(ord("A") + i) for i in range(n_vars))
-    violations: list = []
-    instances = 0
+    scan = _Scan(rule_set("VCI_STRONG"), Universe.of(decision=names), "d")
     trials = 0
-
-    def inst(trial, rule, ok, **masks):
-        nonlocal instances
-        instances += 1
-        if not ok:
-            violations.append(
-                {"trial": trial, "rule": rule, **{k: mask_names(v, names) for k, v in masks.items()}}
-            )
-
     for size in range(1, max_regimes + 1):
         regimes = regime_labels(size)
         funcs = list(product("01", repeat=size))
         for combo in product(funcs, repeat=n_vars):
             decmap = {n: dict(zip(regimes, f)) for n, f in zip(names, combo)}
-            tab = _VciTables(decmap, regimes)
-            _scan_vci_one(tab, names, trials, True, inst)
+            _vci_model(scan, trials, decmap, regimes)
             trials += 1
-            if violations:
-                return ScanReport("VCI_STRONG", ("exhaustive",), trials, instances, violations)
-    return ScanReport("VCI_STRONG", ("exhaustive",), trials, instances, violations)
-
-
-def _dec_placements(fam: RegimeFamily) -> list[tuple[frozenset, frozenset]]:
-    """(theta, phi) pairs of disjoint decision-name sets whose union is empty
-    or complementary on the family."""
-    names = sorted(fam.decvars)
-    out: list[tuple[frozenset, frozenset]] = [(frozenset(), frozenset())]
-    subsets: list[frozenset] = [frozenset()]
-    for n in names:
-        subsets += [s | {n} for s in subsets]
-    for theta in subsets:
-        for phi in subsets:
-            if theta & phi or not (theta | phi):
-                continue
-            if check_complementary(fam, theta | phi):
-                out.append((theta, phi))
-    return out
-
-
-def _scan_eci(cfg: SearchConfig, rs: RuleSet) -> ScanReport:
-    stoch = tuple(sorted(cfg.var_cardinalities))
-    nbits = len(stoch)
-    full = (1 << nbits) - 1
-    nonempty = list(range(1, full + 1))
-    violations: list = []
-    instances = 0
-    p4_modes = tuple(sorted(rs.flags & {"discrete_variables", "dominating_regime",
-                                        "discrete_regime_space"}))
-
-    for t in range(cfg.trials):
-        fam = random_family(cfg, t)
-        eci = fam.eci  # theta only decides well-formedness, which placements ensure
-        placements = _dec_placements(fam)
-        dom_ok = {phi: dominating_per_group(fam, tuple(sorted(phi)))
-                  for _th, phi in placements}
-        comp_families = sorted(
-            {th | ph for th, ph in placements if th | ph}, key=sorted
-        )
-
-        def inst(rule, ok, **parts):
-            nonlocal instances
-            instances += 1
-            if not ok:
-                violations.append({"trial": t, "rule": rule, **{
-                    k: sorted(v) if isinstance(v, frozenset) else mask_names(v, stoch)
-                    for k, v in parts.items()}})
-
-        # P2': tautologies whose decision part is a complementary family
-        for D in comp_families:
-            for x in nonempty:
-                for y in range(full + 1):
-                    inst("P2'", eci(x, y, y, D), x=x, y=y, family=D)
-
-        for theta, phi in placements:
-            for x in nonempty:
-                for y in range(full + 1):
-                    if not (y or theta):
-                        continue
-                    for z in range(full + 1):
-                        if not eci(x, y, z, phi):
-                            continue
-                        slots = dict(x=x, y=y, theta=theta, z=z, phi=phi)
-                        if not theta and y and phi:
-                            inst("P1'", eci(y, x, z, phi), **slots)
-                        for w in range(1, full + 1):
-                            if w & ~y == 0:
-                                if w != y:
-                                    inst("P3'", eci(x, w, z, phi), **slots, w=w)
-                                inst("P4'", eci(x, y, z | w, phi), **slots, w=w)
-                            if w & ~x == 0:
-                                if w != x:
-                                    inst("P3''", eci(w, y, z, phi), **slots, w=w)
-                                for mode in p4_modes:
-                                    if mode == "dominating_regime" and not dom_ok[phi]:
-                                        continue
-                                    inst(f"P4''[{mode}]", eci(x, y, z | w, phi), **slots, w=w)
-                            # P5': second premise x _||_ w | (y v z, theta v phi)
-                            if eci(x, w, y | z, theta | phi):
-                                inst("P5'", eci(x, y | w, z, phi), **slots, w=w)
-                            # P5'': second premise w _||_ (y,theta) | (x v z, phi)
-                            if eci(w, y, x | z, phi):
-                                inst("P5''", eci(x | w, y, z, phi), **slots, w=w)
-                        if theta and y:
-                            inst("DCMP", eci(x, y, z, theta | phi), **slots)
-        if violations:
-            break
-    return ScanReport(rs.name, tuple(sorted(rs.flags)), cfg.trials, instances, violations)
-
-
-def _general_placements(fam: RegimeFamily):
-    """(K, theta, phi) disjoint decision-name triples, K nonempty, whose
-    union is complementary on the family."""
-    names = sorted(fam.decvars)
-    subsets: list[frozenset] = [frozenset()]
-    for n in names:
-        subsets += [s | {n} for s in subsets]
-    out = []
-    for K in subsets:
-        if not K:
-            continue
-        for theta in subsets:
-            if theta & K:
-                continue
-            for phi in subsets:
-                if phi & (K | theta):
-                    continue
-                if check_complementary(fam, K | theta | phi):
-                    out.append((K, theta, phi))
-    return out
-
-
-def _scan_general(cfg: SearchConfig, rs: RuleSet) -> ScanReport:
-    stoch = tuple(sorted(cfg.var_cardinalities))
-    nbits = len(stoch)
-    full = (1 << nbits) - 1
-    nonempty = list(range(1, full + 1))
-    violations: list = []
-    instances = 0
-    flag_gated = bool(rs.flags & {"discrete_variables", "dominating_regime",
-                                  "discrete_regime_space"})
-    none = frozenset()
-
-    for t in range(cfg.trials):
-        fam = random_family(cfg, t)
-        memo: dict = {}
-
-        def gen(*slots):
-            out = memo.get(slots)
-            if out is None:
-                out = memo[slots] = fam.eci_general(*slots)
-            return out
-
-        def inst(rule, ok, **parts):
-            nonlocal instances
-            instances += 1
-            if not ok:
-                violations.append({"trial": t, "rule": rule, **{
-                    k: sorted(v) if isinstance(v, frozenset) else mask_names(v, stoch)
-                    for k, v in parts.items()}})
-
-        for K, theta, phi in _general_placements(fam):
-            for x in range(full + 1):
-                for y in range(full + 1):
-                    if not phi:  # P2g tautology: conditioning on the right slot
-                        if y or theta:
-                            inst("P2g", gen(x, K, y, theta, y, theta),
-                                 x=x, K=K, y=y, theta=theta)
-                    for z in range(full + 1):
-                        if not gen(x, K, y, theta, z, phi):
-                            continue
-                        slots = dict(x=x, K=K, y=y, theta=theta, z=z, phi=phi)
-                        inst("P1g", gen(y, theta, x, K, z, phi), **slots)
-                        for w in nonempty:
-                            if w & ~y == 0:
-                                if w != y:
-                                    inst("P3g", gen(x, K, w, theta, z, phi), **slots, w=w)
-                                if flag_gated:
-                                    inst("P4g", gen(x, K, y, none, z | w, theta | phi),
-                                         **slots, w=w)
-                            if gen(x, K, w, none, y | z, theta | phi):
-                                inst("P5g", gen(x, K, y | w, theta, z, phi), **slots, w=w)
-        if violations:
-            break
-    return ScanReport(rs.name, tuple(sorted(rs.flags)), cfg.trials, instances, violations)
+            if scan.violations:
+                return scan.report(trials, ("exhaustive",))
+    return scan.report(trials, ("exhaustive",))
 
 
 def axiom_soundness_scan(cfg: SearchConfig, rs: RuleSet) -> ScanReport:
-    """For each trial model and each rule instance over the configured
-    variables: whenever the premises check true, the conclusion must check
-    true.  Reports the first violating (model, rule, instance), if any."""
+    """Soundness of the rule set on trial models: each model's true set must
+    be closed under the engine's own rule instantiation, i.e. whenever the
+    premises of a rule instance hold on the model, its conclusion holds too.
+    Stops after the first model with a violation and reports all of that
+    model's violations.
+
+    Scan domain: statements with nonempty outer slots that are legal under
+    the rule set and, for ECI_RESTRICTED and GENERAL, whose decision union is
+    complementary on the model; the empty union is so only on a one-regime
+    family.  P6 is checked on the model, and when dominating_regime is the
+    only flag, P4''/P4g run only on premises whose conditioning decision
+    names have a dominating regime in every group."""
+    names = tuple(sorted(cfg.var_cardinalities))
     if rs.name == "SEPAROID_FULL":
-        return _scan_sci(cfg, rs)
-    if rs.name == "VCI_STRONG":
-        return _scan_vci(cfg, rs)
-    if rs.name == "ECI_RESTRICTED":
-        return _scan_eci(cfg, rs)
-    if rs.name == "GENERAL":
-        return _scan_general(cfg, rs)
-    raise ValueError(f"no soundness scan for rule set {rs.name!r}")
+        scan = _Scan(rs, Universe.of(stochastic=names), "s")
+
+        def check(t: int) -> None:
+            sci = random_distribution(cfg, t).kernel.sci
+            scan.model(t, lambda k: sci(k[0], k[2], k[4]))
+    elif rs.name == "VCI_STRONG":
+        scan = _Scan(rs, Universe.of(decision=names), "d")
+        regimes = regime_labels(cfg.regime_count)
+
+        def check(t: int) -> None:
+            _vci_model(scan, t, random_decmap(cfg, t), regimes)
+    elif rs.name in ("ECI_RESTRICTED", "GENERAL"):
+        decs = ("Sigma", *cfg.decision_cardinalities)
+        scan = _Scan(rs, Universe.of(stochastic=names, decision=decs))
+
+        def check(t: int) -> None:
+            _eci_model(scan, t, random_family(cfg, t))
+    else:
+        raise ValueError(f"no soundness scan for rule set {rs.name!r}")
+    for t in range(cfg.trials):
+        check(t)
+        if scan.violations:
+            break
+    return scan.report(cfg.trials)

@@ -9,7 +9,7 @@ by a small registry; kinds never mix under reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import UnknownVariable

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from separoid.engine import rule_set
+from separoid.engine import _Engine, rule_set
 from separoid.errors import SemanticsMismatch
 from separoid.search import (
     SearchConfig,
@@ -152,8 +152,11 @@ def test_cx_determinism():
 def test_sci_scan_small_clean():
     cfg = SearchConfig(seed=5, trials=25, var_cardinalities={"A": 2, "B": 2, "C": 2},
                        probability_grid=3)
-    rep = axiom_soundness_scan(cfg, rule_set("SEPAROID_FULL"))
-    assert rep.ok and rep.instances > 10_000
+    rs = rule_set("SEPAROID_FULL")
+    rep = axiom_soundness_scan(cfg, rs)
+    assert rep.ok
+    assert all(rep.instances_by_rule[r] > 0 for r in rs.rules)
+    assert rep.instances == sum(rep.instances_by_rule.values())
 
 
 def test_vci_scan_small_clean():
@@ -161,7 +164,7 @@ def test_vci_scan_small_clean():
                        regime_count=4)
     rep = axiom_soundness_scan(cfg, rule_set("VCI_STRONG"))
     assert rep.ok
-    assert any(True for _ in rep.to_dict())
+    assert all(rep.instances_by_rule[r] > 0 for r in ("P1", "P2", "P3", "P4", "P5", "P6"))
 
 
 def test_exhaustive_vci_tiny_clean():
@@ -173,9 +176,37 @@ def test_eci_scan_small_clean():
     cfg = SearchConfig(seed=7, trials=6, var_cardinalities={"X": 2, "Y": 2},
                        regime_count=2, probability_grid=2,
                        decision_cardinalities={"Theta": 2})
-    rep = axiom_soundness_scan(cfg, rule_set("ECI_RESTRICTED",
-                                             ["discrete_variables", "dominating_regime"]))
+    rs = rule_set("ECI_RESTRICTED", ["discrete_variables", "dominating_regime"])
+    rep = axiom_soundness_scan(cfg, rs)
     assert rep.ok and rep.instances > 1000
+    assert all(rep.instances_by_rule[r] > 0 for r in rs.rules)
+
+
+@pytest.mark.parametrize("rules, cfg", [
+    ("SEPAROID_FULL", SearchConfig(seed=5, trials=25, var_cardinalities={"A": 2, "B": 2, "C": 2},
+                                   probability_grid=3)),
+    ("ECI_RESTRICTED", SearchConfig(seed=7, trials=6, var_cardinalities={"X": 2, "Y": 2},
+                                    regime_count=2, probability_grid=2,
+                                    decision_cardinalities={"Theta": 2})),
+])
+def test_scan_runs_the_engines_rules(monkeypatch, rules, cfg):
+    # A deliberately unsound P3 / P3' that also drops the stochastic
+    # conditioning slot must be caught, so the scan checks the engine itself.
+    sound_unary = _Engine.unary
+    mutated = "P3" if rules == "SEPAROID_FULL" else "P3'"
+
+    def unary(self, name, k):
+        yield from sound_unary(self, name, k)
+        if name == mutated and k[4]:
+            yield (k[0], k[1], k[2], k[3], 0, k[5]), ""
+
+    monkeypatch.setattr(_Engine, "unary", unary)
+    rep = axiom_soundness_scan(cfg, rule_set(rules))
+    assert rep.violations
+    assert {v["rule"] for v in rep.violations} == {mutated}
+    v = rep.violations[0]
+    assert set(v) == {"trial", "rule", "premises", "conclusion"}
+    assert len(v["premises"]) == 1 and isinstance(v["conclusion"], str)
 
 
 def test_grid_distributions_counts():
