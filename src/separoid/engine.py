@@ -16,11 +16,24 @@ Rule families
                   variables; reductions of stochastic variables only; P4g is
                   flag-gated like P4''.
 
-Instantiation policy (search-space pruning, recorded in the project notes):
-statements whose right slot is contained in the conditioning slot, or whose
-left slot is, are universally true fillers; P1/P4 and the first premise of the
-P5 family skip them.  P3 still fires on them, which is how the tautologies the
-P5 family consumes as second premises are produced.
+Instantiation policy (search-space pruning): statements whose right slot is
+contained in the conditioning slot, or whose left slot is, are universally
+true fillers; P1/P4 and the first premise of the P5 family skip them.
+
+Implicit tautologies: the spontaneous instances (P2, P2', P2g) and what the
+P3 family (and, under ECI_RESTRICTED, DCMP) makes of them form a family that
+``_Engine.tautology`` recognises with its premise-free derivation and cost:
+1 for a bare spontaneous instance ``x _||_ y | y``, 2 for one P3/P3'/P3g step
+after it (``x _||_ w | y``, w inside y), and under ECI_RESTRICTED 2 for DCMP
+on an instance and 3 for P3' after that.  Members are never indexed; the P5
+family synthesizes them as second premises when it meets the first premise.
+``prove`` therefore settles only the statements outside the family (plus the
+few members that another route reaches more cheaply, which keep that cost and
+its tie-break), and ``build`` writes the members' P2/P3 leaves back into the
+proof.  With a registry, P3 can reduce w to a function of y outside y; those
+conclusions are ordinary statements, which ``prove`` seeds from ``leaks()``
+at the cost of their route out of the family.  ``closure`` still
+materializes every member, so its statement set is unchanged.
 """
 
 from __future__ import annotations
@@ -47,8 +60,10 @@ FLAGS = frozenset(
 
 @dataclass(frozen=True)
 class Limits:
-    """Search bounds: total statements kept, and rounds (closure) or
-    rule-applications per derivation tree (prove)."""
+    """Search bounds: statements kept, and rounds (closure) or
+    rule-applications per derivation tree (prove).  ``closure`` counts every
+    statement; ``prove`` counts the non-tautological statements it settles,
+    since implicit tautologies are never materialized there."""
 
     max_statements: int = 50_000
     max_depth: int = 64
@@ -195,6 +210,8 @@ class _Space:
         ]
         self._red_cache_s: dict[int, int] = {}
         self._red_cache_d: dict[int, int] = {}
+        # some variable is a registered function of another
+        self.reduces = any(m & (m - 1) for m in self._var_red_s + self._var_red_d)
 
     def _mask_s(self, names: Iterable[str]) -> int:
         m = 0
@@ -283,9 +300,19 @@ class _Engine:
         self.rs = rs
         self.space = space
         self.mode = mode  # 's' | 'd' for the pure rule sets, else None
+        self.o = 1 if mode == "d" else 0  # slot component of the pure rules
+        self.red = space.red_d if mode == "d" else space.red_s
+        self.steps = [
+            (name, RULES[name].arity)
+            for name in rs.rules
+            if RULES[name].arity and not RULES[name].model_only
+        ]
         self.comp_masks = tuple(
             sorted(space._mask_d(f) for f in comp.families if f <= set(space.d_names))
         )
+        self.comp_set = frozenset(self.comp_masks)
+        # tautologies settled as ordinary statements (prove only)
+        self.materialized: set[tuple] = set()
         # binary-rule pairing indexes over inserted statements
         self.by_left_cond: dict[tuple, list] = {}
         self.by_left_rjoinc: dict[tuple, list] = {}
@@ -312,11 +339,78 @@ class _Engine:
                 f"statement {stmt!r} is not admissible under rule set {self.rs.name}"
             )
 
+    # -- implicit tautologies --------------------------------------------------
+
+    def tautology(self, k: tuple):
+        """``(cost, rule, premises)`` of k's derivation inside the spontaneous
+        family, or None when k is not a member.  Members have their right slot
+        inside the conditioning slot, so only the P3 family, DCMP and the
+        second-premise role of the P5 family apply to them."""
+        if self.mode is not None:
+            o = self.o
+            l, r, c = k[o], k[2 + o], k[4 + o]
+            if r & ~c or not (l and r) or k[1 - o] | k[3 - o] | k[5 - o]:
+                return None
+            if r == c:
+                return 1, "P2", ()
+            return 2, "P3", (self.pure(l, c, c),)
+        ls, ld, rs, rd, cs, cd = k
+        if rs & ~cs:
+            return None
+        if self.rs.name == "ECI_RESTRICTED":
+            if ld or not ls or cd not in self.comp_set:
+                return None
+            if rd == cd:
+                if rs == cs:
+                    return 1, "P2'", ()
+                return (2, "P3'", ((ls, 0, cs, cd, cs, cd),)) if rs or cd else None
+            if rd or not rs:
+                return None
+            if rs == cs:
+                return 2, "DCMP", ((ls, 0, cs, cd, cs, cd),)
+            return 3, "P3'", ((ls, 0, cs, 0, cs, cd),)
+        if rd != cd or ld & rd or not (ls or ld) or (ld | rd) not in self.comp_set:
+            return None
+        if rs == cs:
+            return (1, "P2g", ()) if cs or rd else None
+        return (2, "P3g", ((ls, ld, cs, rd, cs, rd),)) if rs or rd else None
+
+    def implicit(self, k: tuple) -> bool:
+        """A member of the spontaneous family that is not materialized: never
+        indexed, met only where the P5 family synthesizes it."""
+        return _r_triv(k) and k not in self.materialized and self.tautology(k) is not None
+
+    def leaks(self):
+        """Instances from an implicit tautology to a statement outside the
+        family, as ``expand`` yields them.  Only a registry makes them: P3
+        reduces w to a function of the conditioning slot that lies outside
+        it, so the roots are the spontaneous instances whose conditioning
+        slot is reducible."""
+        if not self.space.reduces:
+            return
+        sp = self.space
+        stack = [
+            ck for _name, ck in self.spontaneous()
+            if sp.red_s(ck[4]) != ck[4] or sp.red_d(ck[5]) != ck[5]
+        ]
+        seen = set(stack)
+        while stack:
+            for item in self.expand(stack.pop()):
+                ck = item[2]
+                if self.tautology(ck) is None:
+                    yield item
+                elif ck not in seen:
+                    seen.add(ck)
+                    stack.append(ck)
+
     # -- index maintenance ---------------------------------------------------
 
     def insert(self, k: tuple) -> None:
         """Index k for pairing; trivial statements are never a first premise,
-        so they are indexed only as candidate second premises."""
+        so they are indexed only as candidate second premises, and implicit
+        tautologies not at all."""
+        if self.implicit(k):
+            return
         left, right, cond = (k[0], k[1]), (k[2], k[3]), (k[4], k[5])
         self.by_left_cond.setdefault((left, cond), []).append(k)
         self.by_right_cond.setdefault((right, cond), []).append(k)
@@ -332,13 +426,10 @@ class _Engine:
         """Yield (rule_name, conclusion_key) for premise-free rules."""
         for name in self.rs.rules:
             if name == "P2":
-                o = 0 if self.mode == "s" else 1
-                alls = self.space.s_all if self.mode == "s" else self.space.d_all
+                alls = self.space.d_all if self.o else self.space.s_all
                 for x in _submasks(alls):
                     for y in _submasks(alls):
-                        k = [0, 0, 0, 0, 0, 0]
-                        k[o], k[2 + o], k[4 + o] = x, y, y
-                        yield name, tuple(k)
+                        yield name, self.pure(x, y, y)
             elif name == "P2'":
                 for x in _submasks(self.space.s_all):
                     for d in self.comp_masks:
@@ -363,30 +454,27 @@ class _Engine:
 
     # -- unary rules -----------------------------------------------------------
 
+    def pure(self, l: int, r: int, c: int) -> tuple:
+        """The key of l _||_ r | c in the component of the pure rule sets."""
+        return (0, l, 0, r, 0, c) if self.o else (l, 0, r, 0, c, 0)
+
     def unary(self, name: str, k: tuple):
         """Yield (conclusion_key, note) for a unary rule applied to k."""
         sp = self.space
         ls, ld, rs_, rd, cs, cd = k
         if name in ("P1", "P3", "P4"):
-            o = 0 if self.mode == "s" else 1
-            red = sp.red_s if self.mode == "s" else sp.red_d
+            o, mk = self.o, self.pure
             l, r, c = k[o], k[2 + o], k[4 + o]
-
-            def mk(l2, r2, c2):
-                out = [0, 0, 0, 0, 0, 0]
-                out[o], out[2 + o], out[4 + o] = l2, r2, c2
-                return tuple(out)
-
             if name == "P1":
                 if not _r_triv(k) and not _l_triv(k):
                     yield mk(r, l, c), ""
             elif name == "P3":
-                for w in _submasks(red(r)):
+                for w in _submasks(self.red(r)):
                     if w != r:
                         yield mk(l, w, c), ""
             elif name == "P4":
                 if not _r_triv(k) and not _l_triv(k):
-                    for w in _submasks(red(r)):
+                    for w in _submasks(self.red(r)):
                         if c | w != c:
                             yield mk(l, r, c | w), ""
         elif name == "P1'":
@@ -436,6 +524,11 @@ class _Engine:
 
     # -- binary rules ----------------------------------------------------------
 
+    @staticmethod
+    def _with_right(k: tuple, o: int, w: int) -> tuple:
+        """k with component o of its right slot set to w."""
+        return k[:2 + o] + (w,) + k[3 + o:]
+
     def _p5_combine(self, s1: tuple, s2: tuple, pure_w: bool):
         """Contraction conclusion from first premise s1 and second premise s2
         (s2.left == s1.left and s2.cond == join(s1.right, s1.cond)).  Instances
@@ -451,7 +544,9 @@ class _Engine:
         return (s1[0], s1[1], s1[2] | ws, s1[3] | wd, s1[4], s1[5])
 
     def binary(self, name: str, k: tuple):
-        """Yield (premises, conclusion_key) pairs where k participates."""
+        """Yield (premises, conclusion_key) pairs where k participates.  The
+        first-premise role also pairs k with the implicit tautologies, which
+        are never indexed."""
         left, right, cond = (k[0], k[1]), (k[2], k[3]), (k[4], k[5])
         nontrivial = not _r_triv(k) and not _l_triv(k)
         if name in ("P5", "P5'", "P5g"):
@@ -462,6 +557,15 @@ class _Engine:
                     ck = self._p5_combine(k, t, pure_w)
                     if ck is not None:
                         yield (k, t), ck
+                # implicit second premises x _||_ w | (y v z), w in z outside y
+                # (membership does not depend on which such w)
+                o = self.o
+                free = k[4 + o] & ~k[2 + o]
+                base = k[:2] + (0, 0) + join
+                if free and self.tautology(self._with_right(base, o, free)):
+                    for w in _submasks(free):
+                        t = self._with_right(base, o, w)
+                        yield (k, t), self._p5_combine(k, t, pure_w)
             # role: second premise x _||_ w | (y v z)
             for s1 in self.by_left_rjoinc.get((left, cond), ()):
                 ck = self._p5_combine(s1, k, pure_w)
@@ -476,6 +580,12 @@ class _Engine:
                     ws = t[0]
                     if ws and not ws & k[0]:
                         yield (k, t), (k[0] | ws, 0, k[2], k[3], k[4], k[5])
+                # implicit second premises W _||_ (Y,Th) | (X,Z,Ph), for any W
+                free = self.space.s_all & ~k[0]
+                if free and self.tautology((free, 0, k[2], k[3], tgt[0], tgt[1])):
+                    for ws in _submasks(free):
+                        t = (ws, 0, k[2], k[3], tgt[0], tgt[1])
+                        yield (k, t), (k[0] | ws, 0, k[2], k[3], k[4], k[5])
             # role: second premise W _||_ (Y,Th) | (X,Z,Ph)
             if not k[1]:
                 for s1 in self.by_right_ljoinc.get((right, cond), ()):
@@ -485,15 +595,15 @@ class _Engine:
 
     def expand(self, k: tuple):
         """All one-step consequences in which k participates, paired against
-        previously inserted statements.  Yields (rule_name, premises, ck, note)."""
-        for name in self.rs.rules:
-            rule = RULES[name]
-            if rule.model_only or rule.arity == 0:
-                continue
-            if rule.arity == 1:
+        previously inserted statements.  Yields (rule_name, premises, ck, note).
+        An implicit tautology is paired only where a first premise synthesizes
+        it, so each pair is yielded once."""
+        pairs = not self.implicit(k)
+        for name, arity in self.steps:
+            if arity == 1:
                 for ck, note in self.unary(name, k):
                     yield name, (k,), ck, note
-            else:
+            elif pairs:
                 for prem, ck in self.binary(name, k):
                     yield name, prem, ck, ""
 
@@ -602,47 +712,73 @@ def prove(
 ) -> Derivation | NotDerivable:
     """Minimal proof search: cost-ordered expansion of the closure frontier
     where a derivation's cost is its rule-application count; ties broken by
-    rule order, then by canonical premise keys."""
+    rule order, then by canonical premise keys.
+
+    Implicit tautologies are priced by ``_Engine.tautology`` and never
+    settled, unless another route is cheaper or wins the tie-break (then
+    they are materialized, and re-met as second premises at their real
+    cost) or they are the goal."""
     premises = list(premises)
     lim = limits or Limits()
     eng, prem_keys = _setup(premises, rs, universe, registry, complementarity, extra=[goal])
     goal_key = eng.space.key_of(goal)
     eng.check_legal(goal, goal_key)
+    ridx = eng.rule_idx
 
     cost: dict[tuple, int] = {}
     just: dict[tuple, tuple] = {}
     heap: list = []
+    kept = 0  # settled statements outside the tautology family
 
-    def push(c: int, ridx: int, prem: tuple, ck: tuple, note: str) -> None:
-        if ck not in cost and c <= lim.max_depth:
-            heapq.heappush(heap, (c, ridx, prem, ck, note))
+    def push(name: str, prem: tuple, ck: tuple, note: str) -> None:
+        if ck in cost:
+            return
+        c = 1
+        for p in prem:
+            pc = cost.get(p)
+            c += eng.tautology(p)[0] if pc is None else pc
+        if c <= lim.max_depth:
+            heapq.heappush(heap, (c, ridx[name], prem, ck, note))
+
+    def settle(c: int, rule: str, prem: tuple, ck: tuple, note: str) -> None:
+        nonlocal kept
+        cost[ck] = c
+        just[ck] = (rule, prem, note)
+        if eng.tautology(ck) is None:
+            kept += 1
+        else:
+            eng.materialized.add(ck)
+        eng.insert(ck)
 
     for k in sorted(prem_keys):
-        cost[k] = 0
-        just[k] = ("premise", (), "")
-        eng.insert(k)
-    for name, ck in eng.spontaneous():
-        push(1, eng.rule_idx[name], (), ck, "")
+        settle(0, "premise", (), k, "")
     for k in sorted(prem_keys):
-        for name, prem, ck, note in eng.expand(k):
-            push(1 + sum(cost[p] for p in prem), eng.rule_idx[name], prem, ck, note)
+        for item in eng.expand(k):
+            push(*item)
+    for item in eng.leaks():
+        push(*item)
+    fam = eng.tautology(goal_key)
+    if fam is not None:
+        push(fam[1], fam[2], goal_key, "")
 
     truncated = False
     if goal_key not in cost:
         while heap:
-            c, ridx, prem, ck, note = heapq.heappop(heap)
+            c, ri, prem, ck, note = heapq.heappop(heap)
             if ck in cost:
                 continue
-            if len(cost) >= lim.max_statements:
+            fam = eng.tautology(ck)
+            if fam is not None:
+                if ck != goal_key and (c, ri, prem) >= (fam[0], ridx[fam[1]], fam[2]):
+                    continue  # the implicit derivation is at least as good
+            elif kept >= lim.max_statements:
                 truncated = True
                 break
-            cost[ck] = c
-            just[ck] = (eng.rs.rules[ridx], prem, note)
-            eng.insert(ck)
+            settle(c, eng.rs.rules[ri], prem, ck, note)
             if ck == goal_key:
                 break
-            for name, prem2, ck2, note2 in eng.expand(ck):
-                push(1 + sum(cost[p] for p in prem2), eng.rule_idx[name], prem2, ck2, note2)
+            for item in eng.expand(ck):
+                push(*item)
         else:
             if goal_key not in cost:
                 return NotDerivable(truncated=False)
@@ -655,7 +791,7 @@ def prove(
     def build(k: tuple) -> Derivation:
         node = memo.get(k)
         if node is None:
-            rule, prem, note = just[k]
+            rule, prem, note = just.get(k) or (*eng.tautology(k)[1:], "")
             node = Derivation(
                 eng.space.stmt_of(k), rule, tuple(build(p) for p in prem), note
             )
@@ -720,15 +856,18 @@ def apply_rule(
             if rn == name:
                 out.add(ck)
     else:
-        for k in sorted(set(keys)):
+        keyset = set(keys)
+        for k in sorted(keyset):
             eng.insert(k)
-        for k in sorted(set(keys)):
+        for k in sorted(keyset):
             if r.arity == 1:
                 for ck, _note in eng.unary(name, k):
                     out.add(ck)
             else:
-                for _prem, ck in eng.binary(name, k):
-                    out.add(ck)
+                # synthesized tautologies count only when they were supplied
+                for prem, ck in eng.binary(name, k):
+                    if all(p in keyset for p in prem):
+                        out.add(ck)
     return frozenset(space.stmt_of(k) for k in out)
 
 

@@ -1,8 +1,12 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 
+from separoid.dsl import parse_session
 from separoid.engine import (
+    Derivation,
     Limits,
     NotDerivable,
     apply_rule,
@@ -181,6 +185,124 @@ def test_prove_registry_reductions(uni3):
     d = prove(ci(["X"], ["W"], ["Z"]), [ci(["X"], ["Y"], ["Z"])],
               rule_set("SEPAROID_FULL"), universe=uni, registry=reg)
     assert d.rule_sequence() == ["P3"]
+
+
+def _chain(n: int) -> str:
+    """Session of the Markov chain X1..Xn: Xi _||_ X1..X(i-2) | X(i-1)."""
+    names = [f"X{i}" for i in range(1, n + 1)]
+    text = f"stochastic {', '.join(names)};"
+    for i in range(3, n + 1):
+        text += f" premise X{i} _||_ {', '.join(names[:i - 2])} | X{i - 1};"
+    return text
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_prove_long_markov_chain_default_limits(n):
+    """X1 _||_ Xn | X2..X(n-1) from the chain premises: P4, P3, P1 on the last
+    premise, found under the default limits."""
+    ses = parse_session(_chain(n))
+    goal = ci(["X1"], [f"X{n}"], [f"X{i}" for i in range(2, n)])
+    d = prove(goal, ses.premises, rule_set("SEPAROID_FULL"), universe=ses.universe)
+    assert isinstance(d, Derivation)
+    assert d.steps == 3
+    assert replay(d, universe=ses.universe, premises=ses.premises)
+
+
+# -- prove agrees with closure ------------------------------------------------------
+
+_AGREEMENT = [
+    # (session header, rule set, flags, decision names of the statements)
+    ("stochastic A, B, C;", "SEPAROID_FULL", (), ()),
+    ("stochastic A, B, C, D;", "SEPAROID_FULL", (), ()),
+    ("stochastic A, B, C; reduce C <= A;", "SEPAROID_FULL", (), ()),
+    ("stochastic A, B, C, D; reduce D <= B; reduce A <= C;", "SEPAROID_FULL", (), ()),
+    ("stochastic L, U, A, Y; decision Sigma; complementary {Sigma};",
+     "ECI_RESTRICTED", (), ("Sigma",)),
+    ("stochastic L, U, A, Y; decision Sigma; complementary {Sigma};",
+     "ECI_RESTRICTED", ("discrete_variables",), ("Sigma",)),
+]
+
+
+def _draw(rng: random.Random, stoch, dec):
+    """A random statement with nonempty outer slots; the decision names, when
+    drawn, all go to the right or all to the conditioning slot."""
+
+    def part():
+        return [n for n in stoch if rng.random() < 0.4]
+
+    left, right, cond = part() or [rng.choice(stoch)], part(), part()
+    rdec, cdec = [], []
+    if dec and rng.random() < 0.7:
+        (rdec if rng.random() < 0.5 else cdec).extend(dec)
+    if not (right or rdec):
+        right = [rng.choice(stoch)]
+    return ci(left, right, cond, rdec=rdec, cdec=cdec)
+
+
+@pytest.mark.parametrize("case", range(len(_AGREEMENT)))
+def test_prove_agrees_with_closure(case):
+    """prove derives exactly the members of the untruncated closure; every
+    derivation replays, and every absence is conclusive."""
+    header, rs_name, flags, dec = _AGREEMENT[case]
+    rs = rule_set(rs_name, flags)
+    rng = random.Random(case)
+    for _ in range(3):
+        ses = parse_session(header)
+        stoch = sorted(ses.universe.names("stochastic"))
+        prems = [_draw(rng, stoch, dec) for _ in range(rng.randint(1, 3))]
+        kw = dict(universe=ses.universe, registry=ses.registry,
+                  complementarity=ses.complementarity)
+        res = closure(prems, rs, limits=Limits(max_statements=10**6), **kw)
+        assert not res.truncated
+        members = sorted(res.statements, key=lambda s: s.sort_key())
+        goals = [_draw(rng, stoch, dec) for _ in range(5)]
+        goals += [rng.choice(members) for _ in range(3)]
+        for goal in goals:
+            d = prove(goal, prems, rs, **kw)
+            assert isinstance(d, Derivation) == (goal in res), (prems, goal)
+            if isinstance(d, Derivation):
+                assert replay(d, rules=rs, premises=prems, **kw)
+            else:
+                assert not d.truncated
+
+
+# -- closure digests -----------------------------------------------------------------
+
+
+def _canonical_digest(statements) -> str:
+    """sha256 of the sorted statement list, one ``L _||_ R | C`` line each,
+    slots written as sorted stochastic then sorted decision names."""
+
+    def slot(v):
+        return ",".join(sorted(v.stoch) + sorted(v.dec))
+
+    lines = sorted(f"{slot(s.left)} _||_ {slot(s.right)} | {slot(s.cond)}" for s in statements)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+_DEMO = ("stochastic L, U, A, Y; decision Sigma; complementary {Sigma};"
+         " premise L, U _||_ Sigma; premise Y _||_ Sigma | A, L, U;"
+         " premise A _||_ U | L, Sigma;")
+
+
+@pytest.mark.parametrize("text, rs_name, flags, count, digest", [
+    (_chain(4), "SEPAROID_FULL", (), 1119,
+     "c90231ce291d4b67698c30d5b415b2122abb7fbdbd7e7d450030efb0ff6f7b2d"),
+    (_chain(5), "SEPAROID_FULL", (), 8261,
+     "05d8e7de3e7b2470d80046ce39f3e0c2c0b77d9bb7dac44678cb884467d4deb1"),
+    (_DEMO, "ECI_RESTRICTED", (), 2213,
+     "547561c18a7b27f21c4b3fd74f50c754e73a31d9692c77a51e8b810534c12272"),
+    (_DEMO, "ECI_RESTRICTED", ("discrete_variables",), 2438,
+     "492773899d7b3714ef93418a840adf2ebab02f27d205916a60e25292176658bb"),
+], ids=["chain4", "chain5", "demo", "demo_dv"])
+def test_closure_pinned(text, rs_name, flags, count, digest):
+    """The closures keep their exact statement sets (count and digest)."""
+    ses = parse_session(text)
+    res = closure(ses.premises, rule_set(rs_name, flags), universe=ses.universe,
+                  registry=ses.registry, complementarity=ses.complementarity)
+    assert not res.truncated
+    assert len(res.statements) == count
+    assert _canonical_digest(res.statements) == digest
 
 
 # -- derivation formatting and replay ---------------------------------------------

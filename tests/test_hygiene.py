@@ -26,3 +26,43 @@ def unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def private_definitions(tree: ast.Module) -> list[ast.AST]:
+    """Module-level ``_private`` functions and classes (dunders excluded)."""
+    return [
+        node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    """Names read, attributes taken and names imported anywhere under node."""
+    out: set[str] = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(a.name for a in n.names)
+    return out
+
+
+def test_no_unreferenced_private_definitions():
+    """Every module-level private function or class in the package is used
+    somewhere in the package outside its own definition."""
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+    unused = []
+    for name, tree in trees.items():
+        for d in private_definitions(tree):
+            elsewhere = any(
+                d.name in referenced_names(node)
+                for other, t in trees.items()
+                for node in t.body
+                if node is not d
+            )
+            if not elsewhere:
+                unused.append(f"{name}:{d.lineno} {d.name}")
+    assert unused == []
