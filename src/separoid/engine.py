@@ -143,25 +143,29 @@ class Derivation:
 
     def rule_sequence(self) -> list[str]:
         """Rules in replay (post-)order, shared steps listed once."""
-        seen: set = set()
-        out: list[str] = []
-
-        def visit(node: "Derivation") -> None:
-            key = node.goal.sort_key()
-            if key in seen:
-                return
-            seen.add(key)
-            for c in node.children:
-                visit(c)
-            if node.rule != "premise":
-                out.append(node.rule)
-
-        visit(self)
-        return out
+        return [node.rule for node, _ in _replay_order(self) if node.rule != "premise"]
 
     @property
     def steps(self) -> int:
         return len(self.rule_sequence())
+
+
+def _replay_order(d: Derivation) -> list[tuple[Derivation, list[int]]]:
+    """The distinct steps of a derivation in replay (post-)order, each with
+    the 1-based positions of its premises; steps are identified by goal."""
+    steps: list[tuple[Derivation, list[int]]] = []
+    index: dict[tuple, int] = {}
+
+    def visit(node: Derivation) -> int:
+        key = node.goal.sort_key()
+        if key not in index:
+            nums = [visit(c) for c in node.children]
+            steps.append((node, nums))
+            index[key] = len(steps)
+        return index[key]
+
+    visit(d)
+    return steps
 
 
 @dataclass(frozen=True)
@@ -729,6 +733,7 @@ def prove(
     just: dict[tuple, tuple] = {}
     heap: list = []
     kept = 0  # settled statements outside the tautology family
+    cut: set[tuple] = set()  # conclusions priced above max_depth
 
     def push(name: str, prem: tuple, ck: tuple, note: str) -> None:
         if ck in cost:
@@ -739,6 +744,8 @@ def prove(
             c += eng.tautology(p)[0] if pc is None else pc
         if c <= lim.max_depth:
             heapq.heappush(heap, (c, ridx[name], prem, ck, note))
+        else:
+            cut.add(ck)
 
     def settle(c: int, rule: str, prem: tuple, ck: tuple, note: str) -> None:
         nonlocal kept
@@ -762,29 +769,27 @@ def prove(
         push(fam[1], fam[2], goal_key, "")
 
     truncated = False
-    if goal_key not in cost:
-        while heap:
-            c, ri, prem, ck, note = heapq.heappop(heap)
-            if ck in cost:
-                continue
-            fam = eng.tautology(ck)
-            if fam is not None:
-                if ck != goal_key and (c, ri, prem) >= (fam[0], ridx[fam[1]], fam[2]):
-                    continue  # the implicit derivation is at least as good
-            elif kept >= lim.max_statements:
-                truncated = True
-                break
-            settle(c, eng.rs.rules[ri], prem, ck, note)
-            if ck == goal_key:
-                break
-            for item in eng.expand(ck):
-                push(*item)
-        else:
-            if goal_key not in cost:
-                return NotDerivable(truncated=False)
+    while goal_key not in cost and heap:
+        c, ri, prem, ck, note = heapq.heappop(heap)
+        if ck in cost:
+            continue
+        fam = eng.tautology(ck)
+        if fam is not None:
+            if ck != goal_key and (c, ri, prem) >= (fam[0], ridx[fam[1]], fam[2]):
+                continue  # the implicit derivation is at least as good
+        elif kept >= lim.max_statements:
+            truncated = True
+            break
+        settle(c, eng.rs.rules[ri], prem, ck, note)
+        if ck == goal_key:
+            break
+        for item in eng.expand(ck):
+            push(*item)
 
     if goal_key not in cost:
-        return NotDerivable(truncated=True)
+        # a drained heap is conclusive only if every conclusion cut by
+        # max_depth was settled on a cheaper route after all
+        return NotDerivable(truncated=truncated or any(k not in cost for k in cut))
 
     memo: dict[tuple, Derivation] = {}
 
@@ -915,30 +920,15 @@ def format_proof(d: Derivation) -> str:
     step numbers of its premises."""
     from .dsl import render_statement
 
-    steps: list[tuple[CIStatement, str, list[int], str]] = []
-    index: dict[tuple, int] = {}
-
-    def visit(node: Derivation) -> int:
-        key = node.goal.sort_key()
-        if key in index:
-            return index[key]
-        nums = [visit(c) for c in node.children]
-        steps.append((node.goal, node.rule, nums, node.note))
-        index[key] = len(steps)
-        return index[key]
-
-    visit(d)
     lines = []
-    for i, (stmt, rule, nums, note) in enumerate(steps, 1):
-        if rule == "premise":
-            tag = "premise"
-        else:
-            tag = rule
-            if note:
-                tag += f" {note}"
+    for i, (node, nums) in enumerate(_replay_order(d), 1):
+        tag = node.rule
+        if node.rule != "premise":
+            if node.note:
+                tag += f" {node.note}"
             if nums:
                 tag += " from " + ", ".join(str(n) for n in nums)
-        lines.append(f"{i}. {render_statement(stmt)}  [{tag}]")
+        lines.append(f"{i}. {render_statement(node.goal)}  [{tag}]")
     return "\n".join(lines)
 
 

@@ -183,18 +183,3 @@ def load_strategy(path: str):
             raise InvalidStrategy(f"{path}: {e}") from None
     return strategy_from_dict(data)
 
-
-def strategy_to_dict(strategy) -> dict:
-    return {
-        "label": strategy.label,
-        "stages": [
-            {
-                "action": action,
-                "kernel": [
-                    {"given": dict(key), "dist": {v: format_fraction(p) for v, p in dist.items()}}
-                    for key, dist in sorted(table.items())
-                ],
-            }
-            for action, table in zip(strategy.actions, strategy.kernels)
-        ],
-    }

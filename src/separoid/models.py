@@ -5,6 +5,13 @@ every positive-probability context", which makes all checks decidable with
 zero tolerance.  A regime family holds one joint table per regime over a
 shared variable signature, plus decision variables as functions on the regime
 labels.
+
+Every computation on a table goes through its ``MaskKernel`` (integer
+weights of the positive atoms, projected per mask of variables):
+``conditional``, and ``probability``/``expectation`` on top of it, read its
+context counts; ``RegimeFamily.witness``, the common-witness test on one
+group of regimes, serves ``check_eci`` per phi group and
+``check_pairwise_eci`` per pair; ``RegimeFamily.supports`` gives each S_z.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -29,12 +36,15 @@ from .universe import CIStatement, VarSet
 Assignment = Mapping[str, str]
 
 
-def _names(vs) -> tuple[str, ...]:
-    """Accept a VarSet (stochastic part only), a name, or a name iterable."""
+def _names(vs, dec: bool = False) -> tuple[str, ...]:
+    """Sorted names of a name, a name iterable, or a VarSet: its stochastic
+    part, or its decision part when dec is set; the other part is empty."""
     if isinstance(vs, VarSet):
-        if vs.dec:
-            raise MalformedStatement(f"expected stochastic names only, got {sorted(vs.dec)}")
-        return tuple(sorted(vs.stoch))
+        want, other = (vs.dec, vs.stoch) if dec else (vs.stoch, vs.dec)
+        if other:
+            kind = "decision" if dec else "stochastic"
+            raise MalformedStatement(f"expected {kind} names only, got {sorted(other)}")
+        return tuple(sorted(want))
     if isinstance(vs, str):
         return (vs,)
     return tuple(sorted(vs))
@@ -53,7 +63,6 @@ class DiscreteDistribution:
         self.values: dict[str, tuple[str, ...]] = {
             n: tuple(str(v) for v in variables[n]) for n in self.names
         }
-        self._index = {n: i for i, n in enumerate(self.names)}
         table: dict[tuple, Fraction] = {}
         for key, p in pmf.items():
             if isinstance(key, Mapping):
@@ -62,8 +71,6 @@ class DiscreteDistribution:
                 key = tuple(str(v) for v in key)
             table[key] = table.get(key, Fraction(0)) + Fraction(p)
         self.pmf: dict[tuple, Fraction] = table
-        self._marginal_cache: dict[tuple, dict] = {}
-        self._int_cache: tuple[int, dict] | None = None
         if validate:
             self._validate()
 
@@ -94,49 +101,23 @@ class DiscreteDistribution:
     def signature(self) -> tuple:
         return tuple((n, self.values[n]) for n in self.names)
 
-    def indices(self, names: Iterable[str]) -> tuple[int, ...]:
-        try:
-            return tuple(self._index[n] for n in names)
-        except KeyError as e:
-            raise InvalidModel(f"unknown variable {e.args[0]!r}") from None
-
     def int_atoms(self) -> tuple[int, dict]:
         """(denominator, atom -> integer numerator) over a common denominator."""
-        if self._int_cache is None:
-            den = 1
-            for p in self.pmf.values():
-                den = den * p.denominator // math.gcd(den, p.denominator)
-            self._int_cache = (den, {k: int(p * den) for k, p in self.pmf.items()})
-        return self._int_cache
+        den = math.lcm(*(p.denominator for p in self.pmf.values()))
+        return den, {k: int(p * den) for k, p in self.pmf.items()}
 
     @cached_property
     def kernel(self) -> "MaskKernel":
         """The compiled form every exact check on this table goes through."""
         return MaskKernel(self)
 
-    def marginal(self, names) -> dict[tuple, Fraction]:
-        names = _names(names)
-        cached = self._marginal_cache.get(names)
-        if cached is not None:
-            return cached
-        idx = self.indices(names)
-        out: dict[tuple, Fraction] = {}
-        for key, p in self.pmf.items():
-            sub = tuple(key[i] for i in idx)
-            out[sub] = out.get(sub, Fraction(0)) + p
-        self._marginal_cache[names] = out
-        return out
-
     def probability(self, assignment: Assignment) -> Fraction:
-        names = _names(assignment.keys())
+        names = _names(assignment)
         vals = tuple(str(assignment[n]) for n in names)
-        return self.marginal(names).get(vals, Fraction(0))
+        return conditional(self, names, {}).get(vals, Fraction(0))
 
     def expectation(self, name: str, value_map: Callable[[str], Fraction] = Fraction) -> Fraction:
-        out = Fraction(0)
-        for key, p in self.marginal((name,)).items():
-            out += p * value_map(key[0])
-        return out
+        return conditional_expectation(self, name, {}, value_map)
 
 
 class MaskKernel:
@@ -231,23 +212,17 @@ class MaskKernel:
 
 
 def conditional(dist: DiscreteDistribution, targets, given: Assignment) -> dict[tuple, Fraction]:
-    """Exact conditional pmf of the target variables given a partial
-    assignment with positive probability."""
-    targets = _names(targets)
-    g_names = tuple(sorted(given))
-    g_vals = tuple(str(given[n]) for n in g_names)
-    denom = dist.marginal(g_names).get(g_vals, Fraction(0)) if g_names else Fraction(1)
-    if denom == 0:
+    """Exact conditional pmf of the target variables (values in sorted name
+    order) given a partial assignment with positive probability; only
+    target values with positive conditional probability are listed."""
+    k = dist.kernel
+    g_names = _names(given)
+    ctx = k.contexts(k.mask(_names(targets)), 0, k.mask(g_names)).get(
+        tuple(str(given[n]) for n in g_names))
+    if ctx is None:
         raise ZeroConditioningEvent(f"P({dict(given)!r}) = 0")
-    joint = dist.marginal(tuple(sorted(set(targets) | set(g_names))))
-    names = tuple(sorted(set(targets) | set(g_names)))
-    pos = {n: i for i, n in enumerate(names)}
-    out: dict[tuple, Fraction] = {}
-    for key, p in joint.items():
-        if all(key[pos[n]] == v for n, v in zip(g_names, g_vals)):
-            sub = tuple(key[pos[n]] for n in targets)
-            out[sub] = out.get(sub, Fraction(0)) + p / denom
-    return out
+    total, _, counts = ctx
+    return {xa: Fraction(n, total) for xa, n in counts.items()}
 
 
 def conditional_expectation(dist, name: str, given: Assignment,
@@ -276,21 +251,11 @@ def _dec_fun(decmap: DecMap, names: Sequence[str], regimes: Sequence[str]):
     return {s: tuple(str(decmap[n][s]) for n in names) for s in regimes}
 
 
-def _dec_names(vs) -> tuple[str, ...]:
-    if isinstance(vs, VarSet):
-        if vs.stoch:
-            raise MalformedStatement(f"expected decision names only, got {sorted(vs.stoch)}")
-        return tuple(sorted(vs.dec))
-    if isinstance(vs, str):
-        return (vs,)
-    return tuple(sorted(vs))
-
-
 def check_vci(decmap: DecMap, X, Y, Z, regimes: Sequence[str] | None = None) -> bool:
     """Range check: R(X | y, z) = R(X | z) for every attainable (y, z)."""
     if regimes is None:
         regimes = sorted({s for m in decmap.values() for s in m})
-    names = _dec_names(X), _dec_names(Y), _dec_names(Z)
+    names = [_names(v, dec=True) for v in (X, Y, Z)]
     fx, fy, fz = (_dec_fun(decmap, n, regimes).values() for n in names)
     return variation_independent(fx, fy, fz)
 
@@ -311,7 +276,7 @@ def conditional_image(decmap: DecMap, X, given: Assignment, regimes: Sequence[st
     if regimes is None:
         regimes = sorted({s for m in decmap.values() for s in m})
     single = isinstance(X, str)
-    xs = _dec_names(X)
+    xs = _names(X, dec=True)
     fx = _dec_fun(decmap, xs, regimes)
     g_names = tuple(sorted(given))
     fg = _dec_fun(decmap, g_names, regimes)
@@ -435,29 +400,30 @@ class RegimeFamily:
             out = self._groups[phi] = dict(sorted(groups.items()))
         return out
 
-    def witness(self, x: int, y: int, z: int, phi: frozenset) -> dict | None:
-        """The ECI common-witness test: within each phi group one w(x, z)
-        must equal P(X=x | Y=y, Z=z) in every regime of the group and every
-        positive (y, z).  Returns (phi value, x value, z value) -> (n1, n2)
-        with w = n1/n2, or None; counts are compared by cross-multiplying."""
-        x_grid = self.kernel.grid(x)
-        entries: dict = {}
-        for phival, sigmas in self.phi_groups(phi).items():
-            for s in sigmas:
-                for n2, za, nx in self.dists[s].kernel.contexts(x, y, z).values():
-                    for xa in x_grid:
-                        n1 = nx.get(xa, 0)
-                        have = entries.setdefault((phival, xa, za), (n1, n2))
-                        if have[0] * n2 != n1 * have[1]:
-                            return None
-        return entries
+    def witness(self, x: int, y: int, z: int, sigmas: Iterable[str]) -> dict | None:
+        """The common-witness test on one group of regimes: one law w(., z)
+        of X given every positive (y, z), in every regime of the group.
+        Returns z value -> (n, {x value: n(x)}) of the first context met,
+        w(x, z) = n(x)/n, or None; counts are compared by cross-multiplying."""
+        laws: dict = {}
+        for s in sigmas:
+            for n, za, nx in self.dists[s].kernel.contexts(x, y, z).values():
+                m, mx = laws.setdefault(za, (n, nx))
+                if mx is not nx and (mx.keys() != nx.keys()
+                                     or any(mx[a] * n != c * m for a, c in nx.items())):
+                    return None
+        return laws
 
     def eci(self, x: int, y: int, z: int, phi: frozenset) -> bool:
-        """Verdict of witness(), cached per (x, y, z, phi)."""
+        """ECI: a common witness within every phi group; cached per
+        (x, y, z, phi)."""
         key = (x, y, z, phi)
         out = self._eci.get(key)
         if out is None:
-            out = self._eci[key] = self.witness(x, y, z, phi) is not None
+            out = self._eci[key] = all(
+                self.witness(x, y, z, sigmas) is not None
+                for sigmas in self.phi_groups(phi).values()
+            )
         return out
 
     def eci_general(self, x: int, K: frozenset, y: int, theta: frozenset, z: int,
@@ -472,24 +438,31 @@ class RegimeFamily:
         return not theta or self._vci_on_supports(K, theta, z, phi)
 
     def _vci_on_supports(self, K: frozenset, theta: frozenset, z: int, phi: frozenset) -> bool:
-        """theta _||_ K | phi by ranges on every S_z, the regimes in which the
-        outcome z of Z has positive probability; cached per (K, theta, z, phi)."""
+        """theta _||_ K | phi by ranges on every S_z; cached per
+        (K, theta, z, phi)."""
         key = (K, theta, z, phi)
         out = self._vci.get(key)
         if out is None:
-            supports: dict[tuple, list] = {}
-            for s in self.regimes:
-                for za in set(self.dists[s].kernel.proj(z)):
-                    supports.setdefault(za, []).append(s)
             out = self._vci[key] = all(
-                check_vci(self.decvars, theta, K, phi, regimes=sz) for sz in supports.values()
+                check_vci(self.decvars, theta, K, phi, regimes=sz)
+                for sz in self.supports(z).values()
             )
+        return out
+
+    def supports(self, z: int) -> dict[tuple, list]:
+        """S_z for every outcome z of the masked variables that has positive
+        probability in some regime: z value -> the regimes, in declaration
+        order, in which it does."""
+        out: dict[tuple, list] = {}
+        for s in self.regimes:
+            for za in dict.fromkeys(self.dists[s].kernel.proj(z)):
+                out.setdefault(za, []).append(s)
         return out
 
 
 def check_complementary(fam: RegimeFamily, names: Iterable[str]) -> bool:
     """True iff the joint map sigma -> values distinguishes every regime."""
-    names = _dec_names(names)
+    names = _names(names, dec=True)
     fn = _dec_fun(fam.decvars, names, fam.regimes)
     return len({fn[s] for s in fam.regimes}) == len(fam.regimes)
 
@@ -543,53 +516,42 @@ def check_eci(fam: RegimeFamily, stmt: CIStatement) -> tuple[bool, WitnessTable 
     the group and all positive-probability (y, z).  Statements with no
     decision names are checked with a single group containing every regime."""
     x, y, z, phi = _validate_eci_statement(fam, stmt)
-    entries = fam.witness(x, y, z, phi)
-    if entries is None:
-        return False, None
     k = fam.kernel
+    x_grid = k.grid(x)
+    entries = {}
+    for phival, sigmas in fam.phi_groups(phi).items():
+        laws = fam.witness(x, y, z, sigmas)
+        if laws is None:
+            return False, None
+        for za, (n, nx) in laws.items():
+            for xa in x_grid:
+                entries[phival, xa, za] = Fraction(nx.get(xa, 0), n)
     return True, WitnessTable(
-        tuple(sorted(phi)), mask_names(x, k.names), mask_names(z, k.names),
-        {e: Fraction(n1, n2) for e, (n1, n2) in entries.items()},
+        tuple(sorted(phi)), mask_names(x, k.names), mask_names(z, k.names), entries
     )
 
 
 def check_pairwise_eci(fam: RegimeFamily, stmt: CIStatement) -> bool:
     """Weakening of check_eci: a common witness is required only for each pair
-    of regimes within a group (including the degenerate single-regime pair)."""
+    of regimes within a group; a group of one regime is checked on its own."""
     x, y, z, phi = _validate_eci_statement(fam, stmt)
-    x_grid = fam.kernel.grid(x)
-    for sigmas in fam.phi_groups(phi).values():
-        tables = []
-        for s in sigmas:
-            table: dict = {}
-            for n2, za, nx in fam.dists[s].kernel.contexts(x, y, z).values():
-                for xa in x_grid:
-                    n1 = nx.get(xa, 0)
-                    have = table.setdefault((xa, za), (n1, n2))
-                    if have[0] * n2 != n1 * have[1]:
-                        return False  # fails already within one regime
-            tables.append(table)
-        for i in range(len(tables)):
-            for j in range(i + 1, len(tables)):
-                ti, tj = tables[i], tables[j]
-                for ctx, (a, b) in ti.items():
-                    w = tj.get(ctx)
-                    if w is not None and a * w[1] != w[0] * b:
-                        return False
-    return True
+    return all(
+        fam.witness(x, y, z, pair) is not None
+        for sigmas in fam.phi_groups(phi).values()
+        for pair in (combinations(sigmas, 2) if len(sigmas) > 1 else [sigmas])
+    )
 
 
 def compute_S_z(fam: RegimeFamily, Z, z: Assignment) -> tuple[str, ...]:
     """Regimes for which the outcome z of Z has positive probability."""
     zs = _names(Z)
+    mask = fam.kernel.mask(zs)
     for n in zs:
+        if n not in z:
+            raise InvalidModel(f"no value given for {n!r}")
         if str(z[n]) not in fam.variables[n]:
             raise InvalidModel(f"value {z[n]!r} not declared for {n!r}")
-    out = []
-    for s in fam.regimes:
-        if fam.dists[s].probability({n: z[n] for n in zs}) > 0:
-            out.append(s)
-    return tuple(out)
+    return tuple(fam.supports(mask).get(tuple(str(z[n]) for n in zs), ()))
 
 
 def check_eci_general(fam: RegimeFamily, stmt: CIStatement) -> bool:
@@ -642,13 +604,10 @@ def find_dominating(fam: RegimeFamily, subset: Iterable[str] | None = None) -> s
     labels = [s for s in fam.regimes if subset is None or s in set(subset)]
     if not labels:
         raise InvalidModel("empty regime subset")
-    supports = {
-        s: frozenset(k for k, p in fam.dists[s].atoms() if p > 0) for s in labels
-    }
-    for s in labels:
-        if all(supports[t] <= supports[s] for t in labels):
-            return s
-    return None
+    # S_a of every atom a that is positive in some member of the subset
+    atoms = fam.supports(fam.kernel.mask(fam.variables)).values()
+    covers = [sa for sa in atoms if not set(labels).isdisjoint(sa)]
+    return next((s for s in labels if all(s in sa for sa in covers)), None)
 
 
 def dominating_per_group(fam: RegimeFamily, phi_names: Sequence[str]) -> bool:
@@ -656,5 +615,5 @@ def dominating_per_group(fam: RegimeFamily, phi_names: Sequence[str]) -> bool:
     regime."""
     return all(
         find_dominating(fam, sigmas) is not None
-        for sigmas in fam.phi_groups(frozenset(_dec_names(phi_names))).values()
+        for sigmas in fam.phi_groups(frozenset(_names(phi_names, dec=True))).values()
     )

@@ -107,6 +107,15 @@ def test_derive_failure_exit_code(session_file, capsys):
     assert rc == 1
 
 
+def test_derive_max_steps_cut_reports_truncation(session_file, capsys):
+    rc = main(["derive", "-s", session_file, "--max-steps", "3", "X,Z _||_ Y | Z"])
+    assert rc == 1
+    assert capsys.readouterr().out.strip() == "not derivable (search truncated by limits)"
+    rc = main(["derive", "-s", session_file, "--max-steps", "3", "--json", "X,Z _||_ Y | Z"])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().out)["truncated"] is True
+
+
 def test_close_contains_goal(session_file, capsys):
     rc = main(["close", "-s", session_file, "--json"])
     data = json.loads(capsys.readouterr().out)

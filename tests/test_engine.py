@@ -178,6 +178,24 @@ def test_prove_truncation_reported(uni3):
     assert res.truncated
 
 
+def test_prove_max_depth_cut_is_truncated(uni3):
+    """A goal whose only proofs are longer than max_depth is reported as
+    truncated, not as conclusively underivable; at the proof's length it is
+    derived."""
+    goal, prems = ci(["X", "Z"], ["Y"], ["Z"]), [ci(["X"], ["Y"], ["Z"])]
+    rs = rule_set("SEPAROID_FULL")
+    for depth in (1, 3, 4):
+        res = prove(goal, prems, rs, universe=uni3, limits=Limits(max_depth=depth))
+        assert res == NotDerivable(truncated=True)
+    d = prove(goal, prems, rs, universe=uni3, limits=Limits(max_depth=5))
+    assert d.steps == 5
+    # the whole closure of the premise costs at most 9 steps: absence is
+    # conclusive from there on, and not below
+    for depth, truncated in ((8, True), (9, False)):
+        res = prove(ci(["X"], ["Y"]), prems, rs, universe=uni3, limits=Limits(max_depth=depth))
+        assert res == NotDerivable(truncated=truncated)
+
+
 def test_prove_registry_reductions(uni3):
     uni = Universe.of(stochastic=["X", "Y", "Z", "W"])
     reg = ReductionRegistry(uni)

@@ -1,7 +1,10 @@
-"""Source hygiene: every import in a `separoid` module is used there.
-`__init__.py` is skipped, since its imports are the package's re-exports."""
+"""Source hygiene: every import in a `separoid` module is used there
+(`__init__.py` is skipped, since its imports are the package's re-exports),
+and every private definition, method and instance attribute is read
+somewhere in the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -66,3 +69,44 @@ def test_no_unreferenced_private_definitions():
             if not elsewhere:
                 unused.append(f"{name}:{d.lineno} {d.name}")
     assert unused == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def attribute_reads(node: ast.AST) -> Counter:
+    """How often each attribute is read under node.  The base of a
+    subscript store (``self._memo[k] = v``) writes into the attribute and is
+    not a read."""
+    written = {
+        id(n.value) for n in ast.walk(node)
+        if isinstance(n, ast.Subscript) and not isinstance(n.ctx, ast.Load)
+    }
+    return Counter(
+        n.attr for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        and id(n) not in written
+    )
+
+
+def test_no_unread_private_members():
+    """Every private method of a class in the package is read outside its
+    own body, and every private ``self._attr`` a class stores is read,
+    anywhere in the package."""
+    trees = [ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))]
+    reads = sum((attribute_reads(t) for t in trees), Counter())
+    unread = []
+    for tree in trees:
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for d in cls.body:
+                if (isinstance(d, ast.FunctionDef) and _private(d.name)
+                        and reads[d.name] <= attribute_reads(d)[d.name]):
+                    unread.append(f"{cls.name}.{d.name}")
+            unread += sorted({
+                f"{cls.name}.{n.attr}" for n in ast.walk(cls)
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                and isinstance(n.value, ast.Name) and n.value.id == "self"
+                and _private(n.attr) and not reads[n.attr]
+            })
+    assert unread == []

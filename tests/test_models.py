@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -29,7 +29,15 @@ from separoid.models import (
 )
 from separoid.search import SearchConfig, random_distribution, random_family
 
-from conftest import brute_sci, ci, dist, grid_families, interventional_pair, sigma_statements
+from conftest import (
+    brute_conditional,
+    brute_sci,
+    ci,
+    dist,
+    grid_families,
+    interventional_pair,
+    sigma_statements,
+)
 
 
 # -- conditional ---------------------------------------------------------------
@@ -258,6 +266,60 @@ def test_pairwise_equals_full_exhaustively_small():
     assert count == 27
 
 
+def _pairwise_by_definition(fam, xs, ys, zs, phi):
+    """Pairwise ECI from raw conditionals: within each phi group, every pair
+    of regimes (a lone regime on its own) has one w(x, z) equal to
+    P(X=x | Y=y, Z=z) in both regimes at every positive (y, z)."""
+
+    def witness_ok(sigmas):
+        w = {}
+        for s in sigmas:
+            d = fam.dists[s]
+            for yz in product(*(d.values[n] for n in ys + zs)):
+                given = dict(zip(ys + zs, yz))
+                cond = brute_conditional(d, xs, given)
+                if cond is None:
+                    continue
+                zpart = tuple(given[n] for n in zs)
+                for xv in product(*(d.values[n] for n in xs)):
+                    p = cond.get(xv, F(0))
+                    if w.setdefault((xv, zpart), p) != p:
+                        return False
+        return True
+
+    groups = {}
+    for s in fam.regimes:
+        groups.setdefault(tuple(fam.decvars[n][s] for n in phi), []).append(s)
+    return all(
+        witness_ok(pair)
+        for sigmas in groups.values()
+        for pair in (combinations(sigmas, 2) if len(sigmas) > 1 else [sigmas])
+    )
+
+
+def test_pairwise_matches_definition_three_regimes():
+    """Seeded 3-regime families: groups of three (phi empty), and groups of
+    one and two regimes (phi = Th, a random binary function of the regime)."""
+    cfg = SearchConfig(seed=5, trials=40, var_cardinalities={"X": 2, "Y": 2, "Z": 2},
+                       regime_count=3, probability_grid=2,
+                       decision_cardinalities={"Th": 2})
+    stoch = [("X",), ("Y",), ("Z",), ("Y", "Z"), ()]
+    outcomes = {True: 0, False: 0}
+    sizes = set()
+    for t in range(cfg.trials):
+        fam = random_family(cfg, t)
+        sizes.update(len(g) for g in fam.phi_groups(frozenset({"Th"})).values())
+        for ys in stoch:
+            for zs in stoch:
+                for phi, rdec in (((), ["Sigma"]), (("Th",), ["Sigma"])):
+                    stmt = ci(["X"], ys, zs, rdec=rdec, cdec=phi)
+                    got = check_pairwise_eci(fam, stmt)
+                    assert got == _pairwise_by_definition(fam, ("X",), ys, zs, phi), (t, stmt)
+                    outcomes[got] += 1
+    assert min(outcomes.values()) > 20
+    assert {1, 2, 3} <= sizes
+
+
 # -- S_z and the general form ---------------------------------------------------
 
 
@@ -277,6 +339,18 @@ def test_S_z_outside_support():
     d = dist(vars_, [({"X": "0"}, F(1))])
     fam = RegimeFamily(["a"], {"a": d})
     assert compute_S_z(fam, ("X",), {"X": "1"}) == ()
+
+
+def test_S_z_rejects_unknown_variable():
+    fam = interventional_pair(F(1, 2), F(1, 2))
+    with pytest.raises(InvalidModel, match="unknown variable 'Q'"):
+        compute_S_z(fam, ("Q",), {"Q": "0"})
+
+
+def test_S_z_rejects_missing_value():
+    fam = interventional_pair(F(1, 2), F(1, 2))
+    with pytest.raises(InvalidModel, match="no value given for 'X'"):
+        compute_S_z(fam, ("X", "T"), {"T": "0"})
 
 
 def _four_regime_family():
@@ -452,3 +526,74 @@ def test_symmetry_with_identity_in_cond_sampled():
                 check_sci(fam.dists[s], left, right, ()) for s in fam.regimes
             )
             assert fwd == bwd == per_regime
+
+
+# -- kernel-backed queries against raw pmf sums ------------------------------------
+
+
+def _oracle_models():
+    """Seeded distributions and 3-regime families with explicit zero-mass
+    atoms (masses drawn from {0, 1, 2} before normalization)."""
+    cards = {"X": 2, "Y": 3, "Z": 2}
+    cfg = SearchConfig(seed=11, trials=12, var_cardinalities=cards, regime_count=3,
+                       probability_grid=2)
+    dists = [random_distribution(cfg, t) for t in range(cfg.trials)]
+    fams = [random_family(cfg, t) for t in range(cfg.trials)]
+    return dists, fams
+
+
+def _raw_probability(d, assignment):
+    return sum((p for key, p in d.pmf.items()
+                if all(key[d.names.index(n)] == v for n, v in assignment.items())), F(0))
+
+
+def _subsets(names):
+    return [c for r in range(len(names) + 1) for c in combinations(names, r)]
+
+
+def test_queries_match_raw_pmf_sums():
+    dists, fams = _oracle_models()
+    pool = dists + [f.dists[s] for f in fams for s in f.regimes]
+    zero_atoms = sum(1 for d in pool for p in d.pmf.values() if p == 0)
+    assert zero_atoms > 50
+    zero_events = 0
+    for d in pool:
+        names = d.names
+        for given_names in _subsets(names):
+            for gv in product(*(d.values[n] for n in given_names)):
+                given = dict(zip(given_names, gv))
+                for targets in _subsets(names):
+                    brute = brute_conditional(d, targets, given)
+                    if brute is None:
+                        zero_events += 1
+                        with pytest.raises(ZeroConditioningEvent):
+                            conditional(d, targets, given)
+                        continue
+                    assert conditional(d, targets, given) == {
+                        k: p for k, p in brute.items() if p}
+                assert d.probability(given) == _raw_probability(d, given)
+        for n in names:
+            for vm in (F, lambda v: F(int(v) ** 2 + 1, 3)):
+                raw = sum((p * vm(key[names.index(n)]) for key, p in d.pmf.items()), F(0))
+                assert d.expectation(n, vm) == raw
+    assert zero_events > 0
+
+
+def test_supports_and_domination_match_raw_pmf_sums():
+    _, fams = _oracle_models()
+    found = {True: 0, False: 0}
+    for fam in fams:
+        names = sorted(fam.variables)
+        for zs in _subsets(names):
+            for zv in product(*(fam.variables[n] for n in zs)):
+                z = dict(zip(zs, zv))
+                expected = tuple(s for s in fam.regimes
+                                 if _raw_probability(fam.dists[s], z) > 0)
+                assert compute_S_z(fam, zs, z) == expected
+        support = {s: {k for k, p in fam.dists[s].pmf.items() if p > 0} for s in fam.regimes}
+        for subset in _subsets(fam.regimes)[1:]:
+            expected = next((s for s in fam.regimes if s in subset
+                             and all(support[t] <= support[s] for t in subset)), None)
+            assert find_dominating(fam, subset) == expected
+            found[expected is not None] += 1
+    assert min(found.values()) > 10
