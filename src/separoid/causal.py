@@ -19,7 +19,7 @@ from .errors import (
 )
 from .models import (
     RegimeFamily,
-    check_eci,
+    _validate_eci_statement,
     conditional,
     conditional_expectation,
 )
@@ -105,22 +105,23 @@ class Strategy:
                         raise InvalidStrategy(f"stage {i}: negative kernel mass at {dict(key)!r}")
 
 
-def _regime_statement(fam: RegimeFamily, left, cond) -> tuple[RegimeFamily, CIStatement]:
-    """Statement `left _||_ Sigma | cond` against fam, with an identity
-    decision variable synthesized when the family does not declare one."""
+def _regime_invariant(fam: RegimeFamily, left, cond) -> bool:
+    """The ``check_eci`` verdict on `left _||_ Sigma | cond`, with an
+    identity decision variable synthesized when the family does not declare
+    one; validated as ``check_eci`` validates, but no witness table is
+    built."""
     fam2, sigma = fam.ensure_identity()
     stmt = CIStatement(
         VarSet(frozenset(left)),
         VarSet(frozenset(), frozenset([sigma])),
         VarSet(frozenset(cond)),
     )
-    return fam2, stmt
+    return fam2.eci(*_validate_eci_statement(fam2, stmt))
 
 
 def check_ancillarity(fam: RegimeFamily, T: Iterable[str]) -> bool:
     """The marginal law of T is the same in every regime (T _||_ Sigma)."""
-    fam2, stmt = _regime_statement(fam, tuple(T), ())
-    return check_eci(fam2, stmt)[0]
+    return _regime_invariant(fam, tuple(T), ())
 
 
 def check_sufficiency(
@@ -139,8 +140,7 @@ def check_sufficiency(
         raise ReductionMissing(
             f"{sorted(ts)} is not a subset of {sorted(xs)} and no reduction is registered"
         )
-    fam2, stmt = _regime_statement(fam, xs, ts)
-    return check_eci(fam2, stmt)[0]
+    return _regime_invariant(fam, xs, ts)
 
 
 @dataclass(frozen=True)
@@ -177,8 +177,7 @@ def ace(
     e0 = fam.dists[do0].expectation(outcome, value_map)
     ace_int = e1 - e0
 
-    fam2, stmt = _regime_statement(fam, (outcome,), (treatment,))
-    stable = check_eci(fam2, stmt)[0]
+    stable = _regime_invariant(fam, (outcome,), (treatment,))
     positive = all(fam.dists[obs].probability({treatment: t}) > 0 for t in ("0", "1"))
     if stable and positive:
         eo1 = conditional_expectation(fam.dists[obs], outcome, {treatment: "1"}, value_map)
@@ -212,11 +211,8 @@ def _stage_statements(ib: InfoBase, extended: bool):
 
 def _check_stability(fam: RegimeFamily, ib: InfoBase, extended: bool) -> bool:
     ib.validate_names(fam)
-    for group, past in _stage_statements(ib, extended):
-        fam2, stmt = _regime_statement(fam, group, past)
-        if not check_eci(fam2, stmt)[0]:
-            return False
-    return True
+    return all(_regime_invariant(fam, group, past)
+               for group, past in _stage_statements(ib, extended))
 
 
 def check_simple_stability(fam: RegimeFamily, ib: InfoBase) -> bool:

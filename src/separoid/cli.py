@@ -396,7 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--regimes", type=int, default=3)
     sp.add_argument("--cards")
     sp.add_argument("--exhaustive-vci", action="store_true",
-                    help="exhaustive strong-separoid suite over small decision maps")
+                    help="exhaustive strong-separoid suite over small decision maps: "
+                         "one binary variable per --cards entry (default 3), on "
+                         "every regime space of at most --regimes regimes")
     sp.set_defaults(func=_cmd_scan_axioms)
 
     for name, spx in sub.choices.items():

@@ -15,6 +15,11 @@ Rule families
   GENERAL         P1g..P5g for statements whose left slot may carry decision
                   variables; reductions of stochastic variables only; P4g is
                   flag-gated like P4''.
+  Symmetry (P1', P1g) holds only with the regime conditioned on: P1' needs
+  every decision name of the statement in a nonempty conditioning part, P1g
+  a nonempty decision union.  A decision-free statement on a family of
+  several regimes asserts one common law across them, which is not
+  symmetric.
 
 Instantiation policy (search-space pruning): statements whose right slot is
 contained in the conditioning slot, or whose left slot is, are universally
@@ -32,15 +37,16 @@ few members that another route reaches more cheaply, which keep that cost and
 its tie-break), and ``build`` writes the members' P2/P3 leaves back into the
 proof.  With a registry, P3 can reduce w to a function of y outside y; those
 conclusions are ordinary statements, which ``prove`` seeds from ``leaks()``
-at the cost of their route out of the family.  ``closure`` still
-materializes every member, so its statement set is unchanged.
+at the cost of their route out of the family.  ``closure`` runs its rounds on
+the statements outside the family too, seeded from ``leaks()``, and adds
+every member (``_Engine.members``) to its result at the end.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import GuardViolation, IllFormed
 from .universe import (
@@ -60,10 +66,10 @@ FLAGS = frozenset(
 
 @dataclass(frozen=True)
 class Limits:
-    """Search bounds: statements kept, and rounds (closure) or
-    rule-applications per derivation tree (prove).  ``closure`` counts every
-    statement; ``prove`` counts the non-tautological statements it settles,
-    since implicit tautologies are never materialized there."""
+    """Search bounds: non-tautological statements kept, and rounds
+    (closure) or rule-applications per derivation tree (prove).  Both
+    ``closure`` and ``prove`` leave the members of the spontaneous family
+    implicit, so ``max_statements`` counts only the statements outside it."""
 
     max_statements: int = 50_000
     max_depth: int = 64
@@ -214,6 +220,7 @@ class _Space:
         ]
         self._red_cache_s: dict[int, int] = {}
         self._red_cache_d: dict[int, int] = {}
+        self._slots: dict[tuple[int, int], VarSet] = {}
         # some variable is a registered function of another
         self.reduces = any(m & (m - 1) for m in self._var_red_s + self._var_red_d)
 
@@ -247,16 +254,21 @@ class _Space:
         cs, cd = self.varset_masks(stmt.cond)
         return (ls, ld, rs, rd, cs, cd)
 
-    def _names_of(self, mask: int, names: Sequence[str]) -> frozenset:
-        return frozenset(n for i, n in enumerate(names) if mask >> i & 1)
+    def slot(self, s: int, d: int) -> VarSet:
+        """The slot of a (stochastic mask, decision mask) pair, decoded the
+        first time it is met and shared from then on."""
+        vs = self._slots.get((s, d))
+        if vs is None:
+            vs = self._slots[(s, d)] = VarSet(
+                frozenset(n for i, n in enumerate(self.s_names) if s >> i & 1),
+                frozenset(n for i, n in enumerate(self.d_names) if d >> i & 1),
+            )
+        return vs
 
     def stmt_of(self, key: tuple) -> CIStatement:
         ls, ld, rs, rd, cs, cd = key
-        return CIStatement(
-            VarSet(self._names_of(ls, self.s_names), self._names_of(ld, self.d_names)),
-            VarSet(self._names_of(rs, self.s_names), self._names_of(rd, self.d_names)),
-            VarSet(self._names_of(cs, self.s_names), self._names_of(cd, self.d_names)),
-        )
+        slot = self.slot
+        return CIStatement(slot(ls, ld), slot(rs, rd), slot(cs, cd))
 
     def red_s(self, mask: int) -> int:
         out = self._red_cache_s.get(mask)
@@ -384,6 +396,30 @@ class _Engine:
         indexed, met only where the P5 family synthesizes it."""
         return _r_triv(k) and k not in self.materialized and self.tautology(k) is not None
 
+    def members(self):
+        """Every member of the spontaneous family: the legal keys whose right
+        slot lies inside the conditioning slot in each component, filtered
+        by ``tautology``.  Legality splits by component, so each component's
+        (left, right, cond) parts are listed once."""
+        sp = self.space
+
+        def parts(full: int, key) -> list[tuple]:
+            return [
+                (l, r, c)
+                for c in range(full + 1)
+                for r in (0, *_submasks(c))
+                for l in range(full + 1)
+                if self.legal(key(l, r, c))
+            ]
+
+        stoch = parts(sp.s_all, lambda l, r, c: (l, 0, r, 0, c, 0))
+        dec = parts(sp.d_all, lambda l, r, c: (0, l, 0, r, 0, c))
+        for ls, rs, cs in stoch:
+            for ld, rd, cd in dec:
+                k = (ls, ld, rs, rd, cs, cd)
+                if self.tautology(k) is not None:
+                    yield k
+
     def leaks(self):
         """Instances from an implicit tautology to a statement outside the
         family, as ``expand`` yields them.  Only a registry makes them: P3
@@ -482,7 +518,7 @@ class _Engine:
                         if c | w != c:
                             yield mk(l, r, c | w), ""
         elif name == "P1'":
-            if rd == 0 and not _r_triv(k) and not _l_triv(k):
+            if rd == 0 and cd and not _r_triv(k) and not _l_triv(k):
                 yield (rs_, 0, ls, 0, cs, cd), ""
         elif name == "P3'":
             for w in _submasks(sp.red_s(rs_)):
@@ -511,7 +547,7 @@ class _Engine:
             if rd and rs_:
                 yield (ls, 0, rs_, 0, cs, cd | rd), ""
         elif name == "P1g":
-            if not _r_triv(k) and not _l_triv(k):
+            if ld | rd | cd and not _r_triv(k) and not _l_triv(k):
                 yield (rs_, rd, ls, ld, cs, cd), ""
         elif name == "P3g":
             for w in _submasks(sp.red_s(rs_)):
@@ -661,16 +697,21 @@ def closure(
 ) -> ClosureResult:
     """Least fixed point of guarded rule application, by deterministic rounds.
 
-    Truncates (with a marker) when the statement or round budget is hit; the
-    partial closure is still returned and is always a superset of the
-    premises."""
+    The members of the spontaneous family stay implicit while the rounds
+    run, as in ``prove``: round 1 expands the premises and takes the
+    family's leaks, and every member is added to the result at the end.
+    Truncates (with a marker) when the non-tautological statements or the
+    rounds reach their limit; the partial closure is still returned and is
+    always a superset of the premises and of the family."""
     premises = list(premises)
     lim = limits or Limits()
     eng, prem_keys = _setup(premises, rs, universe, registry, complementarity)
-    known: set[tuple] = set(prem_keys)
-    for k in sorted(known):
+    known = set(eng.members())
+    agenda = sorted(k for k in prem_keys if k not in known)
+    known.update(agenda)
+    kept = len(agenda)  # statements outside the family
+    for k in agenda:
         eng.insert(k)
-    agenda = sorted(known)
     truncated = False
     rounds = 0
     while agenda or rounds == 0:
@@ -678,30 +719,24 @@ def closure(
             truncated = True
             break
         rounds += 1
-        new: set[tuple] = set()
+        new = {ck for k in agenda for _name, _prem, ck, _note in eng.expand(k) if ck not in known}
         if rounds == 1:
-            for _name, ck in eng.spontaneous():
-                if ck not in known:
-                    new.add(ck)
-        for k in agenda:
-            for _name, _prem, ck, _note in eng.expand(k):
-                if ck not in known:
-                    new.add(ck)
+            new.update(ck for _name, _prem, ck, _note in eng.leaks() if ck not in known)
         if not new:
             break
-        room = lim.max_statements - len(known)
+        room = max(lim.max_statements - kept, 0)
         batch = sorted(new)
         if len(batch) > room:
             batch = batch[:room]
             truncated = True
         known.update(batch)
+        kept += len(batch)
         for k in batch:
             eng.insert(k)
         agenda = batch
         if truncated:
             break
-    stmts = frozenset(eng.space.stmt_of(k) for k in known)
-    return ClosureResult(stmts, truncated, rounds)
+    return ClosureResult(frozenset(map(eng.space.stmt_of, known)), truncated, rounds)
 
 
 def prove(
@@ -819,7 +854,8 @@ def apply_rule(
     """All one-step conclusions of a single rule from `known` (strict form:
     raises GuardViolation when a supplied statement matches the rule's shape
     but violates its guard, e.g. P1' on a statement with a decision variable
-    in the right slot, or a flag-gated rule without an enabling flag)."""
+    in the right slot or none in the conditioning slot, or a flag-gated rule
+    without an enabling flag)."""
     name = rule.name if isinstance(rule, Rule) else rule
     if name not in RULES:
         raise ValueError(f"unknown rule {name!r}")
@@ -847,10 +883,11 @@ def apply_rule(
                 raise GuardViolation(
                     f"{name} applies to pure statements only; got {stmt!r}"
                 )
-        elif name == "P1'" and k[1] == 0 and k[3] != 0:
+        elif name == "P1'" and k[1] == 0 and (k[3] or not k[5]):
             raise GuardViolation(
-                f"P1' symmetry is confined to statements with no decision "
-                f"variable in the outer slots; got {stmt!r}"
+                f"P1' symmetry is confined to statements whose decision "
+                f"variables are all in the conditioning slot, which has at "
+                f"least one; got {stmt!r}"
             )
         elif not eng.legal(k):
             raise GuardViolation(f"{stmt!r} is not admissible under {rs.name}")

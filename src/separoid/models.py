@@ -461,10 +461,9 @@ class RegimeFamily:
 
 
 def check_complementary(fam: RegimeFamily, names: Iterable[str]) -> bool:
-    """True iff the joint map sigma -> values distinguishes every regime."""
-    names = _names(names, dec=True)
-    fn = _dec_fun(fam.decvars, names, fam.regimes)
-    return len({fn[s] for s in fam.regimes}) == len(fam.regimes)
+    """True iff the joint map sigma -> values distinguishes every regime,
+    i.e. every group of ``phi_groups`` holds exactly one regime."""
+    return len(fam.phi_groups(frozenset(_names(names, dec=True)))) == len(fam.regimes)
 
 
 def _slot_masks(fam: RegimeFamily, stmt: CIStatement) -> tuple[int, int, int]:

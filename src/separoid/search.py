@@ -26,8 +26,8 @@ from .files import model_from_dict, model_to_dict
 from .models import (
     DiscreteDistribution,
     RegimeFamily,
+    _validate_eci_statement,
     check_complementary,
-    check_eci,
     check_sci,
     check_vci,
     dominating_per_group,
@@ -194,7 +194,7 @@ def _holds(model, stmt: CIStatement, semantics: str) -> bool:
         return check_sci(model, stmt.left, stmt.right, stmt.cond)
     if semantics == VCI:
         return check_vci(model, stmt.left, stmt.right, stmt.cond)
-    return check_eci(model, stmt)[0]
+    return model.eci(*_validate_eci_statement(model, stmt))
 
 
 def verify_counterexample(data: Mapping, premises, goal) -> bool:
@@ -311,7 +311,7 @@ class _Scan:
         self.rs = rs
         self.mode = mode
         self.space = sp = _Space(universe, None)
-        self.dec_sets = [frozenset(mask_names(d, sp.d_names)) for d in range(sp.d_all + 1)]
+        self.dec_sets = [sp.slot(0, d).dec for d in range(sp.d_all + 1)]
         legal = _Engine(rs, sp, ComplementarityDecl(frozenset(self.dec_sets[1:])), mode).legal
         slots = [(s, d) for s in range(sp.s_all + 1) for d in range(sp.d_all + 1)]
         self.keys: dict[int, list] = {}
@@ -410,7 +410,7 @@ def _vci_model(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str])
 def _eci_model(scan: _Scan, trial: int, fam: RegimeFamily) -> None:
     """ECI and general-form verdicts through ``eci_general`` (which is ``eci``
     when the left slot has no decision names), on the keys whose decision
-    union is complementary on the family."""
+    union is empty or complementary on the family."""
     dec = scan.dec_sets
     dominating = None
     if scan.rs.flags == {"dominating_regime"}:
@@ -418,7 +418,7 @@ def _eci_model(scan: _Scan, trial: int, fam: RegimeFamily) -> None:
     scan.model(
         trial,
         lambda k: fam.eci_general(k[0], dec[k[1]], k[2], dec[k[3]], k[4], dec[k[5]]),
-        complementary=lambda u: check_complementary(fam, dec[u]),
+        complementary=lambda u: u == 0 or check_complementary(fam, dec[u]),
         dominating=dominating,
     )
 
@@ -451,10 +451,10 @@ def axiom_soundness_scan(cfg: SearchConfig, rs: RuleSet) -> ScanReport:
 
     Scan domain: statements with nonempty outer slots that are legal under
     the rule set and, for ECI_RESTRICTED and GENERAL, whose decision union is
-    complementary on the model; the empty union is so only on a one-regime
-    family.  P6 is checked on the model, and when dominating_regime is the
-    only flag, P4''/P4g run only on premises whose conditioning decision
-    names have a dominating regime in every group."""
+    empty or complementary on the model.  P6 is checked on the model, and
+    when dominating_regime is the only flag, P4''/P4g run only on premises
+    whose conditioning decision names have a dominating regime in every
+    group."""
     names = tuple(sorted(cfg.var_cardinalities))
     if rs.name == "SEPAROID_FULL":
         scan = _Scan(rs, Universe.of(stochastic=names), "s")

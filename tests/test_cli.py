@@ -228,3 +228,18 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "--cards entry 'X'" in capsys.readouterr().err
     assert main(["scan-axioms", "--exhaustive-vci", "--cards", "A=5"]) == 2
     assert "binary" in capsys.readouterr().err
+
+
+def test_scan_axioms_exhaustive_vci_reads_cards_and_regimes(capsys):
+    """--exhaustive-vci takes n_vars from the number of --cards entries
+    (default 3) and max_regimes from --regimes, as --help states."""
+    with pytest.raises(SystemExit):
+        main(["scan-axioms", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "one binary variable per --cards entry (default 3)" in help_text
+    assert "at most --regimes regimes" in help_text
+    argv = ["scan-axioms", "--exhaustive-vci", "--json"]
+    assert main(argv + ["--cards", "A=2,B=2", "--regimes", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 4 + 16  # (2^s)^2, s = 1, 2
+    assert main(argv + ["--regimes", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 2 ** 3

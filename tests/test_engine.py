@@ -18,11 +18,11 @@ from separoid.engine import (
     rule_set,
 )
 from separoid.errors import GuardViolation, IllFormed
-from separoid.models import check_sci
+from separoid.models import RegimeFamily, check_eci_general, check_sci
 from separoid.search import SearchConfig, random_distribution
 from separoid.universe import ComplementarityDecl, ReductionRegistry, Universe
 
-from conftest import ci
+from conftest import ci, dist
 
 
 @pytest.fixture
@@ -130,10 +130,44 @@ def test_closure_monotone_in_premises(uni3):
 
 
 def test_closure_truncation_marker(uni3):
-    res = closure([ci(["X"], ["Y"], ["Z"])], rule_set("SEPAROID_FULL"),
-                  universe=uni3, limits=Limits(max_statements=5, max_depth=64))
+    """max_statements counts the statements outside the spontaneous family
+    (here: right slot inside the conditioning slot); a truncated closure
+    still holds the premises and every member of the family."""
+    prem = ci(["X"], ["Y"], ["Z"])
+    rs = rule_set("SEPAROID_FULL")
+    res = closure([prem], rs, universe=uni3, limits=Limits(max_statements=5, max_depth=64))
     assert res.truncated
-    assert len(res.statements) <= 5
+    members = {s for s in res.statements if s.right <= s.cond}
+    assert len(res.statements - members) <= 5
+    assert prem in res
+    assert members == closure([], rs, universe=uni3).statements
+
+
+def test_closure_chain6_default_limits():
+    """The n=6 Markov chain closes under the default limits: 17,120 of its
+    59,015 statements lie outside the spontaneous family."""
+    ses = parse_session(_chain(6))
+    res = closure(ses.premises, rule_set("SEPAROID_FULL"), universe=ses.universe)
+    assert not res.truncated
+    assert len(res.statements) == 59_015
+    assert sum(not s.right <= s.cond for s in res.statements) == 17_120
+
+
+def test_prove_and_closure_share_the_statement_limit():
+    """Both searches truncate exactly when max_statements is below the
+    number of non-tautological statements in the closure."""
+    ses = parse_session(_chain(4))
+    rs = rule_set("SEPAROID_FULL")
+    kw = dict(universe=ses.universe)
+    full = closure(ses.premises, rs, **kw).statements
+    n = sum(not s.right <= s.cond for s in full)
+    goal = ci(["X1"], ["X4"])  # outside the closure: prove explores all of it
+    assert goal not in full
+    for m in (1, n // 2, n - 1, n, n + 1):
+        lim = Limits(max_statements=m)
+        res = closure(ses.premises, rs, limits=lim, **kw)
+        assert res.truncated == (m < n)
+        assert prove(goal, ses.premises, rs, limits=lim, **kw) == NotDerivable(truncated=m < n)
 
 
 def test_closure_rejects_illformed_premise(eci_uni, comp):
@@ -401,6 +435,35 @@ def test_general_rules_symmetry():
     goal = ci(["Y"], ["X"], ["Z"], ldec=["Th"], rdec=["K"], cdec=["Ph"])
     d = prove(goal, [main], rs, universe=uni, complementarity=comp)
     assert d.rule_sequence() == ["P1g"]
+
+
+def test_eci_symmetry_needs_the_regime_conditioned():
+    """Two regimes, Sigma the identity, Theta constant; X=0 in s0, X=1 in s1,
+    Y uniform in both.  Without decision names a statement asserts one law
+    across both regimes: Y _||_ X holds and X _||_ Y fails, so neither P1'
+    nor P1g may turn one into the other.  Conditioned on the regime, the
+    symmetry stays."""
+    uni = Universe.of(stochastic=["X", "Y"], decision=["Sigma", "Theta"])
+    comp = ComplementarityDecl.of(["Sigma"], ["Sigma", "Theta"])
+    variables = {"X": ["0", "1"], "Y": ["0", "1"]}
+    fam = RegimeFamily(
+        ["s0", "s1"],
+        {s: dist(variables, [({"X": x, "Y": y}, "1/2") for y in "01"])
+         for s, x in (("s0", "0"), ("s1", "1"))},
+        {"Sigma": {"s0": "s0", "s1": "s1"}, "Theta": {"s0": "0", "s1": "0"}},
+    )
+    fwd, back = ci(["Y"], ["X"]), ci(["X"], ["Y"])
+    assert check_eci_general(fam, fwd) and not check_eci_general(fam, back)
+    kw = dict(universe=uni, complementarity=comp)
+    with pytest.raises(GuardViolation):
+        apply_rule("P1'", [fwd], **kw)
+    assert apply_rule("P1g", [fwd], **kw) == frozenset()
+    for rs in ("ECI_RESTRICTED", "GENERAL"):
+        assert prove(back, [fwd], rule_set(rs), **kw) == NotDerivable()
+    fwd_s, back_s = ci(["Y"], ["X"], cdec=["Sigma"]), ci(["X"], ["Y"], cdec=["Sigma"])
+    assert check_eci_general(fam, fwd_s) and check_eci_general(fam, back_s)
+    assert back_s in apply_rule("P1'", [fwd_s], **kw)
+    assert back_s in apply_rule("P1g", [fwd_s], **kw)
 
 
 def test_vci_strong_closure_has_p2_instances():

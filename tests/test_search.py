@@ -212,3 +212,25 @@ def test_scan_runs_the_engines_rules(monkeypatch, rules, cfg):
 def test_grid_distributions_counts():
     vars_ = {"X": ["0", "1"]}
     assert sum(1 for _ in grid_distributions(vars_, 4)) == 5  # compositions of 4 into 2
+
+
+@pytest.mark.parametrize("rules, sym", [("ECI_RESTRICTED", "P1'"), ("GENERAL", "P1g")])
+def test_eci_scan_domain_has_decision_free_statements(monkeypatch, rules, sym):
+    # On several regimes a statement without decision names asserts one law
+    # across them, which is not symmetric: the scan domain holds such
+    # statements, so symmetry without the regime conditioned on is caught,
+    # and the engine's own rules pass.
+    cfg = SearchConfig(seed=0, trials=10, var_cardinalities={"X": 2, "Y": 2},
+                       regime_count=2, probability_grid=2,
+                       decision_cardinalities={"Theta": 2})
+    assert axiom_soundness_scan(cfg, rule_set(rules)).ok
+    sound_unary = _Engine.unary
+
+    def unary(self, name, k):
+        yield from sound_unary(self, name, k)
+        if name == sym and not (k[1] | k[3] | k[5]) and k[2] & ~k[4] and k[0] & ~k[4]:
+            yield (k[2], 0, k[0], 0, k[4], 0), ""
+
+    monkeypatch.setattr(_Engine, "unary", unary)
+    rep = axiom_soundness_scan(cfg, rule_set(rules))
+    assert {v["rule"] for v in rep.violations} == {sym}
