@@ -243,3 +243,13 @@ def test_scan_axioms_exhaustive_vci_reads_cards_and_regimes(capsys):
     assert json.loads(capsys.readouterr().out)["trials"] == 4 + 16  # (2^s)^2, s = 1, 2
     assert main(argv + ["--regimes", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["trials"] == 2 ** 3
+
+
+def test_scan_axioms_exhaustive_vci_rejects_empty_regime_spaces(capsys):
+    # An exhaustive scan over no regime space would check zero models and
+    # report zero violations; it is a usage error, as on the random path.
+    for regimes in ("0", "-3"):
+        assert main(["scan-axioms", "--exhaustive-vci", "--regimes", regimes]) == 2
+        captured = capsys.readouterr()
+        assert "max_regimes and n_vars must be >= 1" in captured.err
+        assert captured.out == ""

@@ -1,4 +1,6 @@
 from fractions import Fraction as F
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -6,15 +8,19 @@ from separoid.engine import _Engine, rule_set
 from separoid.errors import SemanticsMismatch
 from separoid.search import (
     SearchConfig,
+    _Scan,
+    _vci_model,
     axiom_soundness_scan,
     exhaustive_vci_scan,
     grid_distributions,
     random_decmap,
     random_distribution,
     random_family,
+    regime_labels,
     search_counterexample,
     verify_counterexample,
 )
+from separoid.universe import Universe
 
 from conftest import ci
 
@@ -170,6 +176,103 @@ def test_vci_scan_small_clean():
 def test_exhaustive_vci_tiny_clean():
     rep = exhaustive_vci_scan(max_regimes=2, n_vars=2)
     assert rep.ok and rep.trials == 4 + 16  # (2^s)^2 decmaps for s = 1, 2
+
+
+def test_exhaustive_vci_rejects_empty_spaces():
+    for kwargs in (dict(max_regimes=0), dict(max_regimes=-3), dict(n_vars=0)):
+        with pytest.raises(ValueError, match=">= 1"):
+            exhaustive_vci_scan(**kwargs)
+
+
+def _vci_scan(names):
+    return _Scan(rule_set("VCI_STRONG"), Universe.of(decision=names), "d")
+
+
+def _per_map_report(names, maps):
+    """Each (decmap, regimes) run through _vci_model on its own scan, so no
+    joint range is ever shared; the per-rule tallies are summed."""
+    tally = dict.fromkeys(rule_set("VCI_STRONG").rules, 0)
+    violations = []
+    for trial, (decmap, regimes) in enumerate(maps):
+        scan = _vci_scan(names)
+        _vci_model(scan, trial, decmap, regimes)
+        for r, c in scan.tally.items():
+            tally[r] += c
+        violations += scan.violations
+    return dict(trials=len(maps), instances=sum(tally.values()),
+                instances_by_rule=tally, violations=violations)
+
+
+def _exhaustive_maps(names, max_regimes):
+    for size in range(1, max_regimes + 1):
+        regimes = regime_labels(size)
+        for combo in product(product("01", repeat=size), repeat=len(names)):
+            yield {n: dict(zip(regimes, f)) for n, f in zip(names, combo)}, regimes
+
+
+def _counts(rep):
+    d = rep.to_dict()
+    return {k: d[k] for k in ("trials", "instances", "instances_by_rule", "violations")}
+
+
+def test_vci_range_memo_matches_per_map_scans():
+    names = ("A", "B", "C")
+    maps = list(_exhaustive_maps(names, 3))
+    assert len(maps) == 8 + 64 + 512
+    rep = exhaustive_vci_scan(max_regimes=3, n_vars=3)
+    assert _counts(rep) == _per_map_report(names, maps)
+
+    cfg = SearchConfig(seed=6, trials=40, var_cardinalities={"A": 2, "B": 2, "C": 2},
+                       regime_count=4)
+    rep = axiom_soundness_scan(cfg, rule_set("VCI_STRONG"))
+    regimes = regime_labels(cfg.regime_count)
+    maps = [(random_decmap(cfg, t), regimes) for t in range(cfg.trials)]
+    assert _counts(rep) == _per_map_report(names, maps)
+
+
+def test_vci_range_memo_replays_violations(monkeypatch):
+    # An unsound P3 that drops the conditioning slot; the second map is the
+    # first with its regimes rotated, so both have one joint range.
+    sound_unary = _Engine.unary
+
+    def unary(self, name, k):
+        yield from sound_unary(self, name, k)
+        if name == "P3" and k[5]:
+            yield (k[0], k[1], k[2], k[3], k[4], 0), ""
+
+    monkeypatch.setattr(_Engine, "unary", unary)
+    names, regimes = ("A", "B", "C"), regime_labels(3)
+    first = {"A": {"s0": "0", "s1": "1", "s2": "1"},
+             "B": {"s0": "0", "s1": "1", "s2": "0"},
+             "C": {"s0": "1", "s1": "0", "s2": "0"}}
+    second = {n: {"s0": f["s2"], "s1": f["s0"], "s2": f["s1"]} for n, f in first.items()}
+    scan = _vci_scan(names)
+    _vci_model(scan, 0, first, regimes)
+    once, tally = list(scan.violations), dict(scan.tally)
+    assert once and {v["rule"] for v in once} == {"P3"}
+    _vci_model(scan, 7, second, regimes)
+    assert scan.violations == once + [{**v, "trial": 7} for v in once]
+    assert scan.tally == {r: 2 * c for r, c in tally.items()}
+    fresh = _vci_scan(names)
+    _vci_model(fresh, 7, second, regimes)
+    assert fresh.violations == scan.violations[len(once):]
+
+
+@pytest.mark.parametrize("max_regimes, maps, ranges", [(2, 72, 36), (4, 4680, 162)])
+def test_vci_scan_closes_each_range_once(monkeypatch, max_regimes, maps, ranges):
+    # Distinct joint ranges of three binary variables on <= s regimes: the
+    # nonempty subsets of {0,1}^3 with at most s elements.
+    calls = []
+    model = _Scan.model
+
+    def counted(self, *args, **kw):
+        calls.append(args[0])
+        return model(self, *args, **kw)
+
+    monkeypatch.setattr(_Scan, "model", counted)
+    rep = exhaustive_vci_scan(max_regimes=max_regimes, n_vars=3)
+    assert rep.ok and rep.trials == maps
+    assert len(calls) == ranges == sum(comb(8, i) for i in range(1, max_regimes + 1))
 
 
 def test_eci_scan_small_clean():
