@@ -10,6 +10,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import (
     InvalidModel,
+    InvalidPayoff,
     InvalidStrategy,
     NotIntervention,
     PositivityViolated,
@@ -59,12 +60,33 @@ class InfoBase:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "InfoBase":
-        stages = data.get("stages", [])
-        observed = tuple(tuple(st["observed"]) for st in stages)
-        actions = tuple(str(st["action"]) for st in stages)
-        outcome = tuple(data.get("outcome", ()))
-        unmeasured = tuple(tuple(g) for g in data.get("unmeasured", ()))
-        return cls(observed, actions, outcome, unmeasured)
+        """The ``info_base`` block of a model file; every shape error is an
+        ``InvalidModel``."""
+
+        def group(value, where: str) -> tuple[str, ...]:
+            if not isinstance(value, (list, tuple)) or not all(isinstance(n, str) for n in value):
+                raise InvalidModel(f"info base: {where} must be a list of names")
+            return tuple(value)
+
+        def listed(key: str) -> list:
+            value = data.get(key, [])
+            if not isinstance(value, (list, tuple)):
+                raise InvalidModel(f"info base: {key!r} must be a list")
+            return value
+
+        if not isinstance(data, Mapping):
+            raise InvalidModel("info base must be a map")
+        observed, actions = [], []
+        for i, st in enumerate(listed("stages")):
+            if not isinstance(st, Mapping) or "observed" not in st or "action" not in st:
+                raise InvalidModel(f"info base: stage {i} needs 'observed' and 'action'")
+            if not isinstance(st["action"], str):
+                raise InvalidModel(f"info base: stage {i} 'action' must be a name")
+            observed.append(group(st["observed"], f"stage {i} 'observed'"))
+            actions.append(st["action"])
+        outcome = group(data.get("outcome", []), "'outcome'")
+        unmeasured = tuple(group(g, "each 'unmeasured' group") for g in listed("unmeasured"))
+        return cls(tuple(observed), tuple(actions), outcome, unmeasured)
 
 
 @dataclass(frozen=True)
@@ -255,7 +277,12 @@ def g_formula(
             (key if isinstance(key, tuple) else (str(key),)): Fraction(v)
             for key, v in k.items()
         }
-        kfun = lambda vals: table[vals]  # noqa: E731
+
+        def kfun(vals):
+            try:
+                return table[vals]
+            except KeyError:
+                raise InvalidPayoff(f"payoff map has no value for outcome {vals!r}") from None
 
     outcome = tuple(sorted(ib.outcome))
     total = Fraction(0)

@@ -57,6 +57,10 @@ class InvalidStrategy(CIError):
     """Strategy data violates its schema or invariants."""
 
 
+class InvalidPayoff(CIError):
+    """An outcome payoff map has no value for a reachable outcome."""
+
+
 class NotIntervention(CIError):
     """A regime labelled as an intervention does not fix the treatment."""
 

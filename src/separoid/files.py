@@ -46,6 +46,8 @@ def _atoms_to_pmf(variables: Mapping, atoms, where: str) -> dict:
             assign, p = atom["assign"], atom["p"]
         except (TypeError, KeyError):
             raise InvalidModel(f"{where}: atom needs 'assign' and 'p'") from None
+        if not isinstance(assign, dict):
+            raise InvalidModel(f"{where}: atom 'assign' must be a map")
         if set(assign) != set(variables):
             raise InvalidModel(f"{where}: assignment keys {sorted(assign)} must cover "
                                f"{sorted(variables)}")
@@ -54,10 +56,18 @@ def _atoms_to_pmf(variables: Mapping, atoms, where: str) -> dict:
     return pmf
 
 
-def distribution_from_dict(data: Mapping) -> DiscreteDistribution:
+def _variables(data: Mapping, kind: str) -> dict:
     variables = data.get("variables")
     if not isinstance(variables, dict) or not variables:
-        raise InvalidModel("model needs a nonempty 'variables' map")
+        raise InvalidModel(f"{kind} needs a nonempty 'variables' map")
+    for n, vals in variables.items():
+        if not isinstance(vals, list):
+            raise InvalidModel(f"variable {n!r}: values must be a list")
+    return variables
+
+
+def distribution_from_dict(data: Mapping) -> DiscreteDistribution:
+    variables = _variables(data, "model")
     atoms = data.get("distribution")
     return DiscreteDistribution(variables, _atoms_to_pmf(variables, atoms, "distribution"))
 
@@ -66,9 +76,7 @@ def family_from_dict(data: Mapping) -> RegimeFamily:
     regimes = data.get("regimes")
     if not isinstance(regimes, list) or not regimes:
         raise InvalidModel("family needs a nonempty 'regimes' list")
-    variables = data.get("variables")
-    if not isinstance(variables, dict) or not variables:
-        raise InvalidModel("family needs a nonempty 'variables' map")
+    variables = _variables(data, "family")
     dists_data = data.get("distributions")
     if not isinstance(dists_data, dict):
         raise InvalidModel("family needs a 'distributions' map keyed by regime")
@@ -79,15 +87,15 @@ def family_from_dict(data: Mapping) -> RegimeFamily:
         dists[str(r)] = DiscreteDistribution(
             variables, _atoms_to_pmf(variables, dists_data[str(r)], f"regime {r}")
         )
-    return RegimeFamily(
-        [str(r) for r in regimes],
-        dists,
-        data.get("decision_vars") or {},
-        data.get("info_base"),
-    )
+    decvars = data.get("decision_vars") or {}
+    if not isinstance(decvars, dict) or not all(isinstance(m, dict) for m in decvars.values()):
+        raise InvalidModel("'decision_vars' must map each name to a regime -> value map")
+    return RegimeFamily([str(r) for r in regimes], dists, decvars, data.get("info_base"))
 
 
 def model_from_dict(data: Mapping):
+    if not isinstance(data, dict):
+        raise InvalidModel("a model file holds a JSON object")
     return family_from_dict(data) if "regimes" in data else distribution_from_dict(data)
 
 
@@ -146,6 +154,8 @@ def dump_model(model, path: str) -> None:
 def strategy_from_dict(data: Mapping):
     from .causal import Strategy
 
+    if not isinstance(data, dict):
+        raise InvalidStrategy("a strategy file holds a JSON object")
     label = data.get("label")
     if not isinstance(label, str) or not label:
         raise InvalidStrategy("strategy needs a nonempty 'label'")
@@ -160,12 +170,16 @@ def strategy_from_dict(data: Mapping):
             rows = st["kernel"]
         except (TypeError, KeyError):
             raise InvalidStrategy(f"stage {i}: needs 'action' and 'kernel'") from None
+        if not isinstance(rows, list):
+            raise InvalidStrategy(f"stage {i}: 'kernel' must be a list of rows")
         table: dict = {}
         for row in rows:
             try:
                 given, dist = row["given"], row["dist"]
             except (TypeError, KeyError):
                 raise InvalidStrategy(f"stage {i}: kernel rows need 'given' and 'dist'") from None
+            if not isinstance(given, dict) or not isinstance(dist, dict):
+                raise InvalidStrategy(f"stage {i}: kernel row 'given' and 'dist' must be maps")
             key = tuple(sorted((str(n), str(v)) for n, v in given.items()))
             if key in table:
                 raise InvalidStrategy(f"stage {i}: duplicate kernel row for {dict(given)!r}")

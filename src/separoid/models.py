@@ -9,15 +9,20 @@ labels.
 Every computation on a table goes through its ``MaskKernel`` (integer
 weights of the positive atoms, projected per mask of variables):
 ``conditional``, and ``probability``/``expectation`` on top of it, read its
-context counts; ``RegimeFamily.witness``, the common-witness test on one
-group of regimes, serves ``check_eci`` per phi group and
-``check_pairwise_eci`` per pair; ``RegimeFamily.supports`` gives each S_z.
+context counts; ``RegimeFamily.witness`` is the common-witness test on one
+group of regimes, and ``RegimeFamily.has_witness`` caches its verdict per
+(x, y, z, group).  That one verdict is shared by ``check_eci`` (per phi
+group) and ``check_pairwise_eci`` (per pair; a group of at most two regimes
+is its own only pair), so on a two-regime family the pairwise check is a
+lookup.  A holding ``check_eci`` returns a ``WitnessTable`` whose entries
+are built from ``witness`` on first read.  ``RegimeFamily.supports`` gives
+each S_z.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
@@ -351,6 +356,7 @@ class RegimeFamily:
             self.decvars[name] = {str(s): str(v) for s, v in mapping.items()}
         self.info_base = info_base
         self._groups: dict[frozenset, dict] = {}
+        self._witnessed: dict[tuple, bool] = {}
         self._eci: dict[tuple, bool] = {}
         self._vci: dict[tuple, bool] = {}
 
@@ -388,16 +394,16 @@ class RegimeFamily:
         """Kernel of the first regime; it carries the shared name -> bit map."""
         return self.dists[self.regimes[0]].kernel
 
-    def phi_groups(self, phi: frozenset) -> dict[tuple, list]:
+    def phi_groups(self, phi: frozenset) -> dict[tuple, tuple]:
         """Regimes grouped by their value of the decision names phi, in
-        sorted value order."""
+        sorted value order; each group is a tuple in declaration order."""
         out = self._groups.get(phi)
         if out is None:
             fn = _dec_fun(self.decvars, tuple(sorted(phi)), self.regimes)
             groups: dict[tuple, list] = {}
             for s in self.regimes:
                 groups.setdefault(fn[s], []).append(s)
-            out = self._groups[phi] = dict(sorted(groups.items()))
+            out = self._groups[phi] = {v: tuple(g) for v, g in sorted(groups.items())}
         return out
 
     def witness(self, x: int, y: int, z: int, sigmas: Iterable[str]) -> dict | None:
@@ -414,16 +420,24 @@ class RegimeFamily:
                     return None
         return laws
 
+    def has_witness(self, x: int, y: int, z: int, sigmas: tuple) -> bool:
+        """Whether the group of regimes has a common witness; cached per
+        (x, y, z, group), for ``eci`` and ``check_pairwise_eci`` alike."""
+        key = (x, y, z, sigmas)
+        out = self._witnessed.get(key)
+        if out is None:
+            out = self._witnessed[key] = self.witness(x, y, z, sigmas) is not None
+        return out
+
     def eci(self, x: int, y: int, z: int, phi: frozenset) -> bool:
-        """ECI: a common witness within every phi group; cached per
-        (x, y, z, phi)."""
+        """ECI: a common witness within every phi group.  The conjunction is
+        cached per (x, y, z, phi) too, because a general-form scan asks the
+        same question about five times per distinct key."""
         key = (x, y, z, phi)
         out = self._eci.get(key)
         if out is None:
             out = self._eci[key] = all(
-                self.witness(x, y, z, sigmas) is not None
-                for sigmas in self.phi_groups(phi).values()
-            )
+                self.has_witness(x, y, z, g) for g in self.phi_groups(phi).values())
         return out
 
     def eci_general(self, x: int, K: frozenset, y: int, theta: frozenset, z: int,
@@ -466,37 +480,56 @@ def check_complementary(fam: RegimeFamily, names: Iterable[str]) -> bool:
     return len(fam.phi_groups(frozenset(_names(names, dec=True)))) == len(fam.regimes)
 
 
-def _slot_masks(fam: RegimeFamily, stmt: CIStatement) -> tuple[int, int, int]:
+def _slot_masks(fam: RegimeFamily, stmt: CIStatement) -> tuple[int, ...]:
     """Masks of the stochastic slots, once every name is known to the family
     and the decision names identify the regime."""
-    for n in stmt.left.stoch | stmt.right.stoch | stmt.cond.stoch:
-        if n not in fam.variables:
-            raise InvalidModel(f"unknown stochastic variable {n!r}")
-    for n in stmt.decision_names:
+    bit = fam.kernel._bit
+    masks = []
+    for vs in (stmt.left, stmt.right, stmt.cond):
+        m = 0
+        for n in vs.stoch:
+            b = bit.get(n)
+            if b is None:
+                raise InvalidModel(f"unknown stochastic variable {n!r}")
+            m |= b
+        masks.append(m)
+    decs = stmt.decision_names
+    for n in decs:
         if n not in fam.decvars:
             raise InvalidModel(f"unknown decision variable {n!r}")
-    decs = tuple(sorted(stmt.decision_names))
-    if decs and not check_complementary(fam, decs):
-        raise NotComplementary(f"decision family {decs} does not identify the regime")
-    k = fam.kernel
-    return k.mask(stmt.left.stoch), k.mask(stmt.right.stoch), k.mask(stmt.cond.stoch)
+    if decs and len(fam.phi_groups(decs)) != len(fam.regimes):
+        raise NotComplementary(
+            f"decision family {tuple(sorted(decs))} does not identify the regime")
+    return tuple(masks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessTable:
     """Witness values w(phi; x, z) realizing an extended-independence check:
     the common conditional probability of each left-slot assignment given each
     conditioning assignment, per group of regimes sharing a phi value.
     Entries exist only for contexts with positive probability in at least one
-    regime of the group."""
+    regime of the group.  The verdict comes from the family's shared
+    per-group cache; ``entries`` are built by ``build`` on first read, and
+    ``==`` compares the three name tuples and the entries."""
 
     phi_vars: tuple[str, ...]
     x_vars: tuple[str, ...]
     z_vars: tuple[str, ...]
-    entries: dict
+    build: Callable[[], dict] = field(repr=False)
+
+    @cached_property
+    def entries(self) -> dict:
+        return self.build()
 
     def value(self, phi: tuple, x: tuple, z: tuple) -> Fraction | None:
         return self.entries.get((phi, x, z))
+
+    def __eq__(self, other):
+        if not isinstance(other, WitnessTable):
+            return NotImplemented
+        return ((self.phi_vars, self.x_vars, self.z_vars, self.entries)
+                == (other.phi_vars, other.x_vars, other.z_vars, other.entries))
 
 
 def _validate_eci_statement(fam: RegimeFamily, stmt: CIStatement):
@@ -515,27 +548,35 @@ def check_eci(fam: RegimeFamily, stmt: CIStatement) -> tuple[bool, WitnessTable 
     the group and all positive-probability (y, z).  Statements with no
     decision names are checked with a single group containing every regime."""
     x, y, z, phi = _validate_eci_statement(fam, stmt)
-    k = fam.kernel
-    x_grid = k.grid(x)
+    if not fam.eci(x, y, z, phi):
+        return False, None
+    names = fam.kernel.names
+    return True, WitnessTable(
+        tuple(sorted(phi)), mask_names(x, names), mask_names(z, names),
+        lambda: _witness_entries(fam, x, y, z, phi),
+    )
+
+
+def _witness_entries(fam: RegimeFamily, x: int, y: int, z: int, phi: frozenset) -> dict:
+    """(phi value, x value, z value) -> w, from each group's witness; every
+    x value of a positive context is listed, zeros included."""
+    x_grid = fam.kernel.grid(x)
     entries = {}
     for phival, sigmas in fam.phi_groups(phi).items():
-        laws = fam.witness(x, y, z, sigmas)
-        if laws is None:
-            return False, None
-        for za, (n, nx) in laws.items():
+        for za, (n, nx) in fam.witness(x, y, z, sigmas).items():
             for xa in x_grid:
                 entries[phival, xa, za] = Fraction(nx.get(xa, 0), n)
-    return True, WitnessTable(
-        tuple(sorted(phi)), mask_names(x, k.names), mask_names(z, k.names), entries
-    )
+    return entries
 
 
 def check_pairwise_eci(fam: RegimeFamily, stmt: CIStatement) -> bool:
     """Weakening of check_eci: a common witness is required only for each pair
-    of regimes within a group; a group of one regime is checked on its own."""
+    of regimes within a group; a group of one regime is checked on its own.
+    A group of two is its own only pair, so its verdict is the one check_eci
+    caches for it."""
     x, y, z, phi = _validate_eci_statement(fam, stmt)
     return all(
-        fam.witness(x, y, z, pair) is not None
+        fam.has_witness(x, y, z, pair)
         for sigmas in fam.phi_groups(phi).values()
         for pair in (combinations(sigmas, 2) if len(sigmas) > 1 else [sigmas])
     )

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -253,3 +254,132 @@ def test_scan_axioms_exhaustive_vci_rejects_empty_regime_spaces(capsys):
         captured = capsys.readouterr()
         assert "max_regimes and n_vars must be >= 1" in captured.err
         assert captured.out == ""
+
+
+# -- malformed inputs: exit 2 with an error line, never a traceback -------------
+
+
+def _bad_assign():
+    model = json.loads(json.dumps(INEFFECTIVE))
+    model["distributions"]["s0"][0]["assign"] = ["X", "T"]
+    return model
+
+
+def _info_base_without(key):
+    model = json.loads(json.dumps(GF_MODEL))
+    del model["info_base"]["stages"][0][key]
+    return model
+
+
+def _strategy_dist_list():
+    strategy = json.loads(json.dumps(STRATEGY))
+    strategy["stages"][0]["kernel"][0]["dist"] = ["0", "1"]
+    return strategy
+
+
+@pytest.mark.parametrize("model, strategy, argv", [
+    (GF_MODEL, STRATEGY, ["--k", "0=1"]),  # no payoff for the reachable Y=1
+    (_info_base_without("observed"), STRATEGY, []),
+    (_info_base_without("action"), STRATEGY, []),
+    (GF_MODEL, _strategy_dist_list(), []),
+    (_bad_assign(), None, []),
+], ids=["payoff-misses-outcome", "stage-without-observed", "stage-without-action",
+        "strategy-dist-list", "assign-list"])
+def test_malformed_inputs_exit_2(tmp_path, capsys, model, strategy, argv):
+    path = write_json(tmp_path, "model.json", model)
+    if strategy is None:
+        rc = main(["check", path, "X _||_ Sigma | T"])
+    else:
+        rc = main(["gformula", path, write_json(tmp_path, "strategy.json", strategy)] + argv)
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: ") and "Traceback" not in err
+
+
+# -- schema mutations: every single-point mutant exits 0, 1 or 2 -------------------
+
+# Valid for check, gformula and ace: L and the kernel of Y given (L, A) are
+# the same in every regime, and the do-regimes set A surely.
+MUT_MODEL = {
+    "regimes": ["obs", "do0", "do1"],
+    "variables": {"L": ["0", "1"], "A": ["0", "1"], "Y": ["0", "1"]},
+    "decision_vars": {"Sigma": {"obs": "obs", "do0": "do0", "do1": "do1"}},
+    "distributions": {
+        "obs": [{"assign": {"L": l, "A": a, "Y": y},
+                 "p": f"{1 + int(l) + int(a) if y == '1' else 3 - int(l) - int(a)}/16"}
+                for l in "01" for a in "01" for y in "01"],
+        **{f"do{a}": [{"assign": {"L": l, "A": a, "Y": y},
+                       "p": f"{1 + int(l) + int(a) if y == '1' else 3 - int(l) - int(a)}/8"}
+                      for l in "01" for y in "01"]
+           for a in "01"},
+    },
+    "info_base": {"stages": [{"observed": ["L"], "action": "A"}], "outcome": ["Y"]},
+}
+MUT_STRATEGY = {
+    "label": "treat-if-L",
+    "stages": [{"action": "A", "kernel": [
+        {"given": {"L": "0"}, "dist": {"0": "1/2", "1": "1/2"}},
+        {"given": {"L": "1"}, "dist": {"0": "0", "1": "1"}},
+    ]}],
+}
+TOKENS = ["", "0", "1", "x", "L", "A", "Y", "obs", "Sigma", "1/2"]
+
+
+def _paths(doc, prefix=()):
+    """Every key or index path into a JSON document, in document order."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutants(doc, seed):
+    """At every path: drop the key (maps only), and replace the value with a
+    list and with a string drawn from TOKENS by a seeded generator."""
+    rng = random.Random(seed)
+    for path in _paths(doc):
+        for kind in ("drop", "list", "string"):
+            out = json.loads(json.dumps(doc))
+            parent = out
+            for key in path[:-1]:
+                parent = parent[key]
+            if kind == "drop":
+                if not isinstance(parent, dict):
+                    continue
+                del parent[path[-1]]
+            elif kind == "list":
+                parent[path[-1]] = rng.sample(TOKENS, rng.randrange(3))
+            else:
+                parent[path[-1]] = rng.choice(TOKENS)
+            yield f"{kind} {'/'.join(map(str, path))}", out
+
+
+def _run_all(tmp_path, capsys, model, strategy):
+    m = write_json(tmp_path, "model.json", model)
+    s = write_json(tmp_path, "strategy.json", strategy)
+    codes = []
+    for argv in (["check", m, "Y _||_ Sigma | L, A", "--json"],
+                 ["gformula", m, s, "--k", "0=1,1=3"],
+                 ["ace", m, "--treatment", "A"]):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2) and (rc == 2) == err.startswith("error: "), (argv[0], rc, err)
+        codes.append(rc)
+    return codes
+
+
+def test_mutation_walk_valid_files_succeed(tmp_path, capsys):
+    assert _run_all(tmp_path, capsys, MUT_MODEL, MUT_STRATEGY) == [0, 0, 0]
+
+
+@pytest.mark.parametrize("which", ["model", "strategy"])
+def test_schema_mutants_exit_0_1_or_2(tmp_path, capsys, which):
+    doc = MUT_MODEL if which == "model" else MUT_STRATEGY
+    n = 0
+    for what, mutant in _mutants(doc, seed=20151201):
+        pair = (mutant, MUT_STRATEGY) if which == "model" else (MUT_MODEL, mutant)
+        try:
+            _run_all(tmp_path, capsys, *pair)
+        except Exception as e:  # name the mutant whatever escaped main
+            raise AssertionError(f"{which} mutant '{what}': {type(e).__name__}: {e}") from e
+        n += 1
+    assert n > (150 if which == "model" else 30)

@@ -1,9 +1,11 @@
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product
 
 import pytest
 
 from separoid.errors import (
+    CIError,
     EmptyContext,
     InvalidModel,
     InvalidPrior,
@@ -14,6 +16,7 @@ from separoid.errors import (
 from separoid.models import (
     DiscreteDistribution,
     RegimeFamily,
+    WitnessTable,
     check_complementary,
     check_eci,
     check_eci_general,
@@ -597,3 +600,140 @@ def test_supports_and_domination_match_raw_pmf_sums():
             assert find_dominating(fam, subset) == expected
             found[expected is not None] += 1
     assert min(found.values()) > 10
+
+
+# -- one verdict per regime group, witness tables built on read ---------------------
+
+
+def _count_witness_calls(monkeypatch):
+    """Wrap RegimeFamily.witness with a counter keyed by (x, y, z, group)."""
+    calls = Counter()
+    witness = RegimeFamily.witness
+
+    def counted(self, x, y, z, sigmas):
+        sigmas = tuple(sigmas)
+        calls[x, y, z, sigmas] += 1
+        return witness(self, x, y, z, sigmas)
+
+    monkeypatch.setattr(RegimeFamily, "witness", counted)
+    return calls
+
+
+def _grid_shape_family():
+    """A two-regime family over two binary variables with the identity
+    decision variable, masses on a 1/3 grid."""
+    vars_ = {"X": ["0", "1"], "Y": ["0", "1"]}
+    atoms = [(x, y) for x in "01" for y in "01"]
+    d0 = DiscreteDistribution(vars_, dict(zip(atoms, [F(1, 3), F(1, 3), 0, F(1, 3)])))
+    d1 = DiscreteDistribution(vars_, dict(zip(atoms, [F(1, 3), 0, F(1, 3), F(1, 3)])))
+    return RegimeFamily(["r0", "r1"], {"r0": d0, "r1": d1}, {"Sigma": {"r0": "r0", "r1": "r1"}})
+
+
+def test_each_group_verdict_is_computed_once(monkeypatch):
+    """check_eci, check_pairwise_eci and check_eci_general over the 84
+    grid-shape statements run witness once per distinct (x, y, z, group);
+    a second round runs it zero times."""
+    calls = _count_witness_calls(monkeypatch)
+    fam = _grid_shape_family()
+    stmts = sigma_statements()
+    assert len(stmts) == 84
+    k = fam.kernel
+    wanted = {
+        (k.mask(st.left.stoch), k.mask(st.right.stoch), k.mask(st.cond.stoch), g)
+        for st in stmts for g in fam.phi_groups(st.cond.dec).values()
+    }
+    first = [(check_eci(fam, st)[0], check_pairwise_eci(fam, st), check_eci_general(fam, st))
+             for st in stmts]
+    # a failing group settles a statement, so later groups may go unasked
+    assert set(calls) <= wanted and set(calls.values()) == {1}
+    assert {v for row in first for v in row} == {True, False}
+    calls.clear()
+    again = [(check_eci(fam, st)[0], check_pairwise_eci(fam, st), check_eci_general(fam, st))
+             for st in stmts]
+    assert again == first and not calls
+
+
+def test_witness_table_is_built_on_first_read(monkeypatch):
+    calls = _count_witness_calls(monkeypatch)
+    fam = interventional_pair(F(1, 2), F(1, 2))
+    ok, table = check_eci(fam, ci(["X"], (), ["T"], cdec=["Sigma"]))
+    # one verdict per group of one regime; the unread table cost nothing
+    assert ok and sum(calls.values()) == 2
+    assert table.value(("s0",), ("1",), ("0",)) == F(1, 2)
+    assert sum(calls.values()) == 4
+    assert table.entries == {(("s0",), ("0",), ("0",)): F(1, 2), (("s0",), ("1",), ("0",)): F(1, 2),
+                             (("s1",), ("0",), ("1",)): F(1, 2), (("s1",), ("1",), ("1",)): F(1, 2)}
+    assert sum(calls.values()) == 4  # read once, kept
+
+
+def _slot_statements(stoch, decisions):
+    """Every statement with a nonempty stochastic left part and each decision
+    name in one slot or in none."""
+    subsets = [c for r in range(len(stoch) + 1) for c in combinations(stoch, r)]
+    for left, right, cond in product(subsets[1:], subsets, subsets):
+        for place in product(range(4), repeat=len(decisions)):
+            dec = [[], [], []]
+            for name, p in zip(decisions, place):
+                if p:
+                    dec[p - 1].append(name)
+            yield ci(left, right, cond, ldec=dec[0], rdec=dec[1], cdec=dec[2])
+
+
+def _answer(check, fam, stmt):
+    """(verdict, witness table or None), or ("raised", type, message)."""
+    try:
+        out = check(fam, stmt)
+    except CIError as e:
+        return "raised", type(e), str(e)
+    return out if isinstance(out, tuple) else (out, None)
+
+
+def test_cached_answers_match_fresh_families():
+    """One reused family answers every slot combination, twice, as a fresh
+    family per call does: verdicts, witness tables (entries, names and
+    ==) and errors by type and message, raised again on every repeat."""
+    seen = Counter()
+    for regimes, seed in ((3, 11), (4, 12)):
+        cfg = SearchConfig(seed=seed, trials=1, var_cardinalities={"X": 2, "Y": 2},
+                           regime_count=regimes, probability_grid=2,
+                           decision_cardinalities={"Th": 2})
+        reused = random_family(cfg, 0)
+        stmts = list(_slot_statements(("X", "Y"), ("Sigma", "Th")))
+        for _ in range(2):
+            for stmt in stmts:
+                for check in (check_eci, check_pairwise_eci, check_eci_general):
+                    got = _answer(check, reused, stmt)
+                    want = _answer(check, random_family(cfg, 0), stmt)
+                    assert got == want, (check.__name__, stmt)
+                    table, fresh = got[1], want[1]
+                    if isinstance(table, WitnessTable):
+                        assert (table.phi_vars, table.x_vars, table.z_vars, table.entries) == (
+                            fresh.phi_vars, fresh.x_vars, fresh.z_vars, fresh.entries)
+                        seen["table"] += 1
+                    else:
+                        seen[got[0]] += 1
+    assert seen["table"] and seen[True] and seen[False] and seen["raised"]
+
+
+def test_witness_tables_equal_under_proportional_counts():
+    """Two families with the same conditionals of X given Z but different
+    Z-marginals in the regime met first (so the counts of a context are
+    proportional, not equal) give == tables; another conditional does not."""
+    vars_ = {"X": ["0", "1"], "Z": ["0", "1"]}
+
+    def law(pz1, px1_z0=F(1, 3)):
+        px1 = {"0": px1_z0, "1": F(3, 4)}  # P(X=1 | Z=z)
+        return DiscreteDistribution(vars_, {
+            (x, z): (pz1 if z == "1" else 1 - pz1) * (px1[z] if x == "1" else 1 - px1[z])
+            for x in "01" for z in "01"})
+
+    def family(order, a, b):
+        return RegimeFamily(order, {"a": a, "b": b}, {"Sigma": {"a": "a", "b": "b"}})
+
+    stmt = ci(["X"], (), ["Z"], rdec=["Sigma"])
+    ok1, t1 = check_eci(family(["a", "b"], law(F(1, 2)), law(F(2, 7))), stmt)
+    ok2, t2 = check_eci(family(["b", "a"], law(F(1, 2)), law(F(2, 7))), stmt)
+    assert ok1 and ok2 and t1 == t2 and t1.entries == t2.entries
+    assert t1.value((), ("1",), ("0",)) == F(1, 3)
+    ok3, t3 = check_eci(family(["a", "b"], law(F(1, 2), F(1, 4)), law(F(1, 3), F(1, 4))), stmt)
+    assert ok3 and t3 != t1 and t3.value((), ("1",), ("0",)) == F(1, 4)
