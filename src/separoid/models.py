@@ -11,12 +11,14 @@ weights of the positive atoms, projected per mask of variables):
 ``conditional``, and ``probability``/``expectation`` on top of it, read its
 context counts; ``RegimeFamily.witness`` is the common-witness test on one
 group of regimes, and ``RegimeFamily.has_witness`` caches its verdict per
-(x, y, z, group).  That one verdict is shared by ``check_eci`` (per phi
-group) and ``check_pairwise_eci`` (per pair; a group of at most two regimes
-is its own only pair), so on a two-regime family the pairwise check is a
-lookup.  A holding ``check_eci`` returns a ``WitnessTable`` whose entries
-are built from ``witness`` on first read.  ``RegimeFamily.supports`` gives
-each S_z.
+(x & ~z, y & ~z, z, group): as in ``MaskKernel.sci``, names an outer slot
+shares with Z take fixed values within a context and change no verdict.
+That one verdict is shared by ``check_eci`` (per phi group) and
+``check_pairwise_eci`` (per pair; a group of at most two regimes is its own
+only pair), so on a two-regime family the pairwise check is a lookup.  A
+holding ``check_eci`` returns a ``WitnessTable`` whose entries are built
+from ``witness`` on the raw slots on first read.  ``RegimeFamily.supports``
+gives each S_z.
 """
 
 from __future__ import annotations
@@ -41,18 +43,22 @@ from .universe import CIStatement, VarSet
 Assignment = Mapping[str, str]
 
 
-def _names(vs, dec: bool = False) -> tuple[str, ...]:
-    """Sorted names of a name, a name iterable, or a VarSet: its stochastic
+def _name_iter(vs, dec: bool = False) -> Iterable[str]:
+    """Unsorted names of a name, a name iterable, or a VarSet: its stochastic
     part, or its decision part when dec is set; the other part is empty."""
     if isinstance(vs, VarSet):
         want, other = (vs.dec, vs.stoch) if dec else (vs.stoch, vs.dec)
         if other:
             kind = "decision" if dec else "stochastic"
             raise MalformedStatement(f"expected {kind} names only, got {sorted(other)}")
-        return tuple(sorted(want))
+        return want
     if isinstance(vs, str):
         return (vs,)
-    return tuple(sorted(vs))
+    return vs
+
+
+def _names(vs, dec: bool = False) -> tuple[str, ...]:
+    return tuple(sorted(_name_iter(vs, dec)))
 
 
 def mask_names(mask: int, names: Sequence[str]) -> tuple[str, ...]:
@@ -61,7 +67,8 @@ def mask_names(mask: int, names: Sequence[str]) -> tuple[str, ...]:
 
 
 class DiscreteDistribution:
-    """Exact joint probability table over finitely many discrete variables."""
+    """Exact joint probability table over finitely many discrete variables;
+    ``validated`` tells whether the table was checked when built."""
 
     def __init__(self, variables: Mapping[str, Sequence[str]], pmf: Mapping, *, validate: bool = True):
         self.names: tuple[str, ...] = tuple(sorted(variables))
@@ -74,8 +81,10 @@ class DiscreteDistribution:
                 key = tuple(str(key[n]) for n in self.names)
             else:
                 key = tuple(str(v) for v in key)
-            table[key] = table.get(key, Fraction(0)) + Fraction(p)
+            p = Fraction(p)
+            table[key] = table[key] + p if key in table else p
         self.pmf: dict[tuple, Fraction] = table
+        self.validated = validate
         if validate:
             self._validate()
 
@@ -145,11 +154,15 @@ class MaskKernel:
         self._sci: dict[tuple, bool] = {}
 
     def mask(self, names: Iterable[str]) -> int:
+        """The names' mask; an unknown name raises, naming the least one."""
+        bit = self._bit
         m = 0
         for n in names:
-            b = self._bit.get(n)
+            b = bit.get(n)
             if b is None:
-                raise InvalidModel(f"unknown variable {n!r}")
+                # names before n are known; an iterator resumes after n
+                unknown = min(v for v in (n, *names) if v not in bit)
+                raise InvalidModel(f"unknown variable {unknown!r}")
             m |= b
         return m
 
@@ -240,7 +253,7 @@ def check_sci(dist: DiscreteDistribution, X, Y, Z) -> bool:
     """Exact factorization check: for every conditioning value with positive
     mass, the joint table of (X, Y) is the product of its margins."""
     k = dist.kernel
-    return k.sci(k.mask(_names(X)), k.mask(_names(Y)), k.mask(_names(Z)))
+    return k.sci(k.mask(_name_iter(X)), k.mask(_name_iter(Y)), k.mask(_name_iter(Z)))
 
 
 # -- variation independence -------------------------------------------------
@@ -359,6 +372,7 @@ class RegimeFamily:
         self._witnessed: dict[tuple, bool] = {}
         self._eci: dict[tuple, bool] = {}
         self._vci: dict[tuple, bool] = {}
+        self._table_names: dict[tuple, tuple] = {}
 
     @property
     def variables(self) -> dict[str, tuple[str, ...]]:
@@ -422,22 +436,38 @@ class RegimeFamily:
 
     def has_witness(self, x: int, y: int, z: int, sigmas: tuple) -> bool:
         """Whether the group of regimes has a common witness; cached per
-        (x, y, z, group), for ``eci`` and ``check_pairwise_eci`` alike."""
-        key = (x, y, z, sigmas)
+        (x & ~z, y & ~z, z, group), for ``eci`` and ``check_pairwise_eci``.
+        Exact: given z, X's part inside Z is a point mass, so X has a common
+        witness iff x & ~z has one (always, when empty), and Y's part inside
+        Z leaves the context y | z as it is.  ECI is not symmetric, so the
+        pair is not ordered."""
+        x &= ~z
+        if not x:
+            return True
+        key = (x, y & ~z, z, sigmas)
         out = self._witnessed.get(key)
         if out is None:
-            out = self._witnessed[key] = self.witness(x, y, z, sigmas) is not None
+            out = self._witnessed[key] = self.witness(*key) is not None
         return out
 
     def eci(self, x: int, y: int, z: int, phi: frozenset) -> bool:
         """ECI: a common witness within every phi group.  The conjunction is
-        cached per (x, y, z, phi) too, because a general-form scan asks the
-        same question about five times per distinct key."""
-        key = (x, y, z, phi)
+        cached per (x & ~z, y & ~z, z, phi) too, because a general-form scan
+        asks the same question about five times per distinct key."""
+        key = (x & ~z, y & ~z, z, phi)
         out = self._eci.get(key)
         if out is None:
             out = self._eci[key] = all(
                 self.has_witness(x, y, z, g) for g in self.phi_groups(phi).values())
+        return out
+
+    def table_names(self, x: int, z: int, phi: frozenset) -> tuple:
+        """The sorted phi, x and z names of a witness table, cached."""
+        out = self._table_names.get((x, z, phi))
+        if out is None:
+            n = self.kernel.names
+            out = self._table_names[x, z, phi] = (tuple(sorted(phi)), mask_names(x, n),
+                                                  mask_names(z, n))
         return out
 
     def eci_general(self, x: int, K: frozenset, y: int, theta: frozenset, z: int,
@@ -550,11 +580,8 @@ def check_eci(fam: RegimeFamily, stmt: CIStatement) -> tuple[bool, WitnessTable 
     x, y, z, phi = _validate_eci_statement(fam, stmt)
     if not fam.eci(x, y, z, phi):
         return False, None
-    names = fam.kernel.names
-    return True, WitnessTable(
-        tuple(sorted(phi)), mask_names(x, names), mask_names(z, names),
-        lambda: _witness_entries(fam, x, y, z, phi),
-    )
+    return True, WitnessTable(*fam.table_names(x, z, phi),
+                              lambda: _witness_entries(fam, x, y, z, phi))
 
 
 def _witness_entries(fam: RegimeFamily, x: int, y: int, z: int, phi: frozenset) -> dict:
@@ -573,8 +600,10 @@ def check_pairwise_eci(fam: RegimeFamily, stmt: CIStatement) -> bool:
     """Weakening of check_eci: a common witness is required only for each pair
     of regimes within a group; a group of one regime is checked on its own.
     A group of two is its own only pair, so its verdict is the one check_eci
-    caches for it."""
+    caches for it, and on at most two regimes the two checks are one."""
     x, y, z, phi = _validate_eci_statement(fam, stmt)
+    if len(fam.regimes) <= 2:
+        return fam.eci(x, y, z, phi)
     return all(
         fam.has_witness(x, y, z, pair)
         for sigmas in fam.phi_groups(phi).values()
@@ -619,23 +648,27 @@ def product_space(
         raise InvalidPrior(f"prior sums to {sum(masses.values())}, not 1")
     if regime_var in fam.variables or regime_var in fam.decvars:
         raise InvalidModel(f"regime variable name {regime_var!r} collides")
-    variables: dict[str, Sequence[str]] = dict(fam.variables)
-    variables[regime_var] = tuple(fam.regimes)
+    values = dict(fam.variables)
+    values[regime_var] = fam.regimes
     for d, m in fam.decvars.items():
-        variables[d] = tuple(sorted(set(m.values())))
-    names = tuple(sorted(variables))
+        values[d] = tuple(sorted(set(m.values())))
+    values = dict(sorted(values.items()))
+    # a regime key, the regime and its decision values, in sorted name order
     base = fam.dists[fam.regimes[0]].names
+    order = [(*base, regime_var, *fam.decvars).index(n) for n in values]
     pmf: dict[tuple, Fraction] = {}
     for s in fam.regimes:
-        dist = fam.dists[s]
-        for key, p in dist.atoms():
-            row = dict(zip(base, key))
-            row[regime_var] = s
-            for d, m in fam.decvars.items():
-                row[d] = m[s]
-            full = tuple(row[n] for n in names)
-            pmf[full] = pmf.get(full, Fraction(0)) + p * masses[s]
-    return DiscreteDistribution(variables, pmf)
+        tail = (s, *(m[s] for m in fam.decvars.values()))
+        for key, p in fam.dists[s].pmf.items():
+            if len(key) != len(base):
+                raise InvalidModel(f"assignment {key!r} does not cover {base}")
+            full = key + tail
+            pmf[tuple(full[i] for i in order)] = p * masses[s]
+    prod = DiscreteDistribution.__new__(DiscreteDistribution)
+    prod.names, prod.values, prod.pmf, prod.validated = tuple(values), values, pmf, True
+    if not all(fam.dists[s].validated for s in fam.regimes):
+        prod._validate()  # checked regime tables and prior give a valid product
+    return prod
 
 
 def find_dominating(fam: RegimeFamily, subset: Iterable[str] | None = None) -> str | None:

@@ -27,6 +27,7 @@ from separoid.models import (
     conditional,
     conditional_image,
     find_dominating,
+    mask_names,
     partition_meet,
     product_space,
 )
@@ -40,6 +41,7 @@ from conftest import (
     grid_families,
     interventional_pair,
     sigma_statements,
+    vs,
 )
 
 
@@ -88,6 +90,39 @@ def test_sci_xor(xor_model):
 def test_sci_unknown_variable(two_fair_coins):
     with pytest.raises(InvalidModel):
         check_sci(two_fair_coins, "Q", "X", ())
+
+
+def test_sci_argument_forms_and_errors():
+    """A name, a tuple, a set, a generator and a VarSet give one verdict;
+    with several unknown names the least is reported, and a VarSet carrying
+    decision names is malformed, the first bad slot deciding."""
+    d = random_distribution(SearchConfig(seed=3, var_cardinalities={"X": 2, "Y": 2, "Z": 2},
+                                         probability_grid=2), 0)
+    subsets = _subsets(("X", "Y", "Z"))
+    verdicts = set()
+    for slots in product(subsets, repeat=3):
+        want = check_sci(d, *slots)
+        forms = [tuple(map(set, slots)), tuple(vs(sl) for sl in slots),
+                 tuple(reversed(sl) for sl in slots), tuple((n for n in sl) for sl in slots)]
+        if all(len(sl) == 1 for sl in slots):
+            forms.append(tuple(sl[0] for sl in slots))
+        assert all(check_sci(d, *f) == want for f in forms), slots
+        verdicts.add(want)
+    assert verdicts == {True, False}
+    for args, error, message in [
+        ((("Q", "P", "X"), "Y", ()), InvalidModel, "unknown variable 'P'"),
+        (({"X", "Q", "B"}, "Y", ()), InvalidModel, "unknown variable 'B'"),
+        (((n for n in ("X", "Q", "P")), "Y", ()), InvalidModel, "unknown variable 'P'"),
+        (("X", "Y", vs(("Z", "W", "A"))), InvalidModel, "unknown variable 'A'"),
+        ((vs(["X"], ["Th", "Sigma"]), "Q", ()), MalformedStatement,
+         "expected stochastic names only, got ['Sigma', 'Th']"),
+        (("X", vs((), ["Sigma"]), "Q"), MalformedStatement,
+         "expected stochastic names only, got ['Sigma']"),
+        (("Q", vs((), ["Sigma"]), ()), InvalidModel, "unknown variable 'Q'"),
+    ]:
+        with pytest.raises(error) as e:
+            check_sci(d, *args)
+        assert str(e.value) == message
 
 
 def test_sci_matches_bruteforce_oracle():
@@ -429,6 +464,33 @@ def test_product_rejects_bad_priors():
         product_space(fam, {"s0": F(1, 2), "s1": F(1, 3)})
 
 
+def test_product_rejects_unvalidated_regime_tables():
+    """Regime tables built with validate=False are checked in the product,
+    with the messages a checked product table gives (a key of the wrong
+    length is named as such); a valid one gives the product of checked
+    tables."""
+    vars_ = {"X": ["0", "1"]}
+    prior = {"s0": F(1, 2), "s1": F(1, 2)}
+    good = {("0",): F(1, 4), ("1",): F(3, 4)}
+
+    def family(pmf, validate=False):
+        return RegimeFamily(["s0", "s1"], {
+            "s0": DiscreteDistribution(vars_, pmf, validate=validate),
+            "s1": DiscreteDistribution(vars_, good)}, {"Sigma": {"s0": "a", "s1": "b"}})
+
+    for pmf, message in [
+        ({("0",): F(1, 4), ("1",): F(1, 4)}, "masses sum to 3/4, not 1"),
+        ({("0",): F(-1, 4), ("1",): F(5, 4)}, "negative mass on ('a', '0', 's0')"),
+        ({("0",): F(1, 2), ("2",): F(1, 2)}, "value '2' not declared for variable 'X'"),
+        ({("0", "1"): F(1)}, "assignment ('0', '1') does not cover ('X',)"),
+    ]:
+        with pytest.raises(InvalidModel) as e:
+            product_space(family(pmf), prior)
+        assert str(e.value) == message
+    prod = product_space(family(good), prior)
+    assert prod.validated and prod.pmf == product_space(family(good, True), prior).pmf
+
+
 def test_product_equivalence_sampled():
     """check_eci on the family == check_sci on the mixture, decision names
     read as ordinary coordinates (spot check; the exhaustive grid is in the
@@ -631,17 +693,21 @@ def _grid_shape_family():
 
 def test_each_group_verdict_is_computed_once(monkeypatch):
     """check_eci, check_pairwise_eci and check_eci_general over the 84
-    grid-shape statements run witness once per distinct (x, y, z, group);
-    a second round runs it zero times."""
+    grid-shape statements run witness at most once per distinct normalized
+    (x & ~z, y & ~z, z, group), never for a statement whose left slot lies
+    inside its conditioning slot; a second round runs it zero times."""
     calls = _count_witness_calls(monkeypatch)
     fam = _grid_shape_family()
     stmts = sigma_statements()
     assert len(stmts) == 84
     k = fam.kernel
-    wanted = {
-        (k.mask(st.left.stoch), k.mask(st.right.stoch), k.mask(st.cond.stoch), g)
-        for st in stmts for g in fam.phi_groups(st.cond.dec).values()
-    }
+    wanted, inside = set(), 0
+    for st in stmts:
+        x, y, z = (k.mask(v.stoch) for v in (st.left, st.right, st.cond))
+        inside += not x & ~z
+        wanted |= {(x & ~z, y & ~z, z, g)
+                   for g in fam.phi_groups(st.cond.dec).values() if x & ~z}
+    assert inside and len(wanted) < len(stmts)
     first = [(check_eci(fam, st)[0], check_pairwise_eci(fam, st), check_eci_general(fam, st))
              for st in stmts]
     # a failing group settles a statement, so later groups may go unasked
@@ -651,6 +717,50 @@ def test_each_group_verdict_is_computed_once(monkeypatch):
     again = [(check_eci(fam, st)[0], check_pairwise_eci(fam, st), check_eci_general(fam, st))
              for st in stmts]
     assert again == first and not calls
+
+
+def _shared_x_family():
+    """Three regimes with one law of (X, Z) and each its own law of Y,
+    independent of (X, Z), one with Y constant: X _||_ (Y, Sigma) holds and
+    Y _||_ (X, Sigma) fails, so an ordered pair would show."""
+    vars_ = {"X": ["0", "1"], "Y": ["0", "1"], "Z": ["0", "1"]}
+    pz, px1 = (F(1, 3), F(2, 3)), (F(1, 4), F(1, 2))  # P(Z=z), P(X=1 | Z=z)
+    dists = {}
+    for s, py1 in zip(("s0", "s1", "s2"), (F(1, 5), F(1, 2), F(0))):
+        dists[s] = DiscreteDistribution(vars_, {
+            (x, y, z): pz[int(z)] * (px1[int(z)] if x == "1" else 1 - px1[int(z)])
+            * (py1 if y == "1" else 1 - py1)
+            for x in "01" for y in "01" for z in "01"})
+    return RegimeFamily(list(dists), dists, {"Sigma": {s: s for s in dists},
+                                             "Th": {"s0": "0", "s1": "0", "s2": "1"}})
+
+
+def test_normalized_eci_verdicts_equal_raw_ones():
+    """fam.eci and check_pairwise_eci, asked in normal form, equal the raw
+    witness conjunctions over every (x, y, z) mask triple, overlapping ones
+    included, and every phi; the raw witnesses come from a second family
+    whose verdict caches are never read.  Grid 1 leaves zero-mass contexts."""
+    pairs = [(_shared_x_family(), _shared_x_family())]
+    for regimes, grid in product((3, 4), (1, 2)):
+        cfg = SearchConfig(seed=20 + regimes + grid, trials=1,
+                           var_cardinalities={"X": 2, "Y": 2, "Z": 2}, regime_count=regimes,
+                           probability_grid=grid, decision_cardinalities={"Th": 2})
+        pairs += [(random_family(cfg, t), random_family(cfg, t)) for t in range(2)]
+    seen = Counter()
+    for fam, raw in pairs:
+        names = fam.kernel.names
+        for phi in map(frozenset, ((), ("Sigma",), ("Th",), ("Sigma", "Th"))):
+            groups = raw.phi_groups(phi).values()
+            for x, y, z in product(range(8), repeat=3):
+                full = all(raw.witness(x, y, z, g) is not None for g in groups)
+                pairwise = all(raw.witness(x, y, z, pair) is not None for g in groups
+                               for pair in (combinations(g, 2) if len(g) > 1 else [g]))
+                assert fam.eci(x, y, z, phi) == full, (fam.regimes, x, y, z, phi)
+                stmt = ci(mask_names(x, names), mask_names(y, names), mask_names(z, names),
+                          rdec=() if "Sigma" in phi else ["Sigma"], cdec=phi)
+                assert check_pairwise_eci(fam, stmt) == pairwise, stmt
+                seen[full, bool(x & z or y & z)] += 1
+    assert len(seen) == 4
 
 
 def test_witness_table_is_built_on_first_read(monkeypatch):

@@ -6,9 +6,11 @@ import pytest
 
 from separoid.engine import _Engine, rule_set
 from separoid.errors import SemanticsMismatch
+from separoid.models import variation_independent
 from separoid.search import (
     SearchConfig,
     _Scan,
+    _close_vci,
     _vci_model,
     axiom_soundness_scan,
     exhaustive_vci_scan,
@@ -256,6 +258,31 @@ def test_vci_range_memo_replays_violations(monkeypatch):
     fresh = _vci_scan(names)
     _vci_model(fresh, 7, second, regimes)
     assert fresh.violations == scan.violations[len(once):]
+
+
+def test_vci_normalized_verdicts_equal_raw_ones(monkeypatch):
+    """The scan's VCI verdicts, asked once per (x & ~z, y & ~z, z) with the
+    pair ordered, equal variation_independent on the raw slots for every
+    key of every map of three binary variables on at most three regimes.
+    The engine closure is skipped: only the truth tables are compared."""
+    tables = []
+
+    def truth_only(self, trial, holds):
+        tables.append(truth := {k: holds(k) for ks in self.keys.values() for k in ks})
+        return truth
+
+    monkeypatch.setattr(_Scan, "model", truth_only)
+    names = ("A", "B", "C")
+    scan = _vci_scan(names)
+    seen = set()
+    for trial, (decmap, regimes) in enumerate(_exhaustive_maps(names, 3)):
+        _close_vci(scan, trial, decmap, regimes)
+        cols = [[tuple(decmap[n][s] for n in names if m >> names.index(n) & 1) for s in regimes]
+                for m in range(8)]
+        for k, ok in tables[-1].items():
+            assert ok == variation_independent(cols[k[1]], cols[k[3]], cols[k[5]]), (decmap, k)
+            seen.add((ok, bool((k[1] | k[3]) & k[5])))
+    assert len(tables) == 584 and len(seen) == 4
 
 
 @pytest.mark.parametrize("max_regimes, maps, ranges", [(2, 72, 36), (4, 4680, 162)])
