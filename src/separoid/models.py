@@ -19,13 +19,19 @@ only pair), so on a two-regime family the pairwise check is a lookup.  A
 holding ``check_eci`` returns a ``WitnessTable`` whose entries are built
 from ``witness`` on the raw slots on first read.  ``RegimeFamily.supports``
 gives each S_z.
+
+Statement names are resolved to masks once per variable signature: the
+kernels of every table, family and product space over one names tuple share
+an interned name -> bit map and resolved-mask memo, exactly, since bit
+positions depend on the names alone.  Decision checks stay per family: once
+per decision-name set, that the names are the family's and identify the regime.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Iterable, Mapping, Sequence
@@ -118,7 +124,7 @@ class DiscreteDistribution:
     def int_atoms(self) -> tuple[int, dict]:
         """(denominator, atom -> integer numerator) over a common denominator."""
         den = math.lcm(*(p.denominator for p in self.pmf.values()))
-        return den, {k: int(p * den) for k, p in self.pmf.items()}
+        return den, {k: p.numerator * (den // p.denominator) for k, p in self.pmf.items()}
 
     @cached_property
     def kernel(self) -> "MaskKernel":
@@ -134,17 +140,27 @@ class DiscreteDistribution:
         return conditional_expectation(self, name, {}, value_map)
 
 
+@cache
+def _signature(names: tuple[str, ...]) -> tuple[dict, dict]:
+    """Interned per names tuple (see the module docstring): the name -> bit
+    map and a memo of resolved stochastic slots, keyed by name sets or name
+    tuples, never by a statement, holding successful resolutions only."""
+    return {n: 1 << i for i, n in enumerate(names)}, {}
+
+
 class MaskKernel:
     """Integer, mask-indexed form of one distribution.  Bit i of a mask
     stands for the i-th variable name; rows are the positive atoms with
     integer numerators over a common denominator (which cancels in every
     test).  Projection columns, context counts and SCI verdicts are built per
-    mask on first use, never for all masks up front."""
+    mask on first use, never for all masks up front.  The name -> bit map and
+    the memo of resolved slot masks belong to the names tuple and are shared
+    by every kernel over it; decision checks stay with each family."""
 
     def __init__(self, dist: DiscreteDistribution):
         _, atoms = dist.int_atoms()
         self.names = dist.names
-        self._bit = {n: 1 << i for i, n in enumerate(dist.names)}
+        self._bit, self._resolved = _signature(dist.names)
         self._values = [dist.values[n] for n in dist.names]
         rows = [(key, n) for key, n in atoms.items() if n]
         self._keys = [key for key, _ in rows]
@@ -251,9 +267,17 @@ def conditional_expectation(dist, name: str, given: Assignment,
 
 def check_sci(dist: DiscreteDistribution, X, Y, Z) -> bool:
     """Exact factorization check: for every conditioning value with positive
-    mass, the joint table of (X, Y) is the product of its margins."""
+    mass, the joint table of (X, Y) is the product of its margins.  Slots
+    given as a name or a tuple of names are resolved once per signature;
+    any other form is resolved on every call."""
     k = dist.kernel
-    return k.sci(k.mask(_name_iter(X)), k.mask(_name_iter(Y)), k.mask(_name_iter(Z)))
+    try:
+        x, y, z = k._resolved[X, Y, Z]
+    except (KeyError, TypeError):  # a miss, or an unhashable form
+        x, y, z = masks = tuple(k.mask(_name_iter(v)) for v in (X, Y, Z))
+        if all(type(v) in (str, tuple) and all(type(n) is str for n in v) for v in (X, Y, Z)):
+            k._resolved[X, Y, Z] = masks
+    return k.sci(x, y, z)
 
 
 # -- variation independence -------------------------------------------------
@@ -373,6 +397,7 @@ class RegimeFamily:
         self._eci: dict[tuple, bool] = {}
         self._vci: dict[tuple, bool] = {}
         self._table_names: dict[tuple, tuple] = {}
+        self._identifying: set[frozenset] = set()  # decision name sets checked
 
     @property
     def variables(self) -> dict[str, tuple[str, ...]]:
@@ -512,25 +537,26 @@ def check_complementary(fam: RegimeFamily, names: Iterable[str]) -> bool:
 
 def _slot_masks(fam: RegimeFamily, stmt: CIStatement) -> tuple[int, ...]:
     """Masks of the stochastic slots, once every name is known to the family
-    and the decision names identify the regime."""
-    bit = fam.kernel._bit
-    masks = []
-    for vs in (stmt.left, stmt.right, stmt.cond):
-        m = 0
-        for n in vs.stoch:
-            b = bit.get(n)
-            if b is None:
+    and the decision names identify the regime.  The masks are resolved once
+    per signature; the decision names are checked once per family."""
+    k = fam.kernel
+    key = (stmt.left.stoch, stmt.right.stoch, stmt.cond.stoch)
+    masks = k._resolved.get(key)
+    if masks is None:
+        for n in (n for names in key for n in names):
+            if n not in k._bit:
                 raise InvalidModel(f"unknown stochastic variable {n!r}")
-            m |= b
-        masks.append(m)
+        masks = k._resolved[key] = tuple(map(k.mask, key))
     decs = stmt.decision_names
-    for n in decs:
-        if n not in fam.decvars:
-            raise InvalidModel(f"unknown decision variable {n!r}")
-    if decs and len(fam.phi_groups(decs)) != len(fam.regimes):
-        raise NotComplementary(
-            f"decision family {tuple(sorted(decs))} does not identify the regime")
-    return tuple(masks)
+    if decs and decs not in fam._identifying:
+        for n in decs:
+            if n not in fam.decvars:
+                raise InvalidModel(f"unknown decision variable {n!r}")
+        if len(fam.phi_groups(decs)) != len(fam.regimes):
+            raise NotComplementary(
+                f"decision family {tuple(sorted(decs))} does not identify the regime")
+        fam._identifying.add(decs)
+    return masks
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,6 +10,7 @@ by a small registry; kinds never mix under reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .errors import UnknownVariable
@@ -78,6 +79,14 @@ class VarSet:
     def __post_init__(self):
         object.__setattr__(self, "stoch", frozenset(self.stoch))
         object.__setattr__(self, "dec", frozenset(self.dec))
+        # hashed once: statements share slots and rehash them
+        object.__setattr__(self, "_hash", hash((self.stoch, self.dec)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # rebuilt, so the hash follows the process's str hashing
+        return VarSet, (self.stoch, self.dec)
 
     def __or__(self, other: "VarSet") -> "VarSet":
         return VarSet(self.stoch | other.stoch, self.dec | other.dec)
@@ -112,7 +121,7 @@ class CIStatement:
     right: VarSet
     cond: VarSet = EMPTY
 
-    @property
+    @cached_property
     def decision_names(self) -> frozenset:
         return self.left.dec | self.right.dec | self.cond.dec
 

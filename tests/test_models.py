@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -847,3 +848,157 @@ def test_witness_tables_equal_under_proportional_counts():
     assert t1.value((), ("1",), ("0",)) == F(1, 3)
     ok3, t3 = check_eci(family(["a", "b"], law(F(1, 2), F(1, 4)), law(F(1, 3), F(1, 4))), stmt)
     assert ok3 and t3 != t1 and t3.value((), ("1",), ("0",)) == F(1, 4)
+
+
+# -- slot masks resolved once per variable signature ----------------------------
+
+
+def _sibling_families(seed):
+    """Two 3-regime families over one names tuple (X, Y), with the same
+    tables: in the first {Th} identifies the regime, in the second it does
+    not; both declare the identity Sigma."""
+    cfg = SearchConfig(seed=seed, trials=1, var_cardinalities={"X": 2, "Y": 2},
+                       regime_count=3, probability_grid=2)
+    base = random_family(cfg, 0)
+    ident = base.with_decision("Th", {s: str(i) for i, s in enumerate(base.regimes)})
+    coarse = random_family(cfg, 0).with_decision(
+        "Th", {s: str(min(i, 1)) for i, s in enumerate(base.regimes)})
+    return ident, coarse, cfg
+
+
+def _direct_answer(check, fam, stmt):
+    """The verdict from masks built with kernel.mask on a family whose
+    caches nothing else reads; None where the statement does not apply."""
+    k = fam.kernel
+    x, y, z = (k.mask(v.stoch) for v in (stmt.left, stmt.right, stmt.cond))
+    if check is check_eci_general:
+        return fam.eci_general(x, stmt.left.dec, y, stmt.right.dec, z, stmt.cond.dec)
+    if stmt.left.dec:
+        return None
+    groups = fam.phi_groups(stmt.cond.dec).values()
+    if check is check_eci:
+        return all(fam.witness(x, y, z, g) is not None for g in groups)
+    return all(fam.witness(x, y, z, pair) is not None for g in groups
+               for pair in (combinations(g, 2) if len(g) > 1 else [g]))
+
+
+def test_shared_masks_are_exact_and_family_checks_do_not_leak():
+    """Two families over one names tuple share resolved slot masks but not
+    decision checks: asked in either order, the family where {Th} does not
+    identify the regime raises NotComplementary every time, and every
+    verdict equals the one from masks built directly."""
+    seen = Counter()
+    for seed, flip in ((31, False), (32, True)):
+        ident, coarse, cfg = _sibling_families(seed)
+        assert ident.kernel._resolved is coarse.kernel._resolved
+        order = [(coarse, False), (ident, True)] if flip else [(ident, True), (coarse, False)]
+        stmts = list(_slot_statements(("X", "Y"), ("Sigma", "Th")))
+        for fam, identifies in order:
+            direct = random_family(cfg, 0).with_decision("Th", fam.decvars["Th"])
+            for stmt in stmts:
+                for check in (check_eci, check_pairwise_eci, check_eci_general):
+                    got = _answer(check, fam, stmt)
+                    if stmt.left.dec and check is not check_eci_general:
+                        assert got[1] is MalformedStatement, stmt
+                    elif stmt.decision_names == {"Th"} and not identifies:
+                        assert got[1:] == (NotComplementary,
+                                           "decision family ('Th',) does not identify the regime")
+                    else:
+                        assert got[0] == _direct_answer(check, direct, stmt), (check, stmt)
+                    seen[got[0]] += 1
+    assert seen["raised"] and seen[True] and seen[False]
+
+
+def test_unknown_names_raise_on_every_family_and_call():
+    """Unknown names, several at once, raise as before on each family and
+    each repeat: the first unknown stochastic name met in the left, right
+    and conditioning slots, else the first unknown decision name; a decision
+    name in the left slot is malformed before any name is looked up."""
+    ident, coarse, _ = _sibling_families(33)
+    cases = [
+        (ci(["X", "Q"], ["P"], ["R"], rdec=["Sigma"]), "unknown stochastic variable 'Q'"),
+        (ci(["X"], ["Y", "P"], ["Q", "R"], cdec=["Ka", "Kb"]),
+         "unknown stochastic variable 'P'"),
+        (ci(["X"], ["Y"], ["Q"], rdec=["Ka"]), "unknown stochastic variable 'Q'"),
+        (ci(["X"], ["Y"], rdec=["Sigma", "Ka"]), "unknown decision variable 'Ka'"),
+    ]
+    several = ci(["X"], ["Y"], rdec=["Ka", "Th"], cdec=["Kb", "Kc"])
+    first = next(n for n in several.decision_names if n not in ident.decvars)
+    cases.append((several, f"unknown decision variable {first!r}"))
+    for _ in range(2):
+        for fam in (ident, coarse, ident):
+            for stmt, message in cases:
+                for check in (check_eci, check_pairwise_eci, check_eci_general):
+                    assert _answer(check, fam, stmt) == ("raised", InvalidModel, message)
+                left = ci(stmt.left.stoch, stmt.right.stoch, stmt.cond.stoch,
+                          ldec=["Sigma"], rdec=stmt.right.dec)
+                for check in (check_eci, check_pairwise_eci):
+                    assert _answer(check, fam, left) == (
+                        "raised", MalformedStatement,
+                        "decision variable in the left slot; use check_eci_general")
+
+
+def test_resolved_mask_memo_is_bounded_by_stochastic_triples():
+    """Statements that differ only in decision names add one memo entry per
+    distinct stochastic triple; every key is made of name sets or name
+    tuples, never of a statement."""
+    vars_ = {"Mu": ["0", "1"], "Nu": ["0", "1"]}
+    d = DiscreteDistribution(vars_, {(a, b): F(1, 4) for a in "01" for b in "01"})
+    decs = {f"D{i}": {"s0": "0", "s1": "1"} for i in range(4)}
+    fam = RegimeFamily(["s0", "s1"], {"s0": d, "s1": d}, decs)
+    memo = fam.kernel._resolved
+    before = len(memo)
+    stmts = [ci(left, right, cond, rdec=rdec, cdec=cdec)
+             for left, right, cond in product((["Mu"], ["Mu", "Nu"]), ((), ["Nu"]), ((), ["Nu"]))
+             for rdec, cdec in product(_subsets(tuple(decs))[1:], ((), ["D0"], ["D1", "D3"]))]
+    triples = {(st.left.stoch, st.right.stoch, st.cond.stoch) for st in stmts}
+    assert len(stmts) > 10 * len(triples)
+    for stmt in stmts:
+        check_eci(fam, stmt)
+        check_pairwise_eci(fam, stmt)
+    assert len(memo) - before == len(triples)
+    check_sci(d, "Mu", ("Nu",), ())
+    assert len(memo) - before == len(triples) + 1
+    for key in memo:
+        assert isinstance(key, tuple) and len(key) == 3
+        for part in key:
+            assert isinstance(part, (str, frozenset, tuple)), key
+            assert isinstance(part, str) or all(isinstance(n, str) for n in part), key
+
+
+def test_sci_argument_forms_share_or_skip_the_memo():
+    """Every argument form gives the same verdict; only names and tuples of
+    names are memoized, and two generators naming different variables, asked
+    back to back, each get their own answer."""
+    vars_ = {"Ga": ["0", "1"], "Gb": ["0", "1"], "Gc": ["0", "1"]}
+    # Ga, Gb independent fair coins, Gc a copy of Ga
+    d = DiscreteDistribution(vars_, {(a, b, a): F(1, 4) for a in "01" for b in "01"})
+    memo = d.kernel._resolved
+    for other, want in (("Gb", True), ("Gc", False)):
+        forms = [("Ga", other), (("Ga",), (other,)), (["Ga"], [other]), ({"Ga"}, {other}),
+                 (vs(["Ga"]), vs([other])), ((n for n in ["Ga"]), (n for n in [other]))]
+        for x, y in forms:
+            size = len(memo)
+            assert check_sci(d, x, y, ()) is want, (x, y)
+            assert len(memo) == size + isinstance(x, (str, tuple)), (x, y)
+    assert len(memo) == 4
+    assert check_sci(d, (n for n in ["Gb"]), (n for n in ["Ga"]), ())
+    assert not check_sci(d, (n for n in ["Gc"]), (n for n in ["Ga"]), ())
+    assert len(memo) == 4
+
+
+def test_int_atoms_match_fraction_products():
+    """int_atoms gives int(p * den) on every atom, zero masses included, for
+    seeded pmfs on grids 1 to 6 and for a product-space joint."""
+    dists, zeros = [], 0
+    for grid in range(1, 7):
+        cfg = SearchConfig(seed=40 + grid, trials=1, var_cardinalities={"X": 2, "Y": 3},
+                           regime_count=2, probability_grid=grid)
+        dists += [random_distribution(cfg, t) for t in range(4)]
+        dists.append(product_space(random_family(cfg, 0), {"s0": F(1, 3), "s1": F(2, 3)}))
+    for d in dists:
+        den, atoms = d.int_atoms()
+        assert den == math.lcm(*(p.denominator for p in d.pmf.values()))
+        assert atoms == {k: int(p * den) for k, p in d.pmf.items()}
+        zeros += sum(not p for p in d.pmf.values())
+    assert zeros

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -118,3 +120,23 @@ def test_universe_rejects_duplicate_kind_change():
     u = Universe.of(stochastic=["X"])
     with pytest.raises(ValueError):
         u.declare("X", "decision")
+
+
+def test_varset_hash_is_cached_and_survives_pickling():
+    """A VarSet hashes as its (stoch, dec) pair, computed once; a pickled
+    copy is rebuilt, so it is equal and hashes alike."""
+    a = VarSet(["Y", "X"], ("Th",))
+    assert hash(a) == hash((frozenset({"X", "Y"}), frozenset({"Th"}))) == hash(vs("XY", ["Th"]))
+    assert a == vs("XY", ["Th"]) and len({a, vs("XY", ["Th"]), vs("XY")}) == 2
+    b = pickle.loads(pickle.dumps(a))
+    assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
+
+
+def test_decision_names_computed_once_per_statement():
+    """decision_names is kept on the statement; equality, hash and repr do
+    not see it."""
+    s = ci(["X"], ["Y"], ["Z"], rdec=["Th"], cdec=["Ph", "K"])
+    t = ci(["X"], ["Y"], ["Z"], rdec=["Th"], cdec=["Ph", "K"])
+    r = repr(t)
+    assert s.decision_names == {"Th", "Ph", "K"} and s.decision_names is s.decision_names
+    assert s == t and hash(s) == hash(t) and repr(s) == r
