@@ -187,7 +187,8 @@ def _cmd_search_cx(args) -> int:
         ses.premises, goal, cfg, args.semantics.upper(), exhaustive=args.exhaustive
     )
     if result is None:
-        _emit(args, {"found": False, "trials": cfg.trials}, "no counterexample found")
+        _emit(args, {"found": False, "trials": search.model_count(cfg, args.exhaustive)},
+              "no counterexample found")
         return 0
     payload = {"found": True, **result.to_dict()}
     if args.out:

@@ -17,11 +17,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import compress, product
+from math import comb, prod
 from typing import Iterable, Mapping, Sequence
 
 from .dsl import render_statement
-from .engine import RuleSet, _Engine, _Space, rule_set
+from .engine import RuleSet, _Engine, _l_triv, _r_triv, _Space, rule_set
 from .errors import NotComplementary, SemanticsMismatch
 from .files import model_from_dict, model_to_dict
 from .models import (
@@ -81,18 +82,20 @@ def _variables(cfg: SearchConfig) -> dict[str, tuple[str, ...]]:
     }
 
 
-def random_distribution(cfg: SearchConfig, index: int) -> DiscreteDistribution:
-    """Deterministic function of (seed, index): grid masses, normalized."""
-    rng = _rng(cfg, index)
-    variables = _variables(cfg)
-    names = tuple(sorted(variables))
-    atoms = list(product(*(variables[n] for n in names)))
-    masses = [rng.randint(0, cfg.probability_grid) for _ in atoms]
+def _grid_table(rng: random.Random, variables: Mapping[str, Sequence[str]], grid: int):
+    """Integer masses in [0, grid] per atom (the first set to 1 when all are
+    zero), normalized."""
+    atoms = list(product(*(variables[n] for n in sorted(variables))))
+    masses = [rng.randint(0, grid) for _ in atoms]
     if not any(masses):
         masses[0] = 1
     total = sum(masses)
-    pmf = {a: Fraction(m, total) for a, m in zip(atoms, masses)}
-    return DiscreteDistribution(variables, pmf)
+    return DiscreteDistribution(variables, {a: Fraction(m, total) for a, m in zip(atoms, masses)})
+
+
+def random_distribution(cfg: SearchConfig, index: int) -> DiscreteDistribution:
+    """Deterministic function of (seed, index): grid masses, normalized."""
+    return _grid_table(_rng(cfg, index), _variables(cfg), cfg.probability_grid)
 
 
 def regime_labels(count: int) -> tuple[str, ...]:
@@ -115,18 +118,8 @@ def random_family(cfg: SearchConfig, index: int) -> RegimeFamily:
     present."""
     rng = _rng(cfg, index, salt=0xFA3)
     variables = _variables(cfg)
-    names = tuple(sorted(variables))
-    atoms = list(product(*(variables[n] for n in names)))
     regimes = regime_labels(cfg.regime_count)
-    dists = {}
-    for s in regimes:
-        masses = [rng.randint(0, cfg.probability_grid) for _ in atoms]
-        if not any(masses):
-            masses[0] = 1
-        total = sum(masses)
-        dists[s] = DiscreteDistribution(
-            variables, {a: Fraction(m, total) for a, m in zip(atoms, masses)}
-        )
+    dists = {s: _grid_table(rng, variables, cfg.probability_grid) for s in regimes}
     decvars: dict[str, dict[str, str]] = {"Sigma": {s: s for s in regimes}}
     for n, c in sorted(cfg.decision_cardinalities.items()):
         decvars[n] = {s: str(rng.randrange(c)) for s in regimes}
@@ -213,6 +206,15 @@ def verify_counterexample(data: Mapping, premises, goal) -> bool:
         return False
 
 
+def model_count(cfg: SearchConfig, exhaustive: bool = False) -> int:
+    """How many models ``search_counterexample`` tries when none separates:
+    ``cfg.trials`` random ones, or every grid table when exhaustive."""
+    if not exhaustive:
+        return cfg.trials
+    atoms = prod(cfg.var_cardinalities.values())
+    return comb(cfg.probability_grid + atoms - 1, atoms - 1)
+
+
 def search_counterexample(
     premises: Iterable[CIStatement],
     goal: CIStatement,
@@ -231,10 +233,7 @@ def search_counterexample(
     if exhaustive:
         if semantics != SCI:
             raise ValueError("exhaustive mode enumerates plain distributions only")
-        n_atoms = 1
-        for c in cfg.var_cardinalities.values():
-            n_atoms *= c
-        if n_atoms > 4:
+        if prod(cfg.var_cardinalities.values()) > 4:
             raise ValueError("exhaustive mode is limited to at most two binary variables")
         models = enumerate(grid_distributions(_variables(cfg), cfg.probability_grid))
     elif semantics == SCI:
@@ -299,19 +298,40 @@ class ScanReport:
         }
 
 
+# Trivial closures, kept for the process: (scan domain, admitted unions,
+# true trivial keys as bits) -> (per-rule counts, instances to check).
+_CLOSURES: dict = {}
+_CLOSURES_MAX = 256
+_BITS = bytes.maketrans(b"\0\1", b"01")
+_GATED = ("P4''", "P4g")
+
+
 class _Scan:
     """The engine's own rules run over each model's true set.
 
     The legal keys with nonempty outer slots are listed once per scan, by
     decision union.  On each model every key in the scan domain is evaluated
-    once; each true key is inserted into a fresh engine and expanded at once,
-    so every binary pair is met exactly once, when its later premise arrives.
-    Every spontaneous and expanded conclusion must be true on the model."""
+    once, and every conclusion the engine draws from true premises must be
+    true on the model.
+
+    A key is trivial when its left or right part lies inside the
+    conditioning slot in both components.  Trivial keys are never a first
+    premise, so the spontaneous instances and those among trivial keys
+    depend only on the scan domain (rule set, universe, mode, admitted
+    decision unions, the engine's methods) and on which trivial keys are
+    true.  That closure is built once per process and kept in ``_CLOSURES``.
+    Each model adds its counts, checks its conclusions that are not true
+    trivial keys, indexes the true trivial keys and expands only the true
+    non-trivial ones, in domain order: a pair with a trivial key is met once,
+    when its non-trivial premise arrives, so the counts are those of
+    expanding every true key.  A model with a violation is closed again from
+    a fresh engine over every true key, so violations keep their order."""
 
     def __init__(self, rs: RuleSet, universe: Universe, mode: str | None = None):
         self.rs = rs
         self.mode = mode
         self.space = sp = _Space(universe, None)
+        self.domain = (rs, sp.s_names, sp.d_names, mode, tuple(vars(_Engine).values()))
         self.dec_sets = [sp.slot(0, d).dec for d in range(sp.d_all + 1)]
         legal = _Engine(rs, sp, ComplementarityDecl(frozenset(self.dec_sets[1:])), mode).legal
         slots = [(s, d) for s in range(sp.s_all + 1) for d in range(sp.d_all + 1)]
@@ -322,6 +342,12 @@ class _Scan:
                     k = left + right + cond
                     if legal(k):
                         self.keys.setdefault(k[1] | k[3] | k[5], []).append(k)
+        self.trivial: dict[int, list] = {}
+        self.nontrivial: dict[int, list] = {}
+        for u, ks in self.keys.items():
+            trivial, nontrivial = self.trivial[u], self.nontrivial[u] = [], []
+            for k in ks:
+                (trivial if _r_triv(k) or _l_triv(k) else nontrivial).append(k)
         self.tally = dict.fromkeys(rs.rules, 0)
         self.violations: list = []
         self.ranges: dict = {}  # VCI joint range -> (tally delta, violations)
@@ -334,25 +360,68 @@ class _Scan:
         premise conditioned on phi."""
         unions = [u for u in self.keys if complementary is None or complementary(u)]
         comp = ComplementarityDecl(frozenset(self.dec_sets[u] for u in unions if u))
-        eng = _Engine(self.rs, self.space, comp, self.mode)
         truth = {k: holds(k) for u in unions for k in self.keys[u]}
-        true_keys = [k for k, ok in truth.items() if ok]
-        for rule, ck in eng.spontaneous():
-            self._conclude(trial, rule, (), ck, truth, holds)
-        for k in true_keys:
-            eng.insert(k)
-            for rule, prem, ck, _note in eng.expand(k):
-                if dominating is None or rule not in ("P4''", "P4g") or dominating(k[5]):
-                    self._conclude(trial, rule, prem, ck, truth, holds)
+        listed = [k for u in unions for k in self.trivial[u]]
+        flags = bytes(map(truth.__getitem__, listed))
+        trivial = list(compress(listed, flags))
+        key = (self.domain, tuple(unions), int(b"1" + flags.translate(_BITS), 2))
+        counts, extras = _CLOSURES.get(key) or self._trivial_closure(key, comp, trivial)
+
+        def conclude(rule, premises, ck, k):
+            if dominating is None or rule not in _GATED or dominating(k[5]):
+                self.tally[rule] += 1
+                ok = truth.get(ck)
+                if ok is None:
+                    ok = truth[ck] = holds(ck)
+                if not ok:
+                    self.violation(trial, rule, [self.render(p) for p in premises], self.render(ck))
+
+        start, tally = len(self.violations), dict(self.tally)
+        for rule, c in counts:
+            self.tally[rule] += c
+        for extra in extras:
+            conclude(*extra)
+        nontrivial = [k for u in unions for k in self.nontrivial[u] if truth[k]]
+        self._close(comp, conclude, nontrivial, indexed=trivial)
+        if len(self.violations) > start:
+            self.tally.update(tally)
+            del self.violations[start:]
+            self._close(comp, conclude, [k for u in unions for k in self.keys[u] if truth[k]])
         return truth
 
-    def _conclude(self, trial, rule, premises, ck, truth, holds) -> None:
-        self.tally[rule] += 1
-        ok = truth.get(ck)
-        if ok is None:
-            ok = truth[ck] = holds(ck)
-        if not ok:
-            self.violation(trial, rule, [self.render(p) for p in premises], self.render(ck))
+    def _trivial_closure(self, key: tuple, comp: ComplementarityDecl, trivial: list) -> tuple:
+        """Close the true trivial keys of a domain with the spontaneous rules.
+        Instances concluding a true trivial key are kept as per-rule counts;
+        the rest, and P4''/P4g ones (licensed per model), as arguments of
+        ``conclude`` for each model to check."""
+        true, counts, extras = set(trivial), dict.fromkeys(self.rs.rules, 0), []
+
+        def record(rule, premises, ck, k):
+            if ck in true and rule not in _GATED:
+                counts[rule] += 1
+            else:
+                extras.append((rule, premises, ck, k))
+
+        self._close(comp, record, trivial)
+        if len(_CLOSURES) >= _CLOSURES_MAX:
+            del _CLOSURES[next(iter(_CLOSURES))]
+        entry = _CLOSURES[key] = tuple((r, c) for r, c in counts.items() if c), tuple(extras)
+        return entry
+
+    def _close(self, comp: ComplementarityDecl, conclude, keys: list, indexed=None) -> None:
+        """On a fresh engine: the spontaneous rules, or else the ``indexed``
+        keys inserted unexpanded; then each key inserted and expanded at once,
+        so every pair is met when its later premise arrives."""
+        eng = _Engine(self.rs, self.space, comp, self.mode)
+        if indexed is None:
+            for rule, ck in eng.spontaneous():
+                conclude(rule, (), ck, None)
+        for k in indexed or ():
+            eng.insert(k)
+        for k in keys:
+            eng.insert(k)
+            for rule, prem, ck, _note in eng.expand(k):
+                conclude(rule, prem, ck, k)
 
     def render(self, k: tuple) -> str:
         return render_statement(self.space.stmt_of(k))
@@ -380,9 +449,10 @@ def _vci_model(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str])
     not on which regime takes which value; so do the truth table, the
     engine's closure and the order of its conclusions.  So does every P6
     verdict X _||_ Y | meet(Z, W): regimes with equal joint values lie in one
-    block of every induced partition, hence of every meet.  The memo lives on
-    the ``_Scan``, so it lasts one scan call.  A map whose range the scan has
-    closed before adds that range's per-rule counts and replays its
+    block of every induced partition, hence of every meet.  The range memo
+    lives on the ``_Scan``, so it lasts one scan call; the trivial closures
+    a range draws on last the process (see ``_Scan``).  A map whose range the
+    scan has closed before adds that range's per-rule counts and replays its
     violations under the map's own trial index."""
     key = frozenset(tuple(decmap[n][s] for n in scan.space.d_names) for s in regimes)
     seen = scan.ranges.get(key)
@@ -466,7 +536,8 @@ def exhaustive_vci_scan(max_regimes: int = 4, n_vars: int = 3) -> ScanReport:
     range, and the maps share few ranges (4,680 maps but 162 ranges for
     three variables on at most four regimes), so each distinct range is
     closed once per call and replayed for the other maps that have it (see
-    ``_vci_model``).  Nothing is kept between calls."""
+    ``_vci_model``).  Ranges are not kept between calls; each domain's
+    trivial closure is, as in every scan (see ``_Scan``)."""
     if max_regimes < 1 or n_vars < 1:
         raise ValueError("max_regimes and n_vars must be >= 1")
     names = tuple(chr(ord("A") + i) for i in range(n_vars))
@@ -489,7 +560,7 @@ def axiom_soundness_scan(cfg: SearchConfig, rs: RuleSet) -> ScanReport:
     be closed under the engine's own rule instantiation, i.e. whenever the
     premises of a rule instance hold on the model, its conclusion holds too.
     Stops after the first model with a violation and reports all of that
-    model's violations.
+    model's violations; ``trials`` counts the models checked.
 
     Scan domain: statements with nonempty outer slots that are legal under
     the rule set and, for ECI_RESTRICTED and GENERAL, whose decision union is
@@ -522,4 +593,4 @@ def axiom_soundness_scan(cfg: SearchConfig, rs: RuleSet) -> ScanReport:
         check(t)
         if scan.violations:
             break
-    return scan.report(cfg.trials)
+    return scan.report(t + 1)

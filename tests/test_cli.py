@@ -175,6 +175,15 @@ def test_search_cx_exit_codes(session_file, tmp_path, capsys):
     assert data["config"]["decision_cardinalities"] == {"Th": 2}
 
 
+def test_search_cx_not_found_reports_models_tried(capsys):
+    # Two binary variables on grid 4: C(4 + 3, 3) = 35 tables, not --trials.
+    argv = ["search-cx", "-e", "stochastic X, Y;", "--json", "--grid", "4", "X _||_ Y | Y"]
+    assert main(argv + ["--exhaustive"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"found": False, "trials": 35}
+    assert main(argv + ["--trials", "7"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"found": False, "trials": 7}
+
+
 def test_product_command(tmp_path, capsys):
     model = write_json(tmp_path, "fam.json", INEFFECTIVE)
     rc = main(["product", model, "s0=1/2,s1=1/2", "--json"])

@@ -1,10 +1,14 @@
+import hashlib
+import json
 from fractions import Fraction as F
 from itertools import product
 from math import comb
 
 import pytest
 
-from separoid.engine import _Engine, rule_set
+from separoid import search
+from separoid.engine import _Engine, _l_triv, _r_triv, rule_set
+from separoid.files import model_to_dict
 from separoid.errors import SemanticsMismatch
 from separoid.models import variation_independent
 from separoid.search import (
@@ -337,6 +341,171 @@ def test_scan_runs_the_engines_rules(monkeypatch, rules, cfg):
     v = rep.violations[0]
     assert set(v) == {"trial", "rule", "premises", "conclusion"}
     assert len(v["premises"]) == 1 and isinstance(v["conclusion"], str)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _unsound_p3(monkeypatch, trivial_only=False):
+    """P3 and P3' that also drop the stochastic conditioning slot, on every
+    premise or only on premises whose right part lies inside the
+    conditioning slot."""
+    sound_unary = _Engine.unary
+
+    def unary(self, name, k):
+        yield from sound_unary(self, name, k)
+        if name in ("P3", "P3'") and k[4] and (_r_triv(k) or not trivial_only):
+            yield (k[0], k[1], k[2], k[3], 0, k[5]), ""
+
+    monkeypatch.setattr(_Engine, "unary", unary)
+
+
+MUTATED_SCANS = [
+    ("SEPAROID_FULL", "P3", SearchConfig(seed=5, trials=25, var_cardinalities={"A": 2, "B": 2, "C": 2},
+                                         probability_grid=3),
+     488, "e9f55d7ace8827721b36423a4c655ff61e4e34354e93f64acf02325242cbb4fe"),
+    ("ECI_RESTRICTED", "P3'", SearchConfig(seed=7, trials=6, var_cardinalities={"X": 2, "Y": 2},
+                                           regime_count=2, probability_grid=2,
+                                           decision_cardinalities={"Theta": 2}),
+     1092, "319eb1c607791497082b6ce3355111ee9163cfd4fc2fa5ceb51ff0a9a15f3e79"),
+]
+
+
+@pytest.mark.parametrize("rules, mutated, cfg, instances, violations", MUTATED_SCANS)
+def test_mutated_scan_keeps_its_violations_in_order(monkeypatch, rules, mutated, cfg,
+                                                    instances, violations):
+    # The scans of test_scan_runs_the_engines_rules: every violation, in the
+    # order the engine met them when each true key was expanded in domain order.
+    _unsound_p3(monkeypatch)
+    rep = axiom_soundness_scan(cfg, rule_set(rules))
+    assert {v["rule"] for v in rep.violations} == {mutated}
+    assert rep.instances == instances
+    assert _digest(rep.violations) == violations
+
+
+def test_warm_trivial_closures_cannot_hide_an_unsound_rule(monkeypatch):
+    # Closures built for the sound engine are not reused for a mutated one,
+    # whose unsound conclusions come from trivial premises only.
+    monkeypatch.setattr(search, "_CLOSURES", {})
+    for rules, _, cfg, _, _ in MUTATED_SCANS:
+        assert axiom_soundness_scan(cfg, rule_set(rules)).ok
+    assert search._CLOSURES
+    _unsound_p3(monkeypatch, trivial_only=True)
+    for rules, mutated, cfg, _, _ in MUTATED_SCANS:
+        rep = axiom_soundness_scan(cfg, rule_set(rules))
+        assert rep.violations
+        assert {v["rule"] for v in rep.violations} == {mutated}
+
+
+_ECI_FLAGS = ("discrete_variables", "dominating_regime")
+
+
+def _scan(rules, flags=(), **cfg):
+    return lambda: axiom_soundness_scan(SearchConfig(**cfg), rule_set(rules, flags))
+
+
+# ScanReport.to_dict() digests from expanding every true key of every model
+# in domain order, and whether some model of the scan has a false trivial
+# key.  In the two-regime ECI_RESTRICTED and GENERAL scans, models with one
+# set of admitted unions differ in which trivial keys are false.
+PINNED_REPORTS = {
+    "SEPAROID_FULL": (_scan("SEPAROID_FULL", seed=5, trials=25, probability_grid=3,
+                            var_cardinalities={"A": 2, "B": 2, "C": 2}),
+                      "35b25fd302125a8f24da08a38dca671976daf2cb44490424d8f5ca59cdf0b3e4", False),
+    "ECI_RESTRICTED-2": (_scan("ECI_RESTRICTED", _ECI_FLAGS, seed=2, trials=8, regime_count=2,
+                               probability_grid=3, var_cardinalities={"X": 2, "Y": 2},
+                               decision_cardinalities={"Theta": 2}),
+                         "8f528e65a348a763bc058010ca86b9bc758edd13637642cd4cc2be453c2b6961", True),
+    "ECI_RESTRICTED-3": (_scan("ECI_RESTRICTED", _ECI_FLAGS, seed=3, trials=8, regime_count=3,
+                               probability_grid=3, var_cardinalities={"X": 2, "Y": 2},
+                               decision_cardinalities={"Theta": 2}),
+                         "fbb16f9e241ba39faba89fd25e676f9692a0f27b37fb9c2559c86e309491ff46", True),
+    "GENERAL": (_scan("GENERAL", ("discrete_variables",), seed=2, trials=8, regime_count=2,
+                      probability_grid=3, var_cardinalities={"X": 2, "Y": 2},
+                      decision_cardinalities={"Theta": 2}),
+                "1a401802756914f517d4be0cdb5472e99ab843ea44379edc49f5d5d37d068216", True),
+    "VCI_STRONG": (_scan("VCI_STRONG", seed=6, trials=40, regime_count=4,
+                         var_cardinalities={"A": 2, "B": 2, "C": 2}),
+                   "1dfbfba533162be32e7acdb6a4bbe9b8b3c9fb679775991cd62afd02acf942a5", False),
+    "exhaustive-VCI": (lambda: exhaustive_vci_scan(max_regimes=2, n_vars=3),
+                       "db2c03e3cc34f092d9b8823dc24bc71b4c9cfd3a56013852859066f55c44879c", False),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_REPORTS)
+def test_scan_reports_equal_cold_and_warm(monkeypatch, name):
+    scan, digest, false_trivial = PINNED_REPORTS[name]
+    monkeypatch.setattr(search, "_CLOSURES", {})
+    assert _digest(scan().to_dict()) == digest
+    # key: (domain, unions, 1 followed by one bit per trivial key)
+    assert any("0" in bin(k[2])[3:] for k in search._CLOSURES) == false_trivial
+    assert _digest(scan().to_dict()) == digest
+
+
+def test_trivial_closures_are_bounded(monkeypatch):
+    scan, digest, _ = PINNED_REPORTS["ECI_RESTRICTED-2"]
+    monkeypatch.setattr(search, "_CLOSURES", {})
+    scan()
+    assert len(search._CLOSURES) > 1
+    monkeypatch.setattr(search, "_CLOSURES", {})
+    monkeypatch.setattr(search, "_CLOSURES_MAX", 1)
+    assert _digest(scan().to_dict()) == digest
+    assert len(search._CLOSURES) == 1
+
+
+def test_trivial_closure_is_kept_per_set_of_true_trivial_keys(monkeypatch):
+    # Truth tables fed to _Scan.model directly: every key holds on trial 0;
+    # on trial 1 only the trivial keys do, but for A _||_ B | B,C, which P3
+    # concludes from the trivial A _||_ B,C | B,C alone.  Trial 1 must not
+    # reuse trial 0's closure: it gives what it gives on a scan of its own.
+    false = (1, 0, 2, 0, 6, 0)
+
+    def run(trials):
+        monkeypatch.setattr(search, "_CLOSURES", {})
+        scan = _Scan(rule_set("SEPAROID_FULL"), Universe.of(stochastic=("A", "B", "C")), "s")
+        for t in trials:
+            scan.model(t, lambda k: t == 0 or k != false and (_r_triv(k) or _l_triv(k)))
+        return scan
+
+    both, first, second = run([0, 1]), run([0]), run([1])
+    assert not first.violations
+    assert both.violations == second.violations
+    assert [(v["rule"], v["premises"], v["conclusion"]) for v in both.violations] == [
+        ("P3", ["A _||_ B,C | B,C"], "A _||_ B | B,C")]
+    assert both.tally == {r: first.tally[r] + second.tally[r] for r in both.tally}
+
+
+def test_scan_stopped_early_reports_the_models_checked(monkeypatch):
+    cfg = SearchConfig(seed=0, trials=10, var_cardinalities={"X": 2, "Y": 2},
+                       regime_count=2, probability_grid=2,
+                       decision_cardinalities={"Theta": 2})
+    assert axiom_soundness_scan(cfg, rule_set("ECI_RESTRICTED")).trials == 10
+    sound_unary = _Engine.unary
+
+    def unary(self, name, k):  # P1' on decision-free statements
+        yield from sound_unary(self, name, k)
+        if name == "P1'" and not (k[1] | k[3] | k[5]) and k[2] & ~k[4] and k[0] & ~k[4]:
+            yield (k[2], 0, k[0], 0, k[4], 0), ""
+
+    monkeypatch.setattr(_Engine, "unary", unary)
+    rep = axiom_soundness_scan(cfg, rule_set("ECI_RESTRICTED"))
+    assert {v["trial"] for v in rep.violations} == {7}
+    assert rep.trials == 8
+
+
+def test_random_models_are_unchanged():
+    # model_to_dict of seeded distributions and families, as drawn before
+    # their grid masses came from one helper.
+    rows = []
+    for seed, grid, cards, regimes in [(1, 4, {"A": 2, "B": 3}, 1),
+                                       (2, 1, {"X": 2, "Y": 2, "Z": 2}, 3),
+                                       (3, 3, {"X": 3}, 4)]:
+        cfg = SearchConfig(seed=seed, trials=1, var_cardinalities=cards, regime_count=regimes,
+                           probability_grid=grid, decision_cardinalities={"Th": 2})
+        for i in range(20):
+            rows += [model_to_dict(random_distribution(cfg, i)), model_to_dict(random_family(cfg, i))]
+    assert _digest(rows) == "26d5eb865e3f7fc55b99732170cdd36e15059039e6daa09849b0791cda66a615"
 
 
 def test_grid_distributions_counts():
