@@ -298,6 +298,9 @@ class ScanReport:
         }
 
 
+# Domain listings, kept for the process: scan domain -> (keys, trivial, nontrivial).
+_DOMAINS: dict = {}
+_DOMAINS_MAX = 32
 # Trivial closures, kept for the process: (scan domain, admitted unions,
 # true trivial keys as bits) -> (per-rule counts, instances to check).
 _CLOSURES: dict = {}
@@ -306,13 +309,23 @@ _BITS = bytes.maketrans(b"\0\1", b"01")
 _GATED = ("P4''", "P4g")
 
 
+def _keep(memo: dict, bound: int, key, entry):
+    """Store a process memo's entry, dropping the oldest one at the bound."""
+    if len(memo) >= bound:
+        del memo[next(iter(memo))]
+    memo[key] = entry
+    return entry
+
+
 class _Scan:
     """The engine's own rules run over each model's true set.
 
-    The legal keys with nonempty outer slots are listed once per scan, by
-    decision union.  On each model every key in the scan domain is evaluated
-    once, and every conclusion the engine draws from true premises must be
-    true on the model.
+    The legal keys with nonempty outer slots are listed by decision union
+    once per process and scan domain (``self.domain``) in ``_DOMAINS``:
+    legality is asked with every nonempty union declared complementary, so
+    the listing depends on that key alone.  On each model every key in the
+    scan domain is evaluated once, and every conclusion the engine draws
+    from true premises must be true on the model.
 
     A key is trivial when its left or right part lies inside the
     conditioning slot in both components.  Trivial keys are never a first
@@ -320,12 +333,14 @@ class _Scan:
     depend only on the scan domain (rule set, universe, mode, admitted
     decision unions, the engine's methods) and on which trivial keys are
     true.  That closure is built once per process and kept in ``_CLOSURES``.
+    The memos drop their oldest entry at ``_DOMAINS_MAX``/``_CLOSURES_MAX``.
     Each model adds its counts, checks its conclusions that are not true
     trivial keys, indexes the true trivial keys and expands only the true
-    non-trivial ones, in domain order: a pair with a trivial key is met once,
-    when its non-trivial premise arrives, so the counts are those of
-    expanding every true key.  A model with a violation is closed again from
-    a fresh engine over every true key, so violations keep their order."""
+    non-trivial ones, in domain order, with no engine when there are none: a
+    pair with a trivial key is met once, when its non-trivial premise
+    arrives, so the counts are those of expanding every true key.  A model
+    with a violation is closed again from a fresh engine over every true
+    key, so violations keep their order."""
 
     def __init__(self, rs: RuleSet, universe: Universe, mode: str | None = None):
         self.rs = rs
@@ -333,21 +348,7 @@ class _Scan:
         self.space = sp = _Space(universe, None)
         self.domain = (rs, sp.s_names, sp.d_names, mode, tuple(vars(_Engine).values()))
         self.dec_sets = [sp.slot(0, d).dec for d in range(sp.d_all + 1)]
-        legal = _Engine(rs, sp, ComplementarityDecl(frozenset(self.dec_sets[1:])), mode).legal
-        slots = [(s, d) for s in range(sp.s_all + 1) for d in range(sp.d_all + 1)]
-        self.keys: dict[int, list] = {}
-        for left in slots[1:]:
-            for right in slots[1:]:
-                for cond in slots:
-                    k = left + right + cond
-                    if legal(k):
-                        self.keys.setdefault(k[1] | k[3] | k[5], []).append(k)
-        self.trivial: dict[int, list] = {}
-        self.nontrivial: dict[int, list] = {}
-        for u, ks in self.keys.items():
-            trivial, nontrivial = self.trivial[u], self.nontrivial[u] = [], []
-            for k in ks:
-                (trivial if _r_triv(k) or _l_triv(k) else nontrivial).append(k)
+        self.keys, self.trivial, self.nontrivial = _DOMAINS.get(self.domain) or self._list_domain()
         self.tally = dict.fromkeys(rs.rules, 0)
         self.violations: list = []
         self.ranges: dict = {}  # VCI joint range -> (tally delta, violations)
@@ -382,12 +383,30 @@ class _Scan:
         for extra in extras:
             conclude(*extra)
         nontrivial = [k for u in unions for k in self.nontrivial[u] if truth[k]]
-        self._close(comp, conclude, nontrivial, indexed=trivial)
+        if nontrivial:  # else the engine would index the trivial keys and expand nothing
+            self._close(comp, conclude, nontrivial, indexed=trivial)
         if len(self.violations) > start:
             self.tally.update(tally)
             del self.violations[start:]
             self._close(comp, conclude, [k for u in unions for k in self.keys[u] if truth[k]])
         return truth
+
+    def _list_domain(self) -> tuple:
+        """The domain's legal keys by decision union, and their trivial and
+        non-trivial ones (see ``_Scan``)."""
+        sp = self.space
+        legal = _Engine(self.rs, sp, ComplementarityDecl(frozenset(self.dec_sets[1:])), self.mode).legal
+        slots = [(s, d) for s in range(sp.s_all + 1) for d in range(sp.d_all + 1)]
+        keys: dict[int, list] = {}
+        for left, right, cond in product(slots[1:], slots[1:], slots):
+            if legal(k := left + right + cond):
+                keys.setdefault(k[1] | k[3] | k[5], []).append(k)
+        trivial, nontrivial = {}, {}
+        for u, ks in keys.items():
+            keys[u] = tuple(ks)
+            trivial[u] = tuple(k for k in ks if _r_triv(k) or _l_triv(k))
+            nontrivial[u] = tuple(k for k in ks if not (_r_triv(k) or _l_triv(k)))
+        return _keep(_DOMAINS, _DOMAINS_MAX, self.domain, (keys, trivial, nontrivial))
 
     def _trivial_closure(self, key: tuple, comp: ComplementarityDecl, trivial: list) -> tuple:
         """Close the true trivial keys of a domain with the spontaneous rules.
@@ -403,10 +422,8 @@ class _Scan:
                 extras.append((rule, premises, ck, k))
 
         self._close(comp, record, trivial)
-        if len(_CLOSURES) >= _CLOSURES_MAX:
-            del _CLOSURES[next(iter(_CLOSURES))]
-        entry = _CLOSURES[key] = tuple((r, c) for r, c in counts.items() if c), tuple(extras)
-        return entry
+        counts = tuple((r, c) for r, c in counts.items() if c)
+        return _keep(_CLOSURES, _CLOSURES_MAX, key, (counts, tuple(extras)))
 
     def _close(self, comp: ComplementarityDecl, conclude, keys: list, indexed=None) -> None:
         """On a fresh engine: the spontaneous rules, or else the ``indexed``
@@ -450,10 +467,10 @@ def _vci_model(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str])
     engine's closure and the order of its conclusions.  So does every P6
     verdict X _||_ Y | meet(Z, W): regimes with equal joint values lie in one
     block of every induced partition, hence of every meet.  The range memo
-    lives on the ``_Scan``, so it lasts one scan call; the trivial closures
-    a range draws on last the process (see ``_Scan``).  A map whose range the
-    scan has closed before adds that range's per-rule counts and replays its
-    violations under the map's own trial index."""
+    lives on the ``_Scan``, so it lasts one scan call; the domain listing
+    and trivial closures a range draws on last the process (see ``_Scan``).
+    A map whose range the scan has closed before adds that range's per-rule
+    counts and replays its violations under the map's own trial index."""
     key = frozenset(tuple(decmap[n][s] for n in scan.space.d_names) for s in regimes)
     seen = scan.ranges.get(key)
     if seen is None:
@@ -491,13 +508,15 @@ def _close_vci(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str])
     leq = [[len(set(zip(vals[y], vals[w]))) == len(set(vals[y])) for y in masks] for w in masks]
     meets: dict = {}
     verdicts: dict = {}
+    seconds: dict = {}  # (x, y) -> every w that is a function of y with X _||_ Y | W true
     for k, ok in truth.items():
         _, x, _, y, _, z = k
         if not (ok and leq[z][y]):
             continue
-        for w in masks:
-            if not (leq[w][y] and truth[(0, x, 0, y, 0, w)]):
-                continue
+        ws = seconds.get((x, y))
+        if ws is None:
+            ws = seconds[(x, y)] = [w for w in masks if leq[w][y] and truth[(0, x, 0, y, 0, w)]]
+        for w in ws:
             fm = meets.get((z, w))
             if fm is None:
                 meet = partition_meet(dict(zip(regimes, vals[z])), dict(zip(regimes, vals[w])))
@@ -536,8 +555,8 @@ def exhaustive_vci_scan(max_regimes: int = 4, n_vars: int = 3) -> ScanReport:
     range, and the maps share few ranges (4,680 maps but 162 ranges for
     three variables on at most four regimes), so each distinct range is
     closed once per call and replayed for the other maps that have it (see
-    ``_vci_model``).  Ranges are not kept between calls; each domain's
-    trivial closure is, as in every scan (see ``_Scan``)."""
+    ``_vci_model``).  Ranges are not kept between calls; the domain's
+    listing and trivial closures are, as in every scan (see ``_Scan``)."""
     if max_regimes < 1 or n_vars < 1:
         raise ValueError("max_regimes and n_vars must be >= 1")
     names = tuple(chr(ord("A") + i) for i in range(n_vars))

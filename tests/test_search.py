@@ -476,6 +476,85 @@ def test_trivial_closure_is_kept_per_set_of_true_trivial_keys(monkeypatch):
     assert both.tally == {r: first.tally[r] + second.tally[r] for r in both.tally}
 
 
+def test_domain_listings_are_bounded(monkeypatch):
+    # Each pinned scan, with both process memos emptied, gives its digest cold
+    # and again warm, and the warm run reuses the listing.  With room for one
+    # listing, a scan over another domain evicts it.
+    monkeypatch.setattr(search, "_DOMAINS_MAX", 1)
+    domains = []
+    for name, (scan, digest, _) in PINNED_REPORTS.items():
+        monkeypatch.setattr(search, "_DOMAINS", {})
+        monkeypatch.setattr(search, "_CLOSURES", {})
+        assert _digest(scan().to_dict()) == digest, name
+        [(domain, listing)] = search._DOMAINS.items()
+        assert _digest(scan().to_dict()) == digest, name
+        assert search._DOMAINS == {domain: listing} and search._DOMAINS[domain] is listing
+        domains.append(domain)
+    assert len(set(domains)) == 4  # ECI_RESTRICTED-2/-3 and the two VCI scans share theirs
+    for name, (scan, digest, _) in PINNED_REPORTS.items():
+        assert _digest(scan().to_dict()) == digest, name
+        assert len(search._DOMAINS) == 1
+
+
+def test_changed_legality_gets_its_own_listing(monkeypatch):
+    # A warm listing is not reused for an engine whose legality admits fewer
+    # keys: the scan lists the patched engine's domain afresh.
+    universe = Universe.of(stochastic=("A", "B", "C"))
+    warm = _Scan(rule_set("SEPAROID_FULL"), universe, "s")
+    legal = _Engine.legal
+    monkeypatch.setattr(_Engine, "legal", lambda self, k: legal(self, k) and k[0] != k[2])
+    scan = _Scan(rule_set("SEPAROID_FULL"), universe, "s")
+    assert scan.domain != warm.domain
+    assert {warm.domain, scan.domain} <= set(search._DOMAINS)
+    for listing in ("keys", "trivial", "nontrivial"):
+        old, new = getattr(warm, listing), getattr(scan, listing)
+        assert new == {u: tuple(k for k in ks if k[0] != k[2]) for u, ks in old.items()}
+    assert sum(map(len, scan.keys.values())) < sum(map(len, warm.keys.values()))
+
+
+def test_p6_violations_keep_their_order(monkeypatch):
+    # A meet of one block makes P6 unsound.  The violations of the random and
+    # exhaustive VCI scans, in order, as the scans listed them when every
+    # second premise was looked up afresh for each first one.
+    monkeypatch.setattr(search, "partition_meet", lambda a, b: dict.fromkeys(a, 0))
+    violations = []
+    for seed in range(3):
+        cfg = SearchConfig(seed=seed, trials=20, var_cardinalities={"A": 2, "B": 2, "C": 2},
+                           regime_count=3)
+        violations += axiom_soundness_scan(cfg, rule_set("VCI_STRONG")).violations
+    violations += exhaustive_vci_scan(max_regimes=3, n_vars=3).violations
+    assert len(violations) == 2369 and {v["rule"] for v in violations} == {"P6"}
+    assert _digest(violations) == "40377dd06e4b40185c4370e6d476c899dabeef3df069be3f73583083b88b5d19"
+
+
+def test_models_without_a_true_nontrivial_key_build_no_engine(monkeypatch):
+    # On these models only trivial keys hold, so after the listing (one
+    # engine) and the trivial closures (one engine each) no engine is built,
+    # cold or warm; the report is the one pinned from an engine per model.
+    cfg = SearchConfig(seed=1, trials=10, var_cardinalities={"A": 2, "B": 2, "C": 2},
+                       probability_grid=20)
+    built = []
+    init = _Engine.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(_Engine, "__init__", counted)
+    monkeypatch.setattr(search, "_CLOSURES", {})
+    scan = _Scan(rule_set("SEPAROID_FULL"), Universe.of(stochastic=("A", "B", "C")), "s")
+    nontrivial = [k for ks in scan.nontrivial.values() for k in ks]
+    assert len(built) == 1 and nontrivial
+    for t in range(cfg.trials):
+        sci = random_distribution(cfg, t).kernel.sci
+        assert not any(sci(k[0], k[2], k[4]) for k in nontrivial)
+    for run in ("cold", "warm"):
+        built.clear()
+        rep = axiom_soundness_scan(cfg, rule_set("SEPAROID_FULL"))
+        assert len(built) == (len(search._CLOSURES) if run == "cold" else 0)
+        assert _digest(rep.to_dict()) == "2f9de562b56b831ed624539b6478114dde27e98b6839bc24a9864beb161dacbf"
+
+
 def test_scan_stopped_early_reports_the_models_checked(monkeypatch):
     cfg = SearchConfig(seed=0, trials=10, var_cardinalities={"X": 2, "Y": 2},
                        regime_count=2, probability_grid=2,
