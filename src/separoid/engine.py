@@ -40,6 +40,13 @@ conclusions are ordinary statements, which ``prove`` seeds from ``leaks()``
 at the cost of their route out of the family.  ``closure`` runs its rounds on
 the statements outside the family too, seeded from ``leaks()``, and adds
 every member (``_Engine.members``) to its result at the end.
+
+Deferred expansion (partial expansion, Yoshizumi, Miura & Ishida, AAAI 2000):
+``prove`` keeps the statements settled at cost c in a bucket and runs each
+rule step on the bucket only when that step's heap entry ``(c + 1, rule
+index, ())`` is popped.  Every item the step yields from them costs at least
+c + 1 and carries nonempty premises, so it sorts after that entry: items pop
+in the order of eager expansion, and steps whose turn never comes are skipped.
 """
 
 from __future__ import annotations
@@ -318,10 +325,11 @@ class _Engine:
         self.mode = mode  # 's' | 'd' for the pure rule sets, else None
         self.o = 1 if mode == "d" else 0  # slot component of the pure rules
         self.red = space.red_d if mode == "d" else space.red_s
-        self.steps = [
+        self.steps = [  # a flag-gated rule without a flag concludes nothing
             (name, RULES[name].arity)
             for name in rs.rules
             if RULES[name].arity and not RULES[name].model_only
+            and (rs.flags or not RULES[name].flag_gated)
         ]
         self.comp_masks = tuple(
             sorted(space._mask_d(f) for f in comp.families if f <= set(space.d_names))
@@ -536,10 +544,9 @@ class _Engine:
                 for w in _submasks(sp.red_s(ls)):
                     if w != ls:
                         yield (w, 0, rs_, rd, cs, cd), ""
-        elif name == "P4''":
-            licensed = sorted(self.rs.flags)
-            if licensed and not _r_triv(k) and not _l_triv(k):
-                note = "via " + ",".join(licensed)
+        elif name == "P4''":  # flag-gated: reached only under a flag
+            if not _r_triv(k) and not _l_triv(k):
+                note = "via " + ",".join(sorted(self.rs.flags))
                 for w in _submasks(sp.red_s(ls)):
                     if cs | w != cs:
                         yield (ls, 0, rs_, rd, cs | w, cd), note
@@ -555,10 +562,9 @@ class _Engine:
                     yield (ls, ld, w, rd, cs, cd), ""
             if rd and rs_:
                 yield (ls, ld, 0, rd, cs, cd), ""
-        elif name == "P4g":
-            licensed = sorted(self.rs.flags)
-            if licensed and not _r_triv(k) and not _l_triv(k):
-                note = "via " + ",".join(licensed)
+        elif name == "P4g":  # flag-gated like P4''
+            if not _r_triv(k) and not _l_triv(k):
+                note = "via " + ",".join(sorted(self.rs.flags))
                 for w in _submasks(sp.red_s(rs_)):
                     yield (ls, ld, rs_, 0, cs | w, cd | rd), note
 
@@ -633,17 +639,17 @@ class _Engine:
                     if ws and not ws & s1[0]:
                         yield (s1, k), (s1[0] | ws, 0, s1[2], s1[3], s1[4], s1[5])
 
-    def expand(self, k: tuple):
+    def expand(self, k: tuple, steps: Iterable[tuple] | None = None):
         """All one-step consequences in which k participates, paired against
-        previously inserted statements.  Yields (rule_name, premises, ck, note).
+        previously inserted statements, by the rule steps given (by default
+        every step of the rule set).  Yields (rule_name, premises, ck, note).
         An implicit tautology is paired only where a first premise synthesizes
         it, so each pair is yielded once."""
-        pairs = not self.implicit(k)
-        for name, arity in self.steps:
+        for name, arity in steps or self.steps:
             if arity == 1:
                 for ck, note in self.unary(name, k):
                     yield name, (k,), ck, note
-            elif pairs:
+            elif not self.implicit(k):
                 for prem, ck in self.binary(name, k):
                     yield name, prem, ck, ""
 
@@ -751,7 +757,9 @@ def prove(
 ) -> Derivation | NotDerivable:
     """Minimal proof search: cost-ordered expansion of the closure frontier
     where a derivation's cost is its rule-application count; ties broken by
-    rule order, then by canonical premise keys.
+    rule order, then by canonical premise keys.  Expansion is deferred one
+    rule step at a time (see the module docstring), premises included, so
+    the result is that of expanding each statement as soon as it is settled.
 
     Implicit tautologies are priced by ``_Engine.tautology`` and never
     settled, unless another route is cheaper or wins the tie-break (then
@@ -767,6 +775,7 @@ def prove(
     cost: dict[tuple, int] = {}
     just: dict[tuple, tuple] = {}
     heap: list = []
+    bucket: dict[int, list] = {}  # settled statements by cost, expanded lazily
     kept = 0  # settled statements outside the tautology family
     cut: set[tuple] = set()  # conclusions priced above max_depth
 
@@ -791,12 +800,16 @@ def prove(
         else:
             eng.materialized.add(ck)
         eng.insert(ck)
+        if c not in bucket:
+            bucket[c] = []
+            # sorts before every item the step yields; pushed past max_depth
+            # too, since those items still go to cut
+            for step in eng.steps:
+                heapq.heappush(heap, (c + 1, ridx[step[0]], (), None, step))
+        bucket[c].append(ck)
 
     for k in sorted(prem_keys):
         settle(0, "premise", (), k, "")
-    for k in sorted(prem_keys):
-        for item in eng.expand(k):
-            push(*item)
     for item in eng.leaks():
         push(*item)
     fam = eng.tautology(goal_key)
@@ -806,6 +819,11 @@ def prove(
     truncated = False
     while goal_key not in cost and heap:
         c, ri, prem, ck, note = heapq.heappop(heap)
+        if ck is None:  # rule step `note` comes due on the statements of cost c - 1
+            for k in bucket[c - 1]:
+                for item in eng.expand(k, (note,)):
+                    push(*item)
+            continue
         if ck in cost:
             continue
         fam = eng.tautology(ck)
@@ -816,29 +834,26 @@ def prove(
             truncated = True
             break
         settle(c, eng.rs.rules[ri], prem, ck, note)
-        if ck == goal_key:
-            break
-        for item in eng.expand(ck):
-            push(*item)
 
     if goal_key not in cost:
         # a drained heap is conclusive only if every conclusion cut by
         # max_depth was settled on a cheaper route after all
         return NotDerivable(truncated=truncated or any(k not in cost for k in cut))
 
-    memo: dict[tuple, Derivation] = {}
+    return _build(goal_key, just, eng, {})
 
-    def build(k: tuple) -> Derivation:
-        node = memo.get(k)
-        if node is None:
-            rule, prem, note = just.get(k) or (*eng.tautology(k)[1:], "")
-            node = Derivation(
-                eng.space.stmt_of(k), rule, tuple(build(p) for p in prem), note
-            )
-            memo[k] = node
-        return node
 
-    return build(goal_key)
+def _build(k: tuple, just: dict, eng: _Engine, memo: dict) -> Derivation:
+    """The proof of k from prove's justifications, with the tautology leaves
+    written back.  Not a closure: a recursive closure is a reference cycle,
+    which would keep the engine alive until the cyclic collector runs."""
+    node = memo.get(k)
+    if node is None:
+        rule, prem, note = just.get(k) or (*eng.tautology(k)[1:], "")
+        node = memo[k] = Derivation(
+            eng.space.stmt_of(k), rule, tuple(_build(p, just, eng, memo) for p in prem), note
+        )
+    return node
 
 
 def apply_rule(

@@ -117,6 +117,14 @@ def test_derive_max_steps_cut_reports_truncation(session_file, capsys):
     assert json.loads(capsys.readouterr().out)["truncated"] is True
 
 
+def test_derive_left_trivial_goal_outside_guarded_closure(capsys):
+    # true, but P1 skips the trivial Y _||_ X | X (see README, NotDerivable)
+    rc = main(["derive", "--declare", "stochastic X,Y,Z;", "--json", "X _||_ Y | X"])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "derived": False, "goal": "X _||_ Y | X", "truncated": False}
+
+
 def test_close_contains_goal(session_file, capsys):
     rc = main(["close", "-s", session_file, "--json"])
     data = json.loads(capsys.readouterr().out)

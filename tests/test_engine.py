@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import random
@@ -9,6 +10,7 @@ from separoid.engine import (
     Derivation,
     Limits,
     NotDerivable,
+    _Engine,
     apply_rule,
     closure,
     derivation_to_dict,
@@ -20,9 +22,9 @@ from separoid.engine import (
 from separoid.errors import GuardViolation, IllFormed
 from separoid.models import RegimeFamily, check_eci_general, check_sci
 from separoid.search import SearchConfig, random_distribution
-from separoid.universe import ComplementarityDecl, ReductionRegistry, Universe
+from separoid.universe import CIStatement, ComplementarityDecl, ReductionRegistry, Universe
 
-from conftest import ci, dist
+from conftest import ci, dist, vs
 
 
 @pytest.fixture
@@ -190,6 +192,20 @@ def test_prove_five_step_sequence(uni3):
     assert d.steps == 5
 
 
+def test_prove_leaves_no_reference_cycle(uni3):
+    """The engine and its indexes are freed by reference counting as prove
+    returns a derivation, not held until the cyclic collector runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        d = prove(ci(["X", "Z"], ["Y"], ["Z"]), [ci(["X"], ["Y"], ["Z"])],
+                  rule_set("SEPAROID_FULL"), universe=uni3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert d.steps == 5
+
+
 def test_prove_premise_is_zero_steps(uni3):
     d = prove(ci(["X"], ["Y"], ["Z"]), [ci(["X"], ["Y"], ["Z"])],
               rule_set("SEPAROID_FULL"), universe=uni3)
@@ -248,16 +264,114 @@ def _chain(n: int) -> str:
     return text
 
 
-@pytest.mark.parametrize("n", [7, 8])
+def _chain_goal(n: int) -> CIStatement:
+    return ci(["X1"], [f"X{n}"], [f"X{i}" for i in range(2, n)])
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
 def test_prove_long_markov_chain_default_limits(n):
     """X1 _||_ Xn | X2..X(n-1) from the chain premises: P4, P3, P1 on the last
     premise, found under the default limits."""
     ses = parse_session(_chain(n))
-    goal = ci(["X1"], [f"X{n}"], [f"X{i}" for i in range(2, n)])
-    d = prove(goal, ses.premises, rule_set("SEPAROID_FULL"), universe=ses.universe)
+    d = prove(_chain_goal(n), ses.premises, rule_set("SEPAROID_FULL"), universe=ses.universe)
     assert isinstance(d, Derivation)
     assert d.steps == 3
     assert replay(d, universe=ses.universe, premises=ses.premises)
+
+
+def test_prove_expands_rule_steps_only_when_due(monkeypatch):
+    """On chain-7 the goal's (3, P1) entry comes before the P3, P4 and P5 turns
+    of most statements, so those steps run on few of them; expanding every
+    settled statement by every rule ran each step on 1,597 statements."""
+    ran: dict[str, set] = {}
+    for method in ("unary", "binary"):
+        def counted(self, name, k, _inner=getattr(_Engine, method)):
+            ran.setdefault(name, set()).add(k)
+            return _inner(self, name, k)
+
+        monkeypatch.setattr(_Engine, method, counted)
+    ses = parse_session(_chain(7))
+    d = prove(_chain_goal(7), ses.premises, rule_set("SEPAROID_FULL"), universe=ses.universe)
+    assert d.rule_sequence() == ["P4", "P3", "P1"]
+    assert len(ran["P5"]) <= 400
+    assert len(ran["P5"]) < len(ran["P1"])
+
+
+def test_prove_left_trivial_goal_outside_guarded_closure():
+    """The P1 guard skips trivial statements, so from no premises the
+    closure over X, Y holds Y _||_ X | X (P2) but not X _||_ Y | X: prove
+    reports the latter conclusively not derivable, although it is true."""
+    ses = parse_session("stochastic X, Y, Z;")
+    kw = dict(universe=ses.universe)
+    rs = rule_set("SEPAROID_FULL")
+    assert prove(ci(["X"], ["Y"], ["X"]), [], rs, **kw) == NotDerivable(truncated=False)
+    members = closure([], rs, **kw)
+    assert ci(["Y"], ["X"], ["X"]) in members
+    assert ci(["X"], ["Y"], ["X"]) not in members
+
+
+# -- prove's exact answers: a seeded corpus -----------------------------------------
+
+_CORPUS = [
+    # (session header, rule set, flags, where decision names go: "s" none,
+    # "d" everywhere (pure decision), "rc" right or conditioning slot, "any")
+    ("stochastic A, B, C, D;", "SEPAROID_FULL", (), "s"),
+    ("stochastic A, B, C; reduce C <= A;", "SEPAROID_FULL", (), "s"),
+    ("decision A, B, C, D;", "VCI_STRONG", (), "d"),
+    ("stochastic L, A, Y; decision Sigma; complementary {Sigma};", "ECI_RESTRICTED", (), "rc"),
+    ("stochastic L, A, Y; decision Sigma; complementary {Sigma};",
+     "ECI_RESTRICTED", ("discrete_variables",), "rc"),
+    ("stochastic A, B, C, D; decision T; complementary {T};",
+     "GENERAL", ("discrete_variables",), "any"),
+]
+_CORPUS_LIMITS = [None, Limits(max_depth=3), Limits(max_depth=6),
+                  Limits(max_statements=20), Limits(max_statements=200)]
+
+
+def _corpus_draw(rng: random.Random, ses, kind: str) -> CIStatement:
+    """A random admissible statement with nonempty left and right slots."""
+    stoch = sorted(ses.universe.names("stochastic"))
+    dec = sorted(ses.universe.names("decision"))
+    names = dec if kind == "d" else stoch
+
+    def part():
+        return [n for n in names if rng.random() < 0.4]
+
+    slots = [part() or [rng.choice(names)], part(), part()]
+    if not slots[1]:
+        slots[1] = [rng.choice(names)]
+    if kind == "d":
+        return CIStatement(*(vs((), s) for s in slots))
+    decs = [[], [], []]
+    if dec and rng.random() < 0.7:
+        decs[rng.choice((1, 2) if kind == "rc" else (0, 1, 2))].extend(dec)
+    return CIStatement(*(vs(s, d) for s, d in zip(slots, decs)))
+
+
+def test_prove_corpus_answers_pinned():
+    """2,880 prove calls over all four rule sets, a registry, ECI with and
+    without discrete_variables, and default and tight limits: half the goals
+    are random, half are closure members.  The sha256 of the results' repr
+    (every Derivation and every NotDerivable, truncated or not) is pinned."""
+    results = []
+    rng = random.Random(2015)
+    for header, rs_name, flags, kind in _CORPUS:
+        ses = parse_session(header)
+        rs = rule_set(rs_name, flags)
+        kw = dict(universe=ses.universe, registry=ses.registry,
+                  complementarity=ses.complementarity)
+        for _ in range(4):
+            prems = [_corpus_draw(rng, ses, kind) for _ in range(rng.randint(1, 3))]
+            members = sorted(closure(prems, rs, limits=Limits(max_statements=300), **kw).statements,
+                             key=lambda s: s.sort_key())
+            goals = [_corpus_draw(rng, ses, kind) for _ in range(12)] + rng.sample(members, 12)
+            for lim in _CORPUS_LIMITS:
+                results += [prove(goal, prems, rs, limits=lim, **kw) for goal in goals]
+    assert len(results) == 2880
+    assert sum(isinstance(r, Derivation) for r in results) == 1731
+    assert sum(r == NotDerivable(truncated=True) for r in results) == 539
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "4c1f27bf24bbfc76d580c3e3bd2aad2028aa2fc3f25cc9d626ab13ecf3b519fd"
 
 
 # -- prove agrees with closure ------------------------------------------------------
