@@ -284,40 +284,40 @@ def g_formula(
             except KeyError:
                 raise InvalidPayoff(f"payoff map has no value for outcome {vals!r}") from None
 
-    outcome = tuple(sorted(ib.outcome))
-    total = Fraction(0)
+    return _trajectories(obs_dist, ib, strategy, kfun, 1, {}, Fraction(1), Fraction(0))
 
-    def recurse(stage: int, history: dict, weight: Fraction) -> None:
-        nonlocal total
-        if weight == 0:
-            return
-        if stage > ib.stages:
-            try:
-                table = conditional(obs_dist, outcome, history)
-            except ZeroConditioningEvent:
-                raise PositivityViolated(dict(history)) from None
-            for vals, p in sorted(table.items()):
-                total += weight * p * kfun(vals)
-            return
-        group = tuple(sorted(ib.observed[stage - 1]))
+
+def _trajectories(obs_dist, ib: InfoBase, strategy: Strategy, kfun, stage: int,
+                  history: dict, weight: Fraction, total: Fraction) -> Fraction:
+    """``total`` plus the g-formula terms of the trajectories extending
+    ``history`` from ``stage`` on, added in trajectory order."""
+    if weight == 0:
+        return total
+    if stage > ib.stages:
         try:
-            table = conditional(obs_dist, group, history)
+            table = conditional(obs_dist, tuple(sorted(ib.outcome)), history)
         except ZeroConditioningEvent:
             raise PositivityViolated(dict(history)) from None
-        action = ib.actions[stage - 1]
         for vals, p in sorted(table.items()):
-            if p == 0:
+            total += weight * p * kfun(vals)
+        return total
+    group = tuple(sorted(ib.observed[stage - 1]))
+    try:
+        table = conditional(obs_dist, group, history)
+    except ZeroConditioningEvent:
+        raise PositivityViolated(dict(history)) from None
+    action = ib.actions[stage - 1]
+    for vals, p in sorted(table.items()):
+        if p == 0:
+            continue
+        hist2 = dict(history)
+        hist2.update(zip(group, vals))
+        kernel = strategy.kernel(stage - 1, hist2)
+        for avalue in sorted(kernel):
+            ap = kernel[avalue]
+            if ap == 0:
                 continue
-            hist2 = dict(history)
-            hist2.update(zip(group, vals))
-            kernel = strategy.kernel(stage - 1, hist2)
-            for avalue in sorted(kernel):
-                ap = kernel[avalue]
-                if ap == 0:
-                    continue
-                hist3 = dict(hist2)
-                hist3[action] = avalue
-                recurse(stage + 1, hist3, weight * p * ap)
-
-    recurse(1, {}, Fraction(1))
+            hist3 = dict(hist2)
+            hist3[action] = avalue
+            total = _trajectories(obs_dist, ib, strategy, kfun, stage + 1, hist3, weight * p * ap, total)
     return total

@@ -165,19 +165,24 @@ class Derivation:
 
 def _replay_order(d: Derivation) -> list[tuple[Derivation, list[int]]]:
     """The distinct steps of a derivation in replay (post-)order, each with
-    the 1-based positions of its premises; steps are identified by goal."""
+    the 1-based positions of its premises; steps are identified by goal.  An
+    explicit stack, since a recursive closure is a reference cycle."""
     steps: list[tuple[Derivation, list[int]]] = []
     index: dict[tuple, int] = {}
-
-    def visit(node: Derivation) -> int:
-        key = node.goal.sort_key()
-        if key not in index:
-            nums = [visit(c) for c in node.children]
+    stack = [(d, iter(d.children), [])]
+    while stack:
+        node, children, nums = stack[-1]
+        child = next(children, None)
+        if child is None:
+            stack.pop()
             steps.append((node, nums))
-            index[key] = len(steps)
-        return index[key]
-
-    visit(d)
+            index[node.goal.sort_key()] = len(steps)
+            if stack:
+                stack[-1][2].append(len(steps))
+        elif (key := child.goal.sort_key()) in index:
+            nums.append(index[key])
+        else:
+            stack.append((child, iter(child.children), []))
     return steps
 
 
@@ -941,10 +946,13 @@ def replay(
     conclusion is reproduced exactly from its cited premises."""
     rs = rule_set(rules) if isinstance(rules, str) else rules
     premise_set = {p.sort_key() for p in premises}
-
-    def check(node: Derivation) -> bool:
+    stack = [d]  # pre-order, as a recursive check would meet the steps
+    while stack:
+        node = stack.pop()
         if node.rule == "premise":
-            return not premise_set or node.goal.sort_key() in premise_set
+            if premise_set and node.goal.sort_key() not in premise_set:
+                return False
+            continue
         r = RULES.get(node.rule)
         if r is None or len(node.children) != r.arity:
             return False
@@ -962,9 +970,8 @@ def replay(
             return False
         if node.goal not in conclusions:
             return False
-        return all(check(c) for c in node.children)
-
-    return check(d)
+        stack.extend(reversed(node.children))
+    return True
 
 
 def format_proof(d: Derivation) -> str:

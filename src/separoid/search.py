@@ -130,21 +130,22 @@ def grid_distributions(variables: Mapping[str, Sequence[str]], grid: int):
     """All pmfs whose masses are integers on a 1/grid lattice (exhaustive)."""
     names = tuple(sorted(variables))
     atoms = list(product(*(tuple(variables[n]) for n in names)))
-
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in compositions(total - head, parts - 1):
-                yield (head,) + rest
-
-    for masses in compositions(grid, len(atoms)):
+    for masses in _compositions(grid, len(atoms)):
         yield DiscreteDistribution(
             variables,
             {a: Fraction(m, grid) for a, m in zip(atoms, masses)},
             validate=False,
         )
+
+
+def _compositions(total: int, parts: int):
+    """Every tuple of ``parts`` nonnegative integers summing to ``total``."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
 
 
 def _statement_kind_check(stmts: Iterable[CIStatement], semantics: str) -> None:
@@ -302,7 +303,8 @@ class ScanReport:
 _DOMAINS: dict = {}
 _DOMAINS_MAX = 32
 # Trivial closures, kept for the process: (scan domain, admitted unions,
-# true trivial keys as bits) -> (per-rule counts, instances to check).
+# true trivial keys as bits) -> (per-rule counts, instances to check, the
+# engine's pairing index of the true trivial keys, as tuples).
 _CLOSURES: dict = {}
 _CLOSURES_MAX = 256
 _BITS = bytes.maketrans(b"\0\1", b"01")
@@ -332,15 +334,18 @@ class _Scan:
     premise, so the spontaneous instances and those among trivial keys
     depend only on the scan domain (rule set, universe, mode, admitted
     decision unions, the engine's methods) and on which trivial keys are
-    true.  That closure is built once per process and kept in ``_CLOSURES``.
-    The memos drop their oldest entry at ``_DOMAINS_MAX``/``_CLOSURES_MAX``.
-    Each model adds its counts, checks its conclusions that are not true
-    trivial keys, indexes the true trivial keys and expands only the true
-    non-trivial ones, in domain order, with no engine when there are none: a
-    pair with a trivial key is met once, when its non-trivial premise
-    arrives, so the counts are those of expanding every true key.  A model
-    with a violation is closed again from a fresh engine over every true
-    key, so violations keep their order."""
+    true.  That closure is built once per process and kept in ``_CLOSURES``
+    with its engine's pairing index of the true trivial keys, as tuples
+    (about 0.86 MB by tracemalloc for the 10 closures of a bench ``scan``
+    pass).  The memos drop their oldest entry at ``_DOMAINS_MAX``/
+    ``_CLOSURES_MAX``.  Each model adds its counts, checks its conclusions
+    that are not true trivial keys, and expands only the true non-trivial
+    keys, in domain order, on an engine that starts from a list copy of
+    that index, with no engine when there are none: a pair with a trivial
+    key is met once, when its non-trivial premise arrives, so the counts
+    are those of expanding every true key.  A model with a violation is
+    closed again from a fresh engine over every true key, so violations
+    keep their order."""
 
     def __init__(self, rs: RuleSet, universe: Universe, mode: str | None = None):
         self.rs = rs
@@ -366,7 +371,7 @@ class _Scan:
         flags = bytes(map(truth.__getitem__, listed))
         trivial = list(compress(listed, flags))
         key = (self.domain, tuple(unions), int(b"1" + flags.translate(_BITS), 2))
-        counts, extras = _CLOSURES.get(key) or self._trivial_closure(key, comp, trivial)
+        counts, extras, index = _CLOSURES.get(key) or self._trivial_closure(key, comp, trivial)
 
         def conclude(rule, premises, ck, k):
             if dominating is None or rule not in _GATED or dominating(k[5]):
@@ -384,7 +389,7 @@ class _Scan:
             conclude(*extra)
         nontrivial = [k for u in unions for k in self.nontrivial[u] if truth[k]]
         if nontrivial:  # else the engine would index the trivial keys and expand nothing
-            self._close(comp, conclude, nontrivial, indexed=trivial)
+            self._close(comp, conclude, nontrivial, index)
         if len(self.violations) > start:
             self.tally.update(tally)
             del self.violations[start:]
@@ -421,24 +426,28 @@ class _Scan:
             else:
                 extras.append((rule, premises, ck, k))
 
-        self._close(comp, record, trivial)
+        eng = self._close(comp, record, trivial)
         counts = tuple((r, c) for r, c in counts.items() if c)
-        return _keep(_CLOSURES, _CLOSURES_MAX, key, (counts, tuple(extras)))
+        index = tuple({c: tuple(ks) for c, ks in d.items()}
+                      for d in (eng.by_left_cond, eng.by_right_cond))
+        return _keep(_CLOSURES, _CLOSURES_MAX, key, (counts, tuple(extras), index))
 
-    def _close(self, comp: ComplementarityDecl, conclude, keys: list, indexed=None) -> None:
-        """On a fresh engine: the spontaneous rules, or else the ``indexed``
-        keys inserted unexpanded; then each key inserted and expanded at once,
-        so every pair is met when its later premise arrives."""
+    def _close(self, comp: ComplementarityDecl, conclude, keys: list, index=None) -> _Engine:
+        """On a fresh engine: the spontaneous rules, or else a list copy of a
+        trivial closure's ``index`` (the keys it pairs on are all trivial);
+        then each key inserted and expanded at once, so every pair is met
+        when its later premise arrives."""
         eng = _Engine(self.rs, self.space, comp, self.mode)
-        if indexed is None:
+        if index is None:
             for rule, ck in eng.spontaneous():
                 conclude(rule, (), ck, None)
-        for k in indexed or ():
-            eng.insert(k)
+        else:
+            eng.by_left_cond, eng.by_right_cond = ({c: list(ks) for c, ks in d.items()} for d in index)
         for k in keys:
             eng.insert(k)
             for rule, prem, ck, _note in eng.expand(k):
                 conclude(rule, prem, ck, k)
+        return eng
 
     def render(self, k: tuple) -> str:
         return render_statement(self.space.stmt_of(k))
@@ -488,11 +497,14 @@ def _vci_model(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str])
 def _close_vci(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str]) -> None:
     """Variation independence by mask, then P6 on the model, since meets are
     not statements the engine can hold: X _||_ Y | Z and X _||_ Y | W with Z
-    and W functions of Y give X _||_ Y | Z ^ W.  Each variation verdict is
-    computed once per (x & ~z, y & ~z, z), the outer pair ordered, as
-    ``MaskKernel.sci`` does: given z, names shared with Z take fixed values
-    and change no range, the relation is symmetric, and it holds when
-    x & ~z is empty."""
+    and W functions of Y give X _||_ Y | Z ^ W.  Both premises range over one
+    set W_xy, so P6 is counted per (X, Y), len(W_xy) ** 2 instances, and
+    decided once per distinct meet in a table of meets with one row per Z;
+    only when some verdict fails are the pairs walked, in truth order, to
+    list the violations.  Each variation verdict is computed once per
+    (x & ~z, y & ~z, z), the outer pair ordered, as ``MaskKernel.sci`` does:
+    given z, names shared with Z take fixed values and change no range, the
+    relation is symmetric, and it holds when x & ~z is empty."""
     names = scan.space.d_names
     vals = [[tuple(decmap[n][s] for n in mask_names(m, names)) for s in regimes]
             for m in range(scan.space.d_all + 1)]
@@ -506,26 +518,27 @@ def _close_vci(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str])
         return
     masks = range(len(vals))
     leq = [[len(set(zip(vals[y], vals[w]))) == len(set(vals[y])) for y in masks] for w in masks]
-    meets: dict = {}
-    verdicts: dict = {}
-    seconds: dict = {}  # (x, y) -> every w that is a function of y with X _||_ Y | W true
+    conds: dict = {}  # (x, y) -> every z that is a function of y with X _||_ Y | Z true
     for k, ok in truth.items():
+        if ok and leq[k[5]][k[3]]:
+            conds.setdefault((k[1], k[3]), []).append(k[5])
+    funs = [dict(zip(regimes, v)) for v in vals]
+    used = sorted({z for zs in conds.values() for z in zs})
+    meets = {z: {w: tuple(map(partition_meet(funs[z], funs[w]).get, regimes)) for w in used}
+             for z in used}
+    verdicts = {}
+    for (x, y), zs in conds.items():
+        scan.tally["P6"] += len(zs) ** 2
+        for fm in {fm for z in zs for fm in map(meets[z].__getitem__, zs)}:
+            verdicts[(x, y, fm)] = variation_independent(vals[x], vals[y], fm)
+    if all(verdicts.values()):
+        return
+    for k, ok in truth.items():  # list the violations in truth order; counted above
         _, x, _, y, _, z = k
         if not (ok and leq[z][y]):
             continue
-        ws = seconds.get((x, y))
-        if ws is None:
-            ws = seconds[(x, y)] = [w for w in masks if leq[w][y] and truth[(0, x, 0, y, 0, w)]]
-        for w in ws:
-            fm = meets.get((z, w))
-            if fm is None:
-                meet = partition_meet(dict(zip(regimes, vals[z])), dict(zip(regimes, vals[w])))
-                fm = meets[(z, w)] = tuple(meet[s] for s in regimes)
-            ok = verdicts.get((x, y, fm))
-            if ok is None:
-                ok = verdicts[(x, y, fm)] = variation_independent(vals[x], vals[y], fm)
-            scan.tally["P6"] += 1
-            if not ok:
+        for w in sorted(conds[(x, y)]):
+            if not verdicts[(x, y, meets[z][w])]:
                 premises = [scan.render(k), scan.render((0, x, 0, y, 0, w))]
                 meet_of = f"meet({','.join(mask_names(z, names))}; {','.join(mask_names(w, names))})"
                 scan.violation(trial, "P6", premises,

@@ -500,6 +500,38 @@ def test_replay_accepts_valid_and_rejects_malformed(uni3):
     assert not replay(wrong, universe=uni3, premises=prem)
 
 
+def test_replay_checks_every_occurrence_of_a_goal(uni3):
+    # X _||_ Y | Z by P1 from Y _||_ X | Z, itself by P1 from X _||_ Y | Z
+    # again: the inner occurrence is a premise, or wrongly cited as P2.  The
+    # outer ones replay either way, so only the inner one decides.
+    a, b = ci(["X"], ["Y"], ["Z"]), ci(["Y"], ["X"], ["Z"])
+
+    def twice(inner):
+        return Derivation(a, "P1", (Derivation(b, "P1", (inner,)),))
+
+    good, bad = twice(Derivation(a, "premise")), twice(Derivation(a, "P2"))
+    assert replay(good, universe=uni3) and replay(good, universe=uni3, premises=[a])
+    assert not replay(good, universe=uni3, premises=[b])
+    assert not replay(bad, universe=uni3) and not replay(bad, universe=uni3, premises=[a])
+    assert format_proof(good) == (
+        "1. X _||_ Y | Z  [premise]\n2. Y _||_ X | Z  [P1 from 1]\n3. X _||_ Y | Z  [P1 from 2]")
+    assert bad.rule_sequence() == ["P2", "P1", "P1"]
+
+
+def test_replay_and_format_proof_leave_no_reference_cycle(uni3):
+    prem = [ci(["X"], ["Y"], ["Z"])]
+    d = prove(ci(["X", "Z"], ["Y"], ["Z"]), prem, rule_set("SEPAROID_FULL"), universe=uni3)
+    gc.collect()
+    gc.disable()
+    try:
+        assert replay(d, universe=uni3, premises=prem)
+        lines = format_proof(d).splitlines()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(lines) == 6
+
+
 def test_derivation_json_shape(uni3):
     d = prove(ci(["X", "Z"], ["Y"], ["Z"]), [ci(["X"], ["Y"], ["Z"])],
               rule_set("SEPAROID_FULL"), universe=uni3)

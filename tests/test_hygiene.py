@@ -110,3 +110,49 @@ def test_no_unread_private_members():
                 and _private(n.attr) and not reads[n.attr]
             })
     assert unread == []
+
+
+def self_calling_closures(tree: ast.Module, module: str) -> list[str]:
+    """Nested functions that name themselves in their own body: a closure
+    that calls itself holds its own cell, a reference cycle that lives until
+    the cyclic collector runs."""
+    found = []
+
+    def walk(node: ast.AST, path: tuple[str, ...], nested: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if nested and any(
+                    isinstance(n, ast.Name) and n.id == child.name
+                    for stmt in child.body for n in ast.walk(stmt)
+                ):
+                    found.append(".".join((module, *path, child.name)))
+                walk(child, (*path, child.name), True)
+            elif isinstance(child, ast.ClassDef):
+                walk(child, (*path, child.name), False)
+            else:
+                walk(child, path, nested)
+
+    walk(tree, (), False)
+    return found
+
+
+def test_no_self_calling_closures():
+    assert self_calling_closures(ast.parse("""
+def outer():
+    def visit(n):
+        return [visit(c) for c in n]
+    def leaf(n):
+        return n
+    return visit, leaf
+
+def module_level(n):
+    return module_level(n - 1) if n else 0
+
+class C:
+    def method(self):
+        return self.method
+"""), "m") == ["m.outer.visit"]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += self_calling_closures(ast.parse(path.read_text(), str(path)), path.stem)
+    assert found == []

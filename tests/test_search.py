@@ -10,7 +10,7 @@ from separoid import search
 from separoid.engine import _Engine, _l_triv, _r_triv, rule_set
 from separoid.files import model_to_dict
 from separoid.errors import SemanticsMismatch
-from separoid.models import variation_independent
+from separoid.models import check_complementary, variation_independent
 from separoid.search import (
     SearchConfig,
     _Scan,
@@ -227,6 +227,7 @@ def test_vci_range_memo_matches_per_map_scans():
     assert len(maps) == 8 + 64 + 512
     rep = exhaustive_vci_scan(max_regimes=3, n_vars=3)
     assert _counts(rep) == _per_map_report(names, maps)
+    assert rep.instances_by_rule["P6"] == 634016  # counted pair by pair
 
     cfg = SearchConfig(seed=6, trials=40, var_cardinalities={"A": 2, "B": 2, "C": 2},
                        regime_count=4)
@@ -234,6 +235,7 @@ def test_vci_range_memo_matches_per_map_scans():
     regimes = regime_labels(cfg.regime_count)
     maps = [(random_decmap(cfg, t), regimes) for t in range(cfg.trials)]
     assert _counts(rep) == _per_map_report(names, maps)
+    assert rep.instances_by_rule["P6"] == 19457
 
 
 def test_vci_range_memo_replays_violations(monkeypatch):
@@ -525,6 +527,51 @@ def test_p6_violations_keep_their_order(monkeypatch):
     violations += exhaustive_vci_scan(max_regimes=3, n_vars=3).violations
     assert len(violations) == 2369 and {v["rule"] for v in violations} == {"P6"}
     assert _digest(violations) == "40377dd06e4b40185c4370e6d476c899dabeef3df069be3f73583083b88b5d19"
+
+
+def test_p6_partial_meet_mutation_keeps_its_violations_and_counts(monkeypatch):
+    # A meet of one block only for two different arguments, so within one
+    # model some (X, Y) have only sound meets and others do not: the scans
+    # count P6 per (X, Y) and list the violations of the unsound ones.  The
+    # digests and counts are those of checking every pair of premises.
+    meet = search.partition_meet
+    monkeypatch.setattr(search, "partition_meet",
+                        lambda a, b: dict.fromkeys(a, "s0") if a != b else meet(a, b))
+    reports = []
+    for seed in range(3):
+        cfg = SearchConfig(seed=seed, trials=20, var_cardinalities={"A": 2, "B": 2, "C": 2},
+                           regime_count=3)
+        reports.append(axiom_soundness_scan(cfg, rule_set("VCI_STRONG")))
+    reports.append(exhaustive_vci_scan(max_regimes=3, n_vars=3))
+    violations = [v for r in reports for v in r.violations]
+    assert [r.trials for r in reports] == [2, 1, 1, 10]
+    assert [r.instances_by_rule["P6"] for r in reports] == [4844, 460, 577, 29584]
+    assert len(violations) == 1680 and {v["rule"] for v in violations} == {"P6"}
+    assert _digest(violations) == "2cde40b21cc0f6962ae540c12e38eb67a4a635a3af9904fd8c218854527db9fa"
+    assert _digest([r.to_dict() for r in reports]) == (
+        "9cf5b9f385a319d1087f1e30a8e1a623b7a03b46184c9dd0238b4459be521d2b")
+
+
+def test_models_sharing_a_trivial_closure_share_no_index(monkeypatch):
+    # One family of the pinned two-regime ECI_RESTRICTED scan, checked twice:
+    # both models start from one trivial closure's pairing index, and the
+    # first indexes its true non-trivial keys next to the trivial ones (P5''
+    # pairs on the right-part index).  The second must not meet them again.
+    cfg = SearchConfig(seed=2, trials=8, regime_count=2, probability_grid=3,
+                       var_cardinalities={"X": 2, "Y": 2}, decision_cardinalities={"Theta": 2})
+    fam = random_family(cfg, 2)
+    monkeypatch.setattr(search, "_CLOSURES", {})
+    scan = _Scan(rule_set("ECI_RESTRICTED", _ECI_FLAGS),
+                 Universe.of(stochastic=("X", "Y"), decision=("Sigma", "Theta")))
+    dec = scan.dec_sets
+    holds = lambda k: fam.eci_general(k[0], dec[k[1]], k[2], dec[k[3]], k[4], dec[k[5]])  # noqa: E731
+    tallies = []
+    for t in range(2):
+        truth = scan.model(t, holds, complementary=lambda u: u == 0 or check_complementary(fam, dec[u]))
+        tallies.append(dict(scan.tally))
+    assert len(search._CLOSURES) == 1 and not scan.violations
+    assert any(truth[k] for ks in scan.nontrivial.values() for k in ks if k in truth)
+    assert tallies[1] == {r: 2 * c for r, c in tallies[0].items()}
 
 
 def test_models_without_a_true_nontrivial_key_build_no_engine(monkeypatch):
