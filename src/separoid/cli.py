@@ -45,16 +45,9 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _model_universe(model) -> Universe:
-    u = Universe()
     if isinstance(model, models.RegimeFamily):
-        for n in model.variables:
-            u.declare(n, "stochastic")
-        for n in model.decvars:
-            u.declare(n, "decision")
-    else:
-        for n in model.names:
-            u.declare(n, "stochastic")
-    return u
+        return Universe.of(stochastic=model.variables, decision=model.decvars)
+    return Universe.of(stochastic=model.names)
 
 
 def _cmd_derive(args) -> int:
@@ -204,11 +197,8 @@ def _cmd_search_cx(args) -> int:
     return 1
 
 
-def _parse_prior(text: str) -> dict[str, Fraction]:
-    if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as fh:
-            data = json.load(fh)
-        return {str(k): files.parse_fraction(v) for k, v in data.items()}
+def _parse_fractions(text: str) -> dict[str, Fraction]:
+    """A comma-separated ``name=fraction`` list as a name -> fraction map."""
     out = {}
     for item in text.split(","):
         name, _, val = item.partition("=")
@@ -216,10 +206,24 @@ def _parse_prior(text: str) -> dict[str, Fraction]:
     return out
 
 
-def _cmd_product(args) -> int:
+def _parse_prior(text: str) -> dict[str, Fraction]:
+    if text.startswith("@"):
+        with open(text[1:], encoding="utf-8") as fh:
+            data = json.load(fh)
+        return {str(k): files.parse_fraction(v) for k, v in data.items()}
+    return _parse_fractions(text)
+
+
+def _load_family(args) -> models.RegimeFamily:
+    """The model file of a subcommand that needs a regime family."""
     model = files.load_model(args.model)
     if not isinstance(model, models.RegimeFamily):
-        raise CIError("product requires a regime-family model")
+        raise CIError(f"{args.command} requires a regime-family model")
+    return model
+
+
+def _cmd_product(args) -> int:
+    model = _load_family(args)
     prior = _parse_prior(args.prior)
     dist = models.product_space(model, prior, regime_var=args.regime_var)
     payload = files.distribution_to_dict(dist)
@@ -232,9 +236,7 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_ace(args) -> int:
-    model = files.load_model(args.model)
-    if not isinstance(model, models.RegimeFamily):
-        raise CIError("ace requires a regime-family model")
+    model = _load_family(args)
     labels = {"obs": args.obs, "do0": args.do0, "do1": args.do1}
     result = causal.ace(model, args.outcome, args.treatment, labels)
     payload = {
@@ -262,19 +264,12 @@ def _cmd_ace(args) -> int:
 
 
 def _cmd_gformula(args) -> int:
-    model = files.load_model(args.model)
-    if not isinstance(model, models.RegimeFamily):
-        raise CIError("gformula requires a regime-family model")
+    model = _load_family(args)
     if model.info_base is None:
         raise CIError("model file carries no info_base block")
     ib = causal.InfoBase.from_dict(model.info_base)
     strategy = files.load_strategy(args.strategy)
-    k = None
-    if args.k:
-        k = {}
-        for item in args.k.split(","):
-            key, _, val = item.partition("=")
-            k[key.strip()] = files.parse_fraction(val.strip())
+    k = _parse_fractions(args.k) if args.k else None
     value = causal.g_formula(model, ib, strategy, k, obs=args.obs)
     _emit(
         args,
@@ -412,10 +407,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CIError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as e:
+    except (CIError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -92,30 +92,31 @@ class Rule:
     arity: int  # 0 spontaneous, 1 unary, 2 binary
     flag_gated: bool = False
     model_only: bool = False
+    shape: str = ""  # a unary rule's branch in _Engine.unary, shared by its family
 
 
 RULES: dict[str, Rule] = {
     r.name: r
     for r in [
-        Rule("P1", 1),
+        Rule("P1", 1, shape="symmetry"),
         Rule("P2", 0),
-        Rule("P3", 1),
-        Rule("P4", 1),
+        Rule("P3", 1, shape="decomposition"),
+        Rule("P4", 1, shape="weak union"),
         Rule("P5", 2),
         Rule("P6", 1, model_only=True),
-        Rule("P1'", 1),
+        Rule("P1'", 1, shape="symmetry"),
         Rule("P2'", 0),
-        Rule("P3'", 1),
-        Rule("P4'", 1),
+        Rule("P3'", 1, shape="decomposition"),
+        Rule("P4'", 1, shape="weak union"),
         Rule("P5'", 2),
-        Rule("P3''", 1),
-        Rule("P4''", 1, flag_gated=True),
+        Rule("P3''", 1, shape="left slot"),
+        Rule("P4''", 1, flag_gated=True, shape="left slot"),
         Rule("P5''", 2),
-        Rule("DCMP", 1),
-        Rule("P1g", 1),
+        Rule("DCMP", 1, shape="DCMP"),
+        Rule("P1g", 1, shape="symmetry"),
         Rule("P2g", 0),
-        Rule("P3g", 1),
-        Rule("P4g", 1, flag_gated=True),
+        Rule("P3g", 1, shape="decomposition"),
+        Rule("P4g", 1, flag_gated=True, shape="P4g"),
         Rule("P5g", 2),
     ]
 }
@@ -213,51 +214,41 @@ def _submasks(m: int):
 
 
 class _Space:
-    """Name <-> bit translation plus reduction-closure masks."""
+    """Name <-> bit translation plus reduction-closure masks, each kept per
+    slot component: 0 stochastic, 1 decision."""
 
     def __init__(self, universe: Universe, registry: ReductionRegistry | None):
         self.universe = universe
-        self.s_names = universe.names(STOCHASTIC)
-        self.d_names = universe.names(DECISION)
-        self.s_bit = {n: 1 << i for i, n in enumerate(self.s_names)}
-        self.d_bit = {n: 1 << i for i, n in enumerate(self.d_names)}
-        self.s_all = (1 << len(self.s_names)) - 1
-        self.d_all = (1 << len(self.d_names)) - 1
+        self.names = (universe.names(STOCHASTIC), universe.names(DECISION))
+        self.s_names, self.d_names = self.names
+        self.alls = [(1 << len(names)) - 1 for names in self.names]
+        self.s_all, self.d_all = self.alls
+        self._bits = [{n: 1 << i for i, n in enumerate(names)} for names in self.names]
         reg = registry or ReductionRegistry()
-        self._var_red_s = [
-            self._mask_s(reg.reducible_to([n])) for n in self.s_names
+        self._var_red = [
+            [self.mask(o, reg.reducible_to([n])) for n in names]
+            for o, names in enumerate(self.names)
         ]
-        self._var_red_d = [
-            self._mask_d(reg.reducible_to([n])) for n in self.d_names
-        ]
-        self._red_cache_s: dict[int, int] = {}
-        self._red_cache_d: dict[int, int] = {}
+        self._red_cache: tuple[dict, dict] = ({}, {})
         self._slots: dict[tuple[int, int], VarSet] = {}
         # some variable is a registered function of another
-        self.reduces = any(m & (m - 1) for m in self._var_red_s + self._var_red_d)
+        self.reduces = any(m & (m - 1) for var_red in self._var_red for m in var_red)
 
-    def _mask_s(self, names: Iterable[str]) -> int:
+    def mask(self, o: int, names: Iterable[str]) -> int:
+        """The component-o mask of those names that are of its kind."""
+        bits = self._bits[o]
         m = 0
         for n in names:
-            b = self.s_bit.get(n)
-            if b:
-                m |= b
-        return m
-
-    def _mask_d(self, names: Iterable[str]) -> int:
-        m = 0
-        for n in names:
-            b = self.d_bit.get(n)
-            if b:
-                m |= b
+            m |= bits.get(n, 0)
         return m
 
     def varset_masks(self, vs: VarSet) -> tuple[int, int]:
+        s_bit, d_bit = self._bits
         ms = md = 0
         for n in vs.stoch:
-            ms |= self.s_bit[n]
+            ms |= s_bit[n]
         for n in vs.dec:
-            md |= self.d_bit[n]
+            md |= d_bit[n]
         return ms, md
 
     def key_of(self, stmt: CIStatement) -> tuple:
@@ -282,28 +273,19 @@ class _Space:
         slot = self.slot
         return CIStatement(slot(ls, ld), slot(rs, rd), slot(cs, cd))
 
-    def red_s(self, mask: int) -> int:
-        out = self._red_cache_s.get(mask)
+    def red(self, o: int, mask: int) -> int:
+        """The component-o mask closed under the registry: mask plus every
+        variable registered as a function of one in it."""
+        cache = self._red_cache[o]
+        out = cache.get(mask)
         if out is None:
-            out = mask
-            m = mask
+            out = m = mask
+            var_red = self._var_red[o]
             while m:
                 b = m & -m
-                out |= self._var_red_s[b.bit_length() - 1]
+                out |= var_red[b.bit_length() - 1]
                 m ^= b
-            self._red_cache_s[mask] = out
-        return out
-
-    def red_d(self, mask: int) -> int:
-        out = self._red_cache_d.get(mask)
-        if out is None:
-            out = mask
-            m = mask
-            while m:
-                b = m & -m
-                out |= self._var_red_d[b.bit_length() - 1]
-                m ^= b
-            self._red_cache_d[mask] = out
+            cache[mask] = out
         return out
 
 
@@ -313,6 +295,19 @@ def _r_triv(k: tuple) -> bool:
 
 def _l_triv(k: tuple) -> bool:
     return (k[0] & ~k[4]) == 0 and (k[1] & ~k[5]) == 0
+
+
+def _pure(o: int, l: int, r: int, c: int) -> tuple:
+    """The key of l _||_ r | c with every part in slot component o."""
+    return (0, l, 0, r, 0, c) if o else (l, 0, r, 0, c, 0)
+
+
+def _symmetric(name: str, k: tuple) -> bool:
+    """The guard of symmetry rule `name` on k: P1' needs every decision name
+    in a nonempty conditioning part, P1g a nonempty decision union."""
+    if name == "P1'":
+        return not k[3] and k[5] != 0
+    return name == "P1" or (k[1] | k[3] | k[5]) != 0
 
 
 class _Engine:
@@ -328,8 +323,9 @@ class _Engine:
         self.rs = rs
         self.space = space
         self.mode = mode  # 's' | 'd' for the pure rule sets, else None
-        self.o = 1 if mode == "d" else 0  # slot component of the pure rules
-        self.red = space.red_d if mode == "d" else space.red_s
+        # the slot component the unary rules act on: the pure sets' mode,
+        # else stochastic
+        self.o = 1 if mode == "d" else 0
         self.steps = [  # a flag-gated rule without a flag concludes nothing
             (name, RULES[name].arity)
             for name in rs.rules
@@ -337,7 +333,7 @@ class _Engine:
             and (rs.flags or not RULES[name].flag_gated)
         ]
         self.comp_masks = tuple(
-            sorted(space._mask_d(f) for f in comp.families if f <= set(space.d_names))
+            sorted(space.mask(1, f) for f in comp.families if f <= set(space.d_names))
         )
         self.comp_set = frozenset(self.comp_masks)
         # tautologies settled as ordinary statements (prove only)
@@ -348,25 +344,25 @@ class _Engine:
         self.by_right_cond: dict[tuple, list] = {}
         self.by_right_ljoinc: dict[tuple, list] = {}
         self.rule_idx = {name: i for i, name in enumerate(rs.rules)}
+        self.via = "via " + ",".join(sorted(rs.flags))  # the flag-gated rules' note
 
     # -- legality of premises under this rule set ---------------------------
 
     def legal(self, k: tuple) -> bool:
-        name = self.rs.name
-        if name in ("SEPAROID_FULL", "VCI_STRONG"):
-            if self.mode == "s":
-                return not (k[1] | k[3] | k[5])
-            return not (k[0] | k[2] | k[4])
-        if name == "ECI_RESTRICTED" and k[1]:
+        if self.mode is not None:
+            o = self.o
+            return not (k[1 - o] | k[3 - o] | k[5 - o])
+        if self.rs.name == "ECI_RESTRICTED" and k[1]:
             return False
         dec_union = k[1] | k[3] | k[5]
         return dec_union == 0 or dec_union in self.comp_masks
 
-    def check_legal(self, stmt: CIStatement, k: tuple) -> None:
-        if not self.legal(k):
-            raise IllFormed(
-                f"statement {stmt!r} is not admissible under rule set {self.rs.name}"
-            )
+    def check_legal(self, stmts: list, keys: list) -> None:
+        for stmt, k in zip(stmts, keys):
+            if not self.legal(k):
+                raise IllFormed(
+                    f"statement {stmt!r} is not admissible under rule set {self.rs.name}"
+                )
 
     # -- implicit tautologies --------------------------------------------------
 
@@ -382,7 +378,7 @@ class _Engine:
                 return None
             if r == c:
                 return 1, "P2", ()
-            return 2, "P3", (self.pure(l, c, c),)
+            return 2, "P3", (_pure(o, l, c, c),)
         ls, ld, rs, rd, cs, cd = k
         if rs & ~cs:
             return None
@@ -416,17 +412,17 @@ class _Engine:
         (left, right, cond) parts are listed once."""
         sp = self.space
 
-        def parts(full: int, key) -> list[tuple]:
+        def parts(o: int) -> list[tuple]:
+            full = sp.alls[o]
             return [
                 (l, r, c)
                 for c in range(full + 1)
                 for r in (0, *_submasks(c))
                 for l in range(full + 1)
-                if self.legal(key(l, r, c))
+                if self.legal(_pure(o, l, r, c))
             ]
 
-        stoch = parts(sp.s_all, lambda l, r, c: (l, 0, r, 0, c, 0))
-        dec = parts(sp.d_all, lambda l, r, c: (0, l, 0, r, 0, c))
+        stoch, dec = parts(0), parts(1)
         for ls, rs, cs in stoch:
             for ld, rd, cd in dec:
                 k = (ls, ld, rs, rd, cs, cd)
@@ -444,7 +440,7 @@ class _Engine:
         sp = self.space
         stack = [
             ck for _name, ck in self.spontaneous()
-            if sp.red_s(ck[4]) != ck[4] or sp.red_d(ck[5]) != ck[5]
+            if sp.red(0, ck[4]) != ck[4] or sp.red(1, ck[5]) != ck[5]
         ]
         seen = set(stack)
         while stack:
@@ -479,16 +475,15 @@ class _Engine:
         """Yield (rule_name, conclusion_key) for premise-free rules."""
         for name in self.rs.rules:
             if name == "P2":
-                alls = self.space.d_all if self.o else self.space.s_all
+                alls = self.space.alls[self.o]
                 for x in _submasks(alls):
                     for y in _submasks(alls):
-                        yield name, self.pure(x, y, y)
+                        yield name, _pure(self.o, x, y, y)
             elif name == "P2'":
                 for x in _submasks(self.space.s_all):
                     for d in self.comp_masks:
-                        ys = self.space.s_all
                         yield name, (x, 0, 0, d, 0, d)
-                        for y in _submasks(ys):
+                        for y in _submasks(self.space.s_all):
                             yield name, (x, 0, y, d, y, d)
             elif name == "P2g":
                 for fam in self.comp_masks:
@@ -507,71 +502,49 @@ class _Engine:
 
     # -- unary rules -----------------------------------------------------------
 
-    def pure(self, l: int, r: int, c: int) -> tuple:
-        """The key of l _||_ r | c in the component of the pure rule sets."""
-        return (0, l, 0, r, 0, c) if self.o else (l, 0, r, 0, c, 0)
-
     def unary(self, name: str, k: tuple):
-        """Yield (conclusion_key, note) for a unary rule applied to k."""
-        sp = self.space
-        ls, ld, rs_, rd, cs, cd = k
-        if name in ("P1", "P3", "P4"):
-            o, mk = self.o, self.pure
-            l, r, c = k[o], k[2 + o], k[4 + o]
-            if name == "P1":
-                if not _r_triv(k) and not _l_triv(k):
-                    yield mk(r, l, c), ""
-            elif name == "P3":
-                for w in _submasks(self.red(r)):
-                    if w != r:
-                        yield mk(l, w, c), ""
-            elif name == "P4":
-                if not _r_triv(k) and not _l_triv(k):
-                    for w in _submasks(self.red(r)):
-                        if c | w != c:
-                            yield mk(l, r, c | w), ""
-        elif name == "P1'":
-            if rd == 0 and cd and not _r_triv(k) and not _l_triv(k):
-                yield (rs_, 0, ls, 0, cs, cd), ""
-        elif name == "P3'":
-            for w in _submasks(sp.red_s(rs_)):
-                if w != rs_:
-                    yield (ls, 0, w, rd, cs, cd), ""
-            if rd and rs_:
-                yield (ls, 0, 0, rd, cs, cd), ""
-        elif name == "P4'":
-            if not _r_triv(k) and not _l_triv(k):
-                for w in _submasks(sp.red_s(rs_)):
-                    if cs | w != cs:
-                        yield (ls, 0, rs_, rd, cs | w, cd), ""
-        elif name == "P3''":
-            if not _r_triv(k) and not _l_triv(k):
-                for w in _submasks(sp.red_s(ls)):
-                    if w != ls:
-                        yield (w, 0, rs_, rd, cs, cd), ""
-        elif name == "P4''":  # flag-gated: reached only under a flag
-            if not _r_triv(k) and not _l_triv(k):
-                note = "via " + ",".join(sorted(self.rs.flags))
-                for w in _submasks(sp.red_s(ls)):
-                    if cs | w != cs:
-                        yield (ls, 0, rs_, rd, cs | w, cd), note
-        elif name == "DCMP":
-            if rd and rs_:
-                yield (ls, 0, rs_, 0, cs, cd | rd), ""
-        elif name == "P1g":
-            if ld | rd | cd and not _r_triv(k) and not _l_triv(k):
-                yield (rs_, rd, ls, ld, cs, cd), ""
-        elif name == "P3g":
-            for w in _submasks(sp.red_s(rs_)):
-                if w != rs_:
-                    yield (ls, ld, w, rd, cs, cd), ""
-            if rd and rs_:
+        """Yield (conclusion_key, note) for a unary rule applied to k.  Each
+        shape is written once for all the families that share it: symmetry
+        swaps the outer slots under the rule's guard; decomposition shrinks
+        component o of the right slot, then drops the slot's stochastic part
+        beside a decision part; weak union moves reduced parts of component o
+        of the right slot into the conditioning slot.  P3''/P4'' reduce the
+        left slot instead."""
+        ls, ld, rs, rd, cs, cd = k
+        shape = RULES[name].shape
+        if shape == "symmetry":
+            if _symmetric(name, k) and not _r_triv(k) and not _l_triv(k):
+                yield (rs, rd, ls, ld, cs, cd), ""
+        elif shape == "decomposition":
+            o = self.o
+            r = k[2 + o]
+            for w in _submasks(self.space.red(o, r)):
+                if w != r:
+                    yield ((ls, ld, rs, w, cs, cd) if o else (ls, ld, w, rd, cs, cd)), ""
+            if rs and rd:
                 yield (ls, ld, 0, rd, cs, cd), ""
-        elif name == "P4g":  # flag-gated like P4''
+        elif shape == "weak union":
             if not _r_triv(k) and not _l_triv(k):
-                note = "via " + ",".join(sorted(self.rs.flags))
-                for w in _submasks(sp.red_s(rs_)):
-                    yield (ls, ld, rs_, 0, cs | w, cd | rd), note
+                o = self.o
+                c = k[4 + o]
+                for w in _submasks(self.space.red(o, k[2 + o])):
+                    if c | w != c:
+                        yield ((ls, ld, rs, rd, cs, c | w) if o else (ls, ld, rs, rd, c | w, cd)), ""
+        elif shape == "left slot":  # P4'' is flag-gated: reached only under a flag
+            if not _r_triv(k) and not _l_triv(k):
+                for w in _submasks(self.space.red(0, ls)):
+                    if name == "P3''":
+                        if w != ls:
+                            yield (w, ld, rs, rd, cs, cd), ""
+                    elif cs | w != cs:
+                        yield (ls, ld, rs, rd, cs | w, cd), self.via
+        elif shape == "DCMP":
+            if rs and rd:
+                yield (ls, ld, rs, 0, cs, cd | rd), ""
+        elif shape == "P4g":  # flag-gated like P4''
+            if not _r_triv(k) and not _l_triv(k):
+                for w in _submasks(self.space.red(0, rs)):
+                    yield (ls, ld, rs, 0, cs | w, cd | rd), self.via
 
     # -- binary rules ----------------------------------------------------------
 
@@ -674,27 +647,17 @@ def _infer_mode(rs: RuleSet, space: _Space, keys: Iterable[tuple]) -> str | None
 
 
 def _setup(
-    premises: Iterable[CIStatement],
+    statements: list,
     rs: RuleSet,
     universe: Universe,
     registry: ReductionRegistry | None,
     complementarity: ComplementarityDecl | None,
-    extra: Iterable[CIStatement] = (),
 ):
+    """An engine for rs in the mode the statements infer, and their keys."""
     space = _Space(universe, registry)
-    comp = complementarity or ComplementarityDecl()
-    keyed = [(stmt, space.key_of(stmt)) for stmt in premises]
-    prem_keys = []
-    seen = set()
-    for _stmt, k in keyed:
-        if k not in seen:
-            seen.add(k)
-            prem_keys.append(k)
-    mode = _infer_mode(rs, space, prem_keys + [space.key_of(s) for s in extra])
-    eng = _Engine(rs, space, comp, mode)
-    for stmt, k in keyed:
-        eng.check_legal(stmt, k)
-    return eng, prem_keys
+    keys = [space.key_of(s) for s in statements]
+    mode = _infer_mode(rs, space, keys)
+    return _Engine(rs, space, complementarity or ComplementarityDecl(), mode), keys
 
 
 def closure(
@@ -716,9 +679,10 @@ def closure(
     always a superset of the premises and of the family."""
     premises = list(premises)
     lim = limits or Limits()
-    eng, prem_keys = _setup(premises, rs, universe, registry, complementarity)
+    eng, keys = _setup(premises, rs, universe, registry, complementarity)
+    eng.check_legal(premises, keys)
     known = set(eng.members())
-    agenda = sorted(k for k in prem_keys if k not in known)
+    agenda = sorted(set(keys) - known)
     known.update(agenda)
     kept = len(agenda)  # statements outside the family
     for k in agenda:
@@ -770,11 +734,11 @@ def prove(
     settled, unless another route is cheaper or wins the tie-break (then
     they are materialized, and re-met as second premises at their real
     cost) or they are the goal."""
-    premises = list(premises)
+    stmts = [*premises, goal]
     lim = limits or Limits()
-    eng, prem_keys = _setup(premises, rs, universe, registry, complementarity, extra=[goal])
-    goal_key = eng.space.key_of(goal)
-    eng.check_legal(goal, goal_key)
+    eng, keys = _setup(stmts, rs, universe, registry, complementarity)
+    eng.check_legal(stmts, keys)
+    goal_key = keys.pop()
     ridx = eng.rule_idx
 
     cost: dict[tuple, int] = {}
@@ -813,7 +777,7 @@ def prove(
                 heapq.heappush(heap, (c + 1, ridx[step[0]], (), None, step))
         bucket[c].append(ck)
 
-    for k in sorted(prem_keys):
+    for k in sorted(set(keys)):
         settle(0, "premise", (), k, "")
     for item in eng.leaks():
         push(*item)
@@ -893,17 +857,14 @@ def apply_rule(
         raise GuardViolation(f"{name} fires only under an enabling flag")
 
     known = list(known)
-    space = _Space(universe, registry)
-    keys = [space.key_of(s) for s in known]
-    mode = _infer_mode(rs, space, keys)
-    eng = _Engine(rs, space, complementarity or ComplementarityDecl(), mode)
+    eng, keys = _setup(known, rs, universe, registry, complementarity)
     for stmt, k in zip(known, keys):
         if rs.name in ("SEPAROID_FULL", "VCI_STRONG"):
             if not eng.legal(k):
                 raise GuardViolation(
                     f"{name} applies to pure statements only; got {stmt!r}"
                 )
-        elif name == "P1'" and k[1] == 0 and (k[3] or not k[5]):
+        elif name == "P1'" and k[1] == 0 and not _symmetric(name, k):
             raise GuardViolation(
                 f"P1' symmetry is confined to statements whose decision "
                 f"variables are all in the conditioning slot, which has at "
@@ -930,7 +891,7 @@ def apply_rule(
                 for prem, ck in eng.binary(name, k):
                     if all(p in keyset for p in prem):
                         out.add(ck)
-    return frozenset(space.stmt_of(k) for k in out)
+    return frozenset(eng.space.stmt_of(k) for k in out)
 
 
 def replay(

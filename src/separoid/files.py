@@ -99,22 +99,30 @@ def model_from_dict(data: Mapping):
     return family_from_dict(data) if "regimes" in data else distribution_from_dict(data)
 
 
-def load_model(path: str):
+def _load_json(path: str, error: type):
+    """The JSON document in a file; one that does not decode raises `error`."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as e:
-            raise InvalidModel(f"{path}: {e}") from None
-    return model_from_dict(data)
+            raise error(f"{path}: {e}") from None
+
+
+def load_model(path: str):
+    return model_from_dict(_load_json(path, InvalidModel))
+
+
+def _atoms_to_list(dist: DiscreteDistribution) -> list:
+    return [
+        {"assign": dict(zip(dist.names, key)), "p": format_fraction(p)}
+        for key, p in sorted(dist.atoms())
+    ]
 
 
 def distribution_to_dict(dist: DiscreteDistribution) -> dict:
     return {
         "variables": {n: list(dist.values[n]) for n in dist.names},
-        "distribution": [
-            {"assign": dict(zip(dist.names, key)), "p": format_fraction(p)}
-            for key, p in sorted(dist.atoms())
-        ],
+        "distribution": _atoms_to_list(dist),
     }
 
 
@@ -123,13 +131,7 @@ def family_to_dict(fam: RegimeFamily) -> dict:
         "regimes": list(fam.regimes),
         "variables": {n: list(v) for n, v in fam.variables.items()},
         "decision_vars": {n: dict(sorted(m.items())) for n, m in sorted(fam.decvars.items())},
-        "distributions": {
-            s: [
-                {"assign": dict(zip(fam.dists[s].names, key)), "p": format_fraction(p)}
-                for key, p in sorted(fam.dists[s].atoms())
-            ]
-            for s in fam.regimes
-        },
+        "distributions": {s: _atoms_to_list(fam.dists[s]) for s in fam.regimes},
     }
     if fam.info_base is not None:
         out["info_base"] = fam.info_base
@@ -190,10 +192,5 @@ def strategy_from_dict(data: Mapping):
 
 
 def load_strategy(path: str):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InvalidStrategy(f"{path}: {e}") from None
-    return strategy_from_dict(data)
+    return strategy_from_dict(_load_json(path, InvalidStrategy))
 

@@ -22,7 +22,7 @@ from math import comb, prod
 from typing import Iterable, Mapping, Sequence
 
 from .dsl import render_statement
-from .engine import RuleSet, _Engine, _l_triv, _r_triv, _Space, rule_set
+from .engine import RULES, RuleSet, _Engine, _l_triv, _r_triv, _Space, rule_set
 from .errors import NotComplementary, SemanticsMismatch
 from .files import model_from_dict, model_to_dict
 from .models import (
@@ -308,7 +308,7 @@ _DOMAINS_MAX = 32
 _CLOSURES: dict = {}
 _CLOSURES_MAX = 256
 _BITS = bytes.maketrans(b"\0\1", b"01")
-_GATED = ("P4''", "P4g")
+_GATED = tuple(name for name, rule in RULES.items() if rule.flag_gated)
 
 
 def _keep(memo: dict, bound: int, key, entry):
@@ -499,9 +499,10 @@ def _close_vci(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str])
     not statements the engine can hold: X _||_ Y | Z and X _||_ Y | W with Z
     and W functions of Y give X _||_ Y | Z ^ W.  Both premises range over one
     set W_xy, so P6 is counted per (X, Y), len(W_xy) ** 2 instances, and
-    decided once per distinct meet in a table of meets with one row per Z;
-    only when some verdict fails are the pairs walked, in truth order, to
-    list the violations.  Each variation verdict is computed once per
+    decided once per distinct meet in a table of meets with one row per Z,
+    filled once per unordered (Z, W) since the meet is symmetric; only when
+    some verdict fails are the pairs walked, in truth order, to list the
+    violations.  Each variation verdict is computed once per
     (x & ~z, y & ~z, z), the outer pair ordered, as ``MaskKernel.sci`` does:
     given z, names shared with Z take fixed values and change no range, the
     relation is symmetric, and it holds when x & ~z is empty."""
@@ -524,8 +525,11 @@ def _close_vci(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str])
             conds.setdefault((k[1], k[3]), []).append(k[5])
     funs = [dict(zip(regimes, v)) for v in vals]
     used = sorted({z for zs in conds.values() for z in zs})
-    meets = {z: {w: tuple(map(partition_meet(funs[z], funs[w]).get, regimes)) for w in used}
-             for z in used}
+    meets: dict = {z: {} for z in used}
+    for i, z in enumerate(used):
+        for w in used[i:]:
+            meet = partition_meet(funs[z], funs[w])
+            meets[z][w] = meets[w][z] = tuple(map(meet.get, regimes))
     verdicts = {}
     for (x, y), zs in conds.items():
         scan.tally["P6"] += len(zs) ** 2

@@ -248,6 +248,17 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "binary" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["product", "s0=1"], ["ace"], ["gformula", "strategy.json"]],
+                         ids=lambda argv: argv[0])
+def test_family_commands_reject_a_single_distribution(tmp_path, capsys, argv):
+    single = write_json(tmp_path, "single.json", {
+        "variables": {"T": ["0", "1"]},
+        "distribution": [{"assign": {"T": "0"}, "p": "1"}],
+    })
+    assert main([argv[0], single, *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {argv[0]} requires a regime-family model\n"
+
+
 def test_scan_axioms_exhaustive_vci_reads_cards_and_regimes(capsys):
     """--exhaustive-vci takes n_vars from the number of --cards entries
     (default 3) and max_regimes from --regimes, as --help states."""

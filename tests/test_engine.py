@@ -11,6 +11,7 @@ from separoid.engine import (
     Limits,
     NotDerivable,
     _Engine,
+    _Space,
     apply_rule,
     closure,
     derivation_to_dict,
@@ -469,6 +470,33 @@ def test_closure_pinned(text, rs_name, flags, count, digest):
     assert not res.truncated
     assert len(res.statements) == count
     assert _canonical_digest(res.statements) == digest
+
+
+def test_unary_yields_pinned():
+    """Every unary rule step of every rule set, on every legal key over
+    stochastic A, B, C and decision P, T, with and without the registry
+    A <= B, P <= T: the ordered (conclusion, note) yields keep their sha256.
+    The pure sets run in each mode they take; the mixed sets under flags
+    (so their gated steps run too), with {T}, {P} and {T, P} declared."""
+    uni = Universe.of(stochastic=["A", "B", "C"], decision=["P", "T"])
+    reg = ReductionRegistry(uni)
+    reg.register("A", "B")
+    reg.register("P", "T")
+    comp = ComplementarityDecl.of(["T"], ["P"], ["T", "P"])
+    flags = ("pairwise_semantics", "discrete_variables")
+    cases = [("SEPAROID_FULL", (), "s"), ("SEPAROID_FULL", (), "d"), ("VCI_STRONG", (), "d"),
+             ("ECI_RESTRICTED", flags, None), ("GENERAL", flags, None)]
+    keys = list(itertools.product(range(8), range(4), range(8), range(4), range(8), range(4)))
+    h, calls = hashlib.sha256(), 0
+    for (name, fl, mode), registry in itertools.product(cases, (None, reg)):
+        eng = _Engine(rule_set(name, fl), _Space(uni, registry), comp, mode)
+        legal = [k for k in keys if eng.legal(k)]
+        for rule in (rule for rule, arity in eng.steps if arity == 1):
+            for k in legal:
+                h.update(repr((rule, k, list(eng.unary(rule, k)))).encode())
+            calls += len(legal)
+    assert calls == 298_752
+    assert h.hexdigest() == "b6de13d4b22f2a8ced6b26ffcc0912e8c9a3cdeefbbcd839be55dd282f32be07"
 
 
 # -- derivation formatting and replay ---------------------------------------------
