@@ -338,11 +338,7 @@ class _Engine:
         self.comp_set = frozenset(self.comp_masks)
         # tautologies settled as ordinary statements (prove only)
         self.materialized: set[tuple] = set()
-        # binary-rule pairing indexes over inserted statements
-        self.by_left_cond: dict[tuple, list] = {}
-        self.by_left_rjoinc: dict[tuple, list] = {}
-        self.by_right_cond: dict[tuple, list] = {}
-        self.by_right_ljoinc: dict[tuple, list] = {}
+        self.clear()
         self.rule_idx = {name: i for i, name in enumerate(rs.rules)}
         self.via = "via " + ",".join(sorted(rs.flags))  # the flag-gated rules' note
 
@@ -453,6 +449,13 @@ class _Engine:
                     stack.append(ck)
 
     # -- index maintenance ---------------------------------------------------
+
+    def clear(self) -> None:
+        """Empty the binary-rule pairing indexes over inserted statements."""
+        self.by_left_cond: dict[tuple, list] = {}
+        self.by_left_rjoinc: dict[tuple, list] = {}
+        self.by_right_cond: dict[tuple, list] = {}
+        self.by_right_ljoinc: dict[tuple, list] = {}
 
     def insert(self, k: tuple) -> None:
         """Index k for pairing; trivial statements are never a first premise,
@@ -848,6 +851,15 @@ def apply_rule(
         rs = rule_set(holder or rules, flags)
     else:
         rs = RuleSet(rules.name, rules.rules, frozenset(rules.flags) | frozenset(flags))
+    _check_rule(name, rs)
+    known = list(known)
+    eng, keys = _setup(known, rs, universe, registry, complementarity)
+    return frozenset(map(eng.space.stmt_of, _one_step(eng, name, known, keys)))
+
+
+def _check_rule(name: str, rs: RuleSet) -> None:
+    """apply_rule's checks of the rule: in the rule set, symbolic, and
+    enabled by a flag where it must be."""
     if name not in rs.rules:
         raise ValueError(f"rule {name!r} is not part of rule set {rs.name}")
     r = RULES[name]
@@ -856,8 +868,14 @@ def apply_rule(
     if r.flag_gated and not rs.flags:
         raise GuardViolation(f"{name} fires only under an enabling flag")
 
-    known = list(known)
-    eng, keys = _setup(known, rs, universe, registry, complementarity)
+
+def _one_step(eng: _Engine, name: str, known: list, keys: list) -> set:
+    """The keys of all one-step conclusions of a checked rule of eng's rule
+    set from the statements `known` (with their `keys`), after apply_rule's
+    checks of each statement: pure under the pure rule sets, within P1''s
+    guard, and legal.  The pairing indexes are emptied first, so one engine
+    serves many steps."""
+    rs, r = eng.rs, RULES[name]
     for stmt, k in zip(known, keys):
         if rs.name in ("SEPAROID_FULL", "VCI_STRONG"):
             if not eng.legal(k):
@@ -879,6 +897,7 @@ def apply_rule(
             if rn == name:
                 out.add(ck)
     else:
+        eng.clear()
         keyset = set(keys)
         for k in sorted(keyset):
             eng.insert(k)
@@ -891,7 +910,7 @@ def apply_rule(
                 for prem, ck in eng.binary(name, k):
                     if all(p in keyset for p in prem):
                         out.add(ck)
-    return frozenset(eng.space.stmt_of(k) for k in out)
+    return out
 
 
 def replay(
@@ -903,10 +922,15 @@ def replay(
     rules: RuleSet | str = "SEPAROID_FULL",
     premises: Iterable[CIStatement] = (),
 ) -> bool:
-    """Re-run every step of a derivation through apply_rule; True iff each
-    conclusion is reproduced exactly from its cited premises."""
+    """Re-run every step of a derivation with apply_rule's checks; True iff
+    each conclusion is reproduced exactly from its cited premises by a rule
+    of the rule set.  One name space serves the whole replay, and one engine
+    each mode the steps infer."""
     rs = rule_set(rules) if isinstance(rules, str) else rules
     premise_set = {p.sort_key() for p in premises}
+    space = _Space(universe, registry)
+    comp = complementarity or ComplementarityDecl()
+    engines: dict[str | None, _Engine] = {}
     stack = [d]  # pre-order, as a recursive check would meet the steps
     while stack:
         node = stack.pop()
@@ -914,22 +938,22 @@ def replay(
             if premise_set and node.goal.sort_key() not in premise_set:
                 return False
             continue
-        r = RULES.get(node.rule)
-        if r is None or len(node.children) != r.arity:
+        if node.rule not in rs.rules or len(node.children) != RULES[node.rule].arity:
             return False
+        known = [c.goal for c in node.children]
         try:
-            conclusions = apply_rule(
-                node.rule,
-                [c.goal for c in node.children],
-                universe=universe,
-                registry=registry,
-                complementarity=complementarity,
-                rules=rs,
-                flags=rs.flags,
-            )
+            _check_rule(node.rule, rs)
+            keys = [space.key_of(s) for s in known]
+            mode = _infer_mode(rs, space, keys)
+            eng = engines.get(mode) or engines.setdefault(mode, _Engine(rs, space, comp, mode))
+            # the goal's key, names outside the universe dropped: exact, as
+            # the key must also give the goal back
+            g = node.goal
+            gk = tuple(space.mask(o, names) for vs in (g.left, g.right, g.cond)
+                       for o, names in enumerate((vs.stoch, vs.dec)))
+            if gk not in _one_step(eng, node.rule, known, keys) or space.stmt_of(gk) != g:
+                return False
         except GuardViolation:
-            return False
-        if node.goal not in conclusions:
             return False
         stack.extend(reversed(node.children))
     return True

@@ -5,6 +5,7 @@ only numeric budgets are wall-clock bounds, asserted where stated.  Run with
 ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -78,6 +79,11 @@ def test_c1_worked_example_derivations():
     assert ok_a and ok_b
 
 
+def _digest(rep) -> str:
+    """sha256 of a scan report's stable-keyed dict."""
+    return hashlib.sha256(json.dumps(rep.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
 # -- criterion 2: SCI axiom soundness ----------------------------------------------
 
 
@@ -93,6 +99,7 @@ def test_c2_sci_axiom_soundness():
            f"{rep.instances} instances, {len(rep.violations)} violations, {dt:.1f}s")
     assert rep.violations == []
     assert dt < 60.0
+    assert _digest(rep) == "304995c8d72ad7f8dd777aac250001d6afff856a9e33795bf813b48dd08b06a7"
 
 
 # -- criterion 3: VCI strong-separoid suite ------------------------------------------
@@ -104,6 +111,7 @@ def test_c3_vci_strong_separoid_exhaustive():
            f"{rep.trials} decision maps, {rep.instances} instances, "
            f"{len(rep.violations)} violations")
     assert rep.violations == []
+    assert _digest(rep) == "bde50401fea056fca845c380ea62181bba5bf970db550e81a8cc4b3dbaa71337"
 
 
 # -- criterion 4: ECI restricted-axiom suite -----------------------------------------
@@ -116,6 +124,11 @@ def test_c4_eci_restricted_axioms():
         dict(trials=150, var_cardinalities={"X": 2, "Y": 2, "Z": 2}, regime_count=2),
         dict(trials=100, var_cardinalities={"X": 2, "Y": 2, "Z": 2}, regime_count=3),
     ]
+    digests = [
+        "7b826c3398663262f82323b67b7accdcbebacddcc6c16ca62642a20ba3e612bf",
+        "3b9c44167dda139185cad5c84b46a5286f1243cf68b2ff2f353eecd8db1316bb",
+        "d96b03e38e2c42c54770bbedc706e831d1fd82a58e9d0d6f3cc59770c902474b",
+    ]
     total_instances = 0
     violations = []
     families = 0
@@ -123,6 +136,7 @@ def test_c4_eci_restricted_axioms():
         cfg = SearchConfig(seed=SEED + i, probability_grid=3,
                            decision_cardinalities={"Theta": 2}, **batch)
         rep = axiom_soundness_scan(cfg, rs)
+        assert _digest(rep) == digests[i]
         total_instances += rep.instances
         violations += rep.violations
         families += rep.trials

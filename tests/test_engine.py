@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import itertools
@@ -349,12 +350,11 @@ def _corpus_draw(rng: random.Random, ses, kind: str) -> CIStatement:
     return CIStatement(*(vs(s, d) for s, d in zip(slots, decs)))
 
 
-def test_prove_corpus_answers_pinned():
-    """2,880 prove calls over all four rule sets, a registry, ECI with and
-    without discrete_variables, and default and tight limits: half the goals
-    are random, half are closure members.  The sha256 of the results' repr
-    (every Derivation and every NotDerivable, truncated or not) is pinned."""
-    results = []
+@functools.cache
+def _corpus() -> list:
+    """(result, rule set, premises, session keywords) of the 2,880 seeded
+    prove calls of the corpus, computed once per test session."""
+    rows = []
     rng = random.Random(2015)
     for header, rs_name, flags, kind in _CORPUS:
         ses = parse_session(header)
@@ -367,12 +367,30 @@ def test_prove_corpus_answers_pinned():
                              key=lambda s: s.sort_key())
             goals = [_corpus_draw(rng, ses, kind) for _ in range(12)] + rng.sample(members, 12)
             for lim in _CORPUS_LIMITS:
-                results += [prove(goal, prems, rs, limits=lim, **kw) for goal in goals]
+                rows += [(prove(goal, prems, rs, limits=lim, **kw), rs, prems, kw) for goal in goals]
+    return rows
+
+
+def test_prove_corpus_answers_pinned():
+    """2,880 prove calls over all four rule sets, a registry, ECI with and
+    without discrete_variables, and default and tight limits: half the goals
+    are random, half are closure members.  The sha256 of the results' repr
+    (every Derivation and every NotDerivable, truncated or not) is pinned."""
+    results = [row[0] for row in _corpus()]
     assert len(results) == 2880
     assert sum(isinstance(r, Derivation) for r in results) == 1731
     assert sum(r == NotDerivable(truncated=True) for r in results) == 539
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
     assert digest == "4c1f27bf24bbfc76d580c3e3bd2aad2028aa2fc3f25cc9d626ab13ecf3b519fd"
+
+
+def test_prove_corpus_derivations_replay():
+    """Every derivation of the corpus replays from its premises under its
+    rule set, session and flags."""
+    derived = [row for row in _corpus() if isinstance(row[0], Derivation)]
+    assert len(derived) == 1731
+    for d, rs, prems, kw in derived:
+        assert replay(d, rules=rs, premises=prems, **kw), format_proof(d)
 
 
 # -- prove agrees with closure ------------------------------------------------------
@@ -526,6 +544,46 @@ def test_replay_accepts_valid_and_rejects_malformed(uni3):
     assert not replay(broken, universe=uni3, premises=prem)
     wrong = Derivation(ci(["X"], ["Y"]), "P1", (d.children[0],))
     assert not replay(wrong, universe=uni3, premises=prem)
+
+
+def test_replay_rejects_tampered_derivations(uni3, eci_uni, comp):
+    # Each tampered derivation differs from one that replays in one step:
+    # its rule name, its arity, a guarded statement, or an uncited premise.
+    a, b = ci(["X"], ["Y"], ["Z"]), ci(["Y"], ["X"], ["Z"])
+    leaf = Derivation(a, "premise")
+    good = prove(ci(["X", "Z"], ["Y"], ["Z"]), [a], rule_set("SEPAROID_FULL"), universe=uni3)
+    assert replay(good, universe=uni3, premises=[a])
+    assert replay(Derivation(b, "P1", (leaf,)), universe=uni3, premises=[a])
+    for rule in ("P3", "P1'", "P7"):  # a rule of the set, of another set, of none
+        assert not replay(Derivation(b, rule, (leaf,)), universe=uni3, premises=[a])
+    assert not replay(Derivation(b, "P1", (leaf, leaf)), universe=uni3, premises=[a])
+    assert not replay(Derivation(b, "P5", (leaf,)), universe=uni3, premises=[a])
+    assert not replay(good, universe=uni3, premises=[b])
+    assert not replay(Derivation(ci(["W"], ["X"], ["Z"]), "P1", (leaf,)), universe=uni3)
+    # P1' on a decision-free statement (guarded), then on one whose decision
+    # names are all conditioned on
+    kw = dict(universe=eci_uni, complementarity=comp, rules="ECI_RESTRICTED")
+    with pytest.raises(GuardViolation):
+        apply_rule("P1'", [a], **kw)
+    assert not replay(Derivation(b, "P1'", (leaf,)), **kw)
+    c, d = ci(["X"], ["Y"], ["Z"], cdec=["Th"]), ci(["Y"], ["X"], ["Z"], cdec=["Th"])
+    assert replay(Derivation(d, "P1'", (Derivation(c, "premise"),)), premises=[c], **kw)
+
+
+def test_replay_builds_one_engine_per_mode(monkeypatch, uni3):
+    # A five-step proof replays on one engine; apply_rule builds one per call.
+    prem = [ci(["X"], ["Y"], ["Z"])]
+    d = prove(ci(["X", "Z"], ["Y"], ["Z"]), prem, rule_set("SEPAROID_FULL"), universe=uni3)
+    built = []
+    init = _Engine.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(_Engine, "__init__", counted)
+    assert d.steps == 5 and replay(d, universe=uni3, premises=prem)
+    assert len(built) == 1
 
 
 def test_replay_checks_every_occurrence_of_a_goal(uni3):

@@ -620,6 +620,119 @@ def test_scan_stopped_early_reports_the_models_checked(monkeypatch):
     assert rep.trials == 8
 
 
+def _spy_models(monkeypatch) -> list:
+    """Record (scan, holds, complementary, truth) of every _Scan.model call."""
+    seen = []
+    model = _Scan.model
+
+    def spy(self, trial, holds, complementary=None, dominating=None):
+        truth = model(self, trial, holds, complementary, dominating)
+        seen.append((self, holds, complementary, truth))
+        return truth
+
+    monkeypatch.setattr(_Scan, "model", spy)
+    return seen
+
+
+_XYZ = {"X": 2, "Y": 2, "Z": 2}
+_ABCD = {"A": 2, "B": 2, "C": 2, "D": 2}
+CLASS_SCANS = {
+    "SEPAROID_FULL": _scan("SEPAROID_FULL", seed=3, trials=6, probability_grid=1,
+                           var_cardinalities=_ABCD),
+    "ECI_RESTRICTED-2": _scan("ECI_RESTRICTED", ("discrete_variables",), seed=3, trials=4,
+                              regime_count=2, probability_grid=2, var_cardinalities=_XYZ,
+                              decision_cardinalities={"Theta": 2}),
+    "ECI_RESTRICTED-3": _scan("ECI_RESTRICTED", ("discrete_variables",), seed=3, trials=4,
+                              regime_count=3, probability_grid=2, var_cardinalities=_XYZ,
+                              decision_cardinalities={"Theta": 2}),
+    "GENERAL": _scan("GENERAL", ("discrete_variables",), seed=2, trials=8, regime_count=2,
+                     probability_grid=3, var_cardinalities={"X": 2, "Y": 2},
+                     decision_cardinalities={"Theta": 2}),
+    "VCI_STRONG": _scan("VCI_STRONG", seed=4, trials=10, regime_count=3, var_cardinalities=_ABCD),
+}
+
+
+def _assert_truth_is_per_key(scan, holds, complementary, truth) -> list:
+    """The truth table starts with every key of the admitted unions, in
+    domain order, each with the model's own verdict; returns those keys."""
+    keys = [k for u, ks in scan.keys.items() if complementary is None or complementary(u)
+            for k in ks]
+    assert list(truth)[:len(keys)] == keys
+    assert [truth[k] for k in keys] == [holds(k) for k in keys]
+    return keys
+
+
+@pytest.mark.parametrize("name", CLASS_SCANS)
+def test_class_verdicts_equal_the_checkers_on_every_key(monkeypatch, name):
+    # _Scan.model asks each model once per class of keys; the truth table it
+    # builds from those verdicts, in domain order, must be the model's own
+    # verdict on every key of every admitted union.
+    seen = _spy_models(monkeypatch)
+    assert CLASS_SCANS[name]().ok
+    outcomes = set()
+    for scan, holds, complementary, truth in seen:
+        for k in _assert_truth_is_per_key(scan, holds, complementary, truth):
+            outcomes.add((_r_triv(k) or _l_triv(k), _r_triv(k), truth[k]))
+    nontrivial = sum(map(len, scan.nontrivial.values()))
+    assert sum(len(r) for r in scan.reps.values()) < sum(map(len, scan.keys.values()))
+    assert len({c for u in scan.classes for c in scan.classes[u]}) < nontrivial
+    assert {(False, False, True), (False, False, False)} <= outcomes
+    # a decision-free key on several regimes asserts one law across them
+    assert ((True, True, False) in outcomes) == name.startswith(("ECI", "GENERAL"))
+
+
+def test_mixed_classes_keep_the_decision_parts():
+    # Under GENERAL, clearing the decision conditioning part from the outer
+    # slots changes some eci_general verdicts, on unions that do not identify
+    # the regime.  The scans admit no such union; with every union admitted,
+    # the truth table is still the verdict on every key.
+    cfg = SearchConfig(seed=1, trials=4, var_cardinalities={"X": 2, "Y": 2}, regime_count=3,
+                       probability_grid=2, decision_cardinalities={"Theta": 2})
+    scan = _Scan(rule_set("GENERAL", ("discrete_variables",)),
+                 Universe.of(stochastic=("X", "Y"), decision=("Sigma", "Theta")))
+    dec = scan.dec_sets
+    changed = 0
+    for t in range(cfg.trials):
+        fam = random_family(cfg, t)
+
+        def holds(k):
+            return fam.eci_general(k[0], dec[k[1]], k[2], dec[k[3]], k[4], dec[k[5]])
+
+        for k in _assert_truth_is_per_key(scan, holds, None, scan.model(t, holds)):
+            cleared = (k[0] & ~k[4], k[1] & ~k[5], k[2] & ~k[4], k[3] & ~k[5], k[4], k[5])
+            changed += not (_r_triv(k) or _l_triv(k)) and holds(k) != holds(cleared)
+    assert changed == 2
+
+
+def test_close_memo_lasts_one_scan_call(monkeypatch):
+    # Each exhaustive_vci_scan(3, 3) call closes each distinct true set once
+    # (the trivial closure once per process): 15 closes for 92 ranges, which
+    # closed 92 times without the memo.  A scan whose only flag is
+    # dominating_regime licenses P4'' per model, so it closes every model,
+    # as before the memo, with the report pinned then.
+    closes = []
+    close = _Scan._close
+
+    def counted(self, *args):
+        closes.append(1)
+        return close(self, *args)
+
+    monkeypatch.setattr(_Scan, "_close", counted)
+    monkeypatch.setattr(search, "_CLOSURES", {})
+    counts = []
+    for _ in range(3):
+        closes.clear()
+        assert exhaustive_vci_scan(max_regimes=3, n_vars=3).ok
+        counts.append(len(closes))
+    assert counts == [16, 15, 15]
+    closes.clear()
+    rep = _scan("ECI_RESTRICTED", ("dominating_regime",), seed=2, trials=8, regime_count=2,
+                probability_grid=3, var_cardinalities={"X": 2, "Y": 2},
+                decision_cardinalities={"Theta": 2})()
+    assert _digest(rep.to_dict()) == "676c5cb425f9de3f851522c623d84394f0a35c90eba7ba863d6ea0e601ece64f"
+    assert len(closes) == 11
+
+
 def test_random_models_are_unchanged():
     # model_to_dict of seeded distributions and families, as drawn before
     # their grid masses came from one helper.
