@@ -356,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--regimes", type=int, default=2)
     sp.add_argument("--cards", help="cardinalities, e.g. X=2,Y=2,Z=2")
     sp.add_argument("--exhaustive", action="store_true",
-                    help="enumerate every grid pmf (at most two binary variables)")
+                    help="enumerate every grid pmf (at most four atoms: the product of the "
+                         "--cards cardinalities)")
     sp.add_argument("--out", help="write the counterexample to a JSON file")
     sp.set_defaults(func=_cmd_search_cx)
 

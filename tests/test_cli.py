@@ -192,6 +192,17 @@ def test_search_cx_not_found_reports_models_tried(capsys):
     assert json.loads(capsys.readouterr().out) == {"found": False, "trials": 7}
 
 
+def test_search_cx_exhaustive_limit_is_four_atoms(capsys):
+    # One four-valued variable is four atoms, within the exhaustive limit;
+    # five atoms exit 2 with the limit stated as atoms.
+    argv = ["search-cx", "-e", "stochastic X;", "--semantics", "sci", "--exhaustive",
+            "--grid", "2", "--json", "X _||_ X"]
+    assert main(argv + ["--cards", "X=4"]) == 1
+    assert json.loads(capsys.readouterr().out)["found"]
+    assert main(argv + ["--cards", "X=5"]) == 2
+    assert "at most four atoms" in capsys.readouterr().err
+
+
 def test_product_command(tmp_path, capsys):
     model = write_json(tmp_path, "fam.json", INEFFECTIVE)
     rc = main(["product", model, "s0=1/2,s1=1/2", "--json"])

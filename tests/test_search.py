@@ -349,15 +349,14 @@ def _digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-def _unsound_p3(monkeypatch, trivial_only=False):
-    """P3 and P3' that also drop the stochastic conditioning slot, on every
-    premise or only on premises whose right part lies inside the
-    conditioning slot."""
+def _unsound_p3(monkeypatch, where=None):
+    """P3 and P3' that also drop the stochastic conditioning slot, on the
+    premises ``where`` admits (every premise when it is None)."""
     sound_unary = _Engine.unary
 
     def unary(self, name, k):
         yield from sound_unary(self, name, k)
-        if name in ("P3", "P3'") and k[4] and (_r_triv(k) or not trivial_only):
+        if name in ("P3", "P3'") and k[4] and (where is None or where(k)):
             yield (k[0], k[1], k[2], k[3], 0, k[5]), ""
 
     monkeypatch.setattr(_Engine, "unary", unary)
@@ -393,11 +392,42 @@ def test_warm_trivial_closures_cannot_hide_an_unsound_rule(monkeypatch):
     for rules, _, cfg, _, _ in MUTATED_SCANS:
         assert axiom_soundness_scan(cfg, rule_set(rules)).ok
     assert search._CLOSURES
-    _unsound_p3(monkeypatch, trivial_only=True)
+    _unsound_p3(monkeypatch, where=_r_triv)
     for rules, mutated, cfg, _, _ in MUTATED_SCANS:
         rep = axiom_soundness_scan(cfg, rule_set(rules))
         assert rep.violations
         assert {v["rule"] for v in rep.violations} == {mutated}
+
+
+def _nontrivial(k: tuple) -> bool:
+    return not (_r_triv(k) or _l_triv(k))
+
+
+@pytest.mark.parametrize("where", [None, _nontrivial])
+def test_warm_unary_tables_cannot_hide_an_unsound_rule(monkeypatch, where):
+    # Tables of unary conclusions filled by the sound engine are not reused
+    # for a mutated one: its scans give the reports of a run with every
+    # process memo emptied, and the violations pinned cold.  Mutated on
+    # non-trivial premises only, its violations are met only where a model's
+    # close reads the tables.
+    def run():
+        return [axiom_soundness_scan(cfg, rule_set(rules)) for rules, _, cfg, _, _ in MUTATED_SCANS]
+
+    monkeypatch.setattr(search, "_DOMAINS", {})
+    monkeypatch.setattr(search, "_CLOSURES", {})
+    assert all(rep.ok for rep in run())
+    assert all(listing[-1] for listing in search._DOMAINS.values())
+    _unsound_p3(monkeypatch, where)
+    warm = run()
+    assert len(search._DOMAINS) == 2 * len(MUTATED_SCANS)
+    monkeypatch.setattr(search, "_DOMAINS", {})
+    monkeypatch.setattr(search, "_CLOSURES", {})
+    assert [rep.to_dict() for rep in warm] == [rep.to_dict() for rep in run()]
+    for rep, (_, mutated, _, instances, violations) in zip(warm, MUTATED_SCANS):
+        assert {v["rule"] for v in rep.violations} == {mutated}
+        if where is None:
+            assert rep.instances == instances
+            assert _digest(rep.violations) == violations
 
 
 _ECI_FLAGS = ("discrete_variables", "dominating_regime")
@@ -438,6 +468,7 @@ PINNED_REPORTS = {
 @pytest.mark.parametrize("name", PINNED_REPORTS)
 def test_scan_reports_equal_cold_and_warm(monkeypatch, name):
     scan, digest, false_trivial = PINNED_REPORTS[name]
+    monkeypatch.setattr(search, "_DOMAINS", {})
     monkeypatch.setattr(search, "_CLOSURES", {})
     assert _digest(scan().to_dict()) == digest
     # key: (domain, unions, 1 followed by one bit per trivial key)
@@ -496,6 +527,37 @@ def test_domain_listings_are_bounded(monkeypatch):
     for name, (scan, digest, _) in PINNED_REPORTS.items():
         assert _digest(scan().to_dict()) == digest, name
         assert len(search._DOMAINS) == 1
+
+
+def test_unary_tables_hold_listed_keys_and_go_with_their_listing(monkeypatch):
+    # Every stored conclusion is the listing's own key object; a scan whose
+    # models have no true non-trivial key stores nothing; with room for one
+    # listing, a table is dropped with its listing and filled again.
+    monkeypatch.setattr(search, "_DOMAINS", {})
+    for name in PINNED_REPORTS:
+        PINNED_REPORTS[name][0]()
+    assert len(search._DOMAINS) == 4
+    for listing in search._DOMAINS.values():
+        listed = {k: k for ks in listing[0].values() for k in ks}
+        table = listing[-1]
+        assert table and all(listed[k] is k for k in table)
+        assert all(listed[ck] is ck for units in table.values() for cks in units for ck in cks)
+    cfg = SearchConfig(seed=1, trials=10, var_cardinalities={"A": 2, "B": 2, "C": 2},
+                       probability_grid=20)
+    monkeypatch.setattr(search, "_DOMAINS", {})
+    assert axiom_soundness_scan(cfg, rule_set("SEPAROID_FULL")).ok
+    [listing] = search._DOMAINS.values()
+    assert listing[-1] == {}
+    monkeypatch.setattr(search, "_DOMAINS_MAX", 1)
+    first, second = PINNED_REPORTS["SEPAROID_FULL"][0], PINNED_REPORTS["GENERAL"][0]
+    first()
+    [(domain, listing)] = search._DOMAINS.items()
+    table = dict(listing[-1])
+    assert table
+    second()
+    assert domain not in search._DOMAINS and len(search._DOMAINS) == 1
+    first()
+    assert search._DOMAINS[domain][-1] == table and search._DOMAINS[domain] is not listing
 
 
 def test_changed_legality_gets_its_own_listing(monkeypatch):
