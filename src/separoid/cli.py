@@ -283,11 +283,17 @@ def _cmd_gformula(args) -> int:
 def _cmd_scan_axioms(args) -> int:
     cards = _parse_cards(args.cards)
     if args.exhaustive_vci:
+        conflicts = [f"--rules {args.rules}"] if args.rules not in (None, "VCI_STRONG") else []
+        conflicts += ["--flag"] if args.flag else []
+        if conflicts:
+            raise ValueError("--exhaustive-vci scans VCI_STRONG without flags; it conflicts with "
+                             + " and ".join(conflicts))
         if any(c != 2 for c in cards.values()):
             raise ValueError("--exhaustive-vci enumerates binary decision maps only; "
                              "every --cards cardinality must be 2")
         report = search.exhaustive_vci_scan(args.regimes, len(cards) if cards else 3)
     else:
+        args.rules = args.rules or "SEPAROID_FULL"
         if not cards:
             cards = {"A": 2, "B": 2, "C": 2, "D": 2}
         cfg = search.SearchConfig(
@@ -385,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_gformula)
 
     sp = sub.add_parser("scan-axioms", help="soundness scan of a rule family")
-    sp.add_argument("--rules", default="SEPAROID_FULL", choices=sorted(engine._RULE_SETS))
+    sp.add_argument("--rules", choices=sorted(engine._RULE_SETS), help="default SEPAROID_FULL")
     sp.add_argument("--flag", action="append", choices=sorted(engine.FLAGS))
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=int, default=100)

@@ -59,6 +59,8 @@ class SearchConfig:
             raise ValueError("trials, probability_grid and regime_count must be >= 1")
         if any(c < 1 for c in self.var_cardinalities.values()):
             raise ValueError("variable cardinalities must be >= 1")
+        if any(c < 1 for c in self.decision_cardinalities.values()):
+            raise ValueError("decision cardinalities must be >= 1")
 
     def to_dict(self) -> dict:
         return {
@@ -300,12 +302,11 @@ class ScanReport:
         }
 
 
-# Domain listings, kept for the process: scan domain -> (keys, trivial, nontrivial).
+# Domain listings, kept for the process: scan domain -> ``_list_domain``'s tuple.
 _DOMAINS: dict = {}
 _DOMAINS_MAX = 32
 # Trivial closures, kept for the process: (scan domain, admitted unions,
-# true trivial keys as bits) -> (per-rule counts, instances to check, the
-# engine's pairing index of the true trivial keys, as tuples).
+# true trivial keys as bits) -> (per-rule counts, instances to check).
 _CLOSURES: dict = {}
 _CLOSURES_MAX = 256
 _BITS = bytes.maketrans(b"\0\1", b"01")
@@ -334,9 +335,10 @@ class _Scan:
 
     The legal keys with nonempty outer slots are listed by decision union
     once per process and scan domain (``self.domain``) in ``_DOMAINS``:
-    legality is asked with every nonempty union declared complementary, so
-    the listing depends on that key alone.  Every conclusion the engine
-    draws on a model from true premises must be true on it.
+    legality is asked of an engine with every nonempty union declared
+    complementary, so the listing depends on that key alone.  Every
+    conclusion the engine draws on a model from true premises must be true
+    on it.
 
     The listing also splits each union's keys into classes of one verdict,
     and the model is asked once per class, on its first key.  In a separoid
@@ -354,30 +356,27 @@ class _Scan:
     premise, so the spontaneous instances and those among trivial keys
     depend only on the scan domain (rule set, universe, mode, admitted
     decision unions, the engine's methods) and on which trivial keys are
-    true.  That closure is built once per process and kept in ``_CLOSURES``
-    with its engine's pairing index of the true trivial keys, as tuples
-    (about 0.86 MB by tracemalloc for the 10 closures of a bench ``scan``
-    pass).  The memos drop their oldest entry at ``_DOMAINS_MAX``/
-    ``_CLOSURES_MAX``.  Each model adds its counts, checks its conclusions
-    that are not true trivial keys, and expands only the true non-trivial
-    keys, in domain order, on an engine that starts from a list copy of
-    that index, with no engine when there are none: a pair with a trivial
-    key is met once, when its non-trivial premise arrives, so the counts
-    are those of expanding every true key.  A model with a violation is
-    closed again from a fresh engine over every true key, so violations
-    keep their order.
-
-    Each listing also keeps a table, filled as models need it: for a key
-    true and non-trivial on some model, the conclusions ``_Engine.unary``
-    yields from it per unary rule step, in ``eng.steps`` order, each stored
-    as the listing's own key object.  A unary instance depends only on the
-    domain and its premise, so reuse is exact, and a changed engine has a
-    domain of its own.  A model's close counts one rule's conclusions on a
-    key at once when all are true, else concludes them one by one, so a
-    false conclusion or one outside the truth table is met as before; only
-    the P5-family pairs are drawn per model.  The tables of a bench
-    ``scan`` pass hold 24,686 conclusions (16,736 for VCI_STRONG over four
-    variables), about 0.94 MB by tracemalloc, and go with their listing.
+    true; that closure is kept in ``_CLOSURES`` as per-rule counts and the
+    instances each model checks.  Every other instance has a true
+    non-trivial first premise and comes from the listing's table, filled as
+    models need it: per key and rule step (``eng.steps`` order), the
+    conclusions ``_Engine.unary`` yields, or the (second premise,
+    conclusion) pairs ``_Engine.binary`` yields with the key first on the
+    listing's engine, where every listed key is inserted (a synthesized
+    tautology as None), all as the listing's own key objects.  Reuse is
+    exact: a changed engine has a domain of its own; one engine meets each
+    pair of true premises once; a second premise is an implicit tautology
+    exactly when it is on the listing's engine, as its decision union is
+    the first premise's; and no rule moves a conclusion out of its
+    premise's union.  So a model's close builds no engine: it keeps the
+    pairs whose second premise is None or true and counts a group at once
+    when all its conclusions are true, else concludes them one by one.  A
+    model with a violation is closed again from a fresh engine over every
+    true key, so violations keep their order.  The tables of a bench
+    ``scan`` pass hold 23,686 unary conclusions and 9,744 pairs, 1.75 MB by
+    tracemalloc (the listings' engines 0.99 MB), and go with their
+    listing.  The memos drop their oldest entry at ``_DOMAINS_MAX``/
+    ``_CLOSURES_MAX``.
 
     A close memo lasts one scan call (``self.closes``): a model whose
     admitted unions and class verdicts (trivial keys' included) match a
@@ -394,7 +393,7 @@ class _Scan:
         self.domain = (rs, sp.s_names, sp.d_names, mode, tuple(vars(_Engine).values()))
         self.dec_sets = [sp.slot(0, d).dec for d in range(sp.d_all + 1)]
         listing = _DOMAINS.get(self.domain) or self._list_domain()
-        self.keys, self.trivial, self.nontrivial, self.reps, self.classes, self.units = listing
+        self.keys, self.trivial, self.nontrivial, self.reps, self.classes, self.eng, self.table = listing
         self.canon: dict | None = None  # each listed key to itself, built on a table miss
         self.tally = dict.fromkeys(rs.rules, 0)
         self.violations: list = []
@@ -424,7 +423,7 @@ class _Scan:
         flags = bytes(map(truth.__getitem__, listed))
         trivial = list(compress(listed, flags))
         key = (self.domain, tuple(unions), int(b"1" + flags.translate(_BITS), 2))
-        counts, extras, index = _CLOSURES.get(key) or self._trivial_closure(key, comp, trivial)
+        counts, extras = _CLOSURES.get(key) or self._trivial_closure(key, comp, trivial)
 
         def conclude(rule, premises, ck, k):
             if dominating is None or rule not in _GATED or dominating(k[5]):
@@ -440,9 +439,8 @@ class _Scan:
             self.tally[rule] += c
         for extra in extras:
             conclude(*extra)
-        nontrivial = [k for u in unions for k in self.nontrivial[u] if truth[k]]
-        if nontrivial:  # else the engine would index the trivial keys and expand nothing
-            self._close(comp, conclude, nontrivial, index, truth, dominating)
+        if nontrivial := [k for u in unions for k in self.nontrivial[u] if truth[k]]:
+            self._close(comp, conclude, nontrivial, truth, dominating)
         if len(self.violations) > start:
             self.tally.update(tally)
             del self.violations[start:]
@@ -454,15 +452,17 @@ class _Scan:
     def _list_domain(self) -> tuple:
         """The domain's legal keys by decision union, their trivial and
         non-trivial ones, their classes (each class's first key in domain
-        order, and each key's class as an index into those) and an empty
-        table of unary conclusions (see ``_Scan``)."""
+        order, and each key's class as an index into those), the engine that
+        asked legality, every listed key inserted, and an empty table."""
         sp = self.space
-        legal = _Engine(self.rs, sp, ComplementarityDecl(frozenset(self.dec_sets[1:])), self.mode).legal
+        eng = _Engine(self.rs, sp, ComplementarityDecl(frozenset(self.dec_sets[1:])), self.mode)
         slots = [(s, d) for s in range(sp.s_all + 1) for d in range(sp.d_all + 1)]
         keys: dict[int, list] = {}
         for left, right, cond in product(slots[1:], slots[1:], slots):
-            if legal(k := left + right + cond):
+            if eng.legal(k := left + right + cond):
                 keys.setdefault(k[1] | k[3] | k[5], []).append(k)
+                eng.insert(k)
+        eng.by_left_rjoinc = eng.by_right_ljoinc = {}  # pair each key as first premise only
         o = 1 if self.mode == "d" else 0
         trivial, nontrivial, reps, classes = {}, {}, {}, {}
         for u, ks in keys.items():
@@ -476,7 +476,7 @@ class _Scan:
                 first.setdefault(c, k)
             pos = {c: i for i, c in enumerate(first)}
             reps[u], classes[u] = tuple(first.values()), tuple(map(pos.__getitem__, ids))
-        listing = (keys, trivial, nontrivial, reps, classes, {})
+        listing = (keys, trivial, nontrivial, reps, classes, eng, {})
         return _keep(_DOMAINS, _DOMAINS_MAX, self.domain, listing)
 
     def _trivial_closure(self, key: tuple, comp: ComplementarityDecl, trivial: list) -> tuple:
@@ -492,58 +492,51 @@ class _Scan:
             else:
                 extras.append((rule, premises, ck, k))
 
-        eng = self._close(comp, record, trivial)
+        self._close(comp, record, trivial)
         counts = tuple((r, c) for r, c in counts.items() if c)
-        index = tuple({c: tuple(ks) for c, ks in d.items()}
-                      for d in (eng.by_left_cond, eng.by_right_cond))
-        return _keep(_CLOSURES, _CLOSURES_MAX, key, (counts, tuple(extras), index))
+        return _keep(_CLOSURES, _CLOSURES_MAX, key, (counts, tuple(extras)))
 
-    def _close(self, comp: ComplementarityDecl, conclude, keys: list, index=None,
-               truth=None, dominating=None) -> _Engine:
-        """On a fresh engine: the spontaneous rules, or else a list copy of a
-        trivial closure's ``index`` (the keys it pairs on are all trivial);
-        then each key inserted and expanded at once, so every pair is met
-        when its later premise arrives.  With an index the keys are all
-        non-trivial, and each one's unary instances come from the domain's
-        table (see ``_Scan``): a rule's conclusions on a key, when licensed,
-        are counted at once if all are true in ``truth``, else each goes
-        through ``conclude``."""
-        eng = _Engine(self.rs, self.space, comp, self.mode)
-        if index is None:
+    def _close(self, comp: ComplementarityDecl, conclude, keys: list, truth=None,
+               dominating=None) -> None:
+        """Without ``truth``, on a fresh engine: the spontaneous rules, then
+        each key inserted and expanded at once, so every pair is met when its
+        later premise arrives.  With it, from the domain's table over a
+        model's true non-trivial keys (see ``_Scan``)."""
+        if truth is None:
+            eng = _Engine(self.rs, self.space, comp, self.mode)
             for rule, ck in eng.spontaneous():
                 conclude(rule, (), ck, None)
             for k in keys:
                 eng.insert(k)
                 for rule, prem, ck, _note in eng.expand(k):
                     conclude(rule, prem, ck, k)
-            return eng
-        eng.by_left_cond, eng.by_right_cond = ({c: list(ks) for c, ks in d.items()} for d in index)
-        units, tally = self.units, self.tally
+            return
+        table, tally = self.table, self.tally
         for k in keys:
-            eng.insert(k)
-            for (rule, arity), cks in zip(eng.steps, units.get(k) or self._units(eng, k)):
-                if arity != 1:  # a non-trivial key is never implicit, as expand asks
-                    for prem, ck in eng.binary(rule, k):
-                        conclude(rule, prem, ck, k)
-                elif cks and (dominating is None or rule not in _GATED or dominating(k[5])):
-                    if all(map(truth.get, cks)):
-                        tally[rule] += len(cks)
-                    else:
-                        for ck in cks:
-                            conclude(rule, (k,), ck, k)
-        return eng
+            for (rule, arity), group in zip(self.eng.steps, table.get(k) or self._entry(k)):
+                if arity != 1:
+                    group = [ck for t, ck in group if t is None or truth.get(t)]
+                elif dominating is not None and rule in _GATED and not dominating(k[5]):
+                    continue
+                if all(map(truth.get, group)):
+                    tally[rule] += len(group)
+                else:  # a violation is named again by the fresh-engine re-close
+                    for ck in group:
+                        conclude(rule, (k,), ck, k)
 
-    def _units(self, eng: _Engine, k: tuple) -> tuple:
-        """Store k's unary conclusions in the domain's table: per rule step,
-        in ``eng.steps`` order, what ``eng.unary`` yields (empty for a binary
-        step), each as the listing's own key where it has one."""
+    def _entry(self, k: tuple) -> tuple:
+        """Store k's entry in the domain's table (see ``_Scan``), each key as
+        the listing's own where it has one."""
         if self.canon is None:
             self.canon = {key: key for ks in self.keys.values() for key in ks}
-        canon = self.canon
-        units = tuple(tuple(canon.get(ck, ck) for ck, _note in eng.unary(rule, k)) if arity == 1
-                      else () for rule, arity in eng.steps)
-        self.units[k] = units
-        return units
+        canon, eng = self.canon, self.eng
+        entry = tuple(
+            tuple(canon.get(ck, ck) for ck, _note in eng.unary(rule, k)) if arity == 1
+            else tuple((None if eng.implicit(t) else t, canon.get(ck, ck))
+                       for (_, t), ck in eng.binary(rule, k))
+            for rule, arity in eng.steps)
+        self.table[k] = entry
+        return entry
 
     def render(self, k: tuple) -> str:
         return render_statement(self.space.stmt_of(k))

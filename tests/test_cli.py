@@ -285,6 +285,26 @@ def test_scan_axioms_exhaustive_vci_reads_cards_and_regimes(capsys):
     assert json.loads(capsys.readouterr().out)["trials"] == 2 ** 3
 
 
+def test_scan_axioms_exhaustive_vci_rejects_other_rules_and_flags(capsys):
+    # The exhaustive suite is VCI_STRONG without flags: another rule set or a
+    # flag is a usage error naming the conflict, never a silent VCI report.
+    argv = ["scan-axioms", "--exhaustive-vci", "--regimes", "1", "--json"]
+    for extra, named in [(["--rules", "ECI_RESTRICTED"], "--rules ECI_RESTRICTED"),
+                         (["--flag", "dominating_regime"], "--flag"),
+                         (["--rules", "GENERAL", "--flag", "discrete_variables"],
+                          "--rules GENERAL and --flag")]:
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: --exhaustive-vci scans VCI_STRONG without flags; "
+                                f"it conflicts with {named}\n")
+        assert captured.out == ""
+    for extra in ([], ["--rules", "VCI_STRONG"]):
+        assert main(argv + extra) == 0
+        assert json.loads(capsys.readouterr().out)["rule_set"] == "VCI_STRONG"
+    assert main(["scan-axioms", "--trials", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rule_set"] == "SEPAROID_FULL"
+
+
 def test_scan_axioms_exhaustive_vci_rejects_empty_regime_spaces(capsys):
     # An exhaustive scan over no regime space would check zero models and
     # report zero violations; it is a usage error, as on the random path.

@@ -26,7 +26,7 @@ from separoid.search import (
     search_counterexample,
     verify_counterexample,
 )
-from separoid.universe import Universe
+from separoid.universe import ComplementarityDecl, Universe
 
 from conftest import ci
 
@@ -188,6 +188,15 @@ def test_exhaustive_vci_rejects_empty_spaces():
     for kwargs in (dict(max_regimes=0), dict(max_regimes=-3), dict(n_vars=0)):
         with pytest.raises(ValueError, match=">= 1"):
             exhaustive_vci_scan(**kwargs)
+
+
+@pytest.mark.parametrize("field, what", [("var_cardinalities", "variable"),
+                                         ("decision_cardinalities", "decision")])
+def test_search_config_rejects_a_cardinality_of_zero(field, what):
+    # A decision variable with no values would fail later, inside the
+    # random family's draw, instead of as a usage error.
+    with pytest.raises(ValueError, match=f"^{what} cardinalities must be >= 1$"):
+        SearchConfig(seed=0, **{field: {"Th": 0}})
 
 
 def _vci_scan(names):
@@ -430,6 +439,43 @@ def test_warm_unary_tables_cannot_hide_an_unsound_rule(monkeypatch, where):
             assert _digest(rep.violations) == violations
 
 
+def _unsound_p5(monkeypatch):
+    """The P5 family's conclusions with the stochastic conditioning part of
+    the first premise dropped.  A first premise is never trivial, so every
+    unsound instance is met where a model's close reads the pair tables."""
+    sound = _Engine._p5_combine
+
+    def combine(self, s1, s2, pure_w):
+        ck = sound(self, s1, s2, pure_w)
+        assert _nontrivial(s1)
+        return ck[:4] + (0, ck[5]) if ck is not None and s1[4] else ck
+
+    monkeypatch.setattr(_Engine, "_p5_combine", combine)
+
+
+def test_warm_pair_tables_cannot_hide_an_unsound_rule(monkeypatch):
+    # Pair tables filled by the sound engine are not reused for one whose
+    # P5 family is unsound: its scans give the reports of a run with every
+    # process memo emptied, and only the P5-family rule is named.
+    def run():
+        return [axiom_soundness_scan(cfg, rule_set(rules)) for rules, _, cfg, _, _ in MUTATED_SCANS]
+
+    monkeypatch.setattr(search, "_DOMAINS", {})
+    monkeypatch.setattr(search, "_CLOSURES", {})
+    assert all(rep.ok for rep in run())
+    assert all(any(group for entry in listing[-1].values()
+                   for (_, arity), group in zip(listing[-2].steps, entry) if arity == 2)
+               for listing in search._DOMAINS.values())
+    _unsound_p5(monkeypatch)
+    warm = run()
+    assert len(search._DOMAINS) == 2 * len(MUTATED_SCANS)
+    monkeypatch.setattr(search, "_DOMAINS", {})
+    monkeypatch.setattr(search, "_CLOSURES", {})
+    assert [rep.to_dict() for rep in warm] == [rep.to_dict() for rep in run()]
+    assert [{v["rule"] for v in rep.violations} for rep in warm] == [{"P5"}, {"P5'"}]
+    assert all(len(v["premises"]) == 2 for rep in warm for v in rep.violations)
+
+
 _ECI_FLAGS = ("discrete_variables", "dominating_regime")
 
 
@@ -530,18 +576,26 @@ def test_domain_listings_are_bounded(monkeypatch):
 
 
 def test_unary_tables_hold_listed_keys_and_go_with_their_listing(monkeypatch):
-    # Every stored conclusion is the listing's own key object; a scan whose
-    # models have no true non-trivial key stores nothing; with room for one
-    # listing, a table is dropped with its listing and filled again.
+    # Every stored conclusion, and every stored second premise that is not a
+    # synthesized tautology (None), is the listing's own key object; a scan
+    # whose models have no true non-trivial key stores nothing; with room for
+    # one listing, a table is dropped with its listing and filled again.
     monkeypatch.setattr(search, "_DOMAINS", {})
     for name in PINNED_REPORTS:
         PINNED_REPORTS[name][0]()
     assert len(search._DOMAINS) == 4
+    seconds = set()
     for listing in search._DOMAINS.values():
         listed = {k: k for ks in listing[0].values() for k in ks}
-        table = listing[-1]
+        eng, table = listing[-2:]
         assert table and all(listed[k] is k for k in table)
-        assert all(listed[ck] is ck for units in table.values() for cks in units for ck in cks)
+        for entry in table.values():
+            for (_, arity), group in zip(eng.steps, entry):
+                pairs = group if arity == 2 else [(None, ck) for ck in group]
+                assert all(listed[ck] is ck for _, ck in pairs)
+                assert all(t is None or listed[t] is t for t, _ in pairs)
+                seconds.update(t is None for t, _ in pairs if arity == 2)
+    assert seconds == {True, False}
     cfg = SearchConfig(seed=1, trials=10, var_cardinalities={"A": 2, "B": 2, "C": 2},
                        probability_grid=20)
     monkeypatch.setattr(search, "_DOMAINS", {})
@@ -616,9 +670,9 @@ def test_p6_partial_meet_mutation_keeps_its_violations_and_counts(monkeypatch):
 
 def test_models_sharing_a_trivial_closure_share_no_index(monkeypatch):
     # One family of the pinned two-regime ECI_RESTRICTED scan, checked twice:
-    # both models start from one trivial closure's pairing index, and the
-    # first indexes its true non-trivial keys next to the trivial ones (P5''
-    # pairs on the right-part index).  The second must not meet them again.
+    # both models share one trivial closure and read their true non-trivial
+    # keys' pairs (P5'' ones included) from the domain's table.  Nothing of
+    # the first close may carry over: the second counts the same again.
     cfg = SearchConfig(seed=2, trials=8, regime_count=2, probability_grid=3,
                        var_cardinalities={"X": 2, "Y": 2}, decision_cardinalities={"Theta": 2})
     fam = random_family(cfg, 2)
@@ -662,6 +716,13 @@ def test_models_without_a_true_nontrivial_key_build_no_engine(monkeypatch):
         rep = axiom_soundness_scan(cfg, rule_set("SEPAROID_FULL"))
         assert len(built) == (len(search._CLOSURES) if run == "cold" else 0)
         assert _digest(rep.to_dict()) == "2f9de562b56b831ed624539b6478114dde27e98b6839bc24a9864beb161dacbf"
+    # Models with true non-trivial keys read them from the domain's table:
+    # warm, the pinned scan builds no engine either.
+    pinned, digest, _ = PINNED_REPORTS["SEPAROID_FULL"]
+    assert _digest(pinned().to_dict()) == digest
+    built.clear()
+    assert _digest(pinned().to_dict()) == digest
+    assert not built and scan.table
 
 
 def test_scan_stopped_early_reports_the_models_checked(monkeypatch):
@@ -764,6 +825,53 @@ def test_mixed_classes_keep_the_decision_parts():
             cleared = (k[0] & ~k[4], k[1] & ~k[5], k[2] & ~k[4], k[3] & ~k[5], k[4], k[5])
             changed += not (_r_triv(k) or _l_triv(k)) and holds(k) != holds(cleared)
     assert changed == 2
+
+
+# Scans no pinned digest covers, on three regimes: the bench's ECI_RESTRICTED
+# X, Y, Z slice, GENERAL over X, Y, Z and VCI_STRONG over A-D.
+_XYZ3 = dict(trials=3, regime_count=3, probability_grid=3, var_cardinalities=_XYZ,
+             decision_cardinalities={"Theta": 2})
+TABLE_SCANS = {
+    "ECI_RESTRICTED": ("ECI_RESTRICTED", _ECI_FLAGS, _XYZ3),
+    "GENERAL": ("GENERAL", ("discrete_variables",), _XYZ3),
+    "VCI_STRONG": ("VCI_STRONG", (), dict(trials=6, regime_count=3, var_cardinalities=_ABCD)),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_SCANS)
+def test_table_close_equals_a_full_close_on_every_model(monkeypatch, name):
+    # What _Scan.model adds to the tally, read from the domain's table (or
+    # the close memo), equals a fresh engine's close over every true key.
+    # These models are sound, so none may be closed again on a fresh engine,
+    # which would restore exact counts whatever the table path added.
+    rules, flags, fields = TABLE_SCANS[name]
+    model, close, nontrivial = _Scan.model, _Scan._close, []
+
+    def no_reclose(self, comp, conclude, keys, truth=None, dominating=None):
+        assert truth is not None or not any(map(_nontrivial, keys))
+        return close(self, comp, conclude, keys, truth, dominating)
+
+    def spy(self, trial, holds, complementary=None, dominating=None):
+        before = dict(self.tally)
+        truth = model(self, trial, holds, complementary, dominating)
+        unions = [u for u in self.keys if complementary is None or complementary(u)]
+        full = dict.fromkeys(self.tally, 0)
+
+        def conclude(rule, premises, ck, k):
+            if dominating is None or rule not in search._GATED or dominating(k[5]):
+                full[rule] += 1
+
+        close(self, ComplementarityDecl(frozenset(self.dec_sets[u] for u in unions if u)),
+              conclude, [k for u in unions for k in self.keys[u] if truth[k]])
+        assert {r: c - before[r] for r, c in self.tally.items()} == full
+        nontrivial.append(any(truth[k] for u in unions for k in self.nontrivial[u]))
+        return truth
+
+    monkeypatch.setattr(_Scan, "model", spy)
+    monkeypatch.setattr(_Scan, "_close", no_reclose)
+    for seed in range(3):
+        assert axiom_soundness_scan(SearchConfig(seed=seed, **fields), rule_set(rules, flags)).ok
+    assert any(nontrivial)
 
 
 def test_close_memo_lasts_one_scan_call(monkeypatch):
