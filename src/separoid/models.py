@@ -9,10 +9,13 @@ labels.
 Every computation on a table goes through its ``MaskKernel`` (integer
 weights of the positive atoms, projected per mask of variables):
 ``conditional``, and ``probability``/``expectation`` on top of it, read its
-context counts; ``RegimeFamily.witness`` is the common-witness test on one
-group of regimes, and ``RegimeFamily.has_witness`` caches its verdict per
-(x & ~z, y & ~z, z, group): as in ``MaskKernel.sci``, names an outer slot
-shares with Z take fixed values within a context and change no verdict.
+context counts; the SCI test reads its marginal count tables, keyed by
+integer cell codes, and checks one equation per positive cell (see
+``MaskKernel._factorizes``); ``RegimeFamily.witness`` is the common-witness
+test on one group of regimes, and ``RegimeFamily.has_witness`` caches its
+verdict per (x & ~z, y & ~z, z, group): as in ``MaskKernel.sci``, names an
+outer slot shares with Z take fixed values within a context and change no
+verdict.
 That one verdict is shared by ``check_eci`` (per phi group) and
 ``check_pairwise_eci`` (per pair; a group of at most two regimes is its own
 only pair), so on a two-regime family the pairwise check is a lookup.  A
@@ -152,7 +155,10 @@ class MaskKernel:
     """Integer, mask-indexed form of one distribution.  Bit i of a mask
     stands for the i-th variable name; rows are the positive atoms with
     integer numerators over a common denominator (which cancels in every
-    test).  Projection columns, context counts and SCI verdicts are built per
+    test).  Projection columns and context counts are keyed by value tuples,
+    which witnesses compare across regimes; SCI reads marginal counts keyed
+    by integer cell codes (each row packed into one bit field per variable,
+    on the first SCI check).  All of them, and SCI verdicts, are built per
     mask on first use, never for all masks up front.  The name -> bit map and
     the memo of resolved slot masks belong to the names tuple and are shared
     by every kernel over it; decision checks stay with each family."""
@@ -167,6 +173,7 @@ class MaskKernel:
         self._weights = [n for _, n in rows]
         self._proj: dict[int, list] = {}
         self._contexts: dict[tuple, dict] = {}
+        self._marg: dict[int, tuple] = {}
         self._sci: dict[tuple, bool] = {}
 
     def mask(self, names: Iterable[str]) -> int:
@@ -224,25 +231,45 @@ class MaskKernel:
             out = self._sci[key] = self._factorizes(x, y, z)
         return out
 
+    @cached_property
+    def _cells(self) -> tuple[list[int], list[int]]:
+        """Each positive row's cell code and each variable's bit field.  A
+        variable's field is as wide as the values its rows hold need, and a
+        code packs the row's value indices (in order of first appearance)."""
+        codes, fields, off = [0] * len(self._keys), [], 0
+        for i in range(len(self.names)):
+            index: dict = {}
+            codes = [c | index.setdefault(key[i], len(index)) << off
+                     for c, key in zip(codes, self._keys)]
+            width = (len(index) - 1).bit_length()
+            fields.append(((1 << width) - 1) << off)
+            off += width
+        return codes, fields
+
+    def marg(self, mask: int) -> tuple[int, dict]:
+        """The mask's bit field and its marginal counts: cell code projected
+        by the field -> n; built on first use."""
+        out = self._marg.get(mask)
+        if out is None:
+            codes, fields = self._cells
+            f = sum(fi for i, fi in enumerate(fields) if mask >> i & 1)
+            counts: dict = {}
+            for c, n in zip(codes, self._weights):
+                counts[c & f] = counts.get(c & f, 0) + n
+            out = self._marg[mask] = f, counts
+        return out
+
     def _factorizes(self, x: int, y: int, z: int) -> bool:
-        """For every positive context z the joint counts of (x, y) are the
-        product of their margins: n(x, y, z) n(z) = n(x, z) n(y, z)."""
-        slices: dict = {}
-        for xa, ya, za, n in zip(self.proj(x), self.proj(y), self.proj(z), self._weights):
-            s = slices.get(za)
-            if s is None:
-                s = slices[za] = [0, {}, {}, {}]
-            s[0] += n
-            s[1][xa] = s[1].get(xa, 0) + n
-            s[2][ya] = s[2].get(ya, 0) + n
-            s[3][(xa, ya)] = s[3].get((xa, ya), 0) + n
-        for total, dx, dy, dxy in slices.values():
-            if len(dxy) != len(dx) * len(dy):
-                return False
-            for (xa, ya), n in dxy.items():
-                if n * total != dx[xa] * dy[ya]:
-                    return False
-        return True
+        """n(c) n(z) = n(x, z) n(y, z) on every positive cell c of (x, y, z).
+        This alone suffices: within a context both sides sum to n(z)^2 over
+        the positive cells, and the right side sums to n(z)^2 over every
+        pair of positive margins, so no such pair has a zero cell; the same
+        holds when X and Y overlap."""
+        fz, nz = self.marg(z)
+        fxz, nxz = self.marg(x | z)
+        fyz, nyz = self.marg(y | z)
+        return all(n * nz[c & fz] == nxz[c & fxz] * nyz[c & fyz]
+                   for c, n in self.marg(x | y | z)[1].items())
 
 
 def conditional(dist: DiscreteDistribution, targets, given: Assignment) -> dict[tuple, Fraction]:
@@ -290,7 +317,11 @@ def _dec_fun(decmap: DecMap, names: Sequence[str], regimes: Sequence[str]):
     for n in names:
         if n not in decmap:
             raise InvalidModel(f"unknown decision variable {n!r}")
-    return {s: tuple(str(decmap[n][s]) for n in names) for s in regimes}
+    try:
+        return {s: tuple(str(decmap[n][s]) for n in names) for s in regimes}
+    except KeyError:
+        n = next(n for n in names if any(s not in decmap[n] for s in regimes))
+        raise InvalidModel(f"decision variable {n!r} is not total on the regimes") from None
 
 
 def check_vci(decmap: DecMap, X, Y, Z, regimes: Sequence[str] | None = None) -> bool:
@@ -392,6 +423,7 @@ class RegimeFamily:
                 raise InvalidModel(f"name {name!r} is both stochastic and decision")
             self.decvars[name] = {str(s): str(v) for s, v in mapping.items()}
         self.info_base = info_base
+        self._dec_values: dict[frozenset, dict] = {}
         self._groups: dict[frozenset, dict] = {}
         self._witnessed: dict[tuple, bool] = {}
         self._eci: dict[tuple, bool] = {}
@@ -433,12 +465,20 @@ class RegimeFamily:
         """Kernel of the first regime; it carries the shared name -> bit map."""
         return self.dists[self.regimes[0]].kernel
 
+    def dec_values(self, names: frozenset) -> dict[str, tuple]:
+        """Regime -> its values of the decision names, in sorted name order;
+        cached per name set."""
+        out = self._dec_values.get(names)
+        if out is None:
+            out = self._dec_values[names] = _dec_fun(self.decvars, sorted(names), self.regimes)
+        return out
+
     def phi_groups(self, phi: frozenset) -> dict[tuple, tuple]:
         """Regimes grouped by their value of the decision names phi, in
         sorted value order; each group is a tuple in declaration order."""
         out = self._groups.get(phi)
         if out is None:
-            fn = _dec_fun(self.decvars, tuple(sorted(phi)), self.regimes)
+            fn = self.dec_values(phi)
             groups: dict[tuple, list] = {}
             for s in self.regimes:
                 groups.setdefault(fn[s], []).append(s)
@@ -512,8 +552,9 @@ class RegimeFamily:
         key = (K, theta, z, phi)
         out = self._vci.get(key)
         if out is None:
+            fx, fy, fz = (self.dec_values(n).__getitem__ for n in (theta, K, phi))
             out = self._vci[key] = all(
-                check_vci(self.decvars, theta, K, phi, regimes=sz)
+                variation_independent(map(fx, sz), map(fy, sz), map(fz, sz))
                 for sz in self.supports(z).values()
             )
         return out

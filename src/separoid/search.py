@@ -592,7 +592,8 @@ def _close_vci(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str])
     and W functions of Y give X _||_ Y | Z ^ W.  Both premises range over one
     set W_xy, so P6 is counted per (X, Y), len(W_xy) ** 2 instances, and
     decided once per distinct meet in a table of meets with one row per Z,
-    filled once per unordered (Z, W) since the meet is symmetric; only when
+    filled once per unordered (Z, W) since the meet is symmetric; the set of
+    meets over W_xy is built once per distinct W_xy listing; only when
     some verdict fails are the pairs walked, in truth order, to list the
     violations.  Each variation verdict is computed once per
     (x & ~z, y & ~z, z), the outer pair ordered, as ``MaskKernel.sci`` does:
@@ -622,10 +623,14 @@ def _close_vci(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str])
         for w in used[i:]:
             meet = partition_meet(funs[z], funs[w])
             meets[z][w] = meets[w][z] = tuple(map(meet.get, regimes))
-    verdicts = {}
+    verdicts, meet_sets = {}, {}
     for (x, y), zs in conds.items():
         scan.tally["P6"] += len(zs) ** 2
-        for fm in {fm for z in zs for fm in map(meets[z].__getitem__, zs)}:
+        key = tuple(zs)
+        fms = meet_sets.get(key)
+        if fms is None:
+            fms = meet_sets[key] = {fm for z in zs for fm in map(meets[z].__getitem__, zs)}
+        for fm in fms:
             verdicts[(x, y, fm)] = variation_independent(vals[x], vals[y], fm)
     if all(verdicts.values()):
         return

@@ -60,21 +60,25 @@ def brute_conditional(distr: DiscreteDistribution, targets, given):
 
 
 def brute_sci(distr: DiscreteDistribution, xs, ys, zs) -> bool:
-    """Independence oracle via explicit conditional tables and products."""
+    """Independence oracle via explicit conditional tables and products: per
+    declared z value of positive mass, P(x, y | z) by direct sums over the
+    raw pmf, its margins by summing it, and every product of positive
+    margins against the joint (a joint is zero wherever a margin is)."""
     xs, ys, zs = tuple(sorted(xs)), tuple(sorted(ys)), tuple(sorted(zs))
     if not xs or not ys:
         return True
+    cut = len(xs)
     for zvals in product(*(distr.values[n] for n in zs)) if zs else [()]:
-        given = dict(zip(zs, zvals))
-        pxy = brute_conditional(distr, xs + ys, given)
+        pxy = brute_conditional(distr, xs + ys, dict(zip(zs, zvals)))
         if pxy is None:
             continue
-        px = brute_conditional(distr, xs, given)
-        py = brute_conditional(distr, ys, given)
-        for xv in product(*(distr.values[n] for n in xs)):
-            for yv in product(*(distr.values[n] for n in ys)):
-                joint = pxy.get(xv + yv, Fraction(0))
-                if joint != px.get(xv, Fraction(0)) * py.get(yv, Fraction(0)):
+        px, py = {}, {}
+        for key, p in pxy.items():
+            px[key[:cut]] = px.get(key[:cut], Fraction(0)) + p
+            py[key[cut:]] = py.get(key[cut:], Fraction(0)) + p
+        for xv, p in px.items():
+            for yv, q in py.items():
+                if pxy.get(xv + yv, Fraction(0)) != p * q:
                     return False
     return True
 

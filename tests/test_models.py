@@ -126,17 +126,49 @@ def test_sci_argument_forms_and_errors():
         assert str(e.value) == message
 
 
+def _sci_oracle_models():
+    """Four-variable tables with cardinalities 1, 2 and 3 on grids 1-6 (zero
+    atoms included), tables declaring values no atom holds (first and last,
+    so value indices differ from declared order), and product-space joints."""
+    cards = {"A": 1, "B": 2, "C": 3, "D": 2}
+    for grid in range(1, 7):
+        yield random_distribution(SearchConfig(seed=17, var_cardinalities=cards,
+                                               probability_grid=grid), grid)
+    small = random_distribution(SearchConfig(seed=17, var_cardinalities={"A": 1, "B": 2, "C": 3},
+                                             probability_grid=2), 0)
+    unused = {"A": ("u", "0"), "B": ("0", "1", "u"), "C": ("0", "1", "2"), "D": ("0", "u")}
+    yield DiscreteDistribution(unused, {(*k, "0"): p for k, p in small.pmf.items()})
+    for index in range(2):
+        fam = random_family(SearchConfig(seed=17, var_cardinalities={"A": 3}, regime_count=2,
+                                         probability_grid=3, decision_cardinalities={"Th": 2}),
+                            index)
+        yield product_space(fam, {"s0": F(1, 3), "s1": F(2, 3)})
+
+
 def test_sci_matches_bruteforce_oracle():
+    """Every (X, Y, Z) subset triple, overlapping X and Y and X = Y included,
+    on 60 tables of three binary variables and on ``_sci_oracle_models``."""
     cfg = SearchConfig(seed=3, trials=60, var_cardinalities={"A": 2, "B": 2, "C": 2},
                        probability_grid=3)
-    names = ("A", "B", "C")
-    subsets = [tuple(n for i, n in enumerate(names) if m >> i & 1) for m in range(8)]
-    for t in range(cfg.trials):
-        d = random_distribution(cfg, t)
-        for xs in subsets:
-            for ys in subsets:
-                for zs in subsets:
-                    assert check_sci(d, xs, ys, zs) == brute_sci(d, xs, ys, zs), (t, xs, ys, zs)
+    for d in [*(random_distribution(cfg, t) for t in range(cfg.trials)), *_sci_oracle_models()]:
+        for xs, ys, zs in product(_subsets(d.names), repeat=3):
+            assert check_sci(d, xs, ys, zs) == brute_sci(d, xs, ys, zs), (d.names, xs, ys, zs)
+
+
+def test_contexts_alone_build_no_cells_or_marginals():
+    """The cell codes and marginal tables are built on the first SCI check,
+    never for kernels that only answer conditionals and witnesses."""
+    fam = random_family(SearchConfig(seed=5, var_cardinalities={"X": 2, "Y": 3}, regime_count=2,
+                                     probability_grid=2), 0)
+    d = fam.dists["s0"]
+    conditional(d, ("X", "Y"), {})
+    d.expectation("X")
+    check_eci(fam, ci(["X"], ["Y"], cdec=["Sigma"]))
+    for s in fam.regimes:
+        k = fam.dists[s].kernel
+        assert "_cells" not in vars(k) and not k._marg
+    check_sci(d, "X", "Y", ())
+    assert "_cells" in vars(d.kernel) and d.kernel._marg
 
 
 # -- check_vci ---------------------------------------------------------------------
@@ -198,6 +230,20 @@ def test_image_empty_context():
     dm = {"Th": {"a": "0"}, "Ph": {"a": "x"}}
     with pytest.raises(EmptyContext):
         conditional_image(dm, "Th", {"Ph": "z"})
+
+
+def test_partial_decision_maps_raise_invalid_model():
+    """A decision map that misses a regime is named, as RegimeFamily names it."""
+    dm = {"T": {"a": "0"}, "U": {"b": "1"}}
+    message = "decision variable 'T' is not total on the regimes"
+    for call in (lambda: check_vci(dm, "T", "U", ()),
+                 lambda: conditional_image(dm, "T", {"U": "1"})):
+        with pytest.raises(InvalidModel) as e:
+            call()
+        assert str(e.value) == message
+    with pytest.raises(InvalidModel) as e:
+        check_vci(dm, "U", (), (), regimes=["a", "b"])
+    assert str(e.value) == "decision variable 'U' is not total on the regimes"
 
 
 # -- check_eci --------------------------------------------------------------------
