@@ -6,22 +6,17 @@ zero tolerance.  A regime family holds one joint table per regime over a
 shared variable signature, plus decision variables as functions on the regime
 labels.
 
-Every computation on a table goes through its ``MaskKernel`` (integer
-weights of the positive atoms, projected per mask of variables):
-``conditional``, and ``probability``/``expectation`` on top of it, read its
-context counts; the SCI test reads its marginal count tables, keyed by
-integer cell codes, and checks one equation per positive cell (see
-``MaskKernel._factorizes``); ``RegimeFamily.witness`` is the common-witness
-test on one group of regimes, and ``RegimeFamily.has_witness`` caches its
-verdict per (x & ~z, y & ~z, z, group): as in ``MaskKernel.sci``, names an
-outer slot shares with Z take fixed values within a context and change no
-verdict.
-That one verdict is shared by ``check_eci`` (per phi group) and
-``check_pairwise_eci`` (per pair; a group of at most two regimes is its own
-only pair), so on a two-regime family the pairwise check is a lookup.  A
-holding ``check_eci`` returns a ``WitnessTable`` whose entries are built
-from ``witness`` on the raw slots on first read.  ``RegimeFamily.supports``
-gives each S_z.
+Every computation on a table goes through its ``MaskKernel``, one integer
+form: the positive atoms as cell codes of declared value indices, and count
+tables per mask keyed by masked codes.  Kernels of one signature code alike,
+so codes compare across regimes; value tuples are encoded and decoded only
+at the public edge.  ``conditional`` (with ``probability``/``expectation``)
+reads the law of X given Z from the marginals; SCI checks one equation per
+positive cell.  ECI is per-regime SCI plus one shared law of X given Z,
+decided per group of regimes by ``RegimeFamily.witness``; ``has_witness``
+caches one verdict per (x & ~z, y & ~z, z, group) for ``check_eci`` and
+``check_pairwise_eci``, and a ``WitnessTable`` builds its entries from
+``witness`` on first read.  ``supports`` gives each S_z by z cell code.
 
 Statement names are resolved to masks once per variable signature: the
 kernels of every table, family and product space over one names tuple share
@@ -105,16 +100,19 @@ class DiscreteDistribution:
                 raise InvalidModel(f"variable {n!r} has duplicate values")
         total = Fraction(0)
         for key, p in self.pmf.items():
-            if len(key) != len(self.names):
-                raise InvalidModel(f"assignment {key!r} does not cover {self.names}")
-            for n, v in zip(self.names, key):
-                if v not in self.values[n]:
-                    raise InvalidModel(f"value {v!r} not declared for variable {n!r}")
+            self._check_key(key)
             if p < 0:
                 raise InvalidModel(f"negative mass on {key!r}")
             total += p
         if total != 1:
             raise InvalidModel(f"masses sum to {total}, not 1")
+
+    def _check_key(self, key: tuple) -> None:
+        if len(key) != len(self.names):
+            raise InvalidModel(f"assignment {key!r} does not cover {self.names}")
+        for n, v in zip(self.names, key):
+            if v not in self.values[n]:
+                raise InvalidModel(f"value {v!r} not declared for variable {n!r}")
 
     # -- access ------------------------------------------------------------
 
@@ -152,28 +150,31 @@ def _signature(names: tuple[str, ...]) -> tuple[dict, dict]:
 
 
 class MaskKernel:
-    """Integer, mask-indexed form of one distribution.  Bit i of a mask
-    stands for the i-th variable name; rows are the positive atoms with
-    integer numerators over a common denominator (which cancels in every
-    test).  Projection columns and context counts are keyed by value tuples,
-    which witnesses compare across regimes; SCI reads marginal counts keyed
-    by integer cell codes (each row packed into one bit field per variable,
-    on the first SCI check).  All of them, and SCI verdicts, are built per
-    mask on first use, never for all masks up front.  The name -> bit map and
-    the memo of resolved slot masks belong to the names tuple and are shared
-    by every kernel over it; decision checks stay with each family."""
+    """The one compiled form of a distribution; bit i of a mask stands for
+    the i-th name.  Each positive atom is a cell code weighted by its integer
+    numerator over a common denominator (which cancels in every test); a code
+    holds each value's declared index in a bit field as wide as the declared
+    cardinality needs, and its part on a mask is ``code & field_of(mask)``.
+    Marginals, laws and SCI verdicts are built per mask on first use."""
 
     def __init__(self, dist: DiscreteDistribution):
         _, atoms = dist.int_atoms()
         self.names = dist.names
         self._bit, self._resolved = _signature(dist.names)
-        self._values = [dist.values[n] for n in dist.names]
+        self._cols, off = [], 0  # per variable: values, value -> code, field, offset
+        for vals in (dist.values[n] for n in dist.names):
+            width = (len(vals) - 1).bit_length()
+            self._cols.append((vals, {v: j << off for j, v in enumerate(vals)},
+                               ((1 << width) - 1) << off, off))
+            off += width
         rows = [(key, n) for key, n in atoms.items() if n]
-        self._keys = [key for key, _ in rows]
+        if not dist.validated:
+            for key, _ in rows:
+                dist._check_key(key)
+        self._codes = [self.code(-1, key) for key, _ in rows]  # -1: every variable
         self._weights = [n for _, n in rows]
-        self._proj: dict[int, list] = {}
-        self._contexts: dict[tuple, dict] = {}
         self._marg: dict[int, tuple] = {}
+        self._laws: dict[tuple, dict] = {}
         self._sci: dict[tuple, bool] = {}
 
     def mask(self, names: Iterable[str]) -> int:
@@ -189,30 +190,46 @@ class MaskKernel:
             m |= b
         return m
 
+    def _cols_of(self, mask: int) -> list[tuple]:
+        return [col for i, col in enumerate(self._cols) if mask >> i & 1]
+
     def grid(self, mask: int) -> list[tuple]:
         """All value tuples of the masked variables, in declared value order."""
-        return list(product(*(v for i, v in enumerate(self._values) if mask >> i & 1)))
+        return list(product(*(col[0] for col in self._cols_of(mask))))
 
-    def proj(self, mask: int) -> list[tuple]:
-        """Each positive row's values on the masked variables."""
-        col = self._proj.get(mask)
-        if col is None:
-            idx = [i for i in range(len(self.names)) if mask >> i & 1]
-            col = self._proj[mask] = [tuple(key[i] for i in idx) for key in self._keys]
-        return col
+    def field_of(self, mask: int) -> int:
+        return sum(col[2] for col in self._cols_of(mask))
 
-    def contexts(self, x: int, y: int, z: int) -> dict:
-        """Positive context (y, z) -> [n(y, z), z value, {x value: n(x, y, z)}]."""
-        key = (x, y | z, z)
-        out = self._contexts.get(key)
+    def code(self, mask: int, values: Iterable[str]) -> int | None:
+        """The masked variables' values (in name order) as a cell code, or None."""
+        try:
+            return sum(col[1][v] for col, v in zip(self._cols_of(mask), values))
+        except KeyError:
+            return None
+
+    def decode(self, mask: int, code: int) -> tuple:
+        """The masked variables' values in a cell code."""
+        return tuple(vals[(code & f) >> off] for vals, _, f, off in self._cols_of(mask))
+
+    def marg(self, mask: int) -> tuple[int, dict]:
+        """The mask's bit field and its counts: positive masked cell -> n."""
+        out = self._marg.get(mask)
         if out is None:
-            out = self._contexts[key] = {}
-            for xa, ca, za, n in zip(self.proj(x), self.proj(y | z), self.proj(z), self._weights):
-                c = out.get(ca)
-                if c is None:
-                    c = out[ca] = [0, za, {}]
-                c[0] += n
-                c[2][xa] = c[2].get(xa, 0) + n
+            f = self.field_of(mask)
+            counts: dict = {}
+            for c, n in zip(self._codes, self._weights):
+                counts[c & f] = counts.get(c & f, 0) + n
+            out = self._marg[mask] = f, counts
+        return out
+
+    def laws(self, x: int, z: int) -> dict:
+        """Positive z cell -> (n(z), {x cell: n(x, z)}), from the marginals."""
+        out = self._laws.get((x, z))
+        if out is None:
+            fx, (fz, nz) = self.field_of(x), self.marg(z)
+            out = self._laws[x, z] = {zc: (n, {}) for zc, n in nz.items()}
+            for c, n in self.marg(x | z)[1].items():
+                out[c & fz][1][c & fx] = n
         return out
 
     def sci(self, x: int, y: int, z: int) -> bool:
@@ -229,34 +246,6 @@ class MaskKernel:
         out = self._sci.get(key)
         if out is None:
             out = self._sci[key] = self._factorizes(x, y, z)
-        return out
-
-    @cached_property
-    def _cells(self) -> tuple[list[int], list[int]]:
-        """Each positive row's cell code and each variable's bit field.  A
-        variable's field is as wide as the values its rows hold need, and a
-        code packs the row's value indices (in order of first appearance)."""
-        codes, fields, off = [0] * len(self._keys), [], 0
-        for i in range(len(self.names)):
-            index: dict = {}
-            codes = [c | index.setdefault(key[i], len(index)) << off
-                     for c, key in zip(codes, self._keys)]
-            width = (len(index) - 1).bit_length()
-            fields.append(((1 << width) - 1) << off)
-            off += width
-        return codes, fields
-
-    def marg(self, mask: int) -> tuple[int, dict]:
-        """The mask's bit field and its marginal counts: cell code projected
-        by the field -> n; built on first use."""
-        out = self._marg.get(mask)
-        if out is None:
-            codes, fields = self._cells
-            f = sum(fi for i, fi in enumerate(fields) if mask >> i & 1)
-            counts: dict = {}
-            for c, n in zip(codes, self._weights):
-                counts[c & f] = counts.get(c & f, 0) + n
-            out = self._marg[mask] = f, counts
         return out
 
     def _factorizes(self, x: int, y: int, z: int) -> bool:
@@ -277,13 +266,13 @@ def conditional(dist: DiscreteDistribution, targets, given: Assignment) -> dict[
     order) given a partial assignment with positive probability; only
     target values with positive conditional probability are listed."""
     k = dist.kernel
+    x = k.mask(_names(targets))
     g_names = _names(given)
-    ctx = k.contexts(k.mask(_names(targets)), 0, k.mask(g_names)).get(
-        tuple(str(given[n]) for n in g_names))
-    if ctx is None:
+    g = k.mask(g_names)
+    law = k.laws(x, g).get(k.code(g, (str(given[n]) for n in g_names)))
+    if law is None:
         raise ZeroConditioningEvent(f"P({dict(given)!r}) = 0")
-    total, _, counts = ctx
-    return {xa: Fraction(n, total) for xa, n in counts.items()}
+    return {k.decode(x, c): Fraction(n, law[0]) for c, n in law[1].items()}
 
 
 def conditional_expectation(dist, name: str, given: Assignment,
@@ -486,14 +475,23 @@ class RegimeFamily:
         return out
 
     def witness(self, x: int, y: int, z: int, sigmas: Iterable[str]) -> dict | None:
-        """The common-witness test on one group of regimes: one law w(., z)
-        of X given every positive (y, z), in every regime of the group.
-        Returns z value -> (n, {x value: n(x)}) of the first context met,
-        w(x, z) = n(x)/n, or None; counts are compared by cross-multiplying."""
+        """The common-witness test on one group of regimes: one w(., z) equal
+        to P_s(X | y, z) in each regime s of the group on each positive (y, z).
+        Returns z cell -> (n, {x cell: n(x)}), w(x, z) = n(x)/n, from the first
+        regime where z is positive, or None.  Decided as X _||_ Y | Z in each
+        regime plus one law P_s(X | z) across the regimes where z is positive
+        (X _||_ (Y, Theta) | Z split, Theta the regime).  Exact: given w,
+        P_s(X | z) = sum_y P_s(y | z) w(., z) = w(., z), so P_s(X | y, z) =
+        P_s(X | z) on each positive (y, z), and the law is shared; conversely
+        these make it a witness.  Only events {X = x}, {Y = y}, {Z = z} enter,
+        so this holds for overlapping slots too."""
         laws: dict = {}
         for s in sigmas:
-            for n, za, nx in self.dists[s].kernel.contexts(x, y, z).values():
-                m, mx = laws.setdefault(za, (n, nx))
+            k = self.dists[s].kernel
+            if not k.sci(x, y, z):
+                return None
+            for zc, (n, nx) in k.laws(x, z).items():
+                m, mx = laws.setdefault(zc, (n, nx))
                 if mx is not nx and (mx.keys() != nx.keys()
                                      or any(mx[a] * n != c * m for a, c in nx.items())):
                     return None
@@ -504,8 +502,7 @@ class RegimeFamily:
         (x & ~z, y & ~z, z, group), for ``eci`` and ``check_pairwise_eci``.
         Exact: given z, X's part inside Z is a point mass, so X has a common
         witness iff x & ~z has one (always, when empty), and Y's part inside
-        Z leaves the context y | z as it is.  ECI is not symmetric, so the
-        pair is not ordered."""
+        Z changes no (y, z) context.  ECI is not symmetric: no ordering."""
         x &= ~z
         if not x:
             return True
@@ -559,14 +556,14 @@ class RegimeFamily:
             )
         return out
 
-    def supports(self, z: int) -> dict[tuple, list]:
+    def supports(self, z: int) -> dict[int, list]:
         """S_z for every outcome z of the masked variables that has positive
-        probability in some regime: z value -> the regimes, in declaration
-        order, in which it does."""
-        out: dict[tuple, list] = {}
+        probability in some regime: z cell code -> the regimes, in
+        declaration order, in which it does (codes compare across regimes)."""
+        out: dict[int, list] = {}
         for s in self.regimes:
-            for za in dict.fromkeys(self.dists[s].kernel.proj(z)):
-                out.setdefault(za, []).append(s)
+            for zc in self.dists[s].kernel.marg(z)[1]:
+                out.setdefault(zc, []).append(s)
         return out
 
 
@@ -654,12 +651,14 @@ def check_eci(fam: RegimeFamily, stmt: CIStatement) -> tuple[bool, WitnessTable 
 def _witness_entries(fam: RegimeFamily, x: int, y: int, z: int, phi: frozenset) -> dict:
     """(phi value, x value, z value) -> w, from each group's witness; every
     x value of a positive context is listed, zeros included."""
-    x_grid = fam.kernel.grid(x)
+    k = fam.kernel
+    x_grid = [(k.code(x, xa), xa) for xa in k.grid(x)]
     entries = {}
     for phival, sigmas in fam.phi_groups(phi).items():
-        for za, (n, nx) in fam.witness(x, y, z, sigmas).items():
-            for xa in x_grid:
-                entries[phival, xa, za] = Fraction(nx.get(xa, 0), n)
+        for zc, (n, nx) in fam.witness(x, y, z, sigmas).items():
+            za = k.decode(z, zc)
+            for xc, xa in x_grid:
+                entries[phival, xa, za] = Fraction(nx.get(xc, 0), n)
     return entries
 
 
@@ -687,7 +686,7 @@ def compute_S_z(fam: RegimeFamily, Z, z: Assignment) -> tuple[str, ...]:
             raise InvalidModel(f"no value given for {n!r}")
         if str(z[n]) not in fam.variables[n]:
             raise InvalidModel(f"value {z[n]!r} not declared for {n!r}")
-    return tuple(fam.supports(mask).get(tuple(str(z[n]) for n in zs), ()))
+    return tuple(fam.supports(mask).get(fam.kernel.code(mask, (str(z[n]) for n in zs)), ()))
 
 
 def check_eci_general(fam: RegimeFamily, stmt: CIStatement) -> bool:

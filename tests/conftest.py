@@ -10,7 +10,8 @@ computed values.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import combinations, product
 
 import pytest
 
@@ -81,6 +82,51 @@ def brute_sci(distr: DiscreteDistribution, xs, ys, zs) -> bool:
                 if pxy.get(xv + yv, Fraction(0)) != p * q:
                     return False
     return True
+
+
+@lru_cache(maxsize=8)
+def brute_laws(distr: DiscreteDistribution, xs: tuple, ys: tuple, zs: tuple) -> dict:
+    """(y value, z value) -> {x value: P(X = x | y, z)} for every (y, z) of
+    positive mass and every declared x value, from one pass of direct
+    Fraction sums over the raw pmf, grouped by the (y, z) values a row holds;
+    so overlapping slots need no care: a shared name takes one value per
+    row, and an x that disagrees with (y, z) has probability 0."""
+    cols = [[distr.names.index(n) for n in v] for v in (xs, ys, zs)]
+    mass, joint = {}, {}
+    for key, p in distr.pmf.items():
+        xv, yv, zv = (tuple(key[i] for i in c) for c in cols)
+        mass[yv, zv] = mass.get((yv, zv), Fraction(0)) + p
+        joint[yv, zv, xv] = joint.get((yv, zv, xv), Fraction(0)) + p
+    x_grid = list(product(*(distr.values[n] for n in xs)))
+    return {yz: {xv: joint.get((*yz, xv), Fraction(0)) / m for xv in x_grid}
+            for yz, m in mass.items() if m}
+
+
+def brute_eci(fam: RegimeFamily, xs, ys, zs, phi=(), pairwise=False) -> dict | None:
+    """Extended independence X _||_ (Y, Theta) | (Z, Phi) from its
+    definition: within each group of regimes sharing a value of Phi, one
+    table w(x, z) equals P_s(X = x | Y = y, Z = z) (``brute_laws``) for
+    every regime s of the group and every (y, z) of positive mass under s.
+    Returns the witness entries {(phi value, x value, z value): w}, or None
+    if some group has no witness; with ``pairwise``, a witness is asked of
+    each pair of regimes within a group (a group of one on its own) and the
+    entries are {}."""
+    xs, ys, zs, phi = (tuple(sorted(v)) for v in (xs, ys, zs, phi))
+    groups: dict = {}
+    for s in fam.regimes:
+        groups.setdefault(tuple(fam.decvars[n][s] for n in phi), []).append(s)
+    entries = {}
+    for phival, sigmas in groups.items():
+        for part in combinations(sigmas, 2) if pairwise and len(sigmas) > 1 else [sigmas]:
+            w: dict = {}
+            for s in part:
+                for (yv, zv), law in brute_laws(fam.dists[s], xs, ys, zs).items():
+                    for xv, p in law.items():
+                        if w.setdefault((xv, zv), p) != p:
+                            return None
+            if not pairwise:
+                entries.update(((phival, xv, zv), p) for (xv, zv), p in w.items())
+    return entries
 
 
 # -- canonical small models ----------------------------------------------------

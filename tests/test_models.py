@@ -36,6 +36,7 @@ from separoid.search import SearchConfig, random_distribution, random_family
 
 from conftest import (
     brute_conditional,
+    brute_eci,
     brute_sci,
     ci,
     dist,
@@ -155,20 +156,24 @@ def test_sci_matches_bruteforce_oracle():
             assert check_sci(d, xs, ys, zs) == brute_sci(d, xs, ys, zs), (d.names, xs, ys, zs)
 
 
-def test_contexts_alone_build_no_cells_or_marginals():
-    """The cell codes and marginal tables are built on the first SCI check,
-    never for kernels that only answer conditionals and witnesses."""
-    fam = random_family(SearchConfig(seed=5, var_cardinalities={"X": 2, "Y": 3}, regime_count=2,
-                                     probability_grid=2), 0)
-    d = fam.dists["s0"]
-    conditional(d, ("X", "Y"), {})
-    d.expectation("X")
-    check_eci(fam, ci(["X"], ["Y"], cdec=["Sigma"]))
-    for s in fam.regimes:
-        k = fam.dists[s].kernel
-        assert "_cells" not in vars(k) and not k._marg
-    check_sci(d, "X", "Y", ())
-    assert "_cells" in vars(d.kernel) and d.kernel._marg
+def test_undeclared_values_raise_when_the_kernel_is_built():
+    """A table built with validate=False whose positive row holds an
+    undeclared value raises InvalidModel, worded as a checked table's
+    error, on every exact check, in a family too."""
+    vars_ = {"X": ["0", "1"], "Y": ["0", "1"]}
+    pmf = {("0", "0"): F(1, 2), ("0", "2"): F(1, 2)}
+    d = DiscreteDistribution(vars_, pmf, validate=False)
+    fam = RegimeFamily(["s0", "s1"], {"s0": dist(vars_, [({"X": 0, "Y": 0}, 1)]), "s1": d},
+                       {"Sigma": {"s0": "s0", "s1": "s1"}})
+    message = "value '2' not declared for variable 'Y'"
+    for call in (lambda: check_sci(d, "X", "Y", ()), lambda: conditional(d, "X", {}),
+                 lambda: d.probability({"Y": "0"}),
+                 lambda: check_eci(fam, ci(["X"], ["Y"], rdec=["Sigma"])),
+                 lambda: compute_S_z(fam, "Y", {"Y": "0"}),
+                 lambda: DiscreteDistribution(vars_, pmf)):
+        with pytest.raises(InvalidModel) as e:
+            call()
+        assert str(e.value) == message
 
 
 # -- check_vci ---------------------------------------------------------------------
@@ -684,6 +689,9 @@ def test_queries_match_raw_pmf_sums():
                     assert conditional(d, targets, given) == {
                         k: p for k, p in brute.items() if p}
                 assert d.probability(given) == _raw_probability(d, given)
+        for n in names:  # an undeclared given value is an event of mass 0
+            with pytest.raises(ZeroConditioningEvent):
+                conditional(d, names, {n: "undeclared"})
         for n in names:
             for vm in (F, lambda v: F(int(v) ** 2 + 1, 3)):
                 raw = sum((p * vm(key[names.index(n)]) for key, p in d.pmf.items()), F(0))
@@ -807,6 +815,30 @@ def test_normalized_eci_verdicts_equal_raw_ones():
                           rdec=() if "Sigma" in phi else ["Sigma"], cdec=phi)
                 assert check_pairwise_eci(fam, stmt) == pairwise, stmt
                 seen[full, bool(x & z or y & z)] += 1
+    assert len(seen) == 4
+
+
+def test_eci_matches_bruteforce_oracle():
+    """check_eci, check_pairwise_eci and fam.eci equal ``brute_eci`` on every
+    (x, y, z) mask triple, overlapping ones included, and every phi, and a
+    holding check_eci's witness entries equal the oracle's, on the
+    ``_oracle_models`` families (three regimes, a three-valued Y, zero-mass
+    atoms) and ``_shared_x_family``."""
+    seen = Counter()
+    for fam in [*_oracle_models()[1], _shared_x_family()]:
+        names = fam.kernel.names
+        for x, y, z in product(range(8), repeat=3):
+            xs, ys, zs = (mask_names(m, names) for m in (x, y, z))
+            for phi in map(frozenset, _subsets(sorted(fam.decvars))):
+                stmt = ci(xs, ys, zs, rdec=() if "Sigma" in phi else ["Sigma"], cdec=phi)
+                want = brute_eci(fam, xs, ys, zs, phi)
+                ok, table = check_eci(fam, stmt)
+                assert ok == fam.eci(x, y, z, phi) == (want is not None), stmt
+                if ok:
+                    assert table.entries == want, stmt
+                assert check_pairwise_eci(fam, stmt) == (
+                    brute_eci(fam, xs, ys, zs, phi, pairwise=True) is not None), stmt
+                seen[ok, bool(x & y or x & z or y & z)] += 1
     assert len(seen) == 4
 
 
