@@ -150,9 +150,12 @@ def _parse_cards(text: str | None) -> dict[str, int]:
     cards = {}
     for item in (text.split(",") if text else []):
         name, _, card = item.partition("=")
-        if not name.strip() or not card.strip().isdigit():
+        name = name.strip()
+        if not name or not card.strip().isdigit():
             raise ValueError(f"--cards entry {item!r} is not NAME=CARDINALITY")
-        cards[name.strip()] = int(card)
+        if name in cards:
+            raise ValueError(f"--cards names {name!r} more than once")
+        cards[name] = int(card)
     return cards
 
 

@@ -321,13 +321,10 @@ def _keep(memo: dict, bound: int, key, entry):
     return entry
 
 
-def _cleared(k: tuple, o: int) -> tuple:
-    """k with component o of its conditioning slot cleared from both outer
-    slots."""
-    c, out = k[4 + o], list(k)
-    out[o] &= ~c
-    out[2 + o] &= ~c
-    return tuple(out)
+def _cleared(k: tuple) -> tuple:
+    """k with its conditioning slot cleared from both outer slots."""
+    ls, ld, rs, rd, cs, cd = k
+    return ls & ~cs, ld & ~cd, rs & ~cs, rd & ~cd, cs, cd
 
 
 class _Scan:
@@ -341,50 +338,75 @@ class _Scan:
     on it.
 
     The listing also splits each union's keys into classes of one verdict,
-    and the model is asked once per class, on its first key.  In a separoid
-    X _||_ Y | Z holds exactly when X\\Z _||_ Y\\Z | Z (Dawid, 2001), as the
-    checkers answer, so a non-trivial key's class is the key with the
-    conditioning slot cleared from both outer slots in one component: the
-    decision one in mode "d", else the stochastic one (``eci_general`` is not
-    invariant under clearing decision parts on a union that does not
-    identify the regime).  A trivial key is a class of its own, since its
-    verdict is part of the ``_CLOSURES`` key.  Four stochastic variables
-    have 3,600 keys in 1,950 classes, 1,471 of them trivial.
+    and the model is asked once per class, on its first key.  A key is
+    trivial when its left or right part lies inside the conditioning slot in
+    both components.  In a separoid X _||_ Y | Z holds exactly when
+    X\\Z _||_ Y\\Z | Z (Dawid, 2001), as the checkers answer, so a
+    non-trivial key's class is the key with the conditioning slot cleared
+    from both outer slots in both components, and a trivial key that holds
+    on every admitted model gets no class: ``model`` writes True for it.
+    Every union a scan admits is empty or identifies the regime, which is
+    why a mixed-mode ``model`` call must pass ``complementary``.  Per mode:
 
-    A key is trivial when its left or right part lies inside the
-    conditioning slot in both components.  Trivial keys are never a first
-    premise, so the spontaneous instances and those among trivial keys
-    depend only on the scan domain (rule set, universe, mode, admitted
-    decision unions, the engine's methods) and on which trivial keys are
-    true; that closure is kept in ``_CLOSURES`` as per-rule counts and the
-    instances each model checks.  Every other instance has a true
-    non-trivial first premise and comes from the listing's table, filled as
-    models need it: per key and rule step (``eng.steps`` order), the
-    conclusions ``_Engine.unary`` yields, or the (second premise,
-    conclusion) pairs ``_Engine.binary`` yields with the key first on the
-    listing's engine, where every listed key is inserted (a synthesized
-    tautology as None), all as the listing's own key objects.  Reuse is
-    exact: a changed engine has a domain of its own; one engine meets each
-    pair of true premises once; a second premise is an implicit tautology
-    exactly when it is on the listing's engine, as its decision union is
-    the first premise's; and no rule moves a conclusion out of its
+    - "s" and "d": ``MaskKernel.sci`` and the VCI verdict of ``_close_vci``
+      are asked of X\\Z _||_ Y\\Z | Z, true when either outer part is empty.
+    - mixed: ``eci_general`` on (X, K) _||_ (Y, theta) | (Z, phi) is
+      eci(X, Y | Z, phi | K) and, when K is not empty, the Y check
+      eci(Y, {} | Z, phi | theta) and the range test theta _||_ K | phi (K
+      is empty under ECI_RESTRICTED).  ``has_witness`` clears Z from X and
+      Y.  A part of K or theta inside phi is fixed given phi: it changes
+      neither phi | K, phi | theta nor the range test, and when all of K or
+      theta lies inside phi the range test holds.  If all of a nonempty K
+      lies inside phi, clearing it drops the Y check; that check's groups
+      are those of the key's union u = K | theta | phi, and on a u that
+      identifies the regime they are single regimes, where it holds.  So
+      clearing both components is exact on every admitted union.  A trivial
+      key of a nonzero admitted union holds: left-trivial (X in Z, K in
+      phi), it is eci(X, Y | Z, phi) with X\\Z empty; right-trivial (Y in
+      Z, theta in phi), eci(X, Y | Z, phi | K) is X _||_ Y | Z per regime,
+      as phi | K = u, and the Y check has Y\\Z empty.  On the empty union a
+      right-trivial key asserts one law of X given Z across every regime
+      and can be false, so each decision-free trivial key is asked as a
+      class of its own, and their verdicts are the only bits of the
+      ``_CLOSURES`` key.
+
+    With every union admitted, four stochastic or decision variables have
+    3,600 keys in 479 classes (1,950 when each trivial key was asked);
+    ECI_RESTRICTED has 582 -> 143 classes over X, Y and 4,424 -> 993 over
+    X, Y, Z, and GENERAL 2,523 -> 498 over X, Y.
+
+    Trivial keys are never a first premise, so the spontaneous instances and
+    those among trivial keys depend only on the scan domain (rule set,
+    universe, mode, admitted decision unions, the engine's methods) and on
+    which trivial keys are true; that closure is kept in ``_CLOSURES`` as
+    per-rule counts and the instances each model checks.  Every other
+    instance has a true non-trivial first premise and comes from the
+    listing's table, filled as models need it: per key and rule step
+    (``eng.steps`` order), the conclusions ``_Engine.unary`` yields, or the
+    (second premise, conclusion) pairs ``_Engine.binary`` yields with the
+    key first on the listing's engine, where every listed key is inserted (a
+    synthesized tautology as None), all as the listing's own key objects.
+    Reuse is exact: a changed engine has a domain of its own; one engine
+    meets each pair of true premises once; a second premise is an implicit
+    tautology exactly when it is on the listing's engine, as its decision
+    union is the first premise's; and no rule moves a conclusion out of its
     premise's union.  So a model's close builds no engine: it keeps the
     pairs whose second premise is None or true and counts a group at once
     when all its conclusions are true, else concludes them one by one.  A
     model with a violation is closed again from a fresh engine over every
     true key, so violations keep their order.  The tables of a bench
     ``scan`` pass hold 23,686 unary conclusions and 9,744 pairs, 1.75 MB by
-    tracemalloc (the listings' engines 0.99 MB), and go with their
-    listing.  The memos drop their oldest entry at ``_DOMAINS_MAX``/
+    tracemalloc (the listings' engines 0.99 MB), and go with their listing.
+    The memos drop their oldest entry at ``_DOMAINS_MAX``/
     ``_CLOSURES_MAX``.
 
     A close memo lasts one scan call (``self.closes``): a model whose
-    admitted unions and class verdicts (trivial keys' included) match a
-    model closed before adds that close's per-rule counts instead.  It is
-    bypassed when ``dominating`` licenses premises per model, and a close
-    with a violation or a conclusion outside the truth table is not kept.
-    ``exhaustive_vci_scan`` (2, 3), (3, 3) and (4, 3) close 9, 15 and 28
-    times (37, 92 and 154 without it), the C2 config 34 times (126)."""
+    admitted unions and class verdicts match a model closed before adds that
+    close's per-rule counts instead.  It is bypassed when ``dominating``
+    licenses premises per model, and a close with a violation or a
+    conclusion outside the truth table is not kept.  ``exhaustive_vci_scan``
+    (2, 3), (3, 3) and (4, 3) close 9, 15 and 28 times (37, 92 and 154
+    without it), the C2 config 34 times (126)."""
 
     def __init__(self, rs: RuleSet, universe: Universe, mode: str | None = None):
         self.rs = rs
@@ -404,12 +426,15 @@ class _Scan:
         """Close one model's true set under the engine and return the truth
         table of its keys, in domain order.  ``holds(key)`` is the model's
         verdict, asked once per class (see ``_Scan``); ``complementary(union)``
-        admits a decision union to the domain (all are admitted when absent);
-        ``dominating(phi)`` licenses a P4''/P4g premise conditioned on phi."""
+        admits a decision union to the domain (all are admitted when absent,
+        which mixed mode refuses); ``dominating(phi)`` licenses a P4''/P4g
+        premise conditioned on phi."""
+        if complementary is None and self.mode is None:
+            raise ValueError("a mixed-mode scan admits a decision union only by complementary")
         unions = [u for u in self.keys if complementary is None or complementary(u)]
         truth, verdicts = {}, []
         for u in unions:
-            v = list(map(holds, self.reps[u]))
+            v = [*map(holds, self.reps[u]), True]
             truth.update(zip(self.keys[u], map(v.__getitem__, self.classes[u])))
             verdicts += v
         memo = (tuple(unions), bytes(verdicts)) if dominating is None else None
@@ -419,11 +444,11 @@ class _Scan:
                 self.tally[rule] += c
             return truth
         comp = ComplementarityDecl(frozenset(self.dec_sets[u] for u in unions if u))
-        listed = [k for u in unions for k in self.trivial[u]]
-        flags = bytes(map(truth.__getitem__, listed))
-        trivial = list(compress(listed, flags))
+        asked = self.trivial[0] if self.mode is None and 0 in unions else ()
+        flags = bytes(map(truth.__getitem__, asked))
         key = (self.domain, tuple(unions), int(b"1" + flags.translate(_BITS), 2))
-        counts, extras = _CLOSURES.get(key) or self._trivial_closure(key, comp, trivial)
+        counts, extras = _CLOSURES.get(key) or self._trivial_closure(
+            key, comp, [k for u in unions for k in self.trivial[u] if truth[k]])
 
         def conclude(rule, premises, ck, k):
             if dominating is None or rule not in _GATED or dominating(k[5]):
@@ -452,8 +477,9 @@ class _Scan:
     def _list_domain(self) -> tuple:
         """The domain's legal keys by decision union, their trivial and
         non-trivial ones, their classes (each class's first key in domain
-        order, and each key's class as an index into those), the engine that
-        asked legality, every listed key inserted, and an empty table."""
+        order, and each key's class as an index into those, one past them
+        for a key with no class), the engine that asked legality, every
+        listed key inserted, and an empty table."""
         sp = self.space
         eng = _Engine(self.rs, sp, ComplementarityDecl(frozenset(self.dec_sets[1:])), self.mode)
         slots = [(s, d) for s in range(sp.s_all + 1) for d in range(sp.d_all + 1)]
@@ -463,18 +489,20 @@ class _Scan:
                 keys.setdefault(k[1] | k[3] | k[5], []).append(k)
                 eng.insert(k)
         eng.by_left_rjoinc = eng.by_right_ljoinc = {}  # pair each key as first premise only
-        o = 1 if self.mode == "d" else 0
         trivial, nontrivial, reps, classes = {}, {}, {}, {}
         for u, ks in keys.items():
             keys[u] = tuple(ks)
             triv = [_r_triv(k) or _l_triv(k) for k in ks]
             trivial[u] = tuple(compress(ks, triv))
             nontrivial[u] = tuple(k for k, t in zip(ks, triv) if not t)
-            ids = [k if t else _cleared(k, o) for k, t in zip(ks, triv)]
+            asked = self.mode is None and not u
+            ids = [(k if asked else None) if t else _cleared(k) for k, t in zip(ks, triv)]
             first: dict = {}
             for c, k in zip(ids, ks):
-                first.setdefault(c, k)
+                if c is not None:
+                    first.setdefault(c, k)
             pos = {c: i for i, c in enumerate(first)}
+            pos[None] = len(first)  # model() appends True to the class verdicts
             reps[u], classes[u] = tuple(first.values()), tuple(map(pos.__getitem__, ids))
         listing = (keys, trivial, nontrivial, reps, classes, eng, {})
         return _keep(_DOMAINS, _DOMAINS_MAX, self.domain, listing)
@@ -699,10 +727,14 @@ def axiom_soundness_scan(cfg: SearchConfig, rs: RuleSet) -> ScanReport:
 
     Scan domain: statements with nonempty outer slots that are legal under
     the rule set and, for ECI_RESTRICTED and GENERAL, whose decision union is
-    empty or complementary on the model.  P6 is checked on the model, and
-    when dominating_regime is the only flag, P4''/P4g run only on premises
-    whose conditioning decision names have a dominating regime in every
-    group."""
+    empty or complementary on the model.  The model is asked once per class
+    of statements with one normal form X\\Z _||_ Y\\Z | Z, and never about
+    a trivial statement (X or Y inside Z) that holds on every admitted
+    model: any under SEPAROID_FULL and VCI_STRONG, one with decision names
+    under ECI_RESTRICTED and GENERAL (see ``_Scan``).  P6 is checked on the
+    model, and when dominating_regime is the only flag, P4''/P4g run only on
+    premises whose conditioning decision names have a dominating regime in
+    every group."""
     names = tuple(sorted(cfg.var_cardinalities))
     if rs.name == "SEPAROID_FULL":
         scan = _Scan(rs, Universe.of(stochastic=names), "s")

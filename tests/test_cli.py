@@ -259,6 +259,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "binary" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["scan-axioms"],
+                                  ["search-cx", "-e", "stochastic X, Y;", "X _||_ Y"]],
+                         ids=lambda argv: argv[0])
+def test_repeated_cards_name_exits_2(capsys, argv):
+    # A name given twice in --cards is an error, not the last value silently.
+    assert main(argv + ["--cards", "X=2,Y=2, X=3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --cards names 'X' more than once\n"
+
+
 @pytest.mark.parametrize("argv", [["product", "s0=1"], ["ace"], ["gformula", "strategy.json"]],
                          ids=lambda argv: argv[0])
 def test_family_commands_reject_a_single_distribution(tmp_path, capsys, argv):

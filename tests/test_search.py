@@ -10,7 +10,14 @@ from separoid import search
 from separoid.engine import _Engine, _l_triv, _r_triv, rule_set
 from separoid.files import model_to_dict
 from separoid.errors import SemanticsMismatch
-from separoid.models import check_complementary, variation_independent
+from separoid.dsl import parse_statement
+from separoid.models import (
+    check_complementary,
+    check_eci_general,
+    check_sci,
+    check_vci,
+    variation_independent,
+)
 from separoid.search import (
     SearchConfig,
     _Scan,
@@ -517,7 +524,8 @@ def test_scan_reports_equal_cold_and_warm(monkeypatch, name):
     monkeypatch.setattr(search, "_DOMAINS", {})
     monkeypatch.setattr(search, "_CLOSURES", {})
     assert _digest(scan().to_dict()) == digest
-    # key: (domain, unions, 1 followed by one bit per trivial key)
+    # key: (domain, unions, 1 followed by one bit per decision-free trivial
+    # key of a mixed-mode scan; a pure-mode closure keys on the unions alone)
     assert any("0" in bin(k[2])[3:] for k in search._CLOSURES) == false_trivial
     assert _digest(scan().to_dict()) == digest
 
@@ -534,24 +542,28 @@ def test_trivial_closures_are_bounded(monkeypatch):
 
 
 def test_trivial_closure_is_kept_per_set_of_true_trivial_keys(monkeypatch):
-    # Truth tables fed to _Scan.model directly: every key holds on trial 0;
-    # on trial 1 only the trivial keys do, but for A _||_ B | B,C, which P3
-    # concludes from the trivial A _||_ B,C | B,C alone.  Trial 1 must not
-    # reuse trial 0's closure: it gives what it gives on a scan of its own.
+    # Truth tables fed to _Scan.model directly, on the decision-free union of
+    # a mixed-mode domain, where a trivial key can be false (one law across
+    # the regimes): every key holds on trial 0; on trial 1 only the trivial
+    # keys do, but for A _||_ B | B,C, which P3' concludes from the trivial
+    # A _||_ B,C | B,C alone.  Trial 1 must not reuse trial 0's closure: it
+    # gives what it gives on a scan of its own.
     false = (1, 0, 2, 0, 6, 0)
 
     def run(trials):
         monkeypatch.setattr(search, "_CLOSURES", {})
-        scan = _Scan(rule_set("SEPAROID_FULL"), Universe.of(stochastic=("A", "B", "C")), "s")
+        scan = _Scan(rule_set("ECI_RESTRICTED"),
+                     Universe.of(stochastic=("A", "B", "C"), decision=("Sigma",)))
         for t in trials:
-            scan.model(t, lambda k: t == 0 or k != false and (_r_triv(k) or _l_triv(k)))
+            scan.model(t, lambda k: t == 0 or k != false and (_r_triv(k) or _l_triv(k)),
+                       complementary=lambda u: u == 0)
         return scan
 
     both, first, second = run([0, 1]), run([0]), run([1])
     assert not first.violations
     assert both.violations == second.violations
     assert [(v["rule"], v["premises"], v["conclusion"]) for v in both.violations] == [
-        ("P3", ["A _||_ B,C | B,C"], "A _||_ B | B,C")]
+        ("P3'", ["A _||_ B,C | B,C"], "A _||_ B | B,C")]
     assert both.tally == {r: first.tally[r] + second.tally[r] for r in both.tally}
 
 
@@ -804,11 +816,12 @@ def test_class_verdicts_equal_the_checkers_on_every_key(monkeypatch, name):
     assert ((True, True, False) in outcomes) == name.startswith(("ECI", "GENERAL"))
 
 
-def test_mixed_classes_keep_the_decision_parts():
+def test_mixed_classes_are_exact_on_admitted_unions_only():
     # Under GENERAL, clearing the decision conditioning part from the outer
     # slots changes some eci_general verdicts, on unions that do not identify
-    # the regime.  The scans admit no such union; with every union admitted,
-    # the truth table is still the verdict on every key.
+    # the regime.  The scans admit no such union: with the real admission
+    # test the truth table is the verdict on every key, and a mixed-mode
+    # model without one is refused.
     cfg = SearchConfig(seed=1, trials=4, var_cardinalities={"X": 2, "Y": 2}, regime_count=3,
                        probability_grid=2, decision_cardinalities={"Theta": 2})
     scan = _Scan(rule_set("GENERAL", ("discrete_variables",)),
@@ -821,10 +834,117 @@ def test_mixed_classes_keep_the_decision_parts():
         def holds(k):
             return fam.eci_general(k[0], dec[k[1]], k[2], dec[k[3]], k[4], dec[k[5]])
 
-        for k in _assert_truth_is_per_key(scan, holds, None, scan.model(t, holds)):
-            cleared = (k[0] & ~k[4], k[1] & ~k[5], k[2] & ~k[4], k[3] & ~k[5], k[4], k[5])
-            changed += not (_r_triv(k) or _l_triv(k)) and holds(k) != holds(cleared)
+        def complementary(u):
+            return u == 0 or check_complementary(fam, dec[u])
+
+        _assert_truth_is_per_key(scan, holds, complementary, scan.model(t, holds, complementary))
+        for u, ks in scan.keys.items():
+            for k in ks:
+                cleared = (k[0] & ~k[4], k[1] & ~k[5], k[2] & ~k[4], k[3] & ~k[5], k[4], k[5])
+                differs = not (_r_triv(k) or _l_triv(k)) and holds(k) != holds(cleared)
+                assert not (differs and complementary(u))
+                changed += differs
+        with pytest.raises(ValueError, match="complementary"):
+            scan.model(t, holds)
     assert changed == 2
+
+
+# (rule set, universe, mode, listed keys, classes asked with every union
+# admitted); the last column was 1,950, 1,950, 582, 4,424 and 2,523 when
+# every trivial key was asked and mixed-mode classes kept the decision parts.
+_SIGMA_THETA = ("Sigma", "Theta")
+ASKED_CLASSES = {
+    "SCI A-D": ("SEPAROID_FULL", dict(stochastic=tuple("ABCD")), "s", 3600, 479),
+    "VCI A-D": ("VCI_STRONG", dict(decision=tuple("ABCD")), "d", 3600, 479),
+    "ECI_RESTRICTED X, Y": ("ECI_RESTRICTED", dict(stochastic=("X", "Y"), decision=_SIGMA_THETA),
+                            None, 720, 143),
+    "ECI_RESTRICTED X, Y, Z": ("ECI_RESTRICTED",
+                               dict(stochastic=("X", "Y", "Z"), decision=_SIGMA_THETA),
+                               None, 6944, 993),
+    "GENERAL X, Y": ("GENERAL", dict(stochastic=("X", "Y"), decision=_SIGMA_THETA),
+                     None, 3600, 498),
+}
+
+
+@pytest.mark.parametrize("name", ASKED_CLASSES)
+def test_asked_classes_per_domain_are_pinned(name):
+    # A model is asked once per class; the only trivial keys with a class of
+    # their own are the decision-free ones of a mixed-mode domain.
+    rules, names, mode, keys, asked = ASKED_CLASSES[name]
+    scan = _Scan(rule_set(rules), Universe.of(**names), mode)
+    assert sum(map(len, scan.keys.values())) == keys
+    assert sum(map(len, scan.reps.values())) == asked
+    trivial_reps = [k for ks in scan.reps.values() for k in ks if not _nontrivial(k)]
+    assert trivial_reps == (list(scan.trivial[0]) if mode is None else [])
+
+
+@pytest.mark.parametrize("name", CLASS_SCANS)
+def test_each_model_asks_once_per_asked_class(monkeypatch, name):
+    # holds is called once per asked class of the admitted unions, on the
+    # class's first key, and never on another key.
+    model, asked = _Scan.model, []
+
+    def spy(self, trial, holds, complementary=None, dominating=None):
+        calls = []
+
+        def counted(k):
+            calls.append(k)
+            return holds(k)
+
+        truth = model(self, trial, counted, complementary, dominating)
+        unions = [u for u in self.keys if complementary is None or complementary(u)]
+        assert calls == [k for u in unions for k in self.reps[u]]
+        asked.append(len(calls))
+        return truth
+
+    monkeypatch.setattr(_Scan, "model", spy)
+    assert CLASS_SCANS[name]().ok
+    assert asked and all(asked)
+
+
+def _unasked(scan) -> dict:
+    """Union -> its keys that get no class, each with its rendered statement
+    parsed back; model() writes True for them without asking."""
+    universe = Universe.of(stochastic=scan.space.s_names, decision=scan.space.d_names)
+    return {u: [(k, parse_statement(scan.render(k), universe))
+                for k, c in zip(scan.keys[u], scan.classes[u]) if c == len(scan.reps[u])]
+            for u in scan.keys}
+
+
+def test_keys_without_a_class_hold_under_the_public_checkers():
+    # Each trivial key that gets no class holds, by check_sci, check_vci or
+    # check_eci_general on its rendered statement, on every seeded model
+    # that admits its union: grid-1 models (many zero-mass atoms), 2 and 3
+    # regimes, and a Theta decision variable.  These are every trivial key
+    # in the pure modes and those of the nonzero unions in mixed mode.
+    sci = _Scan(rule_set("SEPAROID_FULL"), Universe.of(stochastic=("A", "B", "C")), "s")
+    vci = _Scan(rule_set("VCI_STRONG"), Universe.of(decision=("A", "B", "C")), "d")
+    both = Universe.of(stochastic=("X", "Y"), decision=("Sigma", "Theta"))
+    eci = [_Scan(rule_set("ECI_RESTRICTED"), both), _Scan(rule_set("GENERAL"), both)]
+    unasked = {scan: _unasked(scan) for scan in [sci, vci, *eci]}
+    for scan, by_union in unasked.items():
+        for u, pairs in by_union.items():
+            assert [k for k, _ in pairs] == list(scan.trivial[u] if scan.mode or u else ())
+    zero_mass, checked = False, 0
+    for regimes, seed in product((2, 3), range(4)):
+        cfg = SearchConfig(seed=seed, trials=1, var_cardinalities={"A": 2, "B": 3, "C": 2},
+                           regime_count=regimes, probability_grid=1)
+        dist, decmap = random_distribution(cfg, 0), random_decmap(cfg, 0)
+        zero_mass |= 0 in dist.pmf.values() or len(dist.pmf) < 12
+        for _, st in (p for ps in unasked[sci].values() for p in ps):
+            assert check_sci(dist, st.left.names, st.right.names, st.cond.names)
+        for _, st in (p for ps in unasked[vci].values() for p in ps):
+            assert check_vci(decmap, st.left.names, st.right.names, st.cond.names,
+                             regime_labels(regimes))
+        fam = random_family(SearchConfig(seed=seed, trials=1, var_cardinalities={"X": 2, "Y": 2},
+                                         regime_count=regimes, probability_grid=1,
+                                         decision_cardinalities={"Theta": 2}), 0)
+        for scan in eci:
+            for u, pairs in unasked[scan].items():
+                if check_complementary(fam, scan.dec_sets[u]):
+                    checked += len(pairs)
+                    assert all(check_eci_general(fam, st) for _, st in pairs)
+    assert zero_mass and checked
 
 
 # Scans no pinned digest covers, on three regimes: the bench's ECI_RESTRICTED
