@@ -145,18 +145,29 @@ def _cmd_check(args) -> int:
     return 0 if holds else 1
 
 
+def _unique(pairs, what: str) -> dict:
+    """A map from (name, value) pairs; a name given twice is an error, not
+    the last value silently."""
+    out = {}
+    for name, val in pairs:
+        if name in out:
+            raise ValueError(f"{what} names {name!r} more than once")
+        out[name] = val
+    return out
+
+
+def _card(item: str) -> tuple[str, int]:
+    """One ``--cards`` entry ``NAME=CARDINALITY``."""
+    name, _, card = item.partition("=")
+    name = name.strip()
+    if not name or not card.strip().isdigit():
+        raise ValueError(f"--cards entry {item!r} is not NAME=CARDINALITY")
+    return name, int(card)
+
+
 def _parse_cards(text: str | None) -> dict[str, int]:
     """``--cards "X=2,Y=3"`` as a name -> cardinality map."""
-    cards = {}
-    for item in (text.split(",") if text else []):
-        name, _, card = item.partition("=")
-        name = name.strip()
-        if not name or not card.strip().isdigit():
-            raise ValueError(f"--cards entry {item!r} is not NAME=CARDINALITY")
-        if name in cards:
-            raise ValueError(f"--cards names {name!r} more than once")
-        cards[name] = int(card)
-    return cards
+    return _unique(map(_card, text.split(",") if text else []), "--cards")
 
 
 def _cmd_search_cx(args) -> int:
@@ -200,21 +211,19 @@ def _cmd_search_cx(args) -> int:
     return 1
 
 
-def _parse_fractions(text: str) -> dict[str, Fraction]:
+def _parse_fractions(text: str, what: str) -> dict[str, Fraction]:
     """A comma-separated ``name=fraction`` list as a name -> fraction map."""
-    out = {}
-    for item in text.split(","):
-        name, _, val = item.partition("=")
-        out[name.strip()] = files.parse_fraction(val.strip())
-    return out
+    pairs = (item.partition("=") for item in text.split(","))
+    return _unique(((name.strip(), files.parse_fraction(val.strip())) for name, _, val in pairs),
+                   what)
 
 
 def _parse_prior(text: str) -> dict[str, Fraction]:
     if text.startswith("@"):
         with open(text[1:], encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=lambda pairs: _unique(pairs, "prior"))
         return {str(k): files.parse_fraction(v) for k, v in data.items()}
-    return _parse_fractions(text)
+    return _parse_fractions(text, "prior")
 
 
 def _load_family(args) -> models.RegimeFamily:
@@ -272,7 +281,7 @@ def _cmd_gformula(args) -> int:
         raise CIError("model file carries no info_base block")
     ib = causal.InfoBase.from_dict(model.info_base)
     strategy = files.load_strategy(args.strategy)
-    k = _parse_fractions(args.k) if args.k else None
+    k = _parse_fractions(args.k, "--k") if args.k else None
     value = causal.g_formula(model, ib, strategy, k, obs=args.obs)
     _emit(
         args,

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import compress, product
+from itertools import product
 from math import comb, prod
 from typing import Iterable, Mapping, Sequence
 
@@ -305,20 +305,7 @@ class ScanReport:
 # Domain listings, kept for the process: scan domain -> ``_list_domain``'s tuple.
 _DOMAINS: dict = {}
 _DOMAINS_MAX = 32
-# Trivial closures, kept for the process: (scan domain, admitted unions,
-# true trivial keys as bits) -> (per-rule counts, instances to check).
-_CLOSURES: dict = {}
-_CLOSURES_MAX = 256
-_BITS = bytes.maketrans(b"\0\1", b"01")
 _GATED = tuple(name for name, rule in RULES.items() if rule.flag_gated)
-
-
-def _keep(memo: dict, bound: int, key, entry):
-    """Store a process memo's entry, dropping the oldest one at the bound."""
-    if len(memo) >= bound:
-        del memo[next(iter(memo))]
-    memo[key] = entry
-    return entry
 
 
 def _cleared(k: tuple) -> tuple:
@@ -337,68 +324,77 @@ class _Scan:
     conclusion the engine draws on a model from true premises must be true
     on it.
 
-    The listing also splits each union's keys into classes of one verdict,
-    and the model is asked once per class, on its first key.  A key is
-    trivial when its left or right part lies inside the conditioning slot in
-    both components.  In a separoid X _||_ Y | Z holds exactly when
-    X\\Z _||_ Y\\Z | Z (Dawid, 2001), as the checkers answer, so a
-    non-trivial key's class is the key with the conditioning slot cleared
-    from both outer slots in both components, and a trivial key that holds
-    on every admitted model gets no class: ``model`` writes True for it.
-    Every union a scan admits is empty or identifies the regime, which is
-    why a mixed-mode ``model`` call must pass ``complementary``.  Per mode:
+    The listing splits the keys once.  A key is trivial when its left or
+    right part lies inside the conditioning slot in both components.  In a
+    separoid X _||_ Y | Z holds exactly when X\\Z _||_ Y\\Z | Z (Dawid,
+    2001), as the checkers answer.  A key that holds on every admitted model
+    is *always true* and gets no verdict class: ``model`` writes True for
+    it.  Every other key is *asked*, once per class, on the class's first
+    key; a non-trivial key's class is the key with the conditioning slot
+    cleared from both outer slots in both components.  Every union a scan
+    admits is empty or identifies the regime, which is why a mixed-mode
+    ``model`` call must pass ``complementary``.  Per mode:
 
     - "s" and "d": ``MaskKernel.sci`` and the VCI verdict of ``_close_vci``
-      are asked of X\\Z _||_ Y\\Z | Z, true when either outer part is empty.
+      are asked of X\\Z _||_ Y\\Z | Z, true when either outer part is
+      empty, so every trivial key is always true.
     - mixed: ``eci_general`` on (X, K) _||_ (Y, theta) | (Z, phi) is
       eci(X, Y | Z, phi | K) and, when K is not empty, the Y check
       eci(Y, {} | Z, phi | theta) and the range test theta _||_ K | phi (K
       is empty under ECI_RESTRICTED).  ``has_witness`` clears Z from X and
-      Y.  A part of K or theta inside phi is fixed given phi: it changes
-      neither phi | K, phi | theta nor the range test, and when all of K or
-      theta lies inside phi the range test holds.  If all of a nonempty K
-      lies inside phi, clearing it drops the Y check; that check's groups
-      are those of the key's union u = K | theta | phi, and on a u that
-      identifies the regime they are single regimes, where it holds.  So
-      clearing both components is exact on every admitted union.  A trivial
-      key of a nonzero admitted union holds: left-trivial (X in Z, K in
-      phi), it is eci(X, Y | Z, phi) with X\\Z empty; right-trivial (Y in
-      Z, theta in phi), eci(X, Y | Z, phi | K) is X _||_ Y | Z per regime,
-      as phi | K = u, and the Y check has Y\\Z empty.  On the empty union a
-      right-trivial key asserts one law of X given Z across every regime
-      and can be false, so each decision-free trivial key is asked as a
-      class of its own, and their verdicts are the only bits of the
-      ``_CLOSURES`` key.
+      Y, and holds at once when X\\Z is empty.  A part of K or theta inside
+      phi is fixed given phi: it changes neither phi | K, phi | theta nor
+      the range test, and when all of K or theta lies inside phi the range
+      test holds.  If all of a nonempty K lies inside phi, clearing it drops
+      the Y check; that check's groups are those of the key's union u = K |
+      theta | phi, and on a u that identifies the regime they are single
+      regimes, where it holds.  So clearing both components is exact on
+      every admitted union.  A left-trivial key (X in Z, K in phi) is
+      eci(X, Y | Z, phi) with X\\Z empty, so it holds.  A right-trivial key
+      (Y in Z, theta in phi) of a nonzero admitted union holds:
+      eci(X, Y | Z, phi | K) is X _||_ Y | Z per regime, as phi | K = u, and
+      the Y check has Y\\Z empty.  On the empty union a right-trivial key
+      asserts one law of X given Z across every regime and can be false, so
+      each decision-free right-trivial key that is not left-trivial is
+      asked as a class of its own.
 
     With every union admitted, four stochastic or decision variables have
     3,600 keys in 479 classes (1,950 when each trivial key was asked);
-    ECI_RESTRICTED has 582 -> 143 classes over X, Y and 4,424 -> 993 over
-    X, Y, Z, and GENERAL 2,523 -> 498 over X, Y.
+    ECI_RESTRICTED has 582 -> 128 classes over X, Y and 4,424 -> 860 over
+    X, Y, Z, and GENERAL 2,523 -> 483 over X, Y.
 
-    Trivial keys are never a first premise, so the spontaneous instances and
-    those among trivial keys depend only on the scan domain (rule set,
-    universe, mode, admitted decision unions, the engine's methods) and on
-    which trivial keys are true; that closure is kept in ``_CLOSURES`` as
-    per-rule counts and the instances each model checks.  Every other
-    instance has a true non-trivial first premise and comes from the
-    listing's table, filled as models need it: per key and rule step
-    (``eng.steps`` order), the conclusions ``_Engine.unary`` yields, or the
-    (second premise, conclusion) pairs ``_Engine.binary`` yields with the
-    key first on the listing's engine, where every listed key is inserted (a
-    synthesized tautology as None), all as the listing's own key objects.
-    Reuse is exact: a changed engine has a domain of its own; one engine
-    meets each pair of true premises once; a second premise is an implicit
-    tautology exactly when it is on the listing's engine, as its decision
-    union is the first premise's; and no rule moves a conclusion out of its
-    premise's union.  So a model's close builds no engine: it keeps the
-    pairs whose second premise is None or true and counts a group at once
-    when all its conclusions are true, else concludes them one by one.  A
-    model with a violation is closed again from a fresh engine over every
-    true key, so violations keep their order.  The tables of a bench
-    ``scan`` pass hold 23,686 unary conclusions and 9,744 pairs, 1.75 MB by
-    tracemalloc (the listings' engines 0.99 MB), and go with their listing.
-    The memos drop their oldest entry at ``_DOMAINS_MAX``/
-    ``_CLOSURES_MAX``.
+    A model's rule instances come from two parts of the listing, both
+    filled on the listing's engine, where every listed key is inserted (its
+    indexes never change after the listing).  Per union, ``closures`` holds
+    the spontaneous instances concluding in the union and every instance
+    with one of its always-true keys as premise: trivial keys are never a
+    first premise, so these are unary (a pair with a trivial second premise
+    comes from the table).  Instances
+    concluding an always-true key of the domain are kept as per-rule
+    counts (a P3 on the decision component of a VCI key concludes in
+    another union, which is admitted too, since mode "d" admits every
+    union; no mixed-mode rule leaves its premise's union); the rest, and
+    any P4''/P4g instance (licensed per model), as arguments of
+    ``conclude`` for each model to check.  Every other instance has a true
+    asked key as first premise and comes from ``table``, filled as models
+    need it: per key and rule step (``eng.steps`` order), the conclusions
+    ``_Engine.unary`` yields, or the (second premise, conclusion) pairs
+    ``_Engine.binary`` yields with the key first, all as the listing's own
+    key objects, a synthesized tautology as None.  Reuse is exact: a
+    changed engine has a domain of its own; an engine meets each pair of
+    true premises once; a second premise is an implicit tautology exactly
+    when it is on the listing's engine, as its decision union is the first
+    premise's; and a spontaneous instance concludes in its own union, so a
+    model gets exactly those of its admitted unions, as an engine declaring
+    only them complementary would yield.  So a model builds no engine: per
+    admitted union, in domain order, it adds the union's counts, concludes
+    its other instances, then reads its true asked keys from the table.  It keeps the pairs whose second
+    premise is None or true, counts a group at once when all its
+    conclusions are true, and else concludes them one by one, a pair named
+    by both premises as ``_Engine.binary`` yields them again.  The tables
+    of a bench ``scan`` pass hold 23,694 unary conclusions and 9,744 pairs,
+    1.75 MB by tracemalloc (the listings' engines 0.99 MB), and go with
+    their listing; the oldest listing is dropped at ``_DOMAINS_MAX``.
 
     A close memo lasts one scan call (``self.closes``): a model whose
     admitted unions and class verdicts match a model closed before adds that
@@ -415,7 +411,7 @@ class _Scan:
         self.domain = (rs, sp.s_names, sp.d_names, mode, tuple(vars(_Engine).values()))
         self.dec_sets = [sp.slot(0, d).dec for d in range(sp.d_all + 1)]
         listing = _DOMAINS.get(self.domain) or self._list_domain()
-        self.keys, self.trivial, self.nontrivial, self.reps, self.classes, self.eng, self.table = listing
+        self.keys, self.asked, self.reps, self.classes, self.closures, self.eng, self.table = listing
         self.canon: dict | None = None  # each listed key to itself, built on a table miss
         self.tally = dict.fromkeys(rs.rules, 0)
         self.violations: list = []
@@ -443,12 +439,6 @@ class _Scan:
             for rule, c in delta:
                 self.tally[rule] += c
             return truth
-        comp = ComplementarityDecl(frozenset(self.dec_sets[u] for u in unions if u))
-        asked = self.trivial[0] if self.mode is None and 0 in unions else ()
-        flags = bytes(map(truth.__getitem__, asked))
-        key = (self.domain, tuple(unions), int(b"1" + flags.translate(_BITS), 2))
-        counts, extras = _CLOSURES.get(key) or self._trivial_closure(
-            key, comp, [k for u in unions for k in self.trivial[u] if truth[k]])
 
         def conclude(rule, premises, ck, k):
             if dominating is None or rule not in _GATED or dominating(k[5]):
@@ -460,26 +450,24 @@ class _Scan:
                     self.violation(trial, rule, [self.render(p) for p in premises], self.render(ck))
 
         start, tally, size = len(self.violations), dict(self.tally), len(truth)
-        for rule, c in counts:
-            self.tally[rule] += c
-        for extra in extras:
-            conclude(*extra)
-        if nontrivial := [k for u in unions for k in self.nontrivial[u] if truth[k]]:
-            self._close(comp, conclude, nontrivial, truth, dominating)
-        if len(self.violations) > start:
-            self.tally.update(tally)
-            del self.violations[start:]
-            self._close(comp, conclude, [k for u in unions for k in self.keys[u] if truth[k]])
-        elif memo is not None and len(truth) == size:  # no conclusion outside the table
+        for u in unions:
+            counts, extras = self.closures[u]
+            for rule, c in counts:
+                self.tally[rule] += c
+            for extra in extras:
+                conclude(*extra)
+            self._close(conclude, u, truth, dominating)
+        # kept unless it met a violation or a conclusion outside the table
+        if memo is not None and len(self.violations) == start and len(truth) == size:
             self.closes[memo] = tuple((r, c - tally[r]) for r, c in self.tally.items() if c != tally[r])
         return truth
 
     def _list_domain(self) -> tuple:
-        """The domain's legal keys by decision union, their trivial and
-        non-trivial ones, their classes (each class's first key in domain
-        order, and each key's class as an index into those, one past them
-        for a key with no class), the engine that asked legality, every
-        listed key inserted, and an empty table."""
+        """The domain's legal keys by decision union, their asked keys, their
+        classes (each class's first key in domain order, and each key's
+        class as an index into those, one past them for an always-true
+        key), the closure of each union's always-true keys, the engine that
+        asked legality, every listed key inserted, and an empty table."""
         sp = self.space
         eng = _Engine(self.rs, sp, ComplementarityDecl(frozenset(self.dec_sets[1:])), self.mode)
         slots = [(s, d) for s in range(sp.s_all + 1) for d in range(sp.d_all + 1)]
@@ -489,14 +477,24 @@ class _Scan:
                 keys.setdefault(k[1] | k[3] | k[5], []).append(k)
                 eng.insert(k)
         eng.by_left_rjoinc = eng.by_right_ljoinc = {}  # pair each key as first premise only
-        trivial, nontrivial, reps, classes = {}, {}, {}, {}
+        sure = {k for u, ks in keys.items() for k in ks
+                if _l_triv(k) or (_r_triv(k) and (self.mode or u))}
+        asked, reps, classes = {}, {}, {}
+        counts = {u: dict.fromkeys(self.rs.rules, 0) for u in keys}
+        extras: dict = {u: [] for u in keys}
+
+        def record(u, rule, premises, ck, k):
+            if ck in sure and rule not in _GATED:
+                counts[u][rule] += 1
+            else:
+                extras[u].append((rule, premises, ck, k))
+
+        for rule, ck in eng.spontaneous():
+            record(ck[1] | ck[3] | ck[5], rule, (), ck, None)
         for u, ks in keys.items():
             keys[u] = tuple(ks)
-            triv = [_r_triv(k) or _l_triv(k) for k in ks]
-            trivial[u] = tuple(compress(ks, triv))
-            nontrivial[u] = tuple(k for k, t in zip(ks, triv) if not t)
-            asked = self.mode is None and not u
-            ids = [(k if asked else None) if t else _cleared(k) for k, t in zip(ks, triv)]
+            asked[u] = tuple(k for k in ks if k not in sure)
+            ids = [None if k in sure else k if _r_triv(k) else _cleared(k) for k in ks]
             first: dict = {}
             for c, k in zip(ids, ks):
                 if c is not None:
@@ -504,53 +502,40 @@ class _Scan:
             pos = {c: i for i, c in enumerate(first)}
             pos[None] = len(first)  # model() appends True to the class verdicts
             reps[u], classes[u] = tuple(first.values()), tuple(map(pos.__getitem__, ids))
-        listing = (keys, trivial, nontrivial, reps, classes, eng, {})
-        return _keep(_DOMAINS, _DOMAINS_MAX, self.domain, listing)
+            for k in ks:
+                if k in sure:
+                    for rule, premises, ck, _note in eng.expand(k):
+                        record(u, rule, premises, ck, k)
+        closures = {u: (tuple((r, c) for r, c in counts[u].items() if c), tuple(extras[u]))
+                    for u in keys}
+        if len(_DOMAINS) >= _DOMAINS_MAX:
+            del _DOMAINS[next(iter(_DOMAINS))]
+        listing = _DOMAINS[self.domain] = (keys, asked, reps, classes, closures, eng, {})
+        return listing
 
-    def _trivial_closure(self, key: tuple, comp: ComplementarityDecl, trivial: list) -> tuple:
-        """Close the true trivial keys of a domain with the spontaneous rules.
-        Instances concluding a true trivial key are kept as per-rule counts;
-        the rest, and P4''/P4g ones (licensed per model), as arguments of
-        ``conclude`` for each model to check."""
-        true, counts, extras = set(trivial), dict.fromkeys(self.rs.rules, 0), []
-
-        def record(rule, premises, ck, k):
-            if ck in true and rule not in _GATED:
-                counts[rule] += 1
-            else:
-                extras.append((rule, premises, ck, k))
-
-        self._close(comp, record, trivial)
-        counts = tuple((r, c) for r, c in counts.items() if c)
-        return _keep(_CLOSURES, _CLOSURES_MAX, key, (counts, tuple(extras)))
-
-    def _close(self, comp: ComplementarityDecl, conclude, keys: list, truth=None,
-               dominating=None) -> None:
-        """Without ``truth``, on a fresh engine: the spontaneous rules, then
-        each key inserted and expanded at once, so every pair is met when its
-        later premise arrives.  With it, from the domain's table over a
-        model's true non-trivial keys (see ``_Scan``)."""
-        if truth is None:
-            eng = _Engine(self.rs, self.space, comp, self.mode)
-            for rule, ck in eng.spontaneous():
-                conclude(rule, (), ck, None)
-            for k in keys:
-                eng.insert(k)
-                for rule, prem, ck, _note in eng.expand(k):
-                    conclude(rule, prem, ck, k)
-            return
-        table, tally = self.table, self.tally
-        for k in keys:
-            for (rule, arity), group in zip(self.eng.steps, table.get(k) or self._entry(k)):
-                if arity != 1:
-                    group = [ck for t, ck in group if t is None or truth.get(t)]
-                elif dominating is not None and rule in _GATED and not dominating(k[5]):
-                    continue
+    def _close(self, conclude, u: int, truth: dict, dominating) -> None:
+        """Close union u's true asked keys from the domain's table (see
+        ``_Scan``)."""
+        table, tally, eng = self.table, self.tally, self.eng
+        for k in self.asked[u]:
+            if not truth[k]:
+                continue
+            for (rule, arity), entry in zip(eng.steps, table.get(k) or self._entry(k)):
+                if arity == 1:
+                    if dominating is not None and rule in _GATED and not dominating(k[5]):
+                        continue
+                    group = entry
+                else:
+                    group = [ck for t, ck in entry if t is None or truth.get(t)]
                 if all(map(truth.get, group)):
                     tally[rule] += len(group)
-                else:  # a violation is named again by the fresh-engine re-close
+                elif arity == 1:
                     for ck in group:
                         conclude(rule, (k,), ck, k)
+                else:  # the listing's engine yields the entry's pairs again, in order
+                    for (t, ck), (premises, _) in zip(entry, eng.binary(rule, k)):
+                        if t is None or truth.get(t):
+                            conclude(rule, premises, ck, k)
 
     def _entry(self, k: tuple) -> tuple:
         """Store k's entry in the domain's table (see ``_Scan``), each key as
@@ -594,7 +579,7 @@ def _vci_model(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str])
     verdict X _||_ Y | meet(Z, W): regimes with equal joint values lie in one
     block of every induced partition, hence of every meet.  The range memo
     lives on the ``_Scan``, so it lasts one scan call; the domain listing
-    and trivial closures a range draws on last the process (see ``_Scan``).
+    a range draws on lasts the process (see ``_Scan``).
     A map whose range the scan has closed before adds that range's per-rule
     counts and replays its violations under the map's own trial index.  It
     stays in front of the close memo, so ``_Scan.model`` and P6 still run
@@ -699,8 +684,8 @@ def exhaustive_vci_scan(max_regimes: int = 4, n_vars: int = 3) -> ScanReport:
     checked once per call and replayed for the other maps that have it (see
     ``_vci_model``); the ranges share fewer true sets, each closed once per
     call (28 closes, 154 without the close memo of ``_Scan``).  Ranges and
-    closes are not kept between calls; the domain's listing and trivial
-    closures are, as in every scan (see ``_Scan``)."""
+    closes are not kept between calls; the domain's listing is, as in every
+    scan (see ``_Scan``)."""
     if max_regimes < 1 or n_vars < 1:
         raise ValueError("max_regimes and n_vars must be >= 1")
     names = tuple(chr(ord("A") + i) for i in range(n_vars))
@@ -723,18 +708,23 @@ def axiom_soundness_scan(cfg: SearchConfig, rs: RuleSet) -> ScanReport:
     be closed under the engine's own rule instantiation, i.e. whenever the
     premises of a rule instance hold on the model, its conclusion holds too.
     Stops after the first model with a violation and reports all of that
-    model's violations; ``trials`` counts the models checked.
+    model's violations; ``trials`` counts the models checked.  They are
+    listed per admitted decision union, in domain order: first those of the
+    union's always-true statements (spontaneous instances first), then
+    those with one of its true asked statements as first premise, per
+    statement in domain order and rule step; a pair is named by both
+    premises.  P6 violations follow, in the order of ``_close_vci``.
 
     Scan domain: statements with nonempty outer slots that are legal under
     the rule set and, for ECI_RESTRICTED and GENERAL, whose decision union is
     empty or complementary on the model.  The model is asked once per class
     of statements with one normal form X\\Z _||_ Y\\Z | Z, and never about
     a trivial statement (X or Y inside Z) that holds on every admitted
-    model: any under SEPAROID_FULL and VCI_STRONG, one with decision names
-    under ECI_RESTRICTED and GENERAL (see ``_Scan``).  P6 is checked on the
-    model, and when dominating_regime is the only flag, P4''/P4g run only on
-    premises whose conditioning decision names have a dominating regime in
-    every group."""
+    model: any under SEPAROID_FULL and VCI_STRONG; under ECI_RESTRICTED and
+    GENERAL one with decision names, or whose left part lies inside Z
+    (see ``_Scan``).  P6 is checked on the model, and when dominating_regime
+    is the only flag, P4''/P4g run only on premises whose conditioning
+    decision names have a dominating regime in every group."""
     names = tuple(sorted(cfg.var_cardinalities))
     if rs.name == "SEPAROID_FULL":
         scan = _Scan(rs, Universe.of(stochastic=names), "s")

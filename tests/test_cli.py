@@ -269,6 +269,31 @@ def test_repeated_cards_name_exits_2(capsys, argv):
     assert err == "error: --cards names 'X' more than once\n"
 
 
+def test_repeated_prior_name_exits_2(tmp_path, capsys):
+    # A regime given twice in an inline prior is an error, not the last value.
+    model = write_json(tmp_path, "fam.json", INEFFECTIVE)
+    assert main(["product", model, "s0=1/2,s1=1/4,s1=1/2"]) == 2
+    assert capsys.readouterr().err == "error: prior names 's1' more than once\n"
+
+
+def test_repeated_prior_file_key_exits_2(tmp_path, capsys):
+    # Likewise a key repeated in a @prior.json object, which json.load would
+    # otherwise collapse to its last value.
+    model = write_json(tmp_path, "fam.json", INEFFECTIVE)
+    prior = tmp_path / "prior.json"
+    prior.write_text('{"s0": "1/4", "s0": "1/2", "s1": "1/2"}', encoding="utf-8")
+    assert main(["product", model, f"@{prior}"]) == 2
+    assert capsys.readouterr().err == "error: prior names 's0' more than once\n"
+
+
+def test_repeated_payoff_outcome_exits_2(tmp_path, capsys):
+    # An outcome given twice in the gformula --k payoff map is an error.
+    model = write_json(tmp_path, "gf.json", GF_MODEL)
+    strat = write_json(tmp_path, "strategy.json", STRATEGY)
+    assert main(["gformula", model, strat, "--k", "0=0,1=1,1=5"]) == 2
+    assert capsys.readouterr().err == "error: --k names '1' more than once\n"
+
+
 @pytest.mark.parametrize("argv", [["product", "s0=1"], ["ace"], ["gformula", "strategy.json"]],
                          ids=lambda argv: argv[0])
 def test_family_commands_reject_a_single_distribution(tmp_path, capsys, argv):

@@ -365,15 +365,16 @@ def _digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-def _unsound_p3(monkeypatch, where=None):
-    """P3 and P3' that also drop the stochastic conditioning slot, on the
-    premises ``where`` admits (every premise when it is None)."""
+def _unsound_p3(monkeypatch, where=None, slot=4):
+    """P3, P3' and P3g that also drop the stochastic conditioning part (the
+    decision one with ``slot`` 5), on the premises ``where`` admits (every
+    premise when it is None)."""
     sound_unary = _Engine.unary
 
     def unary(self, name, k):
         yield from sound_unary(self, name, k)
-        if name in ("P3", "P3'") and k[4] and (where is None or where(k)):
-            yield (k[0], k[1], k[2], k[3], 0, k[5]), ""
+        if name in ("P3", "P3'", "P3g") and k[slot] and (where is None or where(k)):
+            yield k[:slot] + (0,) + k[slot + 1:], ""
 
     monkeypatch.setattr(_Engine, "unary", unary)
 
@@ -385,29 +386,43 @@ MUTATED_SCANS = [
     ("ECI_RESTRICTED", "P3'", SearchConfig(seed=7, trials=6, var_cardinalities={"X": 2, "Y": 2},
                                            regime_count=2, probability_grid=2,
                                            decision_cardinalities={"Theta": 2}),
-     1092, "319eb1c607791497082b6ce3355111ee9163cfd4fc2fa5ceb51ff0a9a15f3e79"),
+     1092, "00f808d1e00be3b850a1259481dde9e85be0d5b4b9e9e28fdbcabde2a36fdec2"),
 ]
+# The digests of the same violations sorted, which closing each model from
+# a fresh engine over its true keys gave before the table named them.
+SORTED_VIOLATIONS = {
+    "SEPAROID_FULL": "1a917a3630e1f4502054db5547841add2dcaa76658a71d084af38ef46c696707",
+    "ECI_RESTRICTED": "0c9e924c485737c087901b40004e5337b95a2f9cb54cb0bbd2601bfd2c27e6fe",
+}
+
+
+def _sorted_digest(violations: list) -> str:
+    return _digest(sorted(violations, key=lambda v: json.dumps(v, sort_keys=True)))
 
 
 @pytest.mark.parametrize("rules, mutated, cfg, instances, violations", MUTATED_SCANS)
 def test_mutated_scan_keeps_its_violations_in_order(monkeypatch, rules, mutated, cfg,
                                                     instances, violations):
     # The scans of test_scan_runs_the_engines_rules: every violation, in the
-    # order the engine met them when each true key was expanded in domain order.
+    # order of axiom_soundness_scan (per admitted union, its always-true
+    # keys' closure, then its true asked keys from the table).
     _unsound_p3(monkeypatch)
     rep = axiom_soundness_scan(cfg, rule_set(rules))
     assert {v["rule"] for v in rep.violations} == {mutated}
     assert rep.instances == instances
     assert _digest(rep.violations) == violations
+    assert _sorted_digest(rep.violations) == SORTED_VIOLATIONS[rules]
 
 
 def test_warm_trivial_closures_cannot_hide_an_unsound_rule(monkeypatch):
-    # Closures built for the sound engine are not reused for a mutated one,
-    # whose unsound conclusions come from trivial premises only.
-    monkeypatch.setattr(search, "_CLOSURES", {})
+    # The closures of always-true keys kept with the sound engine's listings
+    # are not reused for a mutated one, whose unsound conclusions come from
+    # trivial premises only.
+    monkeypatch.setattr(search, "_DOMAINS", {})
     for rules, _, cfg, _, _ in MUTATED_SCANS:
         assert axiom_soundness_scan(cfg, rule_set(rules)).ok
-    assert search._CLOSURES
+    assert all(any(counts for counts, _ in listing[4].values())
+               for listing in search._DOMAINS.values())
     _unsound_p3(monkeypatch, where=_r_triv)
     for rules, mutated, cfg, _, _ in MUTATED_SCANS:
         rep = axiom_soundness_scan(cfg, rule_set(rules))
@@ -430,14 +445,12 @@ def test_warm_unary_tables_cannot_hide_an_unsound_rule(monkeypatch, where):
         return [axiom_soundness_scan(cfg, rule_set(rules)) for rules, _, cfg, _, _ in MUTATED_SCANS]
 
     monkeypatch.setattr(search, "_DOMAINS", {})
-    monkeypatch.setattr(search, "_CLOSURES", {})
     assert all(rep.ok for rep in run())
     assert all(listing[-1] for listing in search._DOMAINS.values())
     _unsound_p3(monkeypatch, where)
     warm = run()
     assert len(search._DOMAINS) == 2 * len(MUTATED_SCANS)
     monkeypatch.setattr(search, "_DOMAINS", {})
-    monkeypatch.setattr(search, "_CLOSURES", {})
     assert [rep.to_dict() for rep in warm] == [rep.to_dict() for rep in run()]
     for rep, (_, mutated, _, instances, violations) in zip(warm, MUTATED_SCANS):
         assert {v["rule"] for v in rep.violations} == {mutated}
@@ -468,7 +481,6 @@ def test_warm_pair_tables_cannot_hide_an_unsound_rule(monkeypatch):
         return [axiom_soundness_scan(cfg, rule_set(rules)) for rules, _, cfg, _, _ in MUTATED_SCANS]
 
     monkeypatch.setattr(search, "_DOMAINS", {})
-    monkeypatch.setattr(search, "_CLOSURES", {})
     assert all(rep.ok for rep in run())
     assert all(any(group for entry in listing[-1].values()
                    for (_, arity), group in zip(listing[-2].steps, entry) if arity == 2)
@@ -477,7 +489,6 @@ def test_warm_pair_tables_cannot_hide_an_unsound_rule(monkeypatch):
     warm = run()
     assert len(search._DOMAINS) == 2 * len(MUTATED_SCANS)
     monkeypatch.setattr(search, "_DOMAINS", {})
-    monkeypatch.setattr(search, "_CLOSURES", {})
     assert [rep.to_dict() for rep in warm] == [rep.to_dict() for rep in run()]
     assert [{v["rule"] for v in rep.violations} for rep in warm] == [{"P5"}, {"P5'"}]
     assert all(len(v["premises"]) == 2 for rep in warm for v in rep.violations)
@@ -493,7 +504,8 @@ def _scan(rules, flags=(), **cfg):
 # ScanReport.to_dict() digests from expanding every true key of every model
 # in domain order, and whether some model of the scan has a false trivial
 # key.  In the two-regime ECI_RESTRICTED and GENERAL scans, models with one
-# set of admitted unions differ in which trivial keys are false.
+# set of admitted unions differ in which decision-free trivial keys are
+# false.
 PINNED_REPORTS = {
     "SEPAROID_FULL": (_scan("SEPAROID_FULL", seed=5, trials=25, probability_grid=3,
                             var_cardinalities={"A": 2, "B": 2, "C": 2}),
@@ -522,36 +534,44 @@ PINNED_REPORTS = {
 def test_scan_reports_equal_cold_and_warm(monkeypatch, name):
     scan, digest, false_trivial = PINNED_REPORTS[name]
     monkeypatch.setattr(search, "_DOMAINS", {})
-    monkeypatch.setattr(search, "_CLOSURES", {})
+    seen = _spy_models(monkeypatch)
     assert _digest(scan().to_dict()) == digest
-    # key: (domain, unions, 1 followed by one bit per decision-free trivial
-    # key of a mixed-mode scan; a pure-mode closure keys on the unions alone)
-    assert any("0" in bin(k[2])[3:] for k in search._CLOSURES) == false_trivial
+    assert any(not ok for *_, truth in seen for k, ok in truth.items()
+               if not _nontrivial(k)) == false_trivial
     assert _digest(scan().to_dict()) == digest
 
 
 def test_trivial_closures_are_bounded(monkeypatch):
+    # Each union's closure of its always-true keys is kept with the domain's
+    # listing, so closures are bounded by _DOMAINS_MAX and go with their
+    # listing: a scan over another domain evicts them, and they are built
+    # again, giving the same report.
     scan, digest, _ = PINNED_REPORTS["ECI_RESTRICTED-2"]
-    monkeypatch.setattr(search, "_CLOSURES", {})
-    scan()
-    assert len(search._CLOSURES) > 1
-    monkeypatch.setattr(search, "_CLOSURES", {})
-    monkeypatch.setattr(search, "_CLOSURES_MAX", 1)
+    monkeypatch.setattr(search, "_DOMAINS", {})
+    monkeypatch.setattr(search, "_DOMAINS_MAX", 1)
     assert _digest(scan().to_dict()) == digest
-    assert len(search._CLOSURES) == 1
+    [listing] = search._DOMAINS.values()
+    closures = listing[4]
+    assert closures.keys() == listing[0].keys() and all(c for c, _ in closures.values())
+    PINNED_REPORTS["GENERAL"][0]()
+    [other] = search._DOMAINS.values()
+    assert other is not listing
+    assert _digest(scan().to_dict()) == digest
+    [again] = search._DOMAINS.values()
+    assert again is not listing and again[4] == closures
 
 
 def test_trivial_closure_is_kept_per_set_of_true_trivial_keys(monkeypatch):
     # Truth tables fed to _Scan.model directly, on the decision-free union of
-    # a mixed-mode domain, where a trivial key can be false (one law across
-    # the regimes): every key holds on trial 0; on trial 1 only the trivial
-    # keys do, but for A _||_ B | B,C, which P3' concludes from the trivial
-    # A _||_ B,C | B,C alone.  Trial 1 must not reuse trial 0's closure: it
-    # gives what it gives on a scan of its own.
+    # a mixed-mode domain, where a right-trivial key can be false (one law
+    # across the regimes): every key holds on trial 0; on trial 1 only the
+    # trivial keys do, but for A _||_ B | B,C, which P3' concludes from the
+    # trivial A _||_ B,C | B,C alone.  Both are asked keys, read from the
+    # table.  Trial 1 must not reuse trial 0's close: it gives what it gives
+    # on a scan of its own.
     false = (1, 0, 2, 0, 6, 0)
 
     def run(trials):
-        monkeypatch.setattr(search, "_CLOSURES", {})
         scan = _Scan(rule_set("ECI_RESTRICTED"),
                      Universe.of(stochastic=("A", "B", "C"), decision=("Sigma",)))
         for t in trials:
@@ -568,14 +588,13 @@ def test_trivial_closure_is_kept_per_set_of_true_trivial_keys(monkeypatch):
 
 
 def test_domain_listings_are_bounded(monkeypatch):
-    # Each pinned scan, with both process memos emptied, gives its digest cold
+    # Each pinned scan, with the process memo emptied, gives its digest cold
     # and again warm, and the warm run reuses the listing.  With room for one
     # listing, a scan over another domain evicts it.
     monkeypatch.setattr(search, "_DOMAINS_MAX", 1)
     domains = []
     for name, (scan, digest, _) in PINNED_REPORTS.items():
         monkeypatch.setattr(search, "_DOMAINS", {})
-        monkeypatch.setattr(search, "_CLOSURES", {})
         assert _digest(scan().to_dict()) == digest, name
         [(domain, listing)] = search._DOMAINS.items()
         assert _digest(scan().to_dict()) == digest, name
@@ -636,7 +655,7 @@ def test_changed_legality_gets_its_own_listing(monkeypatch):
     scan = _Scan(rule_set("SEPAROID_FULL"), universe, "s")
     assert scan.domain != warm.domain
     assert {warm.domain, scan.domain} <= set(search._DOMAINS)
-    for listing in ("keys", "trivial", "nontrivial"):
+    for listing in ("keys", "asked"):
         old, new = getattr(warm, listing), getattr(scan, listing)
         assert new == {u: tuple(k for k in ks if k[0] != k[2]) for u, ks in old.items()}
     assert sum(map(len, scan.keys.values())) < sum(map(len, warm.keys.values()))
@@ -681,31 +700,35 @@ def test_p6_partial_meet_mutation_keeps_its_violations_and_counts(monkeypatch):
 
 
 def test_models_sharing_a_trivial_closure_share_no_index(monkeypatch):
-    # One family of the pinned two-regime ECI_RESTRICTED scan, checked twice:
-    # both models share one trivial closure and read their true non-trivial
-    # keys' pairs (P5'' ones included) from the domain's table.  Nothing of
-    # the first close may carry over: the second counts the same again.
+    # One family of the pinned two-regime ECI_RESTRICTED scan, closed twice
+    # (the close memo emptied between): both models add their unions'
+    # closures and read their true non-trivial keys' pairs (P5'' ones
+    # included) from the domain's table.  Nothing of the first close may
+    # carry over: the second counts the same again.
     cfg = SearchConfig(seed=2, trials=8, regime_count=2, probability_grid=3,
                        var_cardinalities={"X": 2, "Y": 2}, decision_cardinalities={"Theta": 2})
     fam = random_family(cfg, 2)
-    monkeypatch.setattr(search, "_CLOSURES", {})
     scan = _Scan(rule_set("ECI_RESTRICTED", _ECI_FLAGS),
                  Universe.of(stochastic=("X", "Y"), decision=("Sigma", "Theta")))
     dec = scan.dec_sets
     holds = lambda k: fam.eci_general(k[0], dec[k[1]], k[2], dec[k[3]], k[4], dec[k[5]])  # noqa: E731
     tallies = []
     for t in range(2):
+        scan.closes.clear()
         truth = scan.model(t, holds, complementary=lambda u: u == 0 or check_complementary(fam, dec[u]))
         tallies.append(dict(scan.tally))
-    assert len(search._CLOSURES) == 1 and not scan.violations
-    assert any(truth[k] for ks in scan.nontrivial.values() for k in ks if k in truth)
+    assert not scan.violations
+    p5 = [rule for rule, _ in scan.eng.steps].index("P5''")
+    assert any(truth.get(k) and _nontrivial(k) and entry[p5] for k, entry in scan.table.items())
     assert tallies[1] == {r: 2 * c for r, c in tallies[0].items()}
 
 
-def test_models_without_a_true_nontrivial_key_build_no_engine(monkeypatch):
-    # On these models only trivial keys hold, so after the listing (one
-    # engine) and the trivial closures (one engine each) no engine is built,
-    # cold or warm; the report is the one pinned from an engine per model.
+def test_no_engine_is_built_after_the_listing(monkeypatch):
+    # An engine is built once per domain listing and never per model: not
+    # for models where only trivial keys hold, nor for models that read
+    # their true non-trivial keys from the domain's table, nor for a model
+    # with a violation, which is named from the table too.  The first
+    # report is the one pinned from an engine per model.
     cfg = SearchConfig(seed=1, trials=10, var_cardinalities={"A": 2, "B": 2, "C": 2},
                        probability_grid=20)
     built = []
@@ -716,25 +739,27 @@ def test_models_without_a_true_nontrivial_key_build_no_engine(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(_Engine, "__init__", counted)
-    monkeypatch.setattr(search, "_CLOSURES", {})
+    monkeypatch.setattr(search, "_DOMAINS", {})
     scan = _Scan(rule_set("SEPAROID_FULL"), Universe.of(stochastic=("A", "B", "C")), "s")
-    nontrivial = [k for ks in scan.nontrivial.values() for k in ks]
-    assert len(built) == 1 and nontrivial
+    nontrivial = [k for ks in scan.asked.values() for k in ks]
+    assert len(built) == 1 and nontrivial and all(map(_nontrivial, nontrivial))
     for t in range(cfg.trials):
         sci = random_distribution(cfg, t).kernel.sci
         assert not any(sci(k[0], k[2], k[4]) for k in nontrivial)
-    for run in ("cold", "warm"):
-        built.clear()
-        rep = axiom_soundness_scan(cfg, rule_set("SEPAROID_FULL"))
-        assert len(built) == (len(search._CLOSURES) if run == "cold" else 0)
-        assert _digest(rep.to_dict()) == "2f9de562b56b831ed624539b6478114dde27e98b6839bc24a9864beb161dacbf"
-    # Models with true non-trivial keys read them from the domain's table:
-    # warm, the pinned scan builds no engine either.
+    built.clear()
+    rep = axiom_soundness_scan(cfg, rule_set("SEPAROID_FULL"))
+    assert not built and not scan.table
+    assert _digest(rep.to_dict()) == "2f9de562b56b831ed624539b6478114dde27e98b6839bc24a9864beb161dacbf"
     pinned, digest, _ = PINNED_REPORTS["SEPAROID_FULL"]
     assert _digest(pinned().to_dict()) == digest
-    built.clear()
-    assert _digest(pinned().to_dict()) == digest
     assert not built and scan.table
+    _unsound_p3(monkeypatch)
+    for rules, _, cfg, instances, _ in MUTATED_SCANS:
+        for run in ("cold", "warm"):
+            built.clear()
+            rep = axiom_soundness_scan(cfg, rule_set(rules))
+            assert rep.violations and rep.instances == instances
+            assert len(built) == (run == "cold")
 
 
 def test_scan_stopped_early_reports_the_models_checked(monkeypatch):
@@ -808,7 +833,7 @@ def test_class_verdicts_equal_the_checkers_on_every_key(monkeypatch, name):
     for scan, holds, complementary, truth in seen:
         for k in _assert_truth_is_per_key(scan, holds, complementary, truth):
             outcomes.add((_r_triv(k) or _l_triv(k), _r_triv(k), truth[k]))
-    nontrivial = sum(map(len, scan.nontrivial.values()))
+    nontrivial = sum(map(_nontrivial, (k for ks in scan.keys.values() for k in ks)))
     assert sum(len(r) for r in scan.reps.values()) < sum(map(len, scan.keys.values()))
     assert len({c for u in scan.classes for c in scan.classes[u]}) < nontrivial
     assert {(False, False, True), (False, False, False)} <= outcomes
@@ -851,31 +876,35 @@ def test_mixed_classes_are_exact_on_admitted_unions_only():
 
 # (rule set, universe, mode, listed keys, classes asked with every union
 # admitted); the last column was 1,950, 1,950, 582, 4,424 and 2,523 when
-# every trivial key was asked and mixed-mode classes kept the decision parts.
+# every trivial key was asked and mixed-mode classes kept the decision parts,
+# and 143, 993 and 498 for the mixed-mode domains when the decision-free
+# left-trivial keys were asked.
 _SIGMA_THETA = ("Sigma", "Theta")
 ASKED_CLASSES = {
     "SCI A-D": ("SEPAROID_FULL", dict(stochastic=tuple("ABCD")), "s", 3600, 479),
     "VCI A-D": ("VCI_STRONG", dict(decision=tuple("ABCD")), "d", 3600, 479),
     "ECI_RESTRICTED X, Y": ("ECI_RESTRICTED", dict(stochastic=("X", "Y"), decision=_SIGMA_THETA),
-                            None, 720, 143),
+                            None, 720, 128),
     "ECI_RESTRICTED X, Y, Z": ("ECI_RESTRICTED",
                                dict(stochastic=("X", "Y", "Z"), decision=_SIGMA_THETA),
-                               None, 6944, 993),
+                               None, 6944, 860),
     "GENERAL X, Y": ("GENERAL", dict(stochastic=("X", "Y"), decision=_SIGMA_THETA),
-                     None, 3600, 498),
+                     None, 3600, 483),
 }
 
 
 @pytest.mark.parametrize("name", ASKED_CLASSES)
 def test_asked_classes_per_domain_are_pinned(name):
     # A model is asked once per class; the only trivial keys with a class of
-    # their own are the decision-free ones of a mixed-mode domain.
+    # their own are the decision-free right-trivial ones of a mixed-mode
+    # domain whose left part is not inside the conditioning slot.
     rules, names, mode, keys, asked = ASKED_CLASSES[name]
     scan = _Scan(rule_set(rules), Universe.of(**names), mode)
     assert sum(map(len, scan.keys.values())) == keys
     assert sum(map(len, scan.reps.values())) == asked
     trivial_reps = [k for ks in scan.reps.values() for k in ks if not _nontrivial(k)]
-    assert trivial_reps == (list(scan.trivial[0]) if mode is None else [])
+    assert trivial_reps == ([k for k in scan.keys[0] if not _l_triv(k) and _r_triv(k)]
+                            if mode is None else [])
 
 
 @pytest.mark.parametrize("name", CLASS_SCANS)
@@ -916,7 +945,8 @@ def test_keys_without_a_class_hold_under_the_public_checkers():
     # check_eci_general on its rendered statement, on every seeded model
     # that admits its union: grid-1 models (many zero-mass atoms), 2 and 3
     # regimes, and a Theta decision variable.  These are every trivial key
-    # in the pure modes and those of the nonzero unions in mixed mode.
+    # in the pure modes, and in mixed mode those of the nonzero unions and
+    # the left-trivial ones of the empty union.
     sci = _Scan(rule_set("SEPAROID_FULL"), Universe.of(stochastic=("A", "B", "C")), "s")
     vci = _Scan(rule_set("VCI_STRONG"), Universe.of(decision=("A", "B", "C")), "d")
     both = Universe.of(stochastic=("X", "Y"), decision=("Sigma", "Theta"))
@@ -924,7 +954,8 @@ def test_keys_without_a_class_hold_under_the_public_checkers():
     unasked = {scan: _unasked(scan) for scan in [sci, vci, *eci]}
     for scan, by_union in unasked.items():
         for u, pairs in by_union.items():
-            assert [k for k, _ in pairs] == list(scan.trivial[u] if scan.mode or u else ())
+            assert [k for k, _ in pairs] == [k for k in scan.keys[u]
+                                             if _l_triv(k) or _r_triv(k) and (scan.mode or u)]
     zero_mass, checked = False, 0
     for regimes, seed in product((2, 3), range(4)):
         cfg = SearchConfig(seed=seed, trials=1, var_cardinalities={"A": 2, "B": 3, "C": 2},
@@ -941,7 +972,7 @@ def test_keys_without_a_class_hold_under_the_public_checkers():
                                          decision_cardinalities={"Theta": 2}), 0)
         for scan in eci:
             for u, pairs in unasked[scan].items():
-                if check_complementary(fam, scan.dec_sets[u]):
+                if not u or check_complementary(fam, scan.dec_sets[u]):
                     checked += len(pairs)
                     assert all(check_eci_general(fam, st) for _, st in pairs)
     assert zero_mass and checked
@@ -958,69 +989,91 @@ TABLE_SCANS = {
 }
 
 
+def _fresh_close(scan, trial, holds, complementary, dominating, truth) -> tuple:
+    """The reference close of one model: a fresh engine over the admitted
+    unions runs the spontaneous rules, then inserts each true key in domain
+    order and expands it at once, so every pair is met when its later
+    premise arrives.  Returns its per-rule counts and violations."""
+    unions = [u for u in scan.keys if complementary is None or complementary(u)]
+    comp = ComplementarityDecl(frozenset(scan.dec_sets[u] for u in unions if u))
+    eng = _Engine(scan.rs, scan.space, comp, scan.mode)
+    tally, violations = dict.fromkeys(scan.tally, 0), []
+
+    def conclude(rule, premises, ck, k):
+        if dominating is None or rule not in search._GATED or dominating(k[5]):
+            tally[rule] += 1
+            if not (truth[ck] if ck in truth else holds(ck)):
+                violations.append({"trial": trial, "rule": rule, "conclusion": scan.render(ck),
+                                   "premises": [scan.render(p) for p in premises]})
+
+    for rule, ck in eng.spontaneous():
+        conclude(rule, (), ck, None)
+    for k in [k for u in unions for k in scan.keys[u] if truth[k]]:
+        eng.insert(k)
+        for rule, premises, ck, _note in eng.expand(k):
+            conclude(rule, premises, ck, k)
+    return tally, violations
+
+
 @pytest.mark.parametrize("name", TABLE_SCANS)
 def test_table_close_equals_a_full_close_on_every_model(monkeypatch, name):
-    # What _Scan.model adds to the tally, read from the domain's table (or
-    # the close memo), equals a fresh engine's close over every true key.
-    # These models are sound, so none may be closed again on a fresh engine,
-    # which would restore exact counts whatever the table path added.
+    # What _Scan.model adds to the tally and the violations, from its unions'
+    # closures and the domain's table (or the close memo), equals a fresh
+    # engine's close over every true key: the tally exactly, the violations
+    # as a multiset.  Checked on sound models, and with P3 (P3', P3g)
+    # unsound on every premise, on the models up to the first violating one.
     rules, flags, fields = TABLE_SCANS[name]
-    model, close, nontrivial = _Scan.model, _Scan._close, []
-
-    def no_reclose(self, comp, conclude, keys, truth=None, dominating=None):
-        assert truth is not None or not any(map(_nontrivial, keys))
-        return close(self, comp, conclude, keys, truth, dominating)
+    model, closed = _Scan.model, []
 
     def spy(self, trial, holds, complementary=None, dominating=None):
-        before = dict(self.tally)
+        before, start = dict(self.tally), len(self.violations)
         truth = model(self, trial, holds, complementary, dominating)
-        unions = [u for u in self.keys if complementary is None or complementary(u)]
-        full = dict.fromkeys(self.tally, 0)
-
-        def conclude(rule, premises, ck, k):
-            if dominating is None or rule not in search._GATED or dominating(k[5]):
-                full[rule] += 1
-
-        close(self, ComplementarityDecl(frozenset(self.dec_sets[u] for u in unions if u)),
-              conclude, [k for u in unions for k in self.keys[u] if truth[k]])
-        assert {r: c - before[r] for r, c in self.tally.items()} == full
-        nontrivial.append(any(truth[k] for u in unions for k in self.nontrivial[u]))
+        tally, violations = _fresh_close(self, trial, holds, complementary, dominating, truth)
+        assert {r: c - before[r] for r, c in self.tally.items()} == tally
+        assert _sorted_digest(self.violations[start:]) == _sorted_digest(violations)
+        closed.append((any(truth[k] for ks in self.asked.values() for k in ks
+                           if k in truth and _nontrivial(k)), bool(violations)))
         return truth
 
     monkeypatch.setattr(_Scan, "model", spy)
-    monkeypatch.setattr(_Scan, "_close", no_reclose)
     for seed in range(3):
         assert axiom_soundness_scan(SearchConfig(seed=seed, **fields), rule_set(rules, flags)).ok
-    assert any(nontrivial)
+    assert any(nontrivial for nontrivial, _ in closed) and not any(bad for _, bad in closed)
+    _unsound_p3(monkeypatch, slot=5 if rules == "VCI_STRONG" else 4)
+    closed.clear()
+    for seed in range(3):
+        assert axiom_soundness_scan(SearchConfig(seed=seed, **fields), rule_set(rules, flags)).violations
+    assert [bad for _, bad in closed].count(True) == 3
 
 
 def test_close_memo_lasts_one_scan_call(monkeypatch):
-    # Each exhaustive_vci_scan(3, 3) call closes each distinct true set once
-    # (the trivial closure once per process): 15 closes for 92 ranges, which
-    # closed 92 times without the memo.  A scan whose only flag is
-    # dominating_regime licenses P4'' per model, so it closes every model,
-    # as before the memo, with the report pinned then.
+    # Each exhaustive_vci_scan(3, 3) call closes each distinct true set once:
+    # 15 closes for 92 ranges, which closed 92 times without the memo.  A
+    # scan whose only flag is dominating_regime licenses P4'' per model, so
+    # it closes every model, as before the memo, with the report pinned then.
     closes = []
     close = _Scan._close
 
-    def counted(self, *args):
-        closes.append(1)
-        return close(self, *args)
+    def counted(self, conclude, u, truth, dominating):
+        closes.append(truth)  # each close reads the tables of its model's truth table
+        return close(self, conclude, u, truth, dominating)
+
+    def count() -> int:
+        return len({id(truth) for truth in closes})
 
     monkeypatch.setattr(_Scan, "_close", counted)
-    monkeypatch.setattr(search, "_CLOSURES", {})
     counts = []
     for _ in range(3):
         closes.clear()
         assert exhaustive_vci_scan(max_regimes=3, n_vars=3).ok
-        counts.append(len(closes))
-    assert counts == [16, 15, 15]
+        counts.append(count())
+    assert counts == [15, 15, 15]
     closes.clear()
     rep = _scan("ECI_RESTRICTED", ("dominating_regime",), seed=2, trials=8, regime_count=2,
                 probability_grid=3, var_cardinalities={"X": 2, "Y": 2},
                 decision_cardinalities={"Theta": 2})()
     assert _digest(rep.to_dict()) == "676c5cb425f9de3f851522c623d84394f0a35c90eba7ba863d6ea0e601ece64f"
-    assert len(closes) == 11
+    assert count() == 8
 
 
 def test_random_models_are_unchanged():
