@@ -222,6 +222,8 @@ def _parse_prior(text: str) -> dict[str, Fraction]:
     if text.startswith("@"):
         with open(text[1:], encoding="utf-8") as fh:
             data = json.load(fh, object_pairs_hook=lambda pairs: _unique(pairs, "prior"))
+        if not isinstance(data, dict):
+            raise ValueError(f"prior file {text[1:]!r} must hold a JSON object of regime masses")
         return {str(k): files.parse_fraction(v) for k, v in data.items()}
     return _parse_fractions(text, "prior")
 

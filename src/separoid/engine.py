@@ -21,9 +21,12 @@ Rule families
   several regimes asserts one common law across them, which is not
   symmetric.
 
-Instantiation policy (search-space pruning): statements whose right slot is
-contained in the conditioning slot, or whose left slot is, are universally
-true fillers; P1/P4 and the first premise of the P5 family skip them.
+Instantiation policy (search-space pruning): a statement whose left or
+right slot lies inside the conditioning slot is a universally true filler
+(``_filler``), and no rule takes a filler as its first premise, except the
+two shapes exempt from the guard: decomposition (the P3 family) and DCMP.
+Every rule instance comes from ``_Engine.expand``, which ``prove``,
+``closure``, ``apply_rule``, ``replay`` and the soundness scans all read.
 
 Implicit tautologies: the spontaneous instances (P2, P2', P2g) and what the
 P3 family (and, under ECI_RESTRICTED, DCMP) makes of them form a family that
@@ -297,6 +300,11 @@ def _l_triv(k: tuple) -> bool:
     return (k[0] & ~k[4]) == 0 and (k[1] & ~k[5]) == 0
 
 
+def _filler(k: tuple) -> bool:
+    """The instantiation guard's predicate (see the module docstring)."""
+    return _r_triv(k) or _l_triv(k)
+
+
 def _pure(o: int, l: int, r: int, c: int) -> tuple:
     """The key of l _||_ r | c with every part in slot component o."""
     return (0, l, 0, r, 0, c) if o else (l, 0, r, 0, c, 0)
@@ -311,7 +319,7 @@ def _symmetric(name: str, k: tuple) -> bool:
 
 
 class _Engine:
-    """Shared expansion machinery for closure, prove and apply_rule."""
+    """Shared expansion machinery; every rule instance is drawn by expand."""
 
     def __init__(
         self,
@@ -458,15 +466,15 @@ class _Engine:
         self.by_right_ljoinc: dict[tuple, list] = {}
 
     def insert(self, k: tuple) -> None:
-        """Index k for pairing; trivial statements are never a first premise,
-        so they are indexed only as candidate second premises, and implicit
-        tautologies not at all."""
+        """Index k for pairing; a filler is never a first premise, so it is
+        indexed only as a candidate second premise, and an implicit
+        tautology not at all."""
         if self.implicit(k):
             return
         left, right, cond = (k[0], k[1]), (k[2], k[3]), (k[4], k[5])
         self.by_left_cond.setdefault((left, cond), []).append(k)
         self.by_right_cond.setdefault((right, cond), []).append(k)
-        if not _r_triv(k) and not _l_triv(k):
+        if not _filler(k):
             rjoinc = (k[2] | k[4], k[3] | k[5])
             ljoinc = (k[0] | k[4], k[5])
             self.by_left_rjoinc.setdefault((left, rjoinc), []).append(k)
@@ -512,11 +520,14 @@ class _Engine:
         component o of the right slot, then drops the slot's stochastic part
         beside a decision part; weak union moves reduced parts of component o
         of the right slot into the conditioning slot.  P3''/P4'' reduce the
-        left slot instead."""
+        left slot instead.  A filler premise yields nothing, except under
+        decomposition and DCMP (the instantiation policy)."""
         ls, ld, rs, rd, cs, cd = k
         shape = RULES[name].shape
+        if shape not in ("decomposition", "DCMP") and _filler(k):
+            return
         if shape == "symmetry":
-            if _symmetric(name, k) and not _r_triv(k) and not _l_triv(k):
+            if _symmetric(name, k):
                 yield (rs, rd, ls, ld, cs, cd), ""
         elif shape == "decomposition":
             o = self.o
@@ -527,27 +538,24 @@ class _Engine:
             if rs and rd:
                 yield (ls, ld, 0, rd, cs, cd), ""
         elif shape == "weak union":
-            if not _r_triv(k) and not _l_triv(k):
-                o = self.o
-                c = k[4 + o]
-                for w in _submasks(self.space.red(o, k[2 + o])):
-                    if c | w != c:
-                        yield ((ls, ld, rs, rd, cs, c | w) if o else (ls, ld, rs, rd, c | w, cd)), ""
+            o = self.o
+            c = k[4 + o]
+            for w in _submasks(self.space.red(o, k[2 + o])):
+                if c | w != c:
+                    yield ((ls, ld, rs, rd, cs, c | w) if o else (ls, ld, rs, rd, c | w, cd)), ""
         elif shape == "left slot":  # P4'' is flag-gated: reached only under a flag
-            if not _r_triv(k) and not _l_triv(k):
-                for w in _submasks(self.space.red(0, ls)):
-                    if name == "P3''":
-                        if w != ls:
-                            yield (w, ld, rs, rd, cs, cd), ""
-                    elif cs | w != cs:
-                        yield (ls, ld, rs, rd, cs | w, cd), self.via
+            for w in _submasks(self.space.red(0, ls)):
+                if name == "P3''":
+                    if w != ls:
+                        yield (w, ld, rs, rd, cs, cd), ""
+                elif cs | w != cs:
+                    yield (ls, ld, rs, rd, cs | w, cd), self.via
         elif shape == "DCMP":
             if rs and rd:
                 yield (ls, ld, rs, 0, cs, cd | rd), ""
         elif shape == "P4g":  # flag-gated like P4''
-            if not _r_triv(k) and not _l_triv(k):
-                for w in _submasks(self.space.red(0, rs)):
-                    yield (ls, ld, rs, 0, cs | w, cd | rd), self.via
+            for w in _submasks(self.space.red(0, rs)):
+                yield (ls, ld, rs, 0, cs | w, cd | rd), self.via
 
     # -- binary rules ----------------------------------------------------------
 
@@ -572,13 +580,13 @@ class _Engine:
 
     def binary(self, name: str, k: tuple):
         """Yield (premises, conclusion_key) pairs where k participates.  The
-        first-premise role also pairs k with the implicit tautologies, which
-        are never indexed."""
+        first-premise role, which a filler never takes, also pairs k with the
+        implicit tautologies, which are never indexed."""
         left, right, cond = (k[0], k[1]), (k[2], k[3]), (k[4], k[5])
-        nontrivial = not _r_triv(k) and not _l_triv(k)
+        first = not _filler(k)
         if name in ("P5", "P5'", "P5g"):
             pure_w = name in ("P5'", "P5g")
-            if nontrivial:  # role: first premise x _||_ y | z
+            if first:  # role: first premise x _||_ y | z
                 join = (k[2] | k[4], k[3] | k[5])
                 for t in self.by_left_cond.get((left, join), ()):
                     ck = self._p5_combine(k, t, pure_w)
@@ -599,7 +607,7 @@ class _Engine:
                 if ck is not None:
                     yield (s1, k), ck
         elif name == "P5''":
-            if nontrivial:  # role: first premise X _||_ (Y,Th) | (Z,Ph)
+            if first:  # role: first premise X _||_ (Y,Th) | (Z,Ph)
                 tgt = (k[0] | k[4], k[5])
                 for t in self.by_right_cond.get((right, tgt), ()):
                     if t[1]:
@@ -625,7 +633,8 @@ class _Engine:
         previously inserted statements, by the rule steps given (by default
         every step of the rule set).  Yields (rule_name, premises, ck, note).
         An implicit tautology is paired only where a first premise synthesizes
-        it, so each pair is yielded once."""
+        it, so each pair is yielded once.  The one caller of ``unary`` and
+        ``binary``."""
         for name, arity in steps or self.steps:
             if arity == 1:
                 for ck, note in self.unary(name, k):
@@ -835,20 +844,22 @@ def apply_rule(
     universe: Universe,
     registry: ReductionRegistry | None = None,
     complementarity: ComplementarityDecl | None = None,
-    rules: RuleSet | str = "SEPAROID_FULL",
+    rules: RuleSet | str | None = None,
     flags: Iterable[str] = (),
 ) -> frozenset:
     """All one-step conclusions of a single rule from `known` (strict form:
     raises GuardViolation when a supplied statement matches the rule's shape
     but violates its guard, e.g. P1' on a statement with a decision variable
     in the right slot or none in the conditioning slot, or a flag-gated rule
-    without an enabling flag)."""
+    without an enabling flag).  Without `rules` the rule runs in the first
+    rule set that holds it; a named or given rule set must hold it."""
     name = rule.name if isinstance(rule, Rule) else rule
     if name not in RULES:
         raise ValueError(f"unknown rule {name!r}")
-    if isinstance(rules, str):
-        holder = next((rsn for rsn, rr in _RULE_SETS.items() if name in rr), None)
-        rs = rule_set(holder or rules, flags)
+    if rules is None:
+        rs = rule_set(next(rsn for rsn, rr in _RULE_SETS.items() if name in rr), flags)
+    elif isinstance(rules, str):
+        rs = rule_set(rules, flags)
     else:
         rs = RuleSet(rules.name, rules.rules, frozenset(rules.flags) | frozenset(flags))
     _check_rule(name, rs)
@@ -891,26 +902,15 @@ def _one_step(eng: _Engine, name: str, known: list, keys: list) -> set:
         elif not eng.legal(k):
             raise GuardViolation(f"{stmt!r} is not admissible under {rs.name}")
 
-    out: set[tuple] = set()
     if r.arity == 0:
-        for rn, ck in eng.spontaneous():
-            if rn == name:
-                out.add(ck)
-    else:
-        eng.clear()
-        keyset = set(keys)
-        for k in sorted(keyset):
-            eng.insert(k)
-        for k in sorted(keyset):
-            if r.arity == 1:
-                for ck, _note in eng.unary(name, k):
-                    out.add(ck)
-            else:
-                # synthesized tautologies count only when they were supplied
-                for prem, ck in eng.binary(name, k):
-                    if all(p in keyset for p in prem):
-                        out.add(ck)
-    return out
+        return {ck for rn, ck in eng.spontaneous() if rn == name}
+    eng.clear()
+    keyset = set(keys)
+    for k in sorted(keyset):
+        eng.insert(k)
+    # a synthesized tautology counts as a premise only when it was supplied
+    return {ck for k in sorted(keyset) for _, prem, ck, _ in eng.expand(k, ((name, r.arity),))
+            if all(p in keyset for p in prem)}
 
 
 def replay(

@@ -359,42 +359,43 @@ class _Scan:
       asked as a class of its own.
 
     With every union admitted, four stochastic or decision variables have
-    3,600 keys in 479 classes (1,950 when each trivial key was asked);
-    ECI_RESTRICTED has 582 -> 128 classes over X, Y and 4,424 -> 860 over
-    X, Y, Z, and GENERAL 2,523 -> 483 over X, Y.
+    3,600 keys in 479 classes; ECI_RESTRICTED has 720 keys in 128 classes
+    over X, Y and 6,944 in 860 over X, Y, Z, and GENERAL 3,600 in 483 over
+    X, Y.
 
-    A model's rule instances come from two parts of the listing, both
-    filled on the listing's engine, where every listed key is inserted (its
-    indexes never change after the listing).  Per union, ``closures`` holds
-    the spontaneous instances concluding in the union and every instance
-    with one of its always-true keys as premise: trivial keys are never a
-    first premise, so these are unary (a pair with a trivial second premise
-    comes from the table).  Instances
-    concluding an always-true key of the domain are kept as per-rule
-    counts (a P3 on the decision component of a VCI key concludes in
-    another union, which is admitted too, since mode "d" admits every
+    A model's rule instances come from two parts of the listing, both drawn
+    from ``_Engine.expand`` on the listing's engine, where every listed key
+    is inserted, as a first premise only (its indexes never change after
+    the listing).  Per union, ``closures`` holds the spontaneous instances
+    concluding in the union and every instance with one of its always-true
+    keys as premise: trivial keys are never a first premise, so these are
+    unary (a pair with a trivial second premise comes from the table).
+    Instances concluding an always-true key of the domain are kept as
+    per-rule counts (a P3 on the decision component of a VCI key concludes
+    in another union, which is admitted too, since mode "d" admits every
     union; no mixed-mode rule leaves its premise's union); the rest, and
     any P4''/P4g instance (licensed per model), as arguments of
     ``conclude`` for each model to check.  Every other instance has a true
     asked key as first premise and comes from ``table``, filled as models
     need it: per key and rule step (``eng.steps`` order), the conclusions
-    ``_Engine.unary`` yields, or the (second premise, conclusion) pairs
-    ``_Engine.binary`` yields with the key first, all as the listing's own
-    key objects, a synthesized tautology as None.  Reuse is exact: a
-    changed engine has a domain of its own; an engine meets each pair of
-    true premises once; a second premise is an implicit tautology exactly
-    when it is on the listing's engine, as its decision union is the first
-    premise's; and a spontaneous instance concludes in its own union, so a
-    model gets exactly those of its admitted unions, as an engine declaring
-    only them complementary would yield.  So a model builds no engine: per
-    admitted union, in domain order, it adds the union's counts, concludes
-    its other instances, then reads its true asked keys from the table.  It keeps the pairs whose second
-    premise is None or true, counts a group at once when all its
-    conclusions are true, and else concludes them one by one, a pair named
-    by both premises as ``_Engine.binary`` yields them again.  The tables
-    of a bench ``scan`` pass hold 23,694 unary conclusions and 9,744 pairs,
-    1.75 MB by tracemalloc (the listings' engines 0.99 MB), and go with
-    their listing; the oldest listing is dropped at ``_DOMAINS_MAX``.
+    ``expand`` yields, or for a pair rule the (second premise, conclusion)
+    pairs, all as the listing's own key objects.  A second premise the P5
+    family synthesizes (an implicit tautology, never indexed) has its first
+    premise's decision union and is an always-true key there.  Reuse is
+    exact: a changed engine has a domain of its own; an engine meets each
+    pair of true premises once; and a spontaneous instance concludes in its
+    own union, so a model gets exactly those of its admitted unions, as an
+    engine declaring only them complementary would yield.  So a model
+    builds no engine and draws no rule instance: per admitted union, in
+    domain order, it adds the union's counts, concludes its other
+    instances, then reads its true asked keys from the table.  It keeps the
+    pairs whose second premise is true (a synthesized one always is),
+    counts a group at once when all its conclusions are true, and else
+    concludes them one by one, a pair named by the key and the second
+    premise its entry holds.  The tables of a bench ``scan`` pass hold
+    23,694 unary conclusions and 9,744 pairs, 1.75 MB by tracemalloc (the
+    listings' engines 0.99 MB), and go with their listing; the oldest
+    listing is dropped at ``_DOMAINS_MAX``.
 
     A close memo lasts one scan call (``self.closes``): a model whose
     admitted unions and class verdicts match a model closed before adds that
@@ -526,28 +527,28 @@ class _Scan:
                         continue
                     group = entry
                 else:
-                    group = [ck for t, ck in entry if t is None or truth.get(t)]
+                    group = [ck for t, ck in entry if truth.get(t)]
                 if all(map(truth.get, group)):
                     tally[rule] += len(group)
                 elif arity == 1:
                     for ck in group:
                         conclude(rule, (k,), ck, k)
-                else:  # the listing's engine yields the entry's pairs again, in order
-                    for (t, ck), (premises, _) in zip(entry, eng.binary(rule, k)):
-                        if t is None or truth.get(t):
-                            conclude(rule, premises, ck, k)
+                else:
+                    for t, ck in entry:
+                        if truth.get(t):
+                            conclude(rule, (k, t), ck, k)
 
     def _entry(self, k: tuple) -> tuple:
-        """Store k's entry in the domain's table (see ``_Scan``), each key as
-        the listing's own where it has one."""
+        """Store k's entry in the domain's table (see ``_Scan``): per rule
+        step, what ``expand`` yields with k first, each conclusion and second
+        premise as the listing's own key where it has one."""
         if self.canon is None:
             self.canon = {key: key for ks in self.keys.values() for key in ks}
-        canon, eng = self.canon, self.eng
+        own, eng = self.canon.get, self.eng
         entry = tuple(
-            tuple(canon.get(ck, ck) for ck, _note in eng.unary(rule, k)) if arity == 1
-            else tuple((None if eng.implicit(t) else t, canon.get(ck, ck))
-                       for (_, t), ck in eng.binary(rule, k))
-            for rule, arity in eng.steps)
+            tuple(own(ck, ck) if len(prem) == 1 else (own(prem[1], prem[1]), own(ck, ck))
+                  for _, prem, ck, _ in eng.expand(k, (step,)))
+            for step in eng.steps)
         self.table[k] = entry
         return entry
 

@@ -286,6 +286,18 @@ def test_repeated_prior_file_key_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: prior names 's0' more than once\n"
 
 
+@pytest.mark.parametrize("content", ['["s0", "s1"]', '"s0"', "0.5"], ids=["list", "string", "number"])
+def test_prior_file_not_an_object_exits_2(tmp_path, capsys, content):
+    # A @prior.json file must hold a JSON object; anything else is an error
+    # that names the file, not a traceback.
+    model = write_json(tmp_path, "fam.json", INEFFECTIVE)
+    prior = tmp_path / "prior.json"
+    prior.write_text(content, encoding="utf-8")
+    assert main(["product", model, f"@{prior}"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: prior file {str(prior)!r} must hold a JSON object of regime masses\n")
+
+
 def test_repeated_payoff_outcome_exits_2(tmp_path, capsys):
     # An outcome given twice in the gformula --k payoff map is an error.
     model = write_json(tmp_path, "gf.json", GF_MODEL)

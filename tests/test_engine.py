@@ -8,10 +8,13 @@ import pytest
 
 from separoid.dsl import parse_session
 from separoid.engine import (
+    RULES,
     Derivation,
     Limits,
     NotDerivable,
     _Engine,
+    _filler,
+    _setup,
     _Space,
     apply_rule,
     closure,
@@ -27,6 +30,9 @@ from separoid.search import SearchConfig, random_distribution
 from separoid.universe import CIStatement, ComplementarityDecl, ReductionRegistry, Universe
 
 from conftest import ci, dist, vs
+
+
+RULE_SET_NAMES = ("SEPAROID_FULL", "VCI_STRONG", "ECI_RESTRICTED", "GENERAL")
 
 
 @pytest.fixture
@@ -87,6 +93,108 @@ def test_apply_rule_rejects_mixed_statement_for_pure_rules(eci_uni):
     mixed = ci(["X"], ["Y"], rdec=["Th"])
     with pytest.raises(GuardViolation):
         apply_rule("P3", [mixed], universe=eci_uni)
+
+
+def test_apply_rule_honours_a_named_rule_set(uni3, eci_uni, comp):
+    # A named rule set must exist and hold the rule; without one, each rule
+    # runs in the first rule set that holds it.
+    a = ci(["X"], ["Y"], ["Z"])
+    for rules in ("ECI_RESTRICTED", "NOPE"):
+        with pytest.raises(ValueError):
+            apply_rule("P1", [a], universe=uni3, rules=rules)
+    assert apply_rule("P1", [a], universe=uni3) == {ci(["Y"], ["X"], ["Z"])}
+    pure = [ci(["X"], ["Y"], ["Z"]), ci(["X"], ["W"], ["Y", "Z"]), ci(["X"], ["Y", "W"], ["Z"])]
+    mixed = [ci(["X"], ["Y"], ["Z"], rdec=["Th"], cdec=["Ph"]),
+             ci(["W"], ["Y"], ["X", "Z"], rdec=["Th"], cdec=["Ph"]),
+             ci(["X", "W"], ["Y"], ["Z"], cdec=["Th"]), ci(["X"], ["Y"], ["Z"], cdec=["Th"]),
+             ci(["X"], ["W"], ["Y", "Z"], cdec=["Th"])]
+    kw = dict(universe=eci_uni, complementarity=comp, flags=["discrete_variables"])
+    for name, rule in RULES.items():
+        if rule.model_only:
+            continue
+        holder = next(rs for rs in RULE_SET_NAMES if name in rule_set(rs).rules)
+        stmts = pure if holder == "SEPAROID_FULL" else mixed
+        if name == "P1'":  # within its guard
+            stmts = [s for s in stmts if not s.right.dec and s.cond.dec]
+        out = apply_rule(name, stmts, **kw)
+        assert out, name
+        assert out == apply_rule(name, stmts, rules=holder, **kw), name
+        assert out == apply_rule(name, stmts, rules=rule_set(holder), **kw), name
+
+
+def _one_step_by_rule(eng: _Engine, name: str, keys: list) -> set:
+    """The reference enumerator: apply_rule's conclusions from a loop of its
+    own over ``_Engine.unary`` and ``_Engine.binary``, a synthesized
+    tautology counted as a second premise only when it was supplied."""
+    arity = RULES[name].arity
+    if arity == 0:
+        return {ck for rn, ck in eng.spontaneous() if rn == name}
+    eng.clear()
+    keyset = set(keys)
+    for k in sorted(keyset):
+        eng.insert(k)
+    out = set()
+    for k in sorted(keyset):
+        if arity == 1:
+            out.update(ck for ck, _note in eng.unary(name, k))
+        else:
+            out.update(ck for prem, ck in eng.binary(name, k) if all(p in keyset for p in prem))
+    return out
+
+
+def test_apply_rule_equals_a_loop_over_unary_and_binary():
+    """On a seeded corpus over stochastic A, B, C and decision P, T, with and
+    without the registry A <= B, P <= T, every symbolic rule of the four rule
+    sets (the mixed ones under flags, with {T}, {P} and {T, P} declared)
+    gives apply_rule the conclusions of the reference loop.  Each premise
+    set holds first premises, partners built to pair with them (so second
+    premises inside the conditioning slot, tautologies among them, occur),
+    supplied members of the spontaneous family and random legal keys."""
+    uni = Universe.of(stochastic=["A", "B", "C"], decision=["P", "T"])
+    reg = ReductionRegistry(uni)
+    reg.register("A", "B")
+    reg.register("P", "T")
+    comp = ComplementarityDecl.of(["T"], ["P"], ["T", "P"])
+    flags = ("pairwise_semantics", "discrete_variables")
+    cases = [("SEPAROID_FULL", (), "s"), ("SEPAROID_FULL", (), "d"), ("VCI_STRONG", (), "d"),
+             ("ECI_RESTRICTED", flags, None), ("GENERAL", flags, None)]
+    keys = list(itertools.product(range(8), range(4), range(8), range(4), range(8), range(4)))
+    rng = random.Random(23)
+    fired, supplied_tautologies = set(), 0
+    for (rs_name, fl, mode), registry in itertools.product(cases, (None, reg)):
+        rs = rule_set(rs_name, fl)
+        eng = _Engine(rs, _Space(uni, registry), comp, mode)
+        legal = [k for k in keys if (k[0] or k[1]) and (k[2] or k[3]) and eng.legal(k)]
+        firsts = [k for k in legal if not _filler(k)]
+        members = list(eng.members())
+        for name in (n for n in rs.rules if not RULES[n].model_only):
+            for _ in range(6):
+                prems = set(rng.sample(members, 2) + rng.sample(legal, 2))
+                for k in rng.sample(firsts, 2):
+                    prems.add(k)
+                    for _ in range(3):  # w anywhere, then inside k's conditioning slot
+                        ws, wd = rng.randrange(8), rng.randrange(4)
+                        for w in ((ws, wd), (ws & k[4] & ~k[2], wd & k[5] & ~k[3])):
+                            for t in ((k[0], k[1], *w, k[2] | k[4], k[3] | k[5]),
+                                      (w[0], 0, k[2], k[3], k[0] | k[4], k[5])):
+                                if (t[0] or t[1]) and (t[2] or t[3]) and eng.legal(t):
+                                    prems.add(t)
+                if name == "P1'":  # P1' raises on a statement outside its guard
+                    prems = {k for k in prems if not k[3] and k[5]}
+                known = [eng.space.stmt_of(k) for k in sorted(prems)]
+                ref, ref_keys = _setup(known, rs, uni, registry, comp)
+                want = frozenset(map(ref.space.stmt_of, _one_step_by_rule(ref, name, ref_keys)))
+                got = apply_rule(name, known, universe=uni, registry=registry,
+                                 complementarity=comp, rules=rs)
+                assert got == want, (rs_name, mode, name, sorted(prems))
+                fired.update([name] if got else [])
+                if RULES[name].arity == 2:
+                    supplied_tautologies += sum(
+                        ref.implicit(prem[1]) and prem[1] in prems
+                        for k in ref_keys for _, prem, _, _ in ref.expand(k, ((name, 2),)))
+    assert fired == {n for rs in RULE_SET_NAMES for n in rule_set(rs).rules
+                     if not RULES[n].model_only}
+    assert supplied_tautologies > 0
 
 
 # -- closure ---------------------------------------------------------------------
@@ -511,7 +619,8 @@ def test_unary_yields_pinned():
         legal = [k for k in keys if eng.legal(k)]
         for rule in (rule for rule, arity in eng.steps if arity == 1):
             for k in legal:
-                h.update(repr((rule, k, list(eng.unary(rule, k)))).encode())
+                yields = [(ck, note) for _, _, ck, note in eng.expand(k, ((rule, 1),))]
+                h.update(repr((rule, k, yields)).encode())
             calls += len(legal)
     assert calls == 298_752
     assert h.hexdigest() == "b6de13d4b22f2a8ced6b26ffcc0912e8c9a3cdeefbbcd839be55dd282f32be07"

@@ -156,3 +156,22 @@ class C:
     for path in sorted(SRC.glob("*.py")):
         found += self_calling_closures(ast.parse(path.read_text(), str(path)), path.stem)
     assert found == []
+
+
+
+def test_rule_instances_come_from_expand_alone():
+    """No module but engine.py reads ``unary``, ``binary`` or ``implicit``,
+    and in engine.py no function but ``_Engine.expand`` reads ``unary`` or
+    ``binary``: every rule instance the package draws comes from ``expand``."""
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if path.name != "engine.py":
+            scopes, names = [(path.name, tree)], {"unary", "binary", "implicit"}
+        else:
+            scopes = [(f"engine.py:{fn.name}", fn) for fn in ast.walk(tree)
+                      if isinstance(fn, ast.FunctionDef) and fn.name != "expand"]
+            names = {"unary", "binary"}
+        readers += [f"{where} reads {name}" for where, node in scopes
+                    for name in sorted(names & set(attribute_reads(node)))]
+    assert readers == []

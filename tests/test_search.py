@@ -494,6 +494,35 @@ def test_warm_pair_tables_cannot_hide_an_unsound_rule(monkeypatch):
     assert all(len(v["premises"]) == 2 for rep in warm for v in rep.violations)
 
 
+# ScanReport.to_dict() digests of the MUTATED_SCANS configs under
+# _unsound_p5, as a close that named each violating pair by enumerating the
+# first premise's pairs again gave them.
+P5_MUTATED_REPORTS = {
+    "SEPAROID_FULL": "b224d58b44344c8674513ef2ff4336c84b9bd6d5c10d632fad51db397be4a4c2",
+    "ECI_RESTRICTED": "b4fda48d981aa49ddef363f306bf9fe1e0b41864c1c8ee3ad6b994bb08c88cf5",
+}
+
+
+def test_warm_scan_enumerates_no_rule_instance(monkeypatch):
+    # After a warm run, a scan reads every instance it meets from the
+    # listing, and names every violating pair from the table: with the
+    # listing engines' unary and binary rules made to raise, the P5-mutated
+    # scans, whose models have violations, give their pinned reports again.
+    def run():
+        return {rules: _digest(axiom_soundness_scan(cfg, rule_set(rules)).to_dict())
+                for rules, _, cfg, _, _ in MUTATED_SCANS}
+
+    def enumerate_instances(*args):
+        raise AssertionError("a warm scan enumerated rule instances")
+
+    monkeypatch.setattr(search, "_DOMAINS", {})
+    _unsound_p5(monkeypatch)
+    assert run() == P5_MUTATED_REPORTS
+    for listing in search._DOMAINS.values():
+        listing[-2].unary = listing[-2].binary = enumerate_instances
+    assert run() == P5_MUTATED_REPORTS
+
+
 _ECI_FLAGS = ("discrete_variables", "dominating_regime")
 
 
@@ -607,10 +636,13 @@ def test_domain_listings_are_bounded(monkeypatch):
 
 
 def test_unary_tables_hold_listed_keys_and_go_with_their_listing(monkeypatch):
-    # Every stored conclusion, and every stored second premise that is not a
-    # synthesized tautology (None), is the listing's own key object; a scan
-    # whose models have no true non-trivial key stores nothing; with room for
-    # one listing, a table is dropped with its listing and filled again.
+    # Every stored conclusion and second premise is the listing's own key
+    # object.  A second premise the P5 family synthesizes (an implicit
+    # tautology) lies in its first premise's decision union and is always
+    # true there, so a close keeps a pair exactly when its second premise is
+    # true; indexed second premises occur too.  A scan whose models have no
+    # true non-trivial key stores nothing; with room for one listing, a
+    # table is dropped with its listing and filled again.
     monkeypatch.setattr(search, "_DOMAINS", {})
     for name in PINNED_REPORTS:
         PINNED_REPORTS[name][0]()
@@ -618,14 +650,17 @@ def test_unary_tables_hold_listed_keys_and_go_with_their_listing(monkeypatch):
     seconds = set()
     for listing in search._DOMAINS.values():
         listed = {k: k for ks in listing[0].values() for k in ks}
-        eng, table = listing[-2:]
+        union = {k: u for u, ks in listing[0].items() for k in ks}
+        asked, eng, table = listing[1], *listing[-2:]
         assert table and all(listed[k] is k for k in table)
-        for entry in table.values():
+        for k, entry in table.items():
             for (_, arity), group in zip(eng.steps, entry):
-                pairs = group if arity == 2 else [(None, ck) for ck in group]
-                assert all(listed[ck] is ck for _, ck in pairs)
-                assert all(t is None or listed[t] is t for t, _ in pairs)
-                seconds.update(t is None for t, _ in pairs if arity == 2)
+                pairs = group if arity == 2 else [(k, ck) for ck in group]
+                assert all(listed[ck] is ck and listed[t] is t for t, ck in pairs)
+                for t, _ in pairs if arity == 2 else ():
+                    synthesized = eng.implicit(t)
+                    assert not synthesized or union[t] == union[k] and t not in asked[union[k]]
+                    seconds.add(synthesized)
     assert seconds == {True, False}
     cfg = SearchConfig(seed=1, trials=10, var_cardinalities={"A": 2, "B": 2, "C": 2},
                        probability_grid=20)
