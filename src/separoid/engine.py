@@ -142,11 +142,15 @@ class RuleSet:
 def rule_set(name: str, flags: Iterable[str] = ()) -> RuleSet:
     if name not in _RULE_SETS:
         raise ValueError(f"unknown rule set {name!r}; choose from {sorted(_RULE_SETS)}")
+    return RuleSet(name, _RULE_SETS[name], _flag_set(flags))
+
+
+def _flag_set(flags: Iterable[str]) -> frozenset:
     flagset = frozenset(flags)
     bad = flagset - FLAGS
     if bad:
         raise ValueError(f"unknown flags {sorted(bad)}; choose from {sorted(FLAGS)}")
-    return RuleSet(name, _RULE_SETS[name], flagset)
+    return flagset
 
 
 @dataclass(frozen=True)
@@ -852,7 +856,8 @@ def apply_rule(
     but violates its guard, e.g. P1' on a statement with a decision variable
     in the right slot or none in the conditioning slot, or a flag-gated rule
     without an enabling flag).  Without `rules` the rule runs in the first
-    rule set that holds it; a named or given rule set must hold it."""
+    rule set that holds it; a named or given rule set must hold it.  `flags`
+    are added to the rule set's own, and an unknown one raises ValueError."""
     name = rule.name if isinstance(rule, Rule) else rule
     if name not in RULES:
         raise ValueError(f"unknown rule {name!r}")
@@ -861,7 +866,7 @@ def apply_rule(
     elif isinstance(rules, str):
         rs = rule_set(rules, flags)
     else:
-        rs = RuleSet(rules.name, rules.rules, frozenset(rules.flags) | frozenset(flags))
+        rs = RuleSet(rules.name, rules.rules, _flag_set([*rules.flags, *flags]))
     _check_rule(name, rs)
     known = list(known)
     eng, keys = _setup(known, rs, universe, registry, complementarity)

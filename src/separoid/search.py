@@ -14,10 +14,11 @@ worker count.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import compress, product
 from math import comb, prod
 from typing import Iterable, Mapping, Sequence
 
@@ -306,6 +307,7 @@ class ScanReport:
 _DOMAINS: dict = {}
 _DOMAINS_MAX = 32
 _GATED = tuple(name for name, rule in RULES.items() if rule.flag_gated)
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _cleared(k: tuple) -> tuple:
@@ -376,34 +378,41 @@ class _Scan:
     union; no mixed-mode rule leaves its premise's union); the rest, and
     any P4''/P4g instance (licensed per model), as arguments of
     ``conclude`` for each model to check.  Every other instance has a true
-    asked key as first premise and comes from ``table``, filled as models
-    need it: per key and rule step (``eng.steps`` order), the conclusions
-    ``expand`` yields, or for a pair rule the (second premise, conclusion)
-    pairs, all as the listing's own key objects.  A second premise the P5
-    family synthesizes (an implicit tautology, never indexed) has its first
-    premise's decision union and is an always-true key there.  Reuse is
-    exact: a changed engine has a domain of its own; an engine meets each
-    pair of true premises once; and a spontaneous instance concludes in its
-    own union, so a model gets exactly those of its admitted unions, as an
-    engine declaring only them complementary would yield.  So a model
-    builds no engine and draws no rule instance: per admitted union, in
-    domain order, it adds the union's counts, concludes its other
-    instances, then reads its true asked keys from the table.  It keeps the
-    pairs whose second premise is true (a synthesized one always is),
-    counts a group at once when all its conclusions are true, and else
-    concludes them one by one, a pair named by the key and the second
-    premise its entry holds.  The tables of a bench ``scan`` pass hold
-    23,694 unary conclusions and 9,744 pairs, 1.75 MB by tracemalloc (the
-    listings' engines 0.99 MB), and go with their listing; the oldest
-    listing is dropped at ``_DOMAINS_MAX``.
+    asked key as first premise and is decided from ``table``.
 
-    A close memo lasts one scan call (``self.closes``): a model whose
-    admitted unions and class verdicts match a model closed before adds that
-    close's per-rule counts instead.  It is bypassed when ``dominating``
-    licenses premises per model, and a close with a violation or a
-    conclusion outside the truth table is not kept.  ``exhaustive_vci_scan``
-    (2, 3), (3, 3) and (4, 3) close 9, 15 and 28 times (37, 92 and 154
-    without it), the C2 config 34 times (126)."""
+    Each (union, class) slot has an id: a union's classes are numbered from
+    ``base[union]`` in domain order and its always-true slot comes one past
+    them; ``class_id`` maps a key to its slot, and a key outside the listing
+    to ``width``.  ``model`` writes the admitted unions' class verdicts as
+    one int with bit g set when slot g is true; a union not admitted, and
+    ``width``, stay 0.  The table holds, per asked class, filled the first
+    time it is true from what ``expand`` yields on the class's keys: the OR
+    of its unary conclusions' bits and the per-rule unary counts; per pair
+    rule, the second premises' bits as binary layers (layer j holds the bits
+    whose multiplicity has bit j, so the count is the sum of popcount(true &
+    layer) << j); and the pairs grouped by conclusion bit, each with the
+    OR of its second premises' bits.  P4''/P4g conclusions are kept apart
+    and licensed per class, since a class keeps the conditioning slot and so
+    every key in it has the same decision part there.  A close of union u
+    ORs its true classes' conclusion bits; when every one is true, and no
+    true second premise meets a false conclusion, it adds the counts.
+    Otherwise a conclusion is false or outside the truth table, and only
+    then does it walk u's true asked keys in domain order through
+    ``expand``, concluding every instance whose second premise is true, so
+    the violations, their order and the model's side verdicts are those of
+    a close by key.  A second premise the P5 family synthesizes (an
+    implicit tautology, never indexed) has its first premise's decision
+    union and is an always-true key there; an indexed one lies in another
+    union only in mode "d", where every union is admitted, so its bit is its
+    verdict.  Reuse is exact: a changed engine has a domain of its own; an
+    engine meets each pair of true premises once; and a spontaneous
+    instance concludes in its own union, so a model gets exactly those of
+    its admitted unions, as an engine declaring only them complementary
+    would yield.  So a sound model builds no engine and draws no rule
+    instance.  The tables of a bench ``scan`` pass hold 574 classes with
+    23,694 unary conclusions and 9,744 pairs, 0.76 MB by tracemalloc (the
+    class positions 0.32 MB, the listings' engines 1.02 MB), and go with
+    their listing; the oldest listing is dropped at ``_DOMAINS_MAX``."""
 
     def __init__(self, rs: RuleSet, universe: Universe, mode: str | None = None):
         self.rs = rs
@@ -412,12 +421,12 @@ class _Scan:
         self.domain = (rs, sp.s_names, sp.d_names, mode, tuple(vars(_Engine).values()))
         self.dec_sets = [sp.slot(0, d).dec for d in range(sp.d_all + 1)]
         listing = _DOMAINS.get(self.domain) or self._list_domain()
-        self.keys, self.asked, self.reps, self.classes, self.closures, self.eng, self.table = listing
-        self.canon: dict | None = None  # each listed key to itself, built on a table miss
+        (self.keys, self.asked, self.reps, self.classes, self.closures,
+         self.base, self.pos, self.eng, self.table) = listing
+        self.width = sum(len(r) + 1 for r in self.reps.values())  # slots; also the outside id
         self.tally = dict.fromkeys(rs.rules, 0)
         self.violations: list = []
         self.ranges: dict = {}  # VCI joint range -> (tally delta, violations)
-        self.closes: dict = {}  # (admitted unions, class verdicts) -> tally delta
 
     def model(self, trial: int, holds, complementary=None, dominating=None) -> dict:
         """Close one model's true set under the engine and return the truth
@@ -429,17 +438,13 @@ class _Scan:
         if complementary is None and self.mode is None:
             raise ValueError("a mixed-mode scan admits a decision union only by complementary")
         unions = [u for u in self.keys if complementary is None or complementary(u)]
-        truth, verdicts = {}, []
+        truth, bits, verdicts = {}, bytearray(self.width + 1), []
         for u in unions:
             v = [*map(holds, self.reps[u]), True]
             truth.update(zip(self.keys[u], map(v.__getitem__, self.classes[u])))
-            verdicts += v
-        memo = (tuple(unions), bytes(verdicts)) if dominating is None else None
-        delta = self.closes.get(memo)
-        if delta is not None:
-            for rule, c in delta:
-                self.tally[rule] += c
-            return truth
+            bits[self.base[u]:self.base[u] + len(v)] = bytes(v)
+            verdicts.append(v)
+        true = int(bits.translate(_DIGITS)[::-1], 2)  # bit g set when class g is true
 
         def conclude(rule, premises, ck, k):
             if dominating is None or rule not in _GATED or dominating(k[5]):
@@ -450,25 +455,23 @@ class _Scan:
                 if not ok:
                     self.violation(trial, rule, [self.render(p) for p in premises], self.render(ck))
 
-        start, tally, size = len(self.violations), dict(self.tally), len(truth)
-        for u in unions:
+        for u, v in zip(unions, verdicts):
             counts, extras = self.closures[u]
             for rule, c in counts:
                 self.tally[rule] += c
             for extra in extras:
                 conclude(*extra)
-            self._close(conclude, u, truth, dominating)
-        # kept unless it met a violation or a conclusion outside the table
-        if memo is not None and len(self.violations) == start and len(truth) == size:
-            self.closes[memo] = tuple((r, c - tally[r]) for r, c in self.tally.items() if c != tally[r])
+            self._close(conclude, u, v, true, truth, dominating)
         return truth
 
     def _list_domain(self) -> tuple:
         """The domain's legal keys by decision union, their asked keys, their
         classes (each class's first key in domain order, and each key's
         class as an index into those, one past them for an always-true
-        key), the closure of each union's always-true keys, the engine that
-        asked legality, every listed key inserted, and an empty table."""
+        key), the closure of each union's always-true keys, each union's
+        first class id, each union's class positions (``None`` for its
+        always-true slot), the engine that asked legality, every listed key
+        inserted, and an empty table."""
         sp = self.space
         eng = _Engine(self.rs, sp, ComplementarityDecl(frozenset(self.dec_sets[1:])), self.mode)
         slots = [(s, d) for s in range(sp.s_all + 1) for d in range(sp.d_all + 1)]
@@ -478,9 +481,8 @@ class _Scan:
                 keys.setdefault(k[1] | k[3] | k[5], []).append(k)
                 eng.insert(k)
         eng.by_left_rjoinc = eng.by_right_ljoinc = {}  # pair each key as first premise only
-        sure = {k for u, ks in keys.items() for k in ks
-                if _l_triv(k) or (_r_triv(k) and (self.mode or u))}
-        asked, reps, classes = {}, {}, {}
+        sure = {k for u, ks in keys.items() for k in ks if self._class_of(k, u) is None}
+        asked, reps, classes, base, pos, width = {}, {}, {}, {}, {}, 0
         counts = {u: dict.fromkeys(self.rs.rules, 0) for u in keys}
         extras: dict = {u: [] for u in keys}
 
@@ -495,14 +497,15 @@ class _Scan:
         for u, ks in keys.items():
             keys[u] = tuple(ks)
             asked[u] = tuple(k for k in ks if k not in sure)
-            ids = [None if k in sure else k if _r_triv(k) else _cleared(k) for k in ks]
+            cls = [self._class_of(k, u) for k in ks]
             first: dict = {}
-            for c, k in zip(ids, ks):
+            for c, k in zip(cls, ks):
                 if c is not None:
                     first.setdefault(c, k)
-            pos = {c: i for i, c in enumerate(first)}
-            pos[None] = len(first)  # model() appends True to the class verdicts
-            reps[u], classes[u] = tuple(first.values()), tuple(map(pos.__getitem__, ids))
+            pos[u] = {c: i for i, c in enumerate(first)}
+            pos[u][None] = len(first)  # model() appends True to the class verdicts
+            reps[u], classes[u] = tuple(first.values()), tuple(map(pos[u].__getitem__, cls))
+            base[u], width = width, width + len(first) + 1
             for k in ks:
                 if k in sure:
                     for rule, premises, ck, _note in eng.expand(k):
@@ -511,46 +514,89 @@ class _Scan:
                     for u in keys}
         if len(_DOMAINS) >= _DOMAINS_MAX:
             del _DOMAINS[next(iter(_DOMAINS))]
-        listing = _DOMAINS[self.domain] = (keys, asked, reps, classes, closures, eng, {})
+        listing = _DOMAINS[self.domain] = (keys, asked, reps, classes, closures, base, pos, eng, {})
         return listing
 
-    def _close(self, conclude, u: int, truth: dict, dominating) -> None:
-        """Close union u's true asked keys from the domain's table (see
-        ``_Scan``)."""
-        table, tally, eng = self.table, self.tally, self.eng
+    def _close(self, conclude, u: int, v: list, true: int, truth: dict, dominating) -> None:
+        """Close union u's true asked keys from its true classes' entries in
+        the domain's table, given its class verdicts v and the model's class
+        bits (see ``_Scan``)."""
+        table, tally, missing = self.table, self.tally, ~true
+        entries = []
+        for i in compress(range(len(v) - 1), v):
+            entry = table.get(self.base[u] + i) or self._fill(u, i)
+            need, _, pneed, pairs, _, gated = entry
+            licensed = gated is not None and (dominating is None or dominating(gated[0]))
+            if licensed:
+                need |= gated[1]
+            if need & missing or pneed & missing and any(t & true for c, t in pairs if c & missing):
+                break
+            entries.append((entry, licensed))
+        else:
+            for (_, counts, _, _, layers, gated), licensed in entries:
+                for rule, c in counts:
+                    tally[rule] += c
+                for rule, c in gated[2] if licensed else ():
+                    tally[rule] += c
+                for rule, j, layer in layers:
+                    tally[rule] += (true & layer).bit_count() << j
+            return
+        # a violation, or a conclusion outside the truth table: name them
         for k in self.asked[u]:
-            if not truth[k]:
-                continue
-            for (rule, arity), entry in zip(eng.steps, table.get(k) or self._entry(k)):
-                if arity == 1:
-                    if dominating is not None and rule in _GATED and not dominating(k[5]):
-                        continue
-                    group = entry
-                else:
-                    group = [ck for t, ck in entry if truth.get(t)]
-                if all(map(truth.get, group)):
-                    tally[rule] += len(group)
-                elif arity == 1:
-                    for ck in group:
-                        conclude(rule, (k,), ck, k)
-                else:
-                    for t, ck in entry:
-                        if truth.get(t):
-                            conclude(rule, (k, t), ck, k)
+            if truth[k]:
+                for rule, premises, ck, _note in self.eng.expand(k):
+                    if len(premises) == 1 or truth.get(premises[1]):
+                        conclude(rule, premises, ck, k)
 
-    def _entry(self, k: tuple) -> tuple:
-        """Store k's entry in the domain's table (see ``_Scan``): per rule
-        step, what ``expand`` yields with k first, each conclusion and second
-        premise as the listing's own key where it has one."""
-        if self.canon is None:
-            self.canon = {key: key for ks in self.keys.values() for key in ks}
-        own, eng = self.canon.get, self.eng
-        entry = tuple(
-            tuple(own(ck, ck) if len(prem) == 1 else (own(prem[1], prem[1]), own(ck, ck))
-                  for _, prem, ck, _ in eng.expand(k, (step,)))
-            for step in eng.steps)
-        self.table[k] = entry
+    def _fill(self, u: int, i: int) -> tuple:
+        """Store the entry of union u's class i in the domain's table (see
+        ``_Scan``), from what ``expand`` yields with each of its keys
+        first."""
+        bit, out = self.class_id, 1 << self.width
+        need = pneed = gneed = 0
+        counts, gcounts, seconds, pairs = Counter(), Counter(), {}, {}
+        members = [k for k, c in zip(self.keys[u], self.classes[u]) if c == i]
+        for k in members:
+            for rule, premises, ck, _note in self.eng.expand(k):
+                c = 1 << bit(ck)
+                if len(premises) == 1:
+                    if rule in _GATED:
+                        gneed |= c
+                        gcounts[rule] += 1
+                    else:
+                        need |= c
+                        counts[rule] += 1
+                elif (t := bit(premises[1])) == self.width:
+                    need |= out  # a second premise outside the listing: always walk
+                else:
+                    pneed |= c
+                    pairs[c] = pairs.get(c, 0) | 1 << t
+                    seconds.setdefault(rule, Counter())[t] += 1
+        layers = tuple((rule, j, sum(1 << t for t, n in seen.items() if n >> j & 1))
+                       for rule, seen in seconds.items()
+                       for j in range(max(seen.values()).bit_length()))
+        gated = (members[0][5], gneed, tuple(gcounts.items())) if gcounts else None
+        entry = self.table[self.base[u] + i] = (need, tuple(counts.items()), pneed,
+                                                tuple(pairs.items()), layers, gated)
         return entry
+
+    def class_id(self, k: tuple) -> int:
+        """The id of k's class (its union's always-true slot for an
+        always-true key), as the listing assigns it; ``self.width`` for a key
+        outside the listing."""
+        u = k[1] | k[3] | k[5]
+        if u not in self.pos or not (k[0] | k[1] and k[2] | k[3] and self.eng.legal(k)):
+            return self.width
+        return self.base[u] + self.pos[u][self._class_of(k, u)]
+
+    def _class_of(self, k: tuple, u: int):
+        """The class of k in its decision union u: None when k is always
+        true, k itself when it is right-trivial (asked on the empty union of
+        a mixed-mode domain), else k with its conditioning slot cleared from
+        its outer slots (see ``_Scan``)."""
+        if _l_triv(k) or _r_triv(k) and (self.mode or u):
+            return None
+        return k if _r_triv(k) else _cleared(k)
 
     def render(self, k: tuple) -> str:
         return render_statement(self.space.stmt_of(k))
@@ -582,10 +628,9 @@ def _vci_model(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str])
     lives on the ``_Scan``, so it lasts one scan call; the domain listing
     a range draws on lasts the process (see ``_Scan``).
     A map whose range the scan has closed before adds that range's per-rule
-    counts and replays its violations under the map's own trial index.  It
-    stays in front of the close memo, so ``_Scan.model`` and P6 still run
-    once per range; ranges with one true set share a close (162 ranges but
-    28 closes for three variables on at most four regimes)."""
+    counts and replays its violations under the map's own trial index, so
+    ``_Scan.model`` and P6 run once per range (162 ranges for 4,680 maps of
+    three variables on at most four regimes)."""
     key = frozenset(tuple(decmap[n][s] for n in scan.space.d_names) for s in regimes)
     seen = scan.ranges.get(key)
     if seen is None:
@@ -683,10 +728,8 @@ def exhaustive_vci_scan(max_regimes: int = 4, n_vars: int = 3) -> ScanReport:
     range, and the maps share few ranges (4,680 maps but 162 ranges for
     three variables on at most four regimes), so each distinct range is
     checked once per call and replayed for the other maps that have it (see
-    ``_vci_model``); the ranges share fewer true sets, each closed once per
-    call (28 closes, 154 without the close memo of ``_Scan``).  Ranges and
-    closes are not kept between calls; the domain's listing is, as in every
-    scan (see ``_Scan``)."""
+    ``_vci_model``).  Ranges are not kept between calls; the domain's
+    listing and its class table are, as in every scan (see ``_Scan``)."""
     if max_regimes < 1 or n_vars < 1:
         raise ValueError("max_regimes and n_vars must be >= 1")
     names = tuple(chr(ord("A") + i) for i in range(n_vars))

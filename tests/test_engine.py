@@ -12,6 +12,7 @@ from separoid.engine import (
     Derivation,
     Limits,
     NotDerivable,
+    RuleSet,
     _Engine,
     _filler,
     _setup,
@@ -120,6 +121,21 @@ def test_apply_rule_honours_a_named_rule_set(uni3, eci_uni, comp):
         assert out, name
         assert out == apply_rule(name, stmts, rules=holder, **kw), name
         assert out == apply_rule(name, stmts, rules=rule_set(holder), **kw), name
+
+
+def test_apply_rule_rejects_unknown_flags_on_a_given_rule_set(eci_uni):
+    # An unknown flag is refused whether the rule set is named or given, and
+    # never enables a flag-gated rule.
+    premise = ci(["X"], ["Y"], ["Z"], rdec=["Th"], cdec=["Ph"])
+    kw = dict(universe=eci_uni, complementarity=ComplementarityDecl.of(["Th", "Ph"]))
+    for rules in ("ECI_RESTRICTED", rule_set("ECI_RESTRICTED"),
+                  RuleSet("ECI_RESTRICTED", rule_set("ECI_RESTRICTED").rules, frozenset({"bogus"}))):
+        flags = () if isinstance(rules, RuleSet) and rules.flags else ["bogus"]
+        with pytest.raises(ValueError, match=r"unknown flags \['bogus'\]"):
+            apply_rule("P4''", [premise], rules=rules, flags=flags, **kw)
+    out = apply_rule("P4''", [premise], rules=rule_set("ECI_RESTRICTED"),
+                     flags=["dominating_regime"], **kw)
+    assert out == {ci(["X"], ["Y"], ["X", "Z"], rdec=["Th"], cdec=["Ph"])}
 
 
 def _one_step_by_rule(eng: _Engine, name: str, keys: list) -> set:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 from math import comb
@@ -482,8 +483,7 @@ def test_warm_pair_tables_cannot_hide_an_unsound_rule(monkeypatch):
 
     monkeypatch.setattr(search, "_DOMAINS", {})
     assert all(rep.ok for rep in run())
-    assert all(any(group for entry in listing[-1].values()
-                   for (_, arity), group in zip(listing[-2].steps, entry) if arity == 2)
+    assert all(any(layers for *_, layers, _ in listing[-1].values())
                for listing in search._DOMAINS.values())
     _unsound_p5(monkeypatch)
     warm = run()
@@ -504,23 +504,30 @@ P5_MUTATED_REPORTS = {
 
 
 def test_warm_scan_enumerates_no_rule_instance(monkeypatch):
-    # After a warm run, a scan reads every instance it meets from the
-    # listing, and names every violating pair from the table: with the
-    # listing engines' unary and binary rules made to raise, the P5-mutated
-    # scans, whose models have violations, give their pinned reports again.
-    def run():
-        return {rules: _digest(axiom_soundness_scan(cfg, rule_set(rules)).to_dict())
-                for rules, _, cfg, _, _ in MUTATED_SCANS}
+    # After a warm run, a sound scan reads every instance it meets from the
+    # listing and its class table: with the listing engines' unary and
+    # binary rules made to raise, the pinned scans give their reports again.
+    # Only a model with a violation draws instances, to name them: the
+    # P5-mutated scans give their pinned reports cold and warm.
+    def run(scans):
+        return {name: _digest(scan().to_dict()) for name, scan in scans.items()}
 
     def enumerate_instances(*args):
         raise AssertionError("a warm scan enumerated rule instances")
 
+    pinned = {name: digest for name, (_, digest, _) in PINNED_REPORTS.items()}
+    scans = {name: scan for name, (scan, _, _) in PINNED_REPORTS.items()}
     monkeypatch.setattr(search, "_DOMAINS", {})
-    _unsound_p5(monkeypatch)
-    assert run() == P5_MUTATED_REPORTS
+    assert run(scans) == pinned
+    assert all(listing[-1] for listing in search._DOMAINS.values())
     for listing in search._DOMAINS.values():
         listing[-2].unary = listing[-2].binary = enumerate_instances
-    assert run() == P5_MUTATED_REPORTS
+    assert run(scans) == pinned
+    _unsound_p5(monkeypatch)
+    scans = {rules: lambda cfg=cfg, rules=rules: axiom_soundness_scan(cfg, rule_set(rules))
+             for rules, _, cfg, _, _ in MUTATED_SCANS}
+    assert run(scans) == P5_MUTATED_REPORTS
+    assert run(scans) == P5_MUTATED_REPORTS
 
 
 _ECI_FLAGS = ("discrete_variables", "dominating_regime")
@@ -551,6 +558,13 @@ PINNED_REPORTS = {
                       probability_grid=3, var_cardinalities={"X": 2, "Y": 2},
                       decision_cardinalities={"Theta": 2}),
                 "1a401802756914f517d4be0cdb5472e99ab843ea44379edc49f5d5d37d068216", True),
+    # P4'' licensed per model: dominating_regime is the only flag
+    "ECI_RESTRICTED-dominating": (_scan("ECI_RESTRICTED", ("dominating_regime",), seed=2, trials=8,
+                                        regime_count=2, probability_grid=3,
+                                        var_cardinalities={"X": 2, "Y": 2},
+                                        decision_cardinalities={"Theta": 2}),
+                                  "676c5cb425f9de3f851522c623d84394f0a35c90eba7ba863d6ea0e601ece64f",
+                                  True),
     "VCI_STRONG": (_scan("VCI_STRONG", seed=6, trials=40, regime_count=4,
                          var_cardinalities={"A": 2, "B": 2, "C": 2}),
                    "1dfbfba533162be32e7acdb6a4bbe9b8b3c9fb679775991cd62afd02acf942a5", False),
@@ -629,38 +643,87 @@ def test_domain_listings_are_bounded(monkeypatch):
         assert _digest(scan().to_dict()) == digest, name
         assert search._DOMAINS == {domain: listing} and search._DOMAINS[domain] is listing
         domains.append(domain)
-    assert len(set(domains)) == 4  # ECI_RESTRICTED-2/-3 and the two VCI scans share theirs
+    assert len(set(domains)) == 5  # ECI_RESTRICTED-2/-3 and the two VCI scans share theirs
     for name, (scan, digest, _) in PINNED_REPORTS.items():
         assert _digest(scan().to_dict()) == digest, name
         assert len(search._DOMAINS) == 1
 
 
+def _listed_ids(scan) -> dict:
+    """Each listed key's class id, from the listing's own classes."""
+    return {k: scan.base[u] + c for u, ks in scan.keys.items()
+            for k, c in zip(ks, scan.classes[u])}
+
+
+def _class_entry(scan, ids: dict, members: list) -> tuple:
+    """A class's table entry as ``expand`` on its keys gives it, with each
+    conclusion and second premise the bit of its class: unary conclusion
+    bits and counts, pair conclusion bits, each pair conclusion bit's
+    second-premise bits, each pair rule's second premises with their
+    multiplicities, and the flag-gated rules' conclusion bits and counts."""
+    need = pneed = gneed = 0
+    counts, gcounts, seconds, pairs = Counter(), Counter(), {}, {}
+    for k in members:
+        for rule, premises, ck, _ in scan.eng.expand(k):
+            c = 1 << ids[ck]
+            if len(premises) == 2:
+                t = ids[premises[1]]
+                pneed |= c
+                pairs[c] = pairs.get(c, 0) | 1 << t
+                seconds.setdefault(rule, Counter())[t] += 1
+            elif rule in search._GATED:
+                gneed, gcounts[rule] = gneed | c, gcounts[rule] + 1
+            else:
+                need, counts[rule] = need | c, counts[rule] + 1
+    return need, counts, pneed, pairs, seconds, gneed, gcounts
+
+
 def test_unary_tables_hold_listed_keys_and_go_with_their_listing(monkeypatch):
-    # Every stored conclusion and second premise is the listing's own key
-    # object.  A second premise the P5 family synthesizes (an implicit
-    # tautology) lies in its first premise's decision union and is always
-    # true there, so a close keeps a pair exactly when its second premise is
-    # true; indexed second premises occur too.  A scan whose models have no
-    # true non-trivial key stores nothing; with room for one listing, a
-    # table is dropped with its listing and filled again.
+    # The class table is keyed by the ids of true asked classes, and
+    # class_id gives every listed key the id the listing gave its class (one
+    # past the ids for a key outside the listing).  Each entry holds what
+    # expand yields on the class's keys, every conclusion and second premise
+    # a listed key given as its class's bit; a pair rule's layer (rule, j,
+    # bits) holds the second premises whose multiplicity has bit j.  A second premise the P5
+    # family synthesizes (an implicit tautology) lies in its first premise's
+    # decision union and is always true there, so it is that union's
+    # always-true bit; indexed second premises occur too.  A scan whose
+    # models have no true non-trivial key stores nothing; with room for one
+    # listing, a table is dropped with its listing and filled again.
     monkeypatch.setattr(search, "_DOMAINS", {})
     for name in PINNED_REPORTS:
         PINNED_REPORTS[name][0]()
-    assert len(search._DOMAINS) == 4
+    assert len(search._DOMAINS) == 5
     seconds = set()
-    for listing in search._DOMAINS.values():
-        listed = {k: k for ks in listing[0].values() for k in ks}
-        union = {k: u for u, ks in listing[0].items() for k in ks}
-        asked, eng, table = listing[1], *listing[-2:]
-        assert table and all(listed[k] is k for k in table)
-        for k, entry in table.items():
-            for (_, arity), group in zip(eng.steps, entry):
-                pairs = group if arity == 2 else [(k, ck) for ck in group]
-                assert all(listed[ck] is ck and listed[t] is t for t, ck in pairs)
-                for t, _ in pairs if arity == 2 else ():
-                    synthesized = eng.implicit(t)
-                    assert not synthesized or union[t] == union[k] and t not in asked[union[k]]
-                    seconds.add(synthesized)
+    for rs, s_names, d_names, mode, _ in list(search._DOMAINS):
+        scan = _Scan(rs, Universe.of(stochastic=s_names, decision=d_names), mode)
+        ids = _listed_ids(scan)
+        assert all(scan.class_id(k) == g for k, g in ids.items())
+        assert scan.class_id(next(iter(ids))[:2] + (0, 0) + next(iter(ids))[4:]) == scan.width
+        assert scan.table
+        for g, (need, counts, pneed, pairs, layers, gated) in scan.table.items():
+            u = max((b, u) for u, b in scan.base.items() if b <= g)[1]
+            members = [k for k in scan.keys[u] if ids[k] == g]
+            always = scan.base[u] + len(scan.reps[u])
+            assert g < always and all(k in scan.asked[u] for k in members)
+            assert len({k[5] for k in members}) == 1  # P4''/P4g are licensed per class
+            want = _class_entry(scan, ids, members)
+            assert (need, dict(counts), pneed, dict(pairs)) == want[:4]
+            multiplicities: dict = {}
+            for rule, j, layer in layers:
+                for t in range(scan.width):
+                    if layer >> t & 1:
+                        seen = multiplicities.setdefault(rule, Counter())
+                        seen[t] += 1 << j
+            assert multiplicities == want[4]
+            cond = members[0][5]
+            assert (gated or (cond, 0, ())) == (cond, want[5], tuple(want[6].items()))
+            for k in members:
+                for _, premises, _, _ in scan.eng.expand(k):
+                    if len(premises) == 2:
+                        synthesized = scan.eng.implicit(premises[1])
+                        assert not synthesized or ids[premises[1]] == always
+                        seconds.add(synthesized)
     assert seconds == {True, False}
     cfg = SearchConfig(seed=1, trials=10, var_cardinalities={"A": 2, "B": 2, "C": 2},
                        probability_grid=20)
@@ -735,11 +798,10 @@ def test_p6_partial_meet_mutation_keeps_its_violations_and_counts(monkeypatch):
 
 
 def test_models_sharing_a_trivial_closure_share_no_index(monkeypatch):
-    # One family of the pinned two-regime ECI_RESTRICTED scan, closed twice
-    # (the close memo emptied between): both models add their unions'
-    # closures and read their true non-trivial keys' pairs (P5'' ones
-    # included) from the domain's table.  Nothing of the first close may
-    # carry over: the second counts the same again.
+    # One family of the pinned two-regime ECI_RESTRICTED scan, closed twice:
+    # both models add their unions' closures and count their true classes'
+    # pairs (P5'' ones included) from the domain's class table.  Nothing of
+    # the first close may carry over: the second counts the same again.
     cfg = SearchConfig(seed=2, trials=8, regime_count=2, probability_grid=3,
                        var_cardinalities={"X": 2, "Y": 2}, decision_cardinalities={"Theta": 2})
     fam = random_family(cfg, 2)
@@ -749,12 +811,11 @@ def test_models_sharing_a_trivial_closure_share_no_index(monkeypatch):
     holds = lambda k: fam.eci_general(k[0], dec[k[1]], k[2], dec[k[3]], k[4], dec[k[5]])  # noqa: E731
     tallies = []
     for t in range(2):
-        scan.closes.clear()
         truth = scan.model(t, holds, complementary=lambda u: u == 0 or check_complementary(fam, dec[u]))
         tallies.append(dict(scan.tally))
     assert not scan.violations
-    p5 = [rule for rule, _ in scan.eng.steps].index("P5''")
-    assert any(truth.get(k) and _nontrivial(k) and entry[p5] for k, entry in scan.table.items())
+    assert any(truth[k] and _nontrivial(k) and "P5''" in {r for r, *_ in scan.table[scan.class_id(k)][4]}
+               for ks in scan.asked.values() for k in ks if k in truth)
     assert tallies[1] == {r: 2 * c for r, c in tallies[0].items()}
 
 
@@ -1013,12 +1074,18 @@ def test_keys_without_a_class_hold_under_the_public_checkers():
     assert zero_mass and checked
 
 
-# Scans no pinned digest covers, on three regimes: the bench's ECI_RESTRICTED
-# X, Y, Z slice, GENERAL over X, Y, Z and VCI_STRONG over A-D.
+# Scans no pinned digest covers: on three regimes, the bench's ECI_RESTRICTED
+# X, Y, Z slice, the same on grid 2 with P4'' licensed per model, GENERAL
+# over X, Y, Z and VCI_STRONG over A-D; and SEPAROID_FULL over A-D on grid-1
+# models.
 _XYZ3 = dict(trials=3, regime_count=3, probability_grid=3, var_cardinalities=_XYZ,
              decision_cardinalities={"Theta": 2})
 TABLE_SCANS = {
+    "SEPAROID_FULL": ("SEPAROID_FULL", (), dict(trials=4, probability_grid=1,
+                                                var_cardinalities=_ABCD)),
     "ECI_RESTRICTED": ("ECI_RESTRICTED", _ECI_FLAGS, _XYZ3),
+    "ECI_RESTRICTED-dominating": ("ECI_RESTRICTED", ("dominating_regime",),
+                                  dict(_XYZ3, probability_grid=2)),
     "GENERAL": ("GENERAL", ("discrete_variables",), _XYZ3),
     "VCI_STRONG": ("VCI_STRONG", (), dict(trials=6, regime_count=3, var_cardinalities=_ABCD)),
 }
@@ -1053,12 +1120,14 @@ def _fresh_close(scan, trial, holds, complementary, dominating, truth) -> tuple:
 @pytest.mark.parametrize("name", TABLE_SCANS)
 def test_table_close_equals_a_full_close_on_every_model(monkeypatch, name):
     # What _Scan.model adds to the tally and the violations, from its unions'
-    # closures and the domain's table (or the close memo), equals a fresh
-    # engine's close over every true key: the tally exactly, the violations
-    # as a multiset.  Checked on sound models, and with P3 (P3', P3g)
-    # unsound on every premise, on the models up to the first violating one.
+    # closures and the domain's class table, equals a fresh engine's close
+    # over every true key: the tally exactly, the violations as a multiset.
+    # Checked on sound models, and with P3 (P3', P3g) unsound on every
+    # premise, on the models up to the first violating one.  With
+    # dominating_regime alone, P4'' is licensed on some classes of the
+    # models and not on others.
     rules, flags, fields = TABLE_SCANS[name]
-    model, closed = _Scan.model, []
+    model, closed, licensed = _Scan.model, [], set()
 
     def spy(self, trial, holds, complementary=None, dominating=None):
         before, start = dict(self.tally), len(self.violations)
@@ -1068,12 +1137,16 @@ def test_table_close_equals_a_full_close_on_every_model(monkeypatch, name):
         assert _sorted_digest(self.violations[start:]) == _sorted_digest(violations)
         closed.append((any(truth[k] for ks in self.asked.values() for k in ks
                            if k in truth and _nontrivial(k)), bool(violations)))
+        if dominating is not None and not violations:  # every true class is in the table
+            licensed.update(dominating(gated[0]) for ks in self.asked.values() for k in ks
+                            if truth.get(k) and (gated := self.table[self.class_id(k)][5]))
         return truth
 
     monkeypatch.setattr(_Scan, "model", spy)
     for seed in range(3):
         assert axiom_soundness_scan(SearchConfig(seed=seed, **fields), rule_set(rules, flags)).ok
     assert any(nontrivial for nontrivial, _ in closed) and not any(bad for _, bad in closed)
+    assert licensed == ({True, False} if flags == ("dominating_regime",) else set())
     _unsound_p3(monkeypatch, slot=5 if rules == "VCI_STRONG" else 4)
     closed.clear()
     for seed in range(3):
@@ -1081,34 +1154,34 @@ def test_table_close_equals_a_full_close_on_every_model(monkeypatch, name):
     assert [bad for _, bad in closed].count(True) == 3
 
 
-def test_close_memo_lasts_one_scan_call(monkeypatch):
-    # Each exhaustive_vci_scan(3, 3) call closes each distinct true set once:
-    # 15 closes for 92 ranges, which closed 92 times without the memo.  A
-    # scan whose only flag is dominating_regime licenses P4'' per model, so
-    # it closes every model, as before the memo, with the report pinned then.
-    closes = []
-    close = _Scan._close
+def test_conclusions_outside_the_listing_are_asked_of_the_model(monkeypatch):
+    # A P3' that also moves the right slot's decision part to the left slot
+    # of a non-trivial premise concludes keys ECI_RESTRICTED does not list.
+    # No class bit stands for them, so the close asks the model about each,
+    # as a fresh engine's close does, and names the false ones.
+    sound_unary = _Engine.unary
 
-    def counted(self, conclude, u, truth, dominating):
-        closes.append(truth)  # each close reads the tables of its model's truth table
-        return close(self, conclude, u, truth, dominating)
+    def unary(self, name, k):
+        yield from sound_unary(self, name, k)
+        if name == "P3'" and k[3] and _nontrivial(k):
+            yield (k[0], k[3], k[2], 0, k[4], k[5]), ""
 
-    def count() -> int:
-        return len({id(truth) for truth in closes})
+    model, outside = _Scan.model, []
 
-    monkeypatch.setattr(_Scan, "_close", counted)
-    counts = []
-    for _ in range(3):
-        closes.clear()
-        assert exhaustive_vci_scan(max_regimes=3, n_vars=3).ok
-        counts.append(count())
-    assert counts == [15, 15, 15]
-    closes.clear()
-    rep = _scan("ECI_RESTRICTED", ("dominating_regime",), seed=2, trials=8, regime_count=2,
-                probability_grid=3, var_cardinalities={"X": 2, "Y": 2},
-                decision_cardinalities={"Theta": 2})()
-    assert _digest(rep.to_dict()) == "676c5cb425f9de3f851522c623d84394f0a35c90eba7ba863d6ea0e601ece64f"
-    assert count() == 8
+    def spy(self, trial, holds, complementary=None, dominating=None):
+        before, start = dict(self.tally), len(self.violations)
+        truth = model(self, trial, holds, complementary, dominating)
+        tally, violations = _fresh_close(self, trial, holds, complementary, dominating, truth)
+        assert {r: c - before[r] for r, c in self.tally.items()} == tally
+        assert _sorted_digest(self.violations[start:]) == _sorted_digest(violations)
+        outside.extend(k for k in truth if self.class_id(k) == self.width)
+        return truth
+
+    monkeypatch.setattr(_Engine, "unary", unary)
+    monkeypatch.setattr(_Scan, "model", spy)
+    rep = _scan("ECI_RESTRICTED", _ECI_FLAGS, seed=1, trials=8, regime_count=3, probability_grid=1,
+                var_cardinalities={"X": 2, "Y": 2}, decision_cardinalities={"Theta": 2})()
+    assert outside and {v["rule"] for v in rep.violations} == {"P3'"}
 
 
 def test_random_models_are_unchanged():
