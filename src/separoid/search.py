@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import compress, product
+from itertools import chain, compress, product
 from math import comb, prod
 from typing import Iterable, Mapping, Sequence
 
@@ -330,10 +330,10 @@ class _Scan:
     right part lies inside the conditioning slot in both components.  In a
     separoid X _||_ Y | Z holds exactly when X\\Z _||_ Y\\Z | Z (Dawid,
     2001), as the checkers answer.  A key that holds on every admitted model
-    is *always true* and gets no verdict class: ``model`` writes True for
-    it.  Every other key is *asked*, once per class, on the class's first
-    key; a non-trivial key's class is the key with the conditioning slot
-    cleared from both outer slots in both components.  Every union a scan
+    is *always true* and gets no verdict class of its own: it lies in its
+    union's always-true slot.  Every other key is *asked*, once per class,
+    on the class's first key; a non-trivial key's class is the key with the
+    conditioning slot cleared from both outer slots in both components.  Every union a scan
     admits is empty or identifies the regime, which is why a mixed-mode
     ``model`` call must pass ``complementary``.  Per mode:
 
@@ -365,54 +365,53 @@ class _Scan:
     over X, Y and 6,944 in 860 over X, Y, Z, and GENERAL 3,600 in 483 over
     X, Y.
 
-    A model's rule instances come from two parts of the listing, both drawn
-    from ``_Engine.expand`` on the listing's engine, where every listed key
-    is inserted, as a first premise only (its indexes never change after
-    the listing).  Per union, ``closures`` holds the spontaneous instances
-    concluding in the union and every instance with one of its always-true
-    keys as premise: trivial keys are never a first premise, so these are
-    unary (a pair with a trivial second premise comes from the table).
-    Instances concluding an always-true key of the domain are kept as
-    per-rule counts (a P3 on the decision component of a VCI key concludes
-    in another union, which is admitted too, since mode "d" admits every
-    union; no mixed-mode rule leaves its premise's union); the rest, and
-    any P4''/P4g instance (licensed per model), as arguments of
-    ``conclude`` for each model to check.  Every other instance has a true
-    asked key as first premise and is decided from ``table``.
-
     Each (union, class) slot has an id: a union's classes are numbered from
-    ``base[union]`` in domain order and its always-true slot comes one past
+    ``base[union]`` in domain order and its *always-true slot* comes one past
     them; ``class_id`` maps a key to its slot, and a key outside the listing
-    to ``width``.  ``model`` writes the admitted unions' class verdicts as
-    one int with bit g set when slot g is true; a union not admitted, and
-    ``width``, stay 0.  The table holds, per asked class, filled the first
-    time it is true from what ``expand`` yields on the class's keys: the OR
+    to ``width``.  ``model`` returns the class verdicts as bytes, byte g 1
+    when slot g is true; an admitted union's always-true slot is 1, and a
+    union not admitted and ``width`` stay 0.  Read as one int, bit g for
+    byte g, they decide each close.
+
+    A model's rule instances are the spontaneous ones and those
+    ``_Engine.expand`` draws on the listing's engine, where every listed key
+    is inserted, as a first premise only (its indexes never change after
+    the listing).  The domain's table holds an entry per slot, filled the
+    first time the slot is true from the instances of its keys, after the
+    spontaneous ones concluding in the union for an always-true slot (whose
+    instances are unary, as a trivial key is never a first premise): the OR
     of its unary conclusions' bits and the per-rule unary counts; per pair
     rule, the second premises' bits as binary layers (layer j holds the bits
     whose multiplicity has bit j, so the count is the sum of popcount(true &
-    layer) << j); and the pairs grouped by conclusion bit, each with the
-    OR of its second premises' bits.  P4''/P4g conclusions are kept apart
-    and licensed per class, since a class keeps the conditioning slot and so
-    every key in it has the same decision part there.  A close of union u
-    ORs its true classes' conclusion bits; when every one is true, and no
-    true second premise meets a false conclusion, it adds the counts.
-    Otherwise a conclusion is false or outside the truth table, and only
-    then does it walk u's true asked keys in domain order through
-    ``expand``, concluding every instance whose second premise is true, so
-    the violations, their order and the model's side verdicts are those of
-    a close by key.  A second premise the P5 family synthesizes (an
-    implicit tautology, never indexed) has its first premise's decision
-    union and is an always-true key there; an indexed one lies in another
-    union only in mode "d", where every union is admitted, so its bit is its
-    verdict.  Reuse is exact: a changed engine has a domain of its own; an
-    engine meets each pair of true premises once; and a spontaneous
-    instance concludes in its own union, so a model gets exactly those of
-    its admitted unions, as an engine declaring only them complementary
-    would yield.  So a sound model builds no engine and draws no rule
-    instance.  The tables of a bench ``scan`` pass hold 574 classes with
-    23,694 unary conclusions and 9,744 pairs, 0.76 MB by tracemalloc (the
-    class positions 0.32 MB, the listings' engines 1.02 MB), and go with
-    their listing; the oldest listing is dropped at ``_DOMAINS_MAX``."""
+    layer) << j); and the pairs grouped by conclusion bit, each with the OR
+    of its second premises' bits.  P4''/P4g conclusions are licensed per
+    class, since a class keeps the conditioning slot and so every key in it
+    has the same decision part there; always-true keys share none, so such
+    a conclusion there, which ``_filler`` keeps a sound engine from drawing,
+    sets the outside bit.  A close of union u ORs its true slots' conclusion
+    bits; when every one is true, and no true second premise meets a false
+    conclusion, it adds the counts.  Otherwise a conclusion is false,
+    outside the listing or in a union not admitted, and only then does it
+    walk u one instance at a time (spontaneous ones, then those of the
+    always-true keys, then those of the true asked keys, each in domain
+    order), concluding every instance whose second premise is true.  The
+    walk reads a truth table built per key from the verdicts, once per
+    model, and asks the model about any other conclusion, keeping the
+    answer for the model's later walks; so the violations, their order and
+    the side verdicts are those of a close by key.  A second premise the P5
+    family synthesizes (an implicit tautology, never indexed) has its first
+    premise's decision union and is an always-true key there; an indexed
+    one lies in another union only in mode "d", where every union is
+    admitted, so its bit is its verdict.  Reuse is exact: a changed engine
+    has a domain of its own; an engine meets each pair of true premises
+    once; and a spontaneous instance concludes in its own union, so a model
+    gets exactly those of its admitted unions, as an engine declaring only
+    them complementary would yield.  So a sound model builds no engine and
+    draws no rule instance.  The tables of a bench ``scan`` pass hold 612
+    slots (38 always-true) with 41,797 unary conclusions and 9,744 pairs,
+    0.83 MB by tracemalloc (the class positions 0.32 MB, the listings'
+    engines 1.02 MB), and go with their listing; the oldest listing is
+    dropped at ``_DOMAINS_MAX``."""
 
     def __init__(self, rs: RuleSet, universe: Universe, mode: str | None = None):
         self.rs = rs
@@ -421,57 +420,47 @@ class _Scan:
         self.domain = (rs, sp.s_names, sp.d_names, mode, tuple(vars(_Engine).values()))
         self.dec_sets = [sp.slot(0, d).dec for d in range(sp.d_all + 1)]
         listing = _DOMAINS.get(self.domain) or self._list_domain()
-        (self.keys, self.asked, self.reps, self.classes, self.closures,
-         self.base, self.pos, self.eng, self.table) = listing
+        self.keys, self.reps, self.classes, self.base, self.pos, self.eng, self.table = listing
         self.width = sum(len(r) + 1 for r in self.reps.values())  # slots; also the outside id
         self.tally = dict.fromkeys(rs.rules, 0)
         self.violations: list = []
         self.ranges: dict = {}  # VCI joint range -> (tally delta, violations)
 
-    def model(self, trial: int, holds, complementary=None, dominating=None) -> dict:
-        """Close one model's true set under the engine and return the truth
-        table of its keys, in domain order.  ``holds(key)`` is the model's
-        verdict, asked once per class (see ``_Scan``); ``complementary(union)``
-        admits a decision union to the domain (all are admitted when absent,
-        which mixed mode refuses); ``dominating(phi)`` licenses a P4''/P4g
-        premise conditioned on phi."""
+    def model(self, trial: int, holds, complementary=None, dominating=None) -> bytearray:
+        """Close one model's true set under the engine and return its class
+        verdicts, byte g 1 when slot g is true (see ``_Scan``).
+        ``holds(key)`` is the model's verdict, asked once per class;
+        ``complementary(union)`` admits a decision union to the domain (all
+        are admitted when absent, which mixed mode refuses);
+        ``dominating(phi)`` licenses a P4''/P4g premise conditioned on phi."""
         if complementary is None and self.mode is None:
             raise ValueError("a mixed-mode scan admits a decision union only by complementary")
         unions = [u for u in self.keys if complementary is None or complementary(u)]
-        truth, bits, verdicts = {}, bytearray(self.width + 1), []
+        verdicts = bytearray(self.width + 1)
         for u in unions:
-            v = [*map(holds, self.reps[u]), True]
-            truth.update(zip(self.keys[u], map(v.__getitem__, self.classes[u])))
-            bits[self.base[u]:self.base[u] + len(v)] = bytes(v)
-            verdicts.append(v)
-        true = int(bits.translate(_DIGITS)[::-1], 2)  # bit g set when class g is true
+            b = self.base[u]
+            verdicts[b:b + len(self.reps[u]) + 1] = bytes([*map(holds, self.reps[u]), True])
+        true = int(verdicts.translate(_DIGITS)[::-1], 2)  # bit g set when slot g is true
+        truth: dict = {}  # per key, built for the first union that must be walked
+        for u in unions:
+            if not self._close(u, verdicts, true, dominating):
+                truth = truth or self.truth(verdicts)
+                self._walk(trial, u, verdicts, truth, holds, dominating)
+        return verdicts
 
-        def conclude(rule, premises, ck, k):
-            if dominating is None or rule not in _GATED or dominating(k[5]):
-                self.tally[rule] += 1
-                ok = truth.get(ck)
-                if ok is None:
-                    ok = truth[ck] = holds(ck)
-                if not ok:
-                    self.violation(trial, rule, [self.render(p) for p in premises], self.render(ck))
-
-        for u, v in zip(unions, verdicts):
-            counts, extras = self.closures[u]
-            for rule, c in counts:
-                self.tally[rule] += c
-            for extra in extras:
-                conclude(*extra)
-            self._close(conclude, u, v, true, truth, dominating)
-        return truth
+    def truth(self, verdicts: bytearray) -> dict:
+        """Each key of the admitted unions (those whose always-true slot is
+        set) with its class verdict, in domain order."""
+        return {k: verdicts[b + c] for u, b in self.base.items() if verdicts[b + len(self.reps[u])]
+                for k, c in zip(self.keys[u], self.classes[u])}
 
     def _list_domain(self) -> tuple:
-        """The domain's legal keys by decision union, their asked keys, their
-        classes (each class's first key in domain order, and each key's
-        class as an index into those, one past them for an always-true
-        key), the closure of each union's always-true keys, each union's
-        first class id, each union's class positions (``None`` for its
-        always-true slot), the engine that asked legality, every listed key
-        inserted, and an empty table."""
+        """The domain's legal keys by decision union, their classes (each
+        class's first key in domain order, and each key's class as an index
+        into those, one past them for an always-true key), each union's first
+        class id, each union's class positions (``None`` for its always-true
+        slot), the engine that asked legality, every listed key inserted, and
+        an empty table."""
         sp = self.space
         eng = _Engine(self.rs, sp, ComplementarityDecl(frozenset(self.dec_sets[1:])), self.mode)
         slots = [(s, d) for s in range(sp.s_all + 1) for d in range(sp.d_all + 1)]
@@ -481,103 +470,105 @@ class _Scan:
                 keys.setdefault(k[1] | k[3] | k[5], []).append(k)
                 eng.insert(k)
         eng.by_left_rjoinc = eng.by_right_ljoinc = {}  # pair each key as first premise only
-        sure = {k for u, ks in keys.items() for k in ks if self._class_of(k, u) is None}
-        asked, reps, classes, base, pos, width = {}, {}, {}, {}, {}, 0
-        counts = {u: dict.fromkeys(self.rs.rules, 0) for u in keys}
-        extras: dict = {u: [] for u in keys}
-
-        def record(u, rule, premises, ck, k):
-            if ck in sure and rule not in _GATED:
-                counts[u][rule] += 1
-            else:
-                extras[u].append((rule, premises, ck, k))
-
-        for rule, ck in eng.spontaneous():
-            record(ck[1] | ck[3] | ck[5], rule, (), ck, None)
+        reps, classes, base, pos, width = {}, {}, {}, {}, 0
         for u, ks in keys.items():
             keys[u] = tuple(ks)
-            asked[u] = tuple(k for k in ks if k not in sure)
             cls = [self._class_of(k, u) for k in ks]
             first: dict = {}
             for c, k in zip(cls, ks):
                 if c is not None:
                     first.setdefault(c, k)
             pos[u] = {c: i for i, c in enumerate(first)}
-            pos[u][None] = len(first)  # model() appends True to the class verdicts
+            pos[u][None] = len(first)  # the always-true slot
             reps[u], classes[u] = tuple(first.values()), tuple(map(pos[u].__getitem__, cls))
             base[u], width = width, width + len(first) + 1
-            for k in ks:
-                if k in sure:
-                    for rule, premises, ck, _note in eng.expand(k):
-                        record(u, rule, premises, ck, k)
-        closures = {u: (tuple((r, c) for r, c in counts[u].items() if c), tuple(extras[u]))
-                    for u in keys}
         if len(_DOMAINS) >= _DOMAINS_MAX:
             del _DOMAINS[next(iter(_DOMAINS))]
-        listing = _DOMAINS[self.domain] = (keys, asked, reps, classes, closures, base, pos, eng, {})
+        listing = _DOMAINS[self.domain] = (keys, reps, classes, base, pos, eng, {})
         return listing
 
-    def _close(self, conclude, u: int, v: list, true: int, truth: dict, dominating) -> None:
-        """Close union u's true asked keys from its true classes' entries in
-        the domain's table, given its class verdicts v and the model's class
-        bits (see ``_Scan``)."""
-        table, tally, missing = self.table, self.tally, ~true
+    def _close(self, u: int, verdicts: bytearray, true: int, dominating) -> bool:
+        """Add union u's instances from its true slots' table entries (see
+        ``_Scan``); False, adding nothing, when u must be walked."""
+        b, missing = self.base[u], ~true
+        end = b + len(self.reps[u]) + 1
         entries = []
-        for i in compress(range(len(v) - 1), v):
-            entry = table.get(self.base[u] + i) or self._fill(u, i)
+        for g in compress(range(b, end), verdicts[b:end]):
+            entry = self.table.get(g) or self._fill(u, g)
             need, _, pneed, pairs, _, gated = entry
             licensed = gated is not None and (dominating is None or dominating(gated[0]))
             if licensed:
                 need |= gated[1]
             if need & missing or pneed & missing and any(t & true for c, t in pairs if c & missing):
-                break
+                return False
             entries.append((entry, licensed))
-        else:
-            for (_, counts, _, _, layers, gated), licensed in entries:
-                for rule, c in counts:
-                    tally[rule] += c
-                for rule, c in gated[2] if licensed else ():
-                    tally[rule] += c
-                for rule, j, layer in layers:
-                    tally[rule] += (true & layer).bit_count() << j
-            return
-        # a violation, or a conclusion outside the truth table: name them
-        for k in self.asked[u]:
-            if truth[k]:
-                for rule, premises, ck, _note in self.eng.expand(k):
-                    if len(premises) == 1 or truth.get(premises[1]):
-                        conclude(rule, premises, ck, k)
+        tally = self.tally
+        for (_, counts, _, _, layers, gated), licensed in entries:
+            for rule, c in counts:
+                tally[rule] += c
+            for rule, c in gated[2] if licensed else ():
+                tally[rule] += c
+            for rule, j, layer in layers:
+                tally[rule] += (true & layer).bit_count() << j
+        return True
 
-    def _fill(self, u: int, i: int) -> tuple:
-        """Store the entry of union u's class i in the domain's table (see
-        ``_Scan``), from what ``expand`` yields with each of its keys
-        first."""
-        bit, out = self.class_id, 1 << self.width
+    def _walk(self, trial: int, u: int, verdicts, truth: dict, holds, dominating) -> None:
+        """Close union u one instance at a time (see ``_Scan``)."""
+        n, b = len(self.reps[u]), self.base[u]
+        asked = {i for i in range(n) if verdicts[b + i]}
+        for rule, premises, ck, k in chain(self._instances(u, {n}), self._instances(u, asked)):
+            if len(premises) == 2 and not truth.get(premises[1]):
+                continue
+            if dominating is not None and rule in _GATED and not dominating(k[5]):
+                continue
+            self.tally[rule] += 1
+            ok = truth.get(ck)
+            if ok is None:
+                ok = truth[ck] = holds(ck)
+            if not ok:
+                self.violation(trial, rule, [self.render(p) for p in premises], self.render(ck))
+
+    def _instances(self, u: int, slots: set):
+        """(rule, premises, conclusion, first premise) of each instance on
+        union u's keys in slots, in domain order, after the spontaneous ones
+        concluding in u when slots holds its always-true slot."""
+        if len(self.reps[u]) in slots:
+            for rule, ck in self.eng.spontaneous():
+                if ck[1] | ck[3] | ck[5] == u:
+                    yield rule, (), ck, None
+        for k, c in zip(self.keys[u], self.classes[u]):
+            if c in slots:
+                for rule, premises, ck, _note in self.eng.expand(k):
+                    yield rule, premises, ck, k
+
+    def _fill(self, u: int, g: int) -> tuple:
+        """Store the table entry of union u's slot g (see ``_Scan``)."""
+        bit, out, i = self.class_id, 1 << self.width, g - self.base[u]
         need = pneed = gneed = 0
         counts, gcounts, seconds, pairs = Counter(), Counter(), {}, {}
-        members = [k for k, c in zip(self.keys[u], self.classes[u]) if c == i]
-        for k in members:
-            for rule, premises, ck, _note in self.eng.expand(k):
-                c = 1 << bit(ck)
-                if len(premises) == 1:
-                    if rule in _GATED:
-                        gneed |= c
-                        gcounts[rule] += 1
-                    else:
-                        need |= c
-                        counts[rule] += 1
-                elif (t := bit(premises[1])) == self.width:
+        for rule, premises, ck, k in self._instances(u, {i}):
+            c = 1 << bit(ck)
+            if len(premises) == 2:
+                if (t := bit(premises[1])) == self.width:
                     need |= out  # a second premise outside the listing: always walk
                 else:
                     pneed |= c
                     pairs[c] = pairs.get(c, 0) | 1 << t
                     seconds.setdefault(rule, Counter())[t] += 1
+            elif rule not in _GATED:
+                need |= c
+                counts[rule] += 1
+            elif i == len(self.reps[u]):
+                need |= out  # licensed per key, so always walk
+            else:
+                cond, gneed = k[5], gneed | c
+                gcounts[rule] += 1
         layers = tuple((rule, j, sum(1 << t for t, n in seen.items() if n >> j & 1))
                        for rule, seen in seconds.items()
                        for j in range(max(seen.values()).bit_length()))
-        gated = (members[0][5], gneed, tuple(gcounts.items())) if gcounts else None
-        entry = self.table[self.base[u] + i] = (need, tuple(counts.items()), pneed,
-                                                tuple(pairs.items()), layers, gated)
+        gated = (cond, gneed, tuple(gcounts.items())) if gcounts else None
+        entry = self.table[g] = (need, tuple(counts.items()), pneed, tuple(pairs.items()),
+                                 layers, gated)
         return entry
 
     def class_id(self, k: tuple) -> int:
@@ -621,7 +612,7 @@ def _vci_model(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str])
     """One VCI model, memoized by its joint range {(A(s), B(s), ...) : s}.
 
     Every variation verdict R(X | y, z) = R(X | z) depends only on the range,
-    not on which regime takes which value; so do the truth table, the
+    not on which regime takes which value; so do the class verdicts, the
     engine's closure and the order of its conclusions.  So does every P6
     verdict X _||_ Y | meet(Z, W): regimes with equal joint values lie in one
     block of every induced partition, hence of every meet.  The range memo
@@ -653,7 +644,7 @@ def _close_vci(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str])
     decided once per distinct meet in a table of meets with one row per Z,
     filled once per unordered (Z, W) since the meet is symmetric; the set of
     meets over W_xy is built once per distinct W_xy listing; only when
-    some verdict fails are the pairs walked, in truth order, to list the
+    some verdict fails are the pairs walked, in domain order, to list the
     violations.  Each variation verdict is computed once per
     (x & ~z, y & ~z, z), the outer pair ordered, as ``MaskKernel.sci`` does:
     given z, names shared with Z take fixed values and change no range, the
@@ -666,15 +657,15 @@ def _close_vci(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str])
     def normal(x: int, y: int, z: int) -> bool:
         return not x or variation_independent(vals[x], vals[y], vals[z])
 
-    truth = scan.model(trial, lambda k: normal(*sorted((k[1] & ~k[5], k[3] & ~k[5])), k[5]))
+    classes = scan.model(trial, lambda k: normal(*sorted((k[1] & ~k[5], k[3] & ~k[5])), k[5]))
     if "P6" not in scan.rs.rules:
         return
     masks = range(len(vals))
     leq = [[len(set(zip(vals[y], vals[w]))) == len(set(vals[y])) for y in masks] for w in masks]
+    true = [k for k, ok in scan.truth(classes).items() if ok and leq[k[5]][k[3]]]
     conds: dict = {}  # (x, y) -> every z that is a function of y with X _||_ Y | Z true
-    for k, ok in truth.items():
-        if ok and leq[k[5]][k[3]]:
-            conds.setdefault((k[1], k[3]), []).append(k[5])
+    for _, x, _, y, _, z in true:
+        conds.setdefault((x, y), []).append(z)
     funs = [dict(zip(regimes, v)) for v in vals]
     used = sorted({z for zs in conds.values() for z in zs})
     meets: dict = {z: {} for z in used}
@@ -693,10 +684,8 @@ def _close_vci(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str])
             verdicts[(x, y, fm)] = variation_independent(vals[x], vals[y], fm)
     if all(verdicts.values()):
         return
-    for k, ok in truth.items():  # list the violations in truth order; counted above
+    for k in true:  # list the violations in domain order; counted above
         _, x, _, y, _, z = k
-        if not (ok and leq[z][y]):
-            continue
         for w in sorted(conds[(x, y)]):
             if not verdicts[(x, y, meets[z][w])]:
                 premises = [scan.render(k), scan.render((0, x, 0, y, 0, w))]
@@ -753,11 +742,13 @@ def axiom_soundness_scan(cfg: SearchConfig, rs: RuleSet) -> ScanReport:
     premises of a rule instance hold on the model, its conclusion holds too.
     Stops after the first model with a violation and reports all of that
     model's violations; ``trials`` counts the models checked.  They are
-    listed per admitted decision union, in domain order: first those of the
-    union's always-true statements (spontaneous instances first), then
+    listed per admitted decision union, in domain order, as the union's one
+    walk meets them: the spontaneous instances concluding in the union,
+    then those with one of its always-true statements as premise, then
     those with one of its true asked statements as first premise, per
-    statement in domain order and rule step; a pair is named by both
-    premises.  P6 violations follow, in the order of ``_close_vci``.
+    statement in domain order and rule step; a spontaneous instance has no
+    premises and a pair is named by both.  P6 violations follow, in the
+    order of ``_close_vci``.
 
     Scan domain: statements with nonempty outer slots that are legal under
     the rule set and, for ECI_RESTRICTED and GENERAL, whose decision union is

@@ -287,14 +287,8 @@ def test_vci_normalized_verdicts_equal_raw_ones(monkeypatch):
     """The scan's VCI verdicts, asked once per (x & ~z, y & ~z, z) with the
     pair ordered, equal variation_independent on the raw slots for every
     key of every map of three binary variables on at most three regimes.
-    The engine closure is skipped: only the truth tables are compared."""
-    tables = []
-
-    def truth_only(self, trial, holds):
-        tables.append(truth := {k: holds(k) for ks in self.keys.values() for k in ks})
-        return truth
-
-    monkeypatch.setattr(_Scan, "model", truth_only)
+    Only the truth tables, expanded from the class verdicts, are compared."""
+    tables = _spy_models(monkeypatch)
     names = ("A", "B", "C")
     scan = _vci_scan(names)
     seen = set()
@@ -302,7 +296,7 @@ def test_vci_normalized_verdicts_equal_raw_ones(monkeypatch):
         _close_vci(scan, trial, decmap, regimes)
         cols = [[tuple(decmap[n][s] for n in names if m >> names.index(n) & 1) for s in regimes]
                 for m in range(8)]
-        for k, ok in tables[-1].items():
+        for k, ok in _truth(scan, tables[-1][3]).items():
             assert ok == variation_independent(cols[k[1]], cols[k[3]], cols[k[5]]), (decmap, k)
             seen.add((ok, bool((k[1] | k[3]) & k[5])))
     assert len(tables) == 584 and len(seen) == 4
@@ -405,8 +399,8 @@ def _sorted_digest(violations: list) -> str:
 def test_mutated_scan_keeps_its_violations_in_order(monkeypatch, rules, mutated, cfg,
                                                     instances, violations):
     # The scans of test_scan_runs_the_engines_rules: every violation, in the
-    # order of axiom_soundness_scan (per admitted union, its always-true
-    # keys' closure, then its true asked keys from the table).
+    # order of axiom_soundness_scan (per admitted union, its spontaneous
+    # instances, then its always-true keys, then its true asked keys).
     _unsound_p3(monkeypatch)
     rep = axiom_soundness_scan(cfg, rule_set(rules))
     assert {v["rule"] for v in rep.violations} == {mutated}
@@ -415,14 +409,14 @@ def test_mutated_scan_keeps_its_violations_in_order(monkeypatch, rules, mutated,
     assert _sorted_digest(rep.violations) == SORTED_VIOLATIONS[rules]
 
 
-def test_warm_trivial_closures_cannot_hide_an_unsound_rule(monkeypatch):
-    # The closures of always-true keys kept with the sound engine's listings
-    # are not reused for a mutated one, whose unsound conclusions come from
+def test_warm_always_true_slots_cannot_hide_an_unsound_rule(monkeypatch):
+    # The always-true slot entries kept with the sound engine's listings are
+    # not reused for a mutated one, whose unsound conclusions come from
     # trivial premises only.
     monkeypatch.setattr(search, "_DOMAINS", {})
     for rules, _, cfg, _, _ in MUTATED_SCANS:
         assert axiom_soundness_scan(cfg, rule_set(rules)).ok
-    assert all(any(counts for counts, _ in listing[4].values())
+    assert all(any(counts for _, counts, *_ in _always_entries(listing).values())
                for listing in search._DOMAINS.values())
     _unsound_p3(monkeypatch, where=_r_triv)
     for rules, mutated, cfg, _, _ in MUTATED_SCANS:
@@ -579,14 +573,15 @@ def test_scan_reports_equal_cold_and_warm(monkeypatch, name):
     monkeypatch.setattr(search, "_DOMAINS", {})
     seen = _spy_models(monkeypatch)
     assert _digest(scan().to_dict()) == digest
-    assert any(not ok for *_, truth in seen for k, ok in truth.items()
+    assert any(not ok for model_scan, _, complementary, verdicts in seen
+               for k, ok in _truth(model_scan, verdicts, complementary).items()
                if not _nontrivial(k)) == false_trivial
     assert _digest(scan().to_dict()) == digest
 
 
-def test_trivial_closures_are_bounded(monkeypatch):
-    # Each union's closure of its always-true keys is kept with the domain's
-    # listing, so closures are bounded by _DOMAINS_MAX and go with their
+def test_always_true_slots_are_bounded(monkeypatch):
+    # Each union's always-true slot entry is kept in the domain's class
+    # table, so the entries are bounded by _DOMAINS_MAX and go with their
     # listing: a scan over another domain evicts them, and they are built
     # again, giving the same report.
     scan, digest, _ = PINNED_REPORTS["ECI_RESTRICTED-2"]
@@ -594,14 +589,14 @@ def test_trivial_closures_are_bounded(monkeypatch):
     monkeypatch.setattr(search, "_DOMAINS_MAX", 1)
     assert _digest(scan().to_dict()) == digest
     [listing] = search._DOMAINS.values()
-    closures = listing[4]
-    assert closures.keys() == listing[0].keys() and all(c for c, _ in closures.values())
+    always = _always_entries(listing)
+    assert always.keys() == listing[0].keys() and all(c for _, c, *_ in always.values())
     PINNED_REPORTS["GENERAL"][0]()
     [other] = search._DOMAINS.values()
     assert other is not listing
     assert _digest(scan().to_dict()) == digest
     [again] = search._DOMAINS.values()
-    assert again is not listing and again[4] == closures
+    assert again is not listing and _always_entries(again) == always
 
 
 def test_trivial_closure_is_kept_per_set_of_true_trivial_keys(monkeypatch):
@@ -655,41 +650,46 @@ def _listed_ids(scan) -> dict:
             for k, c in zip(ks, scan.classes[u])}
 
 
-def _class_entry(scan, ids: dict, members: list) -> tuple:
-    """A class's table entry as ``expand`` on its keys gives it, with each
-    conclusion and second premise the bit of its class: unary conclusion
-    bits and counts, pair conclusion bits, each pair conclusion bit's
-    second-premise bits, each pair rule's second premises with their
-    multiplicities, and the flag-gated rules' conclusion bits and counts."""
+def _class_entry(scan, ids: dict, members: list, spontaneous=()) -> tuple:
+    """A slot's table entry as the spontaneous instances given and then
+    ``expand`` on its keys give it, with each conclusion and second premise
+    the bit of its class: unary conclusion bits and counts, pair conclusion
+    bits, each pair conclusion bit's second-premise bits, each pair rule's
+    second premises with their multiplicities, and the flag-gated rules'
+    conclusion bits and counts."""
     need = pneed = gneed = 0
     counts, gcounts, seconds, pairs = Counter(), Counter(), {}, {}
-    for k in members:
-        for rule, premises, ck, _ in scan.eng.expand(k):
-            c = 1 << ids[ck]
-            if len(premises) == 2:
-                t = ids[premises[1]]
-                pneed |= c
-                pairs[c] = pairs.get(c, 0) | 1 << t
-                seconds.setdefault(rule, Counter())[t] += 1
-            elif rule in search._GATED:
-                gneed, gcounts[rule] = gneed | c, gcounts[rule] + 1
-            else:
-                need, counts[rule] = need | c, counts[rule] + 1
+    instances = [(rule, (), ck) for rule, ck in spontaneous]
+    instances += [(rule, premises, ck)
+                  for k in members for rule, premises, ck, _ in scan.eng.expand(k)]
+    for rule, premises, ck in instances:
+        c = 1 << ids[ck]
+        if len(premises) == 2:
+            t = ids[premises[1]]
+            pneed |= c
+            pairs[c] = pairs.get(c, 0) | 1 << t
+            seconds.setdefault(rule, Counter())[t] += 1
+        elif rule in search._GATED:
+            gneed, gcounts[rule] = gneed | c, gcounts[rule] + 1
+        else:
+            need, counts[rule] = need | c, counts[rule] + 1
     return need, counts, pneed, pairs, seconds, gneed, gcounts
 
 
 def test_unary_tables_hold_listed_keys_and_go_with_their_listing(monkeypatch):
-    # The class table is keyed by the ids of true asked classes, and
-    # class_id gives every listed key the id the listing gave its class (one
-    # past the ids for a key outside the listing).  Each entry holds what
-    # expand yields on the class's keys, every conclusion and second premise
-    # a listed key given as its class's bit; a pair rule's layer (rule, j,
-    # bits) holds the second premises whose multiplicity has bit j.  A second premise the P5
-    # family synthesizes (an implicit tautology) lies in its first premise's
-    # decision union and is always true there, so it is that union's
-    # always-true bit; indexed second premises occur too.  A scan whose
-    # models have no true non-trivial key stores nothing; with room for one
-    # listing, a table is dropped with its listing and filled again.
+    # The class table is keyed by the ids of true slots, and class_id gives
+    # every listed key the id the listing gave its class (one past the ids
+    # for a key outside the listing).  Each entry holds what expand yields on
+    # the slot's keys, after the spontaneous instances of its union for an
+    # always-true slot, every conclusion and second premise a listed key
+    # given as its class's bit; a pair rule's layer (rule, j, bits) holds
+    # the second premises whose multiplicity has bit j.  A second premise
+    # the P5 family synthesizes (an implicit tautology) lies in its first
+    # premise's decision union and is always true there, so it is that
+    # union's always-true bit; indexed second premises occur too.  A scan
+    # whose models have no true non-trivial key stores only its always-true
+    # slots; with room for one listing, a table is dropped with its listing
+    # and filled again.
     monkeypatch.setattr(search, "_DOMAINS", {})
     for name in PINNED_REPORTS:
         PINNED_REPORTS[name][0]()
@@ -697,7 +697,7 @@ def test_unary_tables_hold_listed_keys_and_go_with_their_listing(monkeypatch):
     seconds = set()
     for rs, s_names, d_names, mode, _ in list(search._DOMAINS):
         scan = _Scan(rs, Universe.of(stochastic=s_names, decision=d_names), mode)
-        ids = _listed_ids(scan)
+        ids, asked = _listed_ids(scan), _asked(scan)
         assert all(scan.class_id(k) == g for k, g in ids.items())
         assert scan.class_id(next(iter(ids))[:2] + (0, 0) + next(iter(ids))[4:]) == scan.width
         assert scan.table
@@ -705,9 +705,12 @@ def test_unary_tables_hold_listed_keys_and_go_with_their_listing(monkeypatch):
             u = max((b, u) for u, b in scan.base.items() if b <= g)[1]
             members = [k for k in scan.keys[u] if ids[k] == g]
             always = scan.base[u] + len(scan.reps[u])
-            assert g < always and all(k in scan.asked[u] for k in members)
-            assert len({k[5] for k in members}) == 1  # P4''/P4g are licensed per class
-            want = _class_entry(scan, ids, members)
+            assert g <= always and all((k in asked[u]) == (g < always) for k in members)
+            # P4''/P4g are licensed per class
+            assert len({k[5] for k in members}) == 1 or g == always
+            spontaneous = [(r, ck) for r, ck in scan.eng.spontaneous()
+                           if g == always and ck[1] | ck[3] | ck[5] == u]
+            want = _class_entry(scan, ids, members, spontaneous)
             assert (need, dict(counts), pneed, dict(pairs)) == want[:4]
             multiplicities: dict = {}
             for rule, j, layer in layers:
@@ -730,7 +733,7 @@ def test_unary_tables_hold_listed_keys_and_go_with_their_listing(monkeypatch):
     monkeypatch.setattr(search, "_DOMAINS", {})
     assert axiom_soundness_scan(cfg, rule_set("SEPAROID_FULL")).ok
     [listing] = search._DOMAINS.values()
-    assert listing[-1] == {}
+    assert len(listing[-1]) == len(_always_entries(listing)) == len(listing[0])
     monkeypatch.setattr(search, "_DOMAINS_MAX", 1)
     first, second = PINNED_REPORTS["SEPAROID_FULL"][0], PINNED_REPORTS["GENERAL"][0]
     first()
@@ -753,8 +756,7 @@ def test_changed_legality_gets_its_own_listing(monkeypatch):
     scan = _Scan(rule_set("SEPAROID_FULL"), universe, "s")
     assert scan.domain != warm.domain
     assert {warm.domain, scan.domain} <= set(search._DOMAINS)
-    for listing in ("keys", "asked"):
-        old, new = getattr(warm, listing), getattr(scan, listing)
+    for old, new in ((warm.keys, scan.keys), (_asked(warm), _asked(scan))):
         assert new == {u: tuple(k for k in ks if k[0] != k[2]) for u, ks in old.items()}
     assert sum(map(len, scan.keys.values())) < sum(map(len, warm.keys.values()))
 
@@ -799,7 +801,7 @@ def test_p6_partial_meet_mutation_keeps_its_violations_and_counts(monkeypatch):
 
 def test_models_sharing_a_trivial_closure_share_no_index(monkeypatch):
     # One family of the pinned two-regime ECI_RESTRICTED scan, closed twice:
-    # both models add their unions' closures and count their true classes'
+    # both models count their unions' always-true slots and true classes'
     # pairs (P5'' ones included) from the domain's class table.  Nothing of
     # the first close may carry over: the second counts the same again.
     cfg = SearchConfig(seed=2, trials=8, regime_count=2, probability_grid=3,
@@ -810,12 +812,13 @@ def test_models_sharing_a_trivial_closure_share_no_index(monkeypatch):
     dec = scan.dec_sets
     holds = lambda k: fam.eci_general(k[0], dec[k[1]], k[2], dec[k[3]], k[4], dec[k[5]])  # noqa: E731
     tallies = []
+    complementary = lambda u: u == 0 or check_complementary(fam, dec[u])  # noqa: E731
     for t in range(2):
-        truth = scan.model(t, holds, complementary=lambda u: u == 0 or check_complementary(fam, dec[u]))
+        truth = _truth(scan, scan.model(t, holds, complementary), complementary)
         tallies.append(dict(scan.tally))
     assert not scan.violations
     assert any(truth[k] and _nontrivial(k) and "P5''" in {r for r, *_ in scan.table[scan.class_id(k)][4]}
-               for ks in scan.asked.values() for k in ks if k in truth)
+               for ks in _asked(scan).values() for k in ks if k in truth)
     assert tallies[1] == {r: 2 * c for r, c in tallies[0].items()}
 
 
@@ -837,18 +840,19 @@ def test_no_engine_is_built_after_the_listing(monkeypatch):
     monkeypatch.setattr(_Engine, "__init__", counted)
     monkeypatch.setattr(search, "_DOMAINS", {})
     scan = _Scan(rule_set("SEPAROID_FULL"), Universe.of(stochastic=("A", "B", "C")), "s")
-    nontrivial = [k for ks in scan.asked.values() for k in ks]
+    nontrivial = [k for ks in _asked(scan).values() for k in ks]
     assert len(built) == 1 and nontrivial and all(map(_nontrivial, nontrivial))
     for t in range(cfg.trials):
         sci = random_distribution(cfg, t).kernel.sci
         assert not any(sci(k[0], k[2], k[4]) for k in nontrivial)
     built.clear()
     rep = axiom_soundness_scan(cfg, rule_set("SEPAROID_FULL"))
-    assert not built and not scan.table
+    always = {scan.base[u] + len(scan.reps[u]) for u in scan.keys}
+    assert not built and scan.table.keys() == always
     assert _digest(rep.to_dict()) == "2f9de562b56b831ed624539b6478114dde27e98b6839bc24a9864beb161dacbf"
     pinned, digest, _ = PINNED_REPORTS["SEPAROID_FULL"]
     assert _digest(pinned().to_dict()) == digest
-    assert not built and scan.table
+    assert not built and scan.table.keys() > always
     _unsound_p3(monkeypatch)
     for rules, _, cfg, instances, _ in MUTATED_SCANS:
         for run in ("cold", "warm"):
@@ -877,17 +881,39 @@ def test_scan_stopped_early_reports_the_models_checked(monkeypatch):
 
 
 def _spy_models(monkeypatch) -> list:
-    """Record (scan, holds, complementary, truth) of every _Scan.model call."""
+    """Record (scan, holds, complementary, class verdicts) of every
+    _Scan.model call."""
     seen = []
     model = _Scan.model
 
     def spy(self, trial, holds, complementary=None, dominating=None):
-        truth = model(self, trial, holds, complementary, dominating)
-        seen.append((self, holds, complementary, truth))
-        return truth
+        verdicts = model(self, trial, holds, complementary, dominating)
+        seen.append((self, holds, complementary, verdicts))
+        return verdicts
 
     monkeypatch.setattr(_Scan, "model", spy)
     return seen
+
+
+def _truth(scan, verdicts, complementary=None) -> dict:
+    """Each key of the unions complementary admits, in domain order, with
+    its class's verdict from the bytes _Scan.model returns."""
+    return {k: bool(verdicts[scan.base[u] + c]) for u, ks in scan.keys.items()
+            if complementary is None or complementary(u) for k, c in zip(ks, scan.classes[u])}
+
+
+def _asked(scan) -> dict:
+    """Union -> its keys with a class of their own (asked keys), in domain
+    order."""
+    return {u: tuple(k for k, c in zip(ks, scan.classes[u]) if c < len(scan.reps[u]))
+            for u, ks in scan.keys.items()}
+
+
+def _always_entries(listing) -> dict:
+    """Union -> the class-table entry of its always-true slot, for the
+    unions whose slot has one, from a listing of ``search._DOMAINS``."""
+    keys, reps, _, base, _, _, table = listing
+    return {u: table[base[u] + len(reps[u])] for u in keys if base[u] + len(reps[u]) in table}
 
 
 _XYZ = {"X": 2, "Y": 2, "Z": 2}
@@ -908,14 +934,19 @@ CLASS_SCANS = {
 }
 
 
-def _assert_truth_is_per_key(scan, holds, complementary, truth) -> list:
-    """The truth table starts with every key of the admitted unions, in
-    domain order, each with the model's own verdict; returns those keys."""
+def _assert_truth_is_per_key(scan, holds, complementary, verdicts) -> dict:
+    """The class verdicts give every key of the admitted unions, in domain
+    order, the model's own verdict, and set exactly the admitted unions'
+    always-true slots; returns the truth table they give."""
     keys = [k for u, ks in scan.keys.items() if complementary is None or complementary(u)
             for k in ks]
-    assert list(truth)[:len(keys)] == keys
+    truth = _truth(scan, verdicts, complementary)
+    assert list(truth) == keys
     assert [truth[k] for k in keys] == [holds(k) for k in keys]
-    return keys
+    assert [verdicts[scan.base[u] + len(scan.reps[u])] for u in scan.keys] == [
+        complementary is None or complementary(u) for u in scan.keys]
+    assert len(verdicts) == scan.width + 1 and not verdicts[scan.width]
+    return truth
 
 
 @pytest.mark.parametrize("name", CLASS_SCANS)
@@ -926,9 +957,9 @@ def test_class_verdicts_equal_the_checkers_on_every_key(monkeypatch, name):
     seen = _spy_models(monkeypatch)
     assert CLASS_SCANS[name]().ok
     outcomes = set()
-    for scan, holds, complementary, truth in seen:
-        for k in _assert_truth_is_per_key(scan, holds, complementary, truth):
-            outcomes.add((_r_triv(k) or _l_triv(k), _r_triv(k), truth[k]))
+    for scan, holds, complementary, verdicts in seen:
+        for k, ok in _assert_truth_is_per_key(scan, holds, complementary, verdicts).items():
+            outcomes.add((_r_triv(k) or _l_triv(k), _r_triv(k), ok))
     nontrivial = sum(map(_nontrivial, (k for ks in scan.keys.values() for k in ks)))
     assert sum(len(r) for r in scan.reps.values()) < sum(map(len, scan.keys.values()))
     assert len({c for u in scan.classes for c in scan.classes[u]}) < nontrivial
@@ -1016,11 +1047,11 @@ def test_each_model_asks_once_per_asked_class(monkeypatch, name):
             calls.append(k)
             return holds(k)
 
-        truth = model(self, trial, counted, complementary, dominating)
+        verdicts = model(self, trial, counted, complementary, dominating)
         unions = [u for u in self.keys if complementary is None or complementary(u)]
         assert calls == [k for u in unions for k in self.reps[u]]
         asked.append(len(calls))
-        return truth
+        return verdicts
 
     monkeypatch.setattr(_Scan, "model", spy)
     assert CLASS_SCANS[name]().ok
@@ -1117,41 +1148,62 @@ def _fresh_close(scan, trial, holds, complementary, dominating, truth) -> tuple:
     return tally, violations
 
 
-@pytest.mark.parametrize("name", TABLE_SCANS)
-def test_table_close_equals_a_full_close_on_every_model(monkeypatch, name):
-    # What _Scan.model adds to the tally and the violations, from its unions'
-    # closures and the domain's class table, equals a fresh engine's close
-    # over every true key: the tally exactly, the violations as a multiset.
-    # Checked on sound models, and with P3 (P3', P3g) unsound on every
-    # premise, on the models up to the first violating one.  With
-    # dominating_regime alone, P4'' is licensed on some classes of the
-    # models and not on others.
-    rules, flags, fields = TABLE_SCANS[name]
-    model, closed, licensed = _Scan.model, [], set()
+def _check_closes(monkeypatch) -> list:
+    """Check what every _Scan.model call adds to the tally and the
+    violations against _fresh_close on its truth table: the tally exactly,
+    the violations as a multiset.  Records (scan, truth table, dominating,
+    keys asked of the model, fresh violations) per call."""
+    model, seen = _Scan.model, []
 
     def spy(self, trial, holds, complementary=None, dominating=None):
-        before, start = dict(self.tally), len(self.violations)
-        truth = model(self, trial, holds, complementary, dominating)
+        before, start, asked = dict(self.tally), len(self.violations), []
+
+        def counted(k):
+            asked.append(k)
+            return holds(k)
+
+        verdicts = model(self, trial, counted, complementary, dominating)
+        truth = _truth(self, verdicts, complementary)
         tally, violations = _fresh_close(self, trial, holds, complementary, dominating, truth)
         assert {r: c - before[r] for r, c in self.tally.items()} == tally
         assert _sorted_digest(self.violations[start:]) == _sorted_digest(violations)
-        closed.append((any(truth[k] for ks in self.asked.values() for k in ks
-                           if k in truth and _nontrivial(k)), bool(violations)))
-        if dominating is not None and not violations:  # every true class is in the table
-            licensed.update(dominating(gated[0]) for ks in self.asked.values() for k in ks
-                            if truth.get(k) and (gated := self.table[self.class_id(k)][5]))
-        return truth
+        seen.append((self, truth, dominating, asked, violations))
+        return verdicts
 
     monkeypatch.setattr(_Scan, "model", spy)
+    return seen
+
+
+@pytest.mark.parametrize("name", TABLE_SCANS)
+def test_table_close_equals_a_full_close_on_every_model(monkeypatch, name):
+    # What _Scan.model adds to the tally and the violations, from the
+    # domain's class table, equals a fresh engine's close over every true
+    # key: the tally exactly, the violations as a multiset.  Checked on
+    # sound models, and with P3 (P3', P3g) unsound on every premise, on the
+    # models up to the first violating one.  With dominating_regime alone,
+    # P4'' is licensed on some classes of the models and not on others.
+    rules, flags, fields = TABLE_SCANS[name]
+    seen = _check_closes(monkeypatch)
+
+    def closed():
+        return [(any(truth[k] for ks in _asked(scan).values() for k in ks
+                     if k in truth and _nontrivial(k)), bool(violations))
+                for scan, truth, _, _, violations in seen]
+
     for seed in range(3):
         assert axiom_soundness_scan(SearchConfig(seed=seed, **fields), rule_set(rules, flags)).ok
-    assert any(nontrivial for nontrivial, _ in closed) and not any(bad for _, bad in closed)
+    assert any(nontrivial for nontrivial, _ in closed()) and not any(bad for _, bad in closed())
+    licensed = {dominating(gated[0])  # every true class is in the table
+                for scan, truth, dominating, _, violations in seen
+                if dominating is not None and not violations
+                for ks in _asked(scan).values() for k in ks
+                if truth.get(k) and (gated := scan.table[scan.class_id(k)][5])}
     assert licensed == ({True, False} if flags == ("dominating_regime",) else set())
     _unsound_p3(monkeypatch, slot=5 if rules == "VCI_STRONG" else 4)
-    closed.clear()
+    seen.clear()
     for seed in range(3):
         assert axiom_soundness_scan(SearchConfig(seed=seed, **fields), rule_set(rules, flags)).violations
-    assert [bad for _, bad in closed].count(True) == 3
+    assert [bad for _, bad in closed()].count(True) == 3
 
 
 def test_conclusions_outside_the_listing_are_asked_of_the_model(monkeypatch):
@@ -1166,22 +1218,93 @@ def test_conclusions_outside_the_listing_are_asked_of_the_model(monkeypatch):
         if name == "P3'" and k[3] and _nontrivial(k):
             yield (k[0], k[3], k[2], 0, k[4], k[5]), ""
 
-    model, outside = _Scan.model, []
-
-    def spy(self, trial, holds, complementary=None, dominating=None):
-        before, start = dict(self.tally), len(self.violations)
-        truth = model(self, trial, holds, complementary, dominating)
-        tally, violations = _fresh_close(self, trial, holds, complementary, dominating, truth)
-        assert {r: c - before[r] for r, c in self.tally.items()} == tally
-        assert _sorted_digest(self.violations[start:]) == _sorted_digest(violations)
-        outside.extend(k for k in truth if self.class_id(k) == self.width)
-        return truth
-
     monkeypatch.setattr(_Engine, "unary", unary)
-    monkeypatch.setattr(_Scan, "model", spy)
+    seen = _check_closes(monkeypatch)
     rep = _scan("ECI_RESTRICTED", _ECI_FLAGS, seed=1, trials=8, regime_count=3, probability_grid=1,
                 var_cardinalities={"X": 2, "Y": 2}, decision_cardinalities={"Theta": 2})()
+    outside = [k for scan, _, _, asked, _ in seen for k in asked if scan.class_id(k) == scan.width]
     assert outside and {v["rule"] for v in rep.violations} == {"P3'"}
+
+
+def test_always_true_slots_hold_the_closures_of_their_keys(monkeypatch):
+    # On every pinned domain, each union's always-true slot entry counts, per
+    # rule, the union's spontaneous instances and those drawn from its
+    # always-true keys, all of which conclude always-true keys: with a sound
+    # engine nothing is left for a model to check one instance at a time,
+    # so the entry never carries the outside bit and never forces a walk.
+    monkeypatch.setattr(search, "_DOMAINS", {})
+    for run, digest, _ in PINNED_REPORTS.values():
+        assert _digest(run().to_dict()) == digest
+    checked = 0
+    for domain, listing in search._DOMAINS.items():
+        rs, s_names, d_names, mode, _ = domain
+        scan = _Scan(rs, Universe.of(stochastic=s_names, decision=d_names), mode)
+        always = _always_entries(listing)
+        assert always.keys() == scan.keys.keys()
+        sure = {u: {k for k, c in zip(ks, scan.classes[u]) if c == len(scan.reps[u])}
+                for u, ks in scan.keys.items()}
+        for u, (need, counts, pneed, pairs, layers, gated) in always.items():
+            instances = [(rule, ck) for rule, ck in scan.eng.spontaneous()
+                         if ck[1] | ck[3] | ck[5] == u]
+            instances += [(rule, ck) for k in sure[u] for rule, _, ck, _ in scan.eng.expand(k)]
+            assert instances and all(ck in sure.get(ck[1] | ck[3] | ck[5], ())
+                                     and rule not in search._GATED for rule, ck in instances)
+            assert dict(counts) == Counter(rule for rule, _ in instances)
+            assert need == sum({1 << scan.class_id(ck) for _, ck in instances})
+            assert not need >> scan.width and not (pneed or pairs or layers or gated)
+            checked += 1
+    assert checked == sum(len(listing[0]) for listing in search._DOMAINS.values())
+
+
+def test_an_unsound_spontaneous_rule_is_named(monkeypatch):
+    # P2 that also yields A _||_ B, false on most distributions: the scan
+    # names it with no premises, first among the model's violations, cold
+    # and warm, and each model's close equals a fresh engine's.
+    sound = _Engine.spontaneous
+
+    def spontaneous(self):
+        yield from sound(self)
+        if "P2" in self.rs.rules:
+            yield "P2", (1, 0, 2, 0, 0, 0)
+
+    monkeypatch.setattr(_Engine, "spontaneous", spontaneous)
+    monkeypatch.setattr(search, "_DOMAINS", {})
+    seen = _check_closes(monkeypatch)
+    run = PINNED_REPORTS["SEPAROID_FULL"][0]
+    cold, warm = run(), run()
+    assert cold.to_dict() == warm.to_dict() and len(search._DOMAINS) == 1
+    t = cold.trials - 1
+    assert cold.violations[0] == {"trial": t, "rule": "P2", "premises": [],
+                                  "conclusion": "A _||_ B"}
+    assert any(v["premises"] == [] for *_, violations in seen for v in violations)
+
+
+def test_a_gated_rule_on_a_trivial_premise_is_walked(monkeypatch):
+    # P4'' that also draws Y\Z _||_ Y,Th | Z,Ph from a left-trivial premise,
+    # which a sound engine never does, with dominating_regime the only flag:
+    # the always-true keys share no conditioning slot, so such a slot
+    # carries the outside bit and every close walks its keys, licensing each
+    # instance on its own premise; each model's close equals a fresh
+    # engine's, and the false conclusions are named.
+    sound_unary = _Engine.unary
+
+    def unary(self, name, k):
+        yield from sound_unary(self, name, k)
+        if name == "P4''" and _l_triv(k) and k[2] & ~k[4]:
+            yield (k[2] & ~k[4], 0, k[2], k[3], k[4], k[5]), self.via
+
+    monkeypatch.setattr(_Engine, "unary", unary)
+    monkeypatch.setattr(search, "_DOMAINS", {})
+    seen = _check_closes(monkeypatch)
+    run = PINNED_REPORTS["ECI_RESTRICTED-dominating"][0]
+    cold, warm = run(), run()
+    assert cold.to_dict() == warm.to_dict()
+    assert cold.violations and {v["rule"] for v in cold.violations} == {"P4''"}
+    [listing] = search._DOMAINS.values()
+    assert any(need >> seen[0][0].width for need, *_ in _always_entries(listing).values())
+    licensed = {dominating(k[5]) for _, truth, dominating, _, _ in seen
+                for k, ok in truth.items() if ok and _l_triv(k) and k[2] & ~k[4]}
+    assert licensed == {True, False}
 
 
 def test_random_models_are_unchanged():
