@@ -18,6 +18,14 @@ caches one verdict per (x & ~z, y & ~z, z, group) for ``check_eci`` and
 ``check_pairwise_eci``, and a ``WitnessTable`` builds its entries from
 ``witness`` on first read.  ``supports`` gives each S_z by z cell code.
 
+VCI is one range test, ``variation_independent``, on parallel label
+sequences: R(X | y, z) = R(X | z) for every attainable (y, z).
+``check_vci`` and ``_vci_on_supports`` give it per-regime value tuples; the
+VCI scans give it the masked integer codes of a relabeled range
+(``search._vci_model``).  It reads only the partitions the labels induce,
+so renaming one name's values keeps every verdict; so does the one meet,
+``block_meet``, which ``partition_meet`` labels by lowest regime.
+
 Statement names are resolved to masks once per variable signature: the
 kernels of every table, family and product space over one names tuple share
 an interned name -> bit map and resolved-mask memo, exactly, since bit
@@ -357,29 +365,28 @@ def partition_meet(a: Mapping[str, str], b: Mapping[str, str]) -> dict[str, str]
     regimes = sorted(a)
     if sorted(b) != regimes:
         raise InvalidModel("partition_meet arguments live on different regime spaces")
-    parent = {s: s for s in regimes}
+    blocks = block_meet([str(a[s]) for s in regimes], [str(b[s]) for s in regimes])
+    return {s: regimes[i] for s, i in zip(regimes, blocks)}
 
-    def find(s):
-        while parent[s] != s:
-            parent[s] = parent[parent[s]]
-            s = parent[s]
-        return s
 
-    def union(s, t):
-        rs, rt = find(s), find(t)
-        if rs != rt:
-            rs, rt = sorted((rs, rt))
-            parent[rt] = rs
+def block_meet(a: Sequence, b: Sequence) -> tuple[int, ...]:
+    """The meet of the partitions two parallel label sequences induce on
+    their positions, by union-find: one block id per position, the block's
+    lowest position."""
+    parent = list(range(len(a)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
     for f in (a, b):
-        by_val: dict[str, str] = {}
-        for s in regimes:
-            v = str(f[s])
-            if v in by_val:
-                union(by_val[v], s)
-            else:
-                by_val[v] = s
-    return {s: find(s) for s in regimes}
+        first: dict = {}
+        for i, v in enumerate(f):
+            r, t = sorted((find(first.setdefault(v, i)), find(i)))
+            parent[t] = r
+    return tuple(map(find, range(len(a))))
 
 
 # -- regime families ----------------------------------------------------------

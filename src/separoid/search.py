@@ -30,12 +30,12 @@ from .models import (
     DiscreteDistribution,
     RegimeFamily,
     _validate_eci_statement,
+    block_meet,
     check_complementary,
     check_sci,
     check_vci,
     dominating_per_group,
     mask_names,
-    partition_meet,
     variation_independent,
 )
 from .universe import CIStatement, ComplementarityDecl, Universe
@@ -424,7 +424,7 @@ class _Scan:
         self.width = sum(len(r) + 1 for r in self.reps.values())  # slots; also the outside id
         self.tally = dict.fromkeys(rs.rules, 0)
         self.violations: list = []
-        self.ranges: dict = {}  # VCI joint range -> (tally delta, violations)
+        self.ranges: dict = {}  # relabeled VCI range -> (tally delta, violations)
 
     def model(self, trial: int, holds, complementary=None, dominating=None) -> bytearray:
         """Close one model's true set under the engine and return its class
@@ -608,25 +608,33 @@ class _Scan:
         )
 
 
-def _vci_model(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str]) -> None:
-    """One VCI model, memoized by its joint range {(A(s), B(s), ...) : s}.
+def _range(scan: _Scan, decmap: Mapping, regimes: Sequence[str]) -> tuple[int, tuple]:
+    """A map's relabeled range: each name's values numbered by first
+    appearance over the regimes, each regime's point an int with a
+    ``width``-bit field per name (name i at bit i * width), width the largest
+    number's bit length; (width, sorted codes) is one-to-one with it."""
+    cols = [[decmap[n][s] for s in regimes] for n in scan.space.d_names]
+    cols = [list(map([*dict.fromkeys(col)].index, col)) for col in cols]
+    width = max(map(max, cols)).bit_length()
+    return width, tuple(sorted({sum(v << i * width for i, v in enumerate(p)) for p in zip(*cols)}))
 
-    Every variation verdict R(X | y, z) = R(X | z) depends only on the range,
-    not on which regime takes which value; so do the class verdicts, the
-    engine's closure and the order of its conclusions.  So does every P6
-    verdict X _||_ Y | meet(Z, W): regimes with equal joint values lie in one
-    block of every induced partition, hence of every meet.  The range memo
-    lives on the ``_Scan``, so it lasts one scan call; the domain listing
-    a range draws on lasts the process (see ``_Scan``).
-    A map whose range the scan has closed before adds that range's per-rule
-    counts and replays its violations under the map's own trial index, so
-    ``_Scan.model`` and P6 run once per range (162 ranges for 4,680 maps of
-    three variables on at most four regimes)."""
-    key = frozenset(tuple(decmap[n][s] for n in scan.space.d_names) for s in regimes)
+
+def _vci_model(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str]) -> None:
+    """One VCI model, memoized by its relabeled range (``_range``).  Every
+    variation verdict, so the class verdicts, the engine's closure and its
+    order, and every P6 verdict X _||_ Y | meet(Z, W), depends only on the
+    partitions the names induce on the range's points: not on which regime
+    takes a point, nor on the labels (renaming a name's values is a
+    bijection); violations name keys, never values.  The memo lasts one scan
+    call, the domain listing the process (see ``_Scan``).  A map whose range
+    the scan has closed adds that range's per-rule counts and replays its
+    violations under its own trial index, so ``_Scan.model`` and P6 run once
+    per range: 64 for 4,680 maps of three variables on up to four regimes."""
+    key = _range(scan, decmap, regimes)
     seen = scan.ranges.get(key)
     if seen is None:
         before, start = dict(scan.tally), len(scan.violations)
-        _close_vci(scan, trial, decmap, regimes)
+        _close_vci(scan, trial, key)
         delta = {r: c - before[r] for r, c in scan.tally.items() if c != before[r]}
         scan.ranges[key] = delta, scan.violations[start:]
         return
@@ -636,43 +644,44 @@ def _vci_model(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str])
     scan.violations.extend({**v, "trial": trial} for v in violations)
 
 
-def _close_vci(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str]) -> None:
-    """Variation independence by mask, then P6 on the model, since meets are
-    not statements the engine can hold: X _||_ Y | Z and X _||_ Y | W with Z
-    and W functions of Y give X _||_ Y | Z ^ W.  Both premises range over one
-    set W_xy, so P6 is counted per (X, Y), len(W_xy) ** 2 instances, and
-    decided once per distinct meet in a table of meets with one row per Z,
-    filled once per unordered (Z, W) since the meet is symmetric; the set of
-    meets over W_xy is built once per distinct W_xy listing; only when
-    some verdict fails are the pairs walked, in domain order, to list the
-    violations.  Each variation verdict is computed once per
-    (x & ~z, y & ~z, z), the outer pair ordered, as ``MaskKernel.sci`` does:
-    given z, names shared with Z take fixed values and change no range, the
-    relation is symmetric, and it holds when x & ~z is empty."""
-    names = scan.space.d_names
-    vals = [[tuple(decmap[n][s] for n in mask_names(m, names)) for s in regimes]
-            for m in range(scan.space.d_all + 1)]
+def _close_vci(scan: _Scan, trial: int, rng: tuple[int, tuple]) -> None:
+    """Variation independence by mask on a relabeled range (a mask's labels
+    are the points' codes masked to its names' fields), then P6 on the
+    model, since meets are not statements the engine can hold: X _||_ Y | Z
+    and X _||_ Y | W with Z and W functions of Y (as many labels on Y as on
+    Y | Z) give X _||_ Y | Z ^ W.  Both premises range over one set W_xy, so
+    P6 is counted per (X, Y), len(W_xy) ** 2 instances, and decided once per
+    distinct meet (``block_meet``) in a table with one row per Z, filled
+    once per unordered (Z, W); the set of meets over W_xy is built once per
+    distinct W_xy listing; only when some verdict fails are the pairs
+    walked, in domain order, to list the violations.  Each variation
+    verdict is computed once per (x & ~z, y & ~z, z), the outer pair
+    ordered, as ``MaskKernel.sci`` does: given z, names shared with Z take
+    fixed values and change no range, the relation is symmetric, and it
+    holds when x & ~z is empty."""
+    (width, points), names = rng, scan.space.d_names
+    fields = [sum(((1 << width) - 1) << i * width for i in range(len(names)) if m >> i & 1)
+              for m in range(scan.space.d_all + 1)]
+    labels = [[c & f for c in points] for f in fields]
 
     @cache
     def normal(x: int, y: int, z: int) -> bool:
-        return not x or variation_independent(vals[x], vals[y], vals[z])
+        return not x or variation_independent(labels[x], labels[y], labels[z])
 
     classes = scan.model(trial, lambda k: normal(*sorted((k[1] & ~k[5], k[3] & ~k[5])), k[5]))
     if "P6" not in scan.rs.rules:
         return
-    masks = range(len(vals))
-    leq = [[len(set(zip(vals[y], vals[w]))) == len(set(vals[y])) for y in masks] for w in masks]
-    true = [k for k, ok in scan.truth(classes).items() if ok and leq[k[5]][k[3]]]
+    n = [len(set(ls)) for ls in labels]
+    true = [k for u, b in scan.base.items() for k, c in zip(scan.keys[u], scan.classes[u])
+            if n[k[3] | k[5]] == n[k[3]] and classes[b + c]]
     conds: dict = {}  # (x, y) -> every z that is a function of y with X _||_ Y | Z true
     for _, x, _, y, _, z in true:
         conds.setdefault((x, y), []).append(z)
-    funs = [dict(zip(regimes, v)) for v in vals]
     used = sorted({z for zs in conds.values() for z in zs})
     meets: dict = {z: {} for z in used}
     for i, z in enumerate(used):
         for w in used[i:]:
-            meet = partition_meet(funs[z], funs[w])
-            meets[z][w] = meets[w][z] = tuple(map(meet.get, regimes))
+            meets[z][w] = meets[w][z] = block_meet(labels[z], labels[w])
     verdicts, meet_sets = {}, {}
     for (x, y), zs in conds.items():
         scan.tally["P6"] += len(zs) ** 2
@@ -681,7 +690,7 @@ def _close_vci(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str])
         if fms is None:
             fms = meet_sets[key] = {fm for z in zs for fm in map(meets[z].__getitem__, zs)}
         for fm in fms:
-            verdicts[(x, y, fm)] = variation_independent(vals[x], vals[y], fm)
+            verdicts[(x, y, fm)] = variation_independent(labels[x], labels[y], fm)
     if all(verdicts.values()):
         return
     for k in true:  # list the violations in domain order; counted above
@@ -714,11 +723,12 @@ def exhaustive_vci_scan(max_regimes: int = 4, n_vars: int = 3) -> ScanReport:
     """VCI_STRONG (P1..P6) against the variation checker over every decision
     map with n_vars binary variables on every regime space of size <=
     max_regimes.  The VCI and P6 verdicts depend only on a map's joint
-    range, and the maps share few ranges (4,680 maps but 162 ranges for
-    three variables on at most four regimes), so each distinct range is
-    checked once per call and replayed for the other maps that have it (see
-    ``_vci_model``).  Ranges are not kept between calls; the domain's
-    listing and its class table are, as in every scan (see ``_Scan``)."""
+    range up to renaming each variable's values, and the maps share few such
+    ranges (64 for the 4,680 maps of three variables on at most four
+    regimes), so each is checked once per call and replayed for the other
+    maps that have it (see ``_vci_model``).  Ranges are not kept between
+    calls; the domain's listing and its class table are, as in every scan
+    (see ``_Scan``)."""
     if max_regimes < 1 or n_vars < 1:
         raise ValueError("max_regimes and n_vars must be >= 1")
     names = tuple(chr(ord("A") + i) for i in range(n_vars))

@@ -88,6 +88,9 @@ class VarSet:
     def __reduce__(self):  # rebuilt, so the hash follows the process's str hashing
         return VarSet, (self.stoch, self.dec)
 
+    def __repr__(self) -> str:  # sorted names, so the text does not follow str hashing
+        return f"VarSet{self.sort_key()!r}"
+
     def __or__(self, other: "VarSet") -> "VarSet":
         return VarSet(self.stoch | other.stoch, self.dec | other.dec)
 

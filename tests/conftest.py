@@ -129,6 +129,18 @@ def brute_eci(fam: RegimeFamily, xs, ys, zs, phi=(), pairwise=False) -> dict | N
     return entries
 
 
+@lru_cache(maxsize=None)
+def brute_vci(fx: tuple, fy: tuple, fz: tuple) -> bool:
+    """Variation independence X _||_ Y | Z from its definition, on the
+    values X, Y and Z take at each regime of a regime list (parallel
+    tuples): for every attainable (y, z), the conditional image
+    R(X | y, z) = {X(s) : Y(s) = y, Z(s) = z} equals R(X | z) =
+    {X(s) : Z(s) = z}."""
+    regimes = range(len(fx))
+    return all({fx[t] for t in regimes if (fy[t], fz[t]) == (fy[s], fz[s])}
+               == {fx[t] for t in regimes if fz[t] == fz[s]} for s in regimes)
+
+
 # -- canonical small models ----------------------------------------------------
 
 

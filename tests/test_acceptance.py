@@ -114,6 +114,14 @@ def test_c3_vci_strong_separoid_exhaustive():
     assert _digest(rep) == "bde50401fea056fca845c380ea62181bba5bf970db550e81a8cc4b3dbaa71337"
 
 
+def test_c3_vci_strong_separoid_exhaustive_four_variables():
+    # Four binary variables on at most three regimes; the digest is that of
+    # closing each distinct raw joint range once.
+    rep = exhaustive_vci_scan(max_regimes=3, n_vars=4)
+    assert rep.ok and rep.trials == 4368 and rep.instances == 154_490_064
+    assert _digest(rep) == "43b1bfe44a8ec46b90433fae4991d5cb2feeb08ddb6d52756e3e8043f9667c22"
+
+
 # -- criterion 4: ECI restricted-axiom suite -----------------------------------------
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from collections import Counter
+from functools import cache
 from fractions import Fraction as F
 from itertools import product
 from math import comb
@@ -17,12 +18,14 @@ from separoid.models import (
     check_eci_general,
     check_sci,
     check_vci,
+    mask_names,
     variation_independent,
 )
 from separoid.search import (
     SearchConfig,
     _Scan,
     _close_vci,
+    _range,
     _vci_model,
     axiom_soundness_scan,
     exhaustive_vci_scan,
@@ -36,7 +39,7 @@ from separoid.search import (
 )
 from separoid.universe import ComplementarityDecl, Universe
 
-from conftest import ci
+from conftest import brute_vci, ci
 
 
 def cfg3(**kw):
@@ -293,7 +296,7 @@ def test_vci_normalized_verdicts_equal_raw_ones(monkeypatch):
     scan = _vci_scan(names)
     seen = set()
     for trial, (decmap, regimes) in enumerate(_exhaustive_maps(names, 3)):
-        _close_vci(scan, trial, decmap, regimes)
+        _close_vci(scan, trial, _range(scan, decmap, regimes))
         cols = [[tuple(decmap[n][s] for n in names if m >> names.index(n) & 1) for s in regimes]
                 for m in range(8)]
         for k, ok in _truth(scan, tables[-1][3]).items():
@@ -302,10 +305,48 @@ def test_vci_normalized_verdicts_equal_raw_ones(monkeypatch):
     assert len(tables) == 584 and len(seen) == 4
 
 
-@pytest.mark.parametrize("max_regimes, maps, ranges", [(2, 72, 36), (4, 4680, 162)])
+def _oracle_maps(names):
+    """Every map of the names on at most three regimes, then on four regimes
+    the first map of each raw range."""
+    yield from _exhaustive_maps(names, 3)
+    seen = set()
+    for decmap, regimes in _exhaustive_maps(names, 4):
+        if len(regimes) == 4 and (r := frozenset(zip(*(decmap[n].values() for n in names)))) not in seen:
+            seen.add(r)
+            yield decmap, regimes
+
+
+def test_vci_verdicts_match_the_definition(monkeypatch):
+    """The scan's class verdicts, read from codes of the relabeled range
+    (closed once per range), on every statement over three binary decision
+    variables, and check_vci on every one in normal form (X and Y nonempty
+    and disjoint from Z), against ``brute_vci`` on each map of
+    ``_oracle_maps``.  check_vci on the other statements is
+    variation_independent on raw slots, which
+    test_vci_normalized_verdicts_equal_raw_ones compares with the scan."""
+    names = ("A", "B", "C")
+    slots = [mask_names(m, names) for m in range(8)]
+    tables, scan, maps, ranges = _spy_models(monkeypatch), _vci_scan(names), 0, {}
+    for decmap, regimes in _oracle_maps(names):
+        if (key := _range(scan, decmap, regimes)) not in ranges:
+            _close_vci(scan, len(ranges), key)
+            ranges[key] = _truth(scan, tables[-1][3])
+        truth, maps = ranges[key], maps + 1
+        cols = [tuple(tuple(decmap[n][s] for n in slot) for s in regimes) for slot in slots]
+        for x, y, z in product(range(1, 8), range(1, 8), range(8)):
+            want = brute_vci(cols[x], cols[y], cols[z])
+            assert truth[(0, x, 0, y, 0, z)] == want, (decmap, x, y, z)
+            if not (x | y) & z:
+                assert check_vci(decmap, slots[x], slots[y], slots[z], regimes) == want
+    assert maps == 584 + 162 and len(ranges) == 64
+
+
+@pytest.mark.parametrize("max_regimes, maps, ranges", [(2, 72, 8), (4, 4680, 64)])
 def test_vci_scan_closes_each_range_once(monkeypatch, max_regimes, maps, ranges):
-    # Distinct joint ranges of three binary variables on <= s regimes: the
-    # nonempty subsets of {0,1}^3 with at most s elements.
+    # One close per joint range up to renaming each variable's values,
+    # counted by brute force: each name's values numbered in order of first
+    # appearance over the regimes.  The raw ranges, the nonempty subsets of
+    # {0,1}^3 with at most s elements, are more (36 and 162).
     calls = []
     model = _Scan.model
 
@@ -316,7 +357,37 @@ def test_vci_scan_closes_each_range_once(monkeypatch, max_regimes, maps, ranges)
     monkeypatch.setattr(_Scan, "model", counted)
     rep = exhaustive_vci_scan(max_regimes=max_regimes, n_vars=3)
     assert rep.ok and rep.trials == maps
-    assert len(calls) == ranges == sum(comb(8, i) for i in range(1, max_regimes + 1))
+    raw, relabeled = set(), set()
+    for decmap, regimes in _exhaustive_maps(("A", "B", "C"), max_regimes):
+        fs = [decmap[n] for n in ("A", "B", "C")]
+        raw.add(frozenset(zip(*(map(f.get, regimes) for f in fs))))
+        relabeled.add(frozenset(zip(*([[*dict.fromkeys(f.values())].index(f[s]) for s in regimes]
+                                       for f in fs))))
+    assert len(calls) == ranges == len(relabeled)
+    assert len(raw) == sum(comb(8, i) for i in range(1, max_regimes + 1)) > ranges
+
+
+@pytest.mark.parametrize("meet", ["sound", "one block"])
+def test_vci_range_memo_replays_what_a_fresh_scan_closes(monkeypatch, meet):
+    # Per map of exhaustive_vci_scan(3, 3), on one scan: the tally delta and
+    # violations the memo adds, closing or replaying, equal those of a fresh
+    # scan closing that map alone.  A one-block meet makes P6 unsound, so
+    # replayed violations are checked too; statements are rendered once.
+    if meet == "one block":
+        monkeypatch.setattr(search, "block_meet", lambda a, b: (0,) * len(a))
+    names = ("A", "B", "C")
+    scan, replayed = _vci_scan(names), 0
+    monkeypatch.setattr(_Scan, "render", lambda self, k, render=cache(scan.render): render(k))
+    for trial, (decmap, regimes) in enumerate(_exhaustive_maps(names, 3)):
+        before, start = dict(scan.tally), len(scan.violations)
+        replayed += _range(scan, decmap, regimes) in scan.ranges
+        _vci_model(scan, trial, decmap, regimes)
+        fresh = _vci_scan(names)
+        _vci_model(fresh, trial, decmap, regimes)
+        assert {r: c - before[r] for r, c in scan.tally.items()} == fresh.tally
+        assert scan.violations[start:] == fresh.violations
+    assert replayed == 584 - len(scan.ranges) and len(scan.ranges) == 29
+    assert bool(scan.violations) == (meet == "one block")
 
 
 def test_eci_scan_small_clean():
@@ -765,7 +836,7 @@ def test_p6_violations_keep_their_order(monkeypatch):
     # A meet of one block makes P6 unsound.  The violations of the random and
     # exhaustive VCI scans, in order, as the scans listed them when every
     # second premise was looked up afresh for each first one.
-    monkeypatch.setattr(search, "partition_meet", lambda a, b: dict.fromkeys(a, 0))
+    monkeypatch.setattr(search, "block_meet", lambda a, b: (0,) * len(a))
     violations = []
     for seed in range(3):
         cfg = SearchConfig(seed=seed, trials=20, var_cardinalities={"A": 2, "B": 2, "C": 2},
@@ -777,13 +848,15 @@ def test_p6_violations_keep_their_order(monkeypatch):
 
 
 def test_p6_partial_meet_mutation_keeps_its_violations_and_counts(monkeypatch):
-    # A meet of one block only for two different arguments, so within one
+    # A meet of one block only for two different label lists, so within one
     # model some (X, Y) have only sound meets and others do not: the scans
     # count P6 per (X, Y) and list the violations of the unsound ones.  The
-    # digests and counts are those of checking every pair of premises.
-    meet = search.partition_meet
-    monkeypatch.setattr(search, "partition_meet",
-                        lambda a, b: dict.fromkeys(a, "s0") if a != b else meet(a, b))
+    # lists are a range's masked codes, so Z and W give equal lists when
+    # they differ only in names constant on the range.  The trials, P6
+    # counts and digests are pinned from this hook.
+    meet = search.block_meet
+    monkeypatch.setattr(search, "block_meet",
+                        lambda a, b: (0,) * len(a) if a != b else meet(a, b))
     reports = []
     for seed in range(3):
         cfg = SearchConfig(seed=seed, trials=20, var_cardinalities={"A": 2, "B": 2, "C": 2},
@@ -791,12 +864,12 @@ def test_p6_partial_meet_mutation_keeps_its_violations_and_counts(monkeypatch):
         reports.append(axiom_soundness_scan(cfg, rule_set("VCI_STRONG")))
     reports.append(exhaustive_vci_scan(max_regimes=3, n_vars=3))
     violations = [v for r in reports for v in r.violations]
-    assert [r.trials for r in reports] == [2, 1, 1, 10]
-    assert [r.instances_by_rule["P6"] for r in reports] == [4844, 460, 577, 29584]
-    assert len(violations) == 1680 and {v["rule"] for v in violations} == {"P6"}
-    assert _digest(violations) == "2cde40b21cc0f6962ae540c12e38eb67a4a635a3af9904fd8c218854527db9fa"
+    assert [r.trials for r in reports] == [2, 1, 1, 14]
+    assert [r.instances_by_rule["P6"] for r in reports] == [4844, 460, 577, 37148]
+    assert len(violations) == 2224 and {v["rule"] for v in violations} == {"P6"}
+    assert _digest(violations) == "2ddf8259aaedd5f5d39e896ac5e9358762cfa58a8b3601f8a72b8d09dbdd5ac9"
     assert _digest([r.to_dict() for r in reports]) == (
-        "9cf5b9f385a319d1087f1e30a8e1a623b7a03b46184c9dd0238b4459be521d2b")
+        "9c74ed2d9c634a76cc7a8ac6570169bf3f87e2173e61559e10b636acf5947554")
 
 
 def test_models_sharing_a_trivial_closure_share_no_index(monkeypatch):

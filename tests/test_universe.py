@@ -1,4 +1,8 @@
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -130,6 +134,20 @@ def test_varset_hash_is_cached_and_survives_pickling():
     assert a == vs("XY", ["Th"]) and len({a, vs("XY", ["Th"]), vs("XY")}) == 2
     b = pickle.loads(pickle.dumps(a))
     assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
+
+
+@pytest.mark.parametrize("seed", ["0", "9", "37", "101"])
+def test_varset_pickling_holds_under_each_hash_seed(seed):
+    """The pickling test in a fresh process per PYTHONHASHSEED.  Under 9 and
+    37 a pickled copy's frozensets iterate in another order; the repr lists
+    the sorted names, so it does not show that."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    code = "import test_universe as t; t.test_varset_hash_is_cached_and_survives_pickling()"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
+    assert repr(vs("YX", ["Th"])) == "VarSet(('X', 'Y'), ('Th',))" == repr(eval(repr(vs("XY", ["Th"]))))
 
 
 def test_decision_names_computed_once_per_statement():
