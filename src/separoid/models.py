@@ -18,13 +18,18 @@ caches one verdict per (x & ~z, y & ~z, z, group) for ``check_eci`` and
 ``check_pairwise_eci``, and a ``WitnessTable`` builds its entries from
 ``witness`` on first read.  ``supports`` gives each S_z by z cell code.
 
-VCI is one range test, ``variation_independent``, on parallel label
-sequences: R(X | y, z) = R(X | z) for every attainable (y, z).
-``check_vci`` and ``_vci_on_supports`` give it per-regime value tuples; the
-VCI scans give it the masked integer codes of a relabeled range
-(``search._vci_model``).  It reads only the partitions the labels induce,
-so renaming one name's values keeps every verdict; so does the one meet,
-``block_meet``, which ``partition_meet`` labels by lowest regime.
+A decision map compiles to the same kernel (``dec_kernel``): one
+weight-1 row per regime, each name's values numbered by first appearance;
+the kernels of the last 256 maps compiled are kept by content (see
+``_compiled``).  ``check_vci``, ``conditional_image``, a
+family's ``phi_groups`` and ``_vci_on_supports``, and the VCI scans
+(``search._close_vci``) read its masked row codes (``MaskKernel.labels``)
+and decode values only at the public edge.  VCI is one range test,
+``variation_independent``, on parallel label sequences: R(X | y, z) =
+R(X | z) for every attainable (y, z).  It reads only the partitions the
+labels induce, so renaming one name's values keeps every verdict; so does
+the one meet, ``block_meet``, which ``partition_meet`` labels by lowest
+regime.
 
 Statement names are resolved to masks once per variable signature: the
 kernels of every table, family and product space over one names tuple share
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Iterable, Mapping, Sequence
@@ -138,7 +143,12 @@ class DiscreteDistribution:
     @cached_property
     def kernel(self) -> "MaskKernel":
         """The compiled form every exact check on this table goes through."""
-        return MaskKernel(self)
+        _, atoms = self.int_atoms()
+        rows = [(key, n) for key, n in atoms.items() if n]
+        if not self.validated:
+            for key, _ in rows:
+                self._check_key(key)
+        return MaskKernel(self.names, map(self.values.__getitem__, self.names), rows)
 
     def probability(self, assignment: Assignment) -> Fraction:
         names = _names(assignment)
@@ -158,29 +168,28 @@ def _signature(names: tuple[str, ...]) -> tuple[dict, dict]:
 
 
 class MaskKernel:
-    """The one compiled form of a distribution; bit i of a mask stands for
-    the i-th name.  Each positive atom is a cell code weighted by its integer
-    numerator over a common denominator (which cancels in every test); a code
-    holds each value's declared index in a bit field as wide as the declared
-    cardinality needs, and its part on a mask is ``code & field_of(mask)``.
-    Marginals, laws and SCI verdicts are built per mask on first use."""
+    """The one compiled form of a distribution or a decision map, built from
+    names, each name's values and positive rows; bit i of a mask stands for
+    the i-th name.  Each row is a cell code weighted by a positive integer:
+    an atom's numerator over a common denominator (which cancels in every
+    test), or 1 per regime.  A code holds each value's index among its
+    name's values in a bit field as wide as their number needs, and its part
+    on a mask is ``code & field_of(mask)``.  Row labels, marginals, laws
+    and SCI verdicts are built per mask on first use."""
 
-    def __init__(self, dist: DiscreteDistribution):
-        _, atoms = dist.int_atoms()
-        self.names = dist.names
-        self._bit, self._resolved = _signature(dist.names)
-        self._cols, off = [], 0  # per variable: values, value -> code, field, offset
-        for vals in (dist.values[n] for n in dist.names):
+    def __init__(self, names: Sequence[str], values: Iterable[Sequence[str]],
+                 rows: Sequence[tuple[tuple, int]]):
+        self.names = names = tuple(names)
+        self._bit, self._resolved = _signature(names)
+        self._cols, codes, off = [], [], 0  # per variable: values, value -> code, field, offset
+        for vals in values:
             width = (len(vals) - 1).bit_length()
-            self._cols.append((vals, {v: j << off for j, v in enumerate(vals)},
-                               ((1 << width) - 1) << off, off))
+            codes.append({v: j << off for j, v in enumerate(vals)})
+            self._cols.append((vals, codes[-1], ((1 << width) - 1) << off, off))
             off += width
-        rows = [(key, n) for key, n in atoms.items() if n]
-        if not dist.validated:
-            for key, _ in rows:
-                dist._check_key(key)
-        self._codes = [self.code(-1, key) for key, _ in rows]  # -1: every variable
+        self._codes = [sum(map(dict.__getitem__, codes, key)) for key, _ in rows]
         self._weights = [n for _, n in rows]
+        self._labels: dict[int, tuple] = {}
         self._marg: dict[int, tuple] = {}
         self._laws: dict[tuple, dict] = {}
         self._sci: dict[tuple, bool] = {}
@@ -218,6 +227,14 @@ class MaskKernel:
     def decode(self, mask: int, code: int) -> tuple:
         """The masked variables' values in a cell code."""
         return tuple(vals[(code & f) >> off] for vals, _, f, off in self._cols_of(mask))
+
+    def labels(self, mask: int) -> tuple[int, ...]:
+        """Each row's code on the mask, in row order; cached per mask."""
+        out = self._labels.get(mask)
+        if out is None:
+            f = self.field_of(mask)
+            out = self._labels[mask] = tuple([c & f for c in self._codes])
+        return out
 
     def marg(self, mask: int) -> tuple[int, dict]:
         """The mask's bit field and its counts: positive masked cell -> n."""
@@ -309,25 +326,54 @@ def check_sci(dist: DiscreteDistribution, X, Y, Z) -> bool:
 DecMap = Mapping[str, Mapping[str, str]]
 
 
-def _dec_fun(decmap: DecMap, names: Sequence[str], regimes: Sequence[str]):
-    """Materialize the joint map sigma -> value tuple for decision names."""
+def dec_kernel(decmap: DecMap, names: Sequence[str],
+               regimes: Sequence[str] | None = None) -> MaskKernel:
+    """The decision map on the names compiled to a ``MaskKernel`` on their
+    sorted set (``dec_columns``, then ``_compiled``): one weight-1 row per
+    regime, in regime order, each name's values numbered by first appearance
+    over the regimes."""
+    return _compiled(*dec_columns(decmap, names, regimes))
+
+
+def dec_columns(decmap: DecMap, names: Sequence[str],
+                regimes: Sequence[str] | None = None) -> tuple[tuple, tuple, int]:
+    """The names' sorted set, each one's values over the regimes (by default
+    every regime the map names, sorted) and the number of regimes.  Names
+    are checked in the order given: first that each is known, then that
+    each is total."""
     for n in names:
         if n not in decmap:
             raise InvalidModel(f"unknown decision variable {n!r}")
+    if regimes is None:
+        regimes = sorted({s for m in decmap.values() for s in m})
+    sorted_names = tuple(sorted(set(names)))
     try:
-        return {s: tuple(str(decmap[n][s]) for n in names) for s in regimes}
+        cols = tuple([tuple([str(decmap[n][s]) for s in regimes]) for n in sorted_names])
     except KeyError:
         n = next(n for n in names if any(s not in decmap[n] for s in regimes))
         raise InvalidModel(f"decision variable {n!r} is not total on the regimes") from None
+    return sorted_names, cols, len(regimes)
+
+
+def dec_compile(names: tuple, cols: tuple, n: int) -> MaskKernel:
+    """The kernel of n regimes' values of the names, one column per name."""
+    rows = list(zip(*cols)) or [()] * n
+    return MaskKernel(names, [tuple(dict.fromkeys(c)) for c in cols], [(r, 1) for r in rows])
+
+
+# The kernels of the maps last compiled by ``dec_kernel``, kept by content
+# for the process: a kernel's answers depend on its columns alone.  A
+# counterexample search draws small maps that recur (300 VCI trials on three
+# binary names over three regimes hit about half the time at 256 entries,
+# less at 64 or 16), and the families of a bench pass share a few maps.
+_compiled = lru_cache(maxsize=256)(dec_compile)
 
 
 def check_vci(decmap: DecMap, X, Y, Z, regimes: Sequence[str] | None = None) -> bool:
     """Range check: R(X | y, z) = R(X | z) for every attainable (y, z)."""
-    if regimes is None:
-        regimes = sorted({s for m in decmap.values() for s in m})
-    names = [_names(v, dec=True) for v in (X, Y, Z)]
-    fx, fy, fz = (_dec_fun(decmap, n, regimes).values() for n in names)
-    return variation_independent(fx, fy, fz)
+    slots = [_names(v, dec=True) for v in (X, Y, Z)]
+    k = dec_kernel(decmap, [n for s in slots for n in s], regimes)
+    return variation_independent(*[k.labels(k.mask(s)) for s in slots])
 
 
 def variation_independent(fx: Iterable, fy: Iterable, fz: Iterable) -> bool:
@@ -343,19 +389,14 @@ def variation_independent(fx: Iterable, fy: Iterable, fz: Iterable) -> bool:
 
 def conditional_image(decmap: DecMap, X, given: Assignment, regimes: Sequence[str] | None = None):
     """{X(sigma) : sigma matches the given partial decision assignment}."""
-    if regimes is None:
-        regimes = sorted({s for m in decmap.values() for s in m})
-    single = isinstance(X, str)
-    xs = _names(X, dec=True)
-    fx = _dec_fun(decmap, xs, regimes)
-    g_names = tuple(sorted(given))
-    fg = _dec_fun(decmap, g_names, regimes)
-    g_vals = tuple(str(given[n]) for n in g_names)
-    matched = [s for s in regimes if fg[s] == g_vals]
-    if not matched:
+    xs, g_names = _names(X, dec=True), _names(given)
+    k = dec_kernel(decmap, xs + g_names, regimes)
+    x, g = k.mask(xs), k.mask(g_names)
+    gc = k.code(g, [str(given[n]) for n in g_names])
+    out = {k.decode(x, c) for c in {c for c, gl in zip(k.labels(x), k.labels(g)) if gl == gc}}
+    if not out:
         raise EmptyContext(f"no regime matches {dict(given)!r}")
-    out = {fx[s] for s in matched}
-    return {v[0] for v in out} if single else out
+    return {v[0] for v in out} if isinstance(X, str) else out
 
 
 def partition_meet(a: Mapping[str, str], b: Mapping[str, str]) -> dict[str, str]:
@@ -419,7 +460,6 @@ class RegimeFamily:
                 raise InvalidModel(f"name {name!r} is both stochastic and decision")
             self.decvars[name] = {str(s): str(v) for s, v in mapping.items()}
         self.info_base = info_base
-        self._dec_values: dict[frozenset, dict] = {}
         self._groups: dict[frozenset, dict] = {}
         self._witnessed: dict[tuple, bool] = {}
         self._eci: dict[tuple, bool] = {}
@@ -461,23 +501,16 @@ class RegimeFamily:
         """Kernel of the first regime; it carries the shared name -> bit map."""
         return self.dists[self.regimes[0]].kernel
 
-    def dec_values(self, names: frozenset) -> dict[str, tuple]:
-        """Regime -> its values of the decision names, in sorted name order;
-        cached per name set."""
-        out = self._dec_values.get(names)
-        if out is None:
-            out = self._dec_values[names] = _dec_fun(self.decvars, sorted(names), self.regimes)
-        return out
-
     def phi_groups(self, phi: frozenset) -> dict[tuple, tuple]:
-        """Regimes grouped by their value of the decision names phi, in
-        sorted value order; each group is a tuple in declaration order."""
+        """Regimes grouped by their value of the decision names phi (an
+        unknown name raises, naming the least one), in sorted value order;
+        each group is a tuple in declaration order."""
         out = self._groups.get(phi)
         if out is None:
-            fn = self.dec_values(phi)
+            k = dec_kernel(self.decvars, sorted(phi), self.regimes)
             groups: dict[tuple, list] = {}
-            for s in self.regimes:
-                groups.setdefault(fn[s], []).append(s)
+            for s, c in zip(self.regimes, k.labels(-1)):
+                groups.setdefault(k.decode(-1, c), []).append(s)
             out = self._groups[phi] = {v: tuple(g) for v, g in sorted(groups.items())}
         return out
 
@@ -556,7 +589,9 @@ class RegimeFamily:
         key = (K, theta, z, phi)
         out = self._vci.get(key)
         if out is None:
-            fx, fy, fz = (self.dec_values(n).__getitem__ for n in (theta, K, phi))
+            k = dec_kernel(self.decvars, theta | K | phi, self.regimes)
+            fx, fy, fz = (dict(zip(self.regimes, k.labels(k.mask(n)))).__getitem__
+                          for n in (theta, K, phi))
             out = self._vci[key] = all(
                 variation_independent(map(fx, sz), map(fy, sz), map(fz, sz))
                 for sz in self.supports(z).values()
@@ -594,9 +629,6 @@ def _slot_masks(fam: RegimeFamily, stmt: CIStatement) -> tuple[int, ...]:
         masks = k._resolved[key] = tuple(map(k.mask, key))
     decs = stmt.decision_names
     if decs and decs not in fam._identifying:
-        for n in decs:
-            if n not in fam.decvars:
-                raise InvalidModel(f"unknown decision variable {n!r}")
         if len(fam.phi_groups(decs)) != len(fam.regimes):
             raise NotComplementary(
                 f"decision family {tuple(sorted(decs))} does not identify the regime")

@@ -28,12 +28,15 @@ from .errors import NotComplementary, SemanticsMismatch
 from .files import model_from_dict, model_to_dict
 from .models import (
     DiscreteDistribution,
+    MaskKernel,
     RegimeFamily,
     _validate_eci_statement,
     block_meet,
     check_complementary,
     check_sci,
     check_vci,
+    dec_columns,
+    dec_compile,
     dominating_per_group,
     mask_names,
     variation_independent,
@@ -608,33 +611,33 @@ class _Scan:
         )
 
 
-def _range(scan: _Scan, decmap: Mapping, regimes: Sequence[str]) -> tuple[int, tuple]:
-    """A map's relabeled range: each name's values numbered by first
-    appearance over the regimes, each regime's point an int with a
-    ``width``-bit field per name (name i at bit i * width), width the largest
-    number's bit length; (width, sorted codes) is one-to-one with it."""
+def _range(scan: _Scan, decmap: Mapping, regimes: Sequence[str]) -> frozenset:
+    """A map's relabeled range: the set of its points, each name's values
+    numbered by first appearance over the regimes."""
     cols = [[decmap[n][s] for s in regimes] for n in scan.space.d_names]
     cols = [list(map([*dict.fromkeys(col)].index, col)) for col in cols]
-    width = max(map(max, cols)).bit_length()
-    return width, tuple(sorted({sum(v << i * width for i, v in enumerate(p)) for p in zip(*cols)}))
+    return frozenset(zip(*cols))
 
 
 def _vci_model(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str]) -> None:
-    """One VCI model, memoized by its relabeled range (``_range``).  Every
-    variation verdict, so the class verdicts, the engine's closure and its
-    order, and every P6 verdict X _||_ Y | meet(Z, W), depends only on the
-    partitions the names induce on the range's points: not on which regime
-    takes a point, nor on the labels (renaming a name's values is a
-    bijection); violations name keys, never values.  The memo lasts one scan
-    call, the domain listing the process (see ``_Scan``).  A map whose range
-    the scan has closed adds that range's per-rule counts and replays its
-    violations under its own trial index, so ``_Scan.model`` and P6 run once
-    per range: 64 for 4,680 maps of three variables on up to four regimes."""
+    """One VCI model, memoized by its relabeled range (``_range``) and
+    compiled (``dec_columns`` and ``dec_compile``, as ``dec_kernel`` does
+    but outside its content cache) only to close a range the scan has not
+    closed, so no kernel outlives the scan call.  Every variation verdict,
+    so the class verdicts, the engine's closure and its order, and every P6
+    verdict X _||_ Y | meet(Z, W), depends only on the partitions the names
+    induce on the range's points: not on which regime takes a point, nor on
+    the labels (renaming a name's values is a bijection); violations name
+    keys, never values.  The memo lasts one scan call, the domain listing the
+    process (see ``_Scan``).  A map whose range the scan has closed adds that
+    range's per-rule counts and replays its violations under its own trial
+    index, so ``_Scan.model`` and P6 run once per range: 64 for 4,680 maps of
+    three variables on up to four regimes."""
     key = _range(scan, decmap, regimes)
     seen = scan.ranges.get(key)
     if seen is None:
         before, start = dict(scan.tally), len(scan.violations)
-        _close_vci(scan, trial, key)
+        _close_vci(scan, trial, dec_compile(*dec_columns(decmap, scan.space.d_names, regimes)))
         delta = {r: c - before[r] for r, c in scan.tally.items() if c != before[r]}
         scan.ranges[key] = delta, scan.violations[start:]
         return
@@ -644,10 +647,11 @@ def _vci_model(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str])
     scan.violations.extend({**v, "trial": trial} for v in violations)
 
 
-def _close_vci(scan: _Scan, trial: int, rng: tuple[int, tuple]) -> None:
-    """Variation independence by mask on a relabeled range (a mask's labels
-    are the points' codes masked to its names' fields), then P6 on the
-    model, since meets are not statements the engine can hold: X _||_ Y | Z
+def _close_vci(scan: _Scan, trial: int, dec: MaskKernel) -> None:
+    """Variation independence by mask on a compiled decision map (a mask's
+    labels are the regimes' codes on it, ``MaskKernel.labels``; its names
+    are the scan's, so the masks agree), then P6 on the model, since meets
+    are not statements the engine can hold: X _||_ Y | Z
     and X _||_ Y | W with Z and W functions of Y (as many labels on Y as on
     Y | Z) give X _||_ Y | Z ^ W.  Both premises range over one set W_xy, so
     P6 is counted per (X, Y), len(W_xy) ** 2 instances, and decided once per
@@ -659,10 +663,8 @@ def _close_vci(scan: _Scan, trial: int, rng: tuple[int, tuple]) -> None:
     ordered, as ``MaskKernel.sci`` does: given z, names shared with Z take
     fixed values and change no range, the relation is symmetric, and it
     holds when x & ~z is empty."""
-    (width, points), names = rng, scan.space.d_names
-    fields = [sum(((1 << width) - 1) << i * width for i in range(len(names)) if m >> i & 1)
-              for m in range(scan.space.d_all + 1)]
-    labels = [[c & f for c in points] for f in fields]
+    names = scan.space.d_names
+    labels = [dec.labels(m) for m in range(scan.space.d_all + 1)]
 
     @cache
     def normal(x: int, y: int, z: int) -> bool:

@@ -16,6 +16,7 @@ from itertools import combinations, product
 import pytest
 
 from separoid.models import DiscreteDistribution, RegimeFamily
+from separoid.search import regime_labels
 from separoid.universe import CIStatement, VarSet
 
 
@@ -129,6 +130,15 @@ def brute_eci(fam: RegimeFamily, xs, ys, zs, phi=(), pairwise=False) -> dict | N
     return entries
 
 
+def exhaustive_maps(names, max_regimes):
+    """Every map of the names to binary values on every regime space
+    ``regime_labels(size)``, size 1 to max_regimes: (decmap, regimes)."""
+    for size in range(1, max_regimes + 1):
+        regimes = regime_labels(size)
+        for combo in product(product("01", repeat=size), repeat=len(names)):
+            yield {n: dict(zip(regimes, f)) for n, f in zip(names, combo)}, regimes
+
+
 @lru_cache(maxsize=None)
 def brute_vci(fx: tuple, fy: tuple, fz: tuple) -> bool:
     """Variation independence X _||_ Y | Z from its definition, on the
@@ -139,6 +149,17 @@ def brute_vci(fx: tuple, fy: tuple, fz: tuple) -> bool:
     regimes = range(len(fx))
     return all({fx[t] for t in regimes if (fy[t], fz[t]) == (fy[s], fz[s])}
                == {fx[t] for t in regimes if fz[t] == fz[s]} for s in regimes)
+
+
+def brute_image(decmap, X, given, regimes) -> set:
+    """The conditional image {X(s) : s matches the given partial decision
+    assignment} from its definition, over a regime list: each matching
+    regime's values of X, a value for a single name given as a string, a
+    tuple of the values in sorted name order otherwise."""
+    matched = [s for s in regimes if all(decmap[n][s] == v for n, v in given.items())]
+    if isinstance(X, str):
+        return {decmap[X][s] for s in matched}
+    return {tuple(decmap[n][s] for n in sorted(X)) for s in matched}
 
 
 # -- canonical small models ----------------------------------------------------

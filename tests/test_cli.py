@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -489,3 +493,47 @@ def test_schema_mutants_exit_0_1_or_2(tmp_path, capsys, which):
             raise AssertionError(f"{which} mutant '{what}': {type(e).__name__}: {e}") from e
         n += 1
     assert n > (150 if which == "model" else 30)
+
+
+# Runs each argv list given as JSON through ``cli.main`` in one process,
+# printing each command's output followed by its exit code.
+SEEDED_RUN = """
+import contextlib, io, json, sys
+from separoid.cli import main
+out = io.StringIO()
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    out.write(f"exit {code}\\n")
+sys.stdout.write(out.getvalue())
+"""
+
+
+def test_json_output_is_the_same_under_every_hash_seed():
+    """The --json output of two derivations and a closure of the demo
+    session, a VCI counterexample (which prints a decision map) and two
+    short scans, byte for byte, in a fresh process per PYTHONHASHSEED."""
+    root = Path(__file__).resolve().parent.parent
+    demo = str(root / "demo" / "stability.ci")
+    argvs = [
+        ["derive", "-s", demo, "--rules", "ECI_RESTRICTED", "--json", "L _||_ Sigma"],
+        ["derive", "-s", demo, "--rules", "ECI_RESTRICTED", "--flag", "discrete_variables",
+         "--json", "U _||_ Sigma | L"],
+        ["close", "-s", demo, "--rules", "ECI_RESTRICTED", "--json"],
+        ["search-cx", "-e", "decision A, B, C;", "--semantics", "vci", "--regimes", "3",
+         "--cards", "A=2,B=2,C=2", "--trials", "50", "--json", "A _||_ B | C"],
+        ["scan-axioms", "--rules", "ECI_RESTRICTED", "--cards", "X=2,Y=2", "--trials", "5",
+         "--json"],
+        ["scan-axioms", "--rules", "SEPAROID_FULL", "--trials", "5", "--json"],
+    ]
+    outputs = set()
+    for seed in ("0", "9", "37", "101"):
+        run = subprocess.run([sys.executable, "-c", SEEDED_RUN, json.dumps(argvs)],
+                             capture_output=True,
+                             env={**os.environ, "PYTHONHASHSEED": seed,
+                                  "PYTHONPATH": str(root / "src")})
+        assert run.returncode == 0, run.stderr
+        outputs.add(run.stdout)
+    [out] = outputs
+    assert out.count(b"exit 0\n") == 5 and out.count(b"exit 1\n") == 1
+    assert b'"decision_vars"' in out and b'"found": true' in out

@@ -175,3 +175,22 @@ def test_rule_instances_come_from_expand_alone():
         readers += [f"{where} reads {name}" for where, node in scopes
                     for name in sorted(names & set(attribute_reads(node)))]
     assert readers == []
+
+
+def test_kernel_internals_are_read_in_models_alone():
+    """No module but models.py reads a private attribute that ``MaskKernel``
+    stores (every ``self._x = ...`` in the class): the cell-code format of
+    tables and decision maps is known to models alone."""
+    models = ast.parse((SRC / "models.py").read_text())
+    kernel = next(n for n in models.body if isinstance(n, ast.ClassDef) and n.name == "MaskKernel")
+    private = {
+        t.attr for n in ast.walk(kernel) if isinstance(n, (ast.Assign, ast.AnnAssign))
+        for target in (n.targets if isinstance(n, ast.Assign) else [n.target])
+        for t in ast.walk(target)
+        if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+        and t.value.id == "self" and _private(t.attr)
+    }
+    assert {"_codes", "_cols", "_bit", "_resolved"} <= private
+    readers = [f"{path.name} reads {name}" for path in MODULES if path.name != "models.py"
+               for name in sorted(private & set(attribute_reads(ast.parse(path.read_text()))))]
+    assert readers == []

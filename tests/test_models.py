@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -27,6 +28,7 @@ from separoid.models import (
     compute_S_z,
     conditional,
     conditional_image,
+    dominating_per_group,
     find_dominating,
     mask_names,
     partition_meet,
@@ -37,9 +39,11 @@ from separoid.search import SearchConfig, random_distribution, random_family
 from conftest import (
     brute_conditional,
     brute_eci,
+    brute_image,
     brute_sci,
     ci,
     dist,
+    exhaustive_maps,
     grid_families,
     interventional_pair,
     sigma_statements,
@@ -238,7 +242,11 @@ def test_image_empty_context():
 
 
 def test_partial_decision_maps_raise_invalid_model():
-    """A decision map that misses a regime is named, as RegimeFamily names it."""
+    """A decision map that misses a regime is named, as RegimeFamily names
+    it, and so is an unknown decision name, at every entry that compiles a
+    map: on a map the first in slot order (unknown names before partial
+    ones), on a family the least, as ``MaskKernel.mask`` would name it in
+    other words."""
     dm = {"T": {"a": "0"}, "U": {"b": "1"}}
     message = "decision variable 'T' is not total on the regimes"
     for call in (lambda: check_vci(dm, "T", "U", ()),
@@ -249,6 +257,79 @@ def test_partial_decision_maps_raise_invalid_model():
     with pytest.raises(InvalidModel) as e:
         check_vci(dm, "U", (), (), regimes=["a", "b"])
     assert str(e.value) == "decision variable 'U' is not total on the regimes"
+    fam = interventional_pair(F(1, 2), F(1, 2))
+    total = {"T": {"a": "0", "b": "1"}, "U": {"a": "1", "b": "1"}}
+    calls = [
+        (lambda: check_vci(total, "Q", "U", ()), "Q"),
+        (lambda: check_vci(total, "T", "U", ("R", "Q")), "Q"),
+        (lambda: check_vci(total, "U", "R", "Q"), "R"),
+        (lambda: check_vci(dm, "T", "Q", ()), "Q"),  # before T's partial map
+        (lambda: conditional_image(total, "Q", {}), "Q"),
+        (lambda: conditional_image(total, "T", {"Q": "1"}), "Q"),
+        (lambda: check_complementary(fam, ["Q"]), "Q"),
+        (lambda: dominating_per_group(fam, ["Sigma", "R", "Q"]), "Q"),
+        (lambda: fam.phi_groups(frozenset({"R", "Q"})), "Q"),
+    ]
+    for call, name in calls:
+        with pytest.raises(InvalidModel) as e:
+            call()
+        assert str(e.value) == f"unknown decision variable {name!r}"
+    for call in (lambda: RegimeFamily(fam.regimes, fam.dists, {"T": {"s0": "0"}}),
+                 lambda: fam.with_decision("T", {"s1": "0"})):
+        with pytest.raises(InvalidModel) as e:
+            call()
+        assert str(e.value) == message
+
+
+def test_conditional_image_matches_its_definition():
+    """conditional_image against ``brute_image`` on every map of three
+    binary names on at most three regimes (``exhaustive_maps``), every X
+    slot (a single name also given as a string) and every partial given
+    assignment, plus two with a value, "2", that no regime takes; an empty
+    image must raise EmptyContext."""
+    slots = [mask_names(m, "ABC") for m in range(8)] + ["B"]
+    givens = [{n: v for n, v in zip("ABC", vals) if v} for vals in product(("", "0", "1"), repeat=3)]
+    givens += [{"A": "2"}, {"C": "2", "A": "1"}]
+    seen = Counter()
+    for decmap, regimes in exhaustive_maps("ABC", 3):
+        for given in givens:
+            for x in slots:
+                want = brute_image(decmap, x, given, regimes)
+                try:
+                    got = conditional_image(decmap, x, given)
+                except EmptyContext:
+                    got = None
+                assert got == (want or None), (decmap, x, given)
+                seen[bool(want)] += 1
+    assert seen[True] and seen[False]
+
+
+def test_phi_groups_match_a_brute_force_grouping():
+    """phi_groups' keys, their order (sorted as strings, so "10" before
+    "9") and each group's members in declaration order, against grouping by
+    hand, on families whose regimes and decision values are declared out of
+    sorted order; a witness table lists its entries in that group order."""
+    cfg = SearchConfig(seed=9, trials=12, var_cardinalities={"X": 2}, regime_count=4,
+                       probability_grid=2)
+    regimes = ["r2", "r0", "r10", "r1"]
+    rng = random.Random(9)
+    phis = [frozenset(c) for k in range(4) for c in combinations(("Sigma", "Th", "Ka"), k)]
+    for t in range(cfg.trials):
+        drawn = random_family(cfg, t)
+        decvars = {"Sigma": {s: s for s in regimes},
+                   "Th": {s: rng.choice(["9", "10", "b"]) for s in regimes},
+                   "Ka": {s: rng.choice(["10", "9"]) for s in regimes}}
+        fam = RegimeFamily(regimes, dict(zip(regimes, drawn.dists.values())), decvars)
+        for phi in phis:
+            groups: dict = {}
+            for s in regimes:
+                groups.setdefault(tuple(decvars[n][s] for n in sorted(phi)), []).append(s)
+            assert list(fam.phi_groups(phi).items()) == [(v, tuple(groups[v])) for v in sorted(groups)]
+    same = RegimeFamily(regimes, dict.fromkeys(regimes, drawn.dists["s0"]),
+                        {"Sigma": decvars["Sigma"], "Th": {"r2": "9", "r0": "10", "r10": "b", "r1": "9"}})
+    ok, table = check_eci(same, ci(["X"], (), rdec=["Sigma"], cdec=["Th"]))
+    assert ok and table.entries == brute_eci(same, ["X"], (), (), ["Th"])
+    assert [k[0] for k in table.entries] == [(v,) for v in ("10", "9", "b") for _ in "01"]
 
 
 # -- check_eci --------------------------------------------------------------------
@@ -990,8 +1071,9 @@ def test_shared_masks_are_exact_and_family_checks_do_not_leak():
 def test_unknown_names_raise_on_every_family_and_call():
     """Unknown names, several at once, raise as before on each family and
     each repeat: the first unknown stochastic name met in the left, right
-    and conditioning slots, else the first unknown decision name; a decision
-    name in the left slot is malformed before any name is looked up."""
+    and conditioning slots, else the least unknown decision name (as
+    ``phi_groups`` names it, under every hash seed); a decision name in the
+    left slot is malformed before any name is looked up."""
     ident, coarse, _ = _sibling_families(33)
     cases = [
         (ci(["X", "Q"], ["P"], ["R"], rdec=["Sigma"]), "unknown stochastic variable 'Q'"),
@@ -1001,7 +1083,7 @@ def test_unknown_names_raise_on_every_family_and_call():
         (ci(["X"], ["Y"], rdec=["Sigma", "Ka"]), "unknown decision variable 'Ka'"),
     ]
     several = ci(["X"], ["Y"], rdec=["Ka", "Th"], cdec=["Kb", "Kc"])
-    first = next(n for n in several.decision_names if n not in ident.decvars)
+    first = min(n for n in several.decision_names if n not in ident.decvars)
     cases.append((several, f"unknown decision variable {first!r}"))
     for _ in range(2):
         for fam in (ident, coarse, ident):

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from separoid import search
+from separoid import models, search
 from separoid.engine import _Engine, _l_triv, _r_triv, rule_set
 from separoid.files import model_to_dict
 from separoid.errors import SemanticsMismatch
@@ -18,6 +18,7 @@ from separoid.models import (
     check_eci_general,
     check_sci,
     check_vci,
+    dec_kernel,
     mask_names,
     variation_independent,
 )
@@ -39,7 +40,7 @@ from separoid.search import (
 )
 from separoid.universe import ComplementarityDecl, Universe
 
-from conftest import brute_vci, ci
+from conftest import brute_vci, ci, exhaustive_maps
 
 
 def cfg3(**kw):
@@ -229,13 +230,6 @@ def _per_map_report(names, maps):
                 instances_by_rule=tally, violations=violations)
 
 
-def _exhaustive_maps(names, max_regimes):
-    for size in range(1, max_regimes + 1):
-        regimes = regime_labels(size)
-        for combo in product(product("01", repeat=size), repeat=len(names)):
-            yield {n: dict(zip(regimes, f)) for n, f in zip(names, combo)}, regimes
-
-
 def _counts(rep):
     d = rep.to_dict()
     return {k: d[k] for k in ("trials", "instances", "instances_by_rule", "violations")}
@@ -243,7 +237,7 @@ def _counts(rep):
 
 def test_vci_range_memo_matches_per_map_scans():
     names = ("A", "B", "C")
-    maps = list(_exhaustive_maps(names, 3))
+    maps = list(exhaustive_maps(names, 3))
     assert len(maps) == 8 + 64 + 512
     rep = exhaustive_vci_scan(max_regimes=3, n_vars=3)
     assert _counts(rep) == _per_map_report(names, maps)
@@ -295,8 +289,8 @@ def test_vci_normalized_verdicts_equal_raw_ones(monkeypatch):
     names = ("A", "B", "C")
     scan = _vci_scan(names)
     seen = set()
-    for trial, (decmap, regimes) in enumerate(_exhaustive_maps(names, 3)):
-        _close_vci(scan, trial, _range(scan, decmap, regimes))
+    for trial, (decmap, regimes) in enumerate(exhaustive_maps(names, 3)):
+        _close_vci(scan, trial, dec_kernel(decmap, names, regimes))
         cols = [[tuple(decmap[n][s] for n in names if m >> names.index(n) & 1) for s in regimes]
                 for m in range(8)]
         for k, ok in _truth(scan, tables[-1][3]).items():
@@ -308,9 +302,9 @@ def test_vci_normalized_verdicts_equal_raw_ones(monkeypatch):
 def _oracle_maps(names):
     """Every map of the names on at most three regimes, then on four regimes
     the first map of each raw range."""
-    yield from _exhaustive_maps(names, 3)
+    yield from exhaustive_maps(names, 3)
     seen = set()
-    for decmap, regimes in _exhaustive_maps(names, 4):
+    for decmap, regimes in exhaustive_maps(names, 4):
         if len(regimes) == 4 and (r := frozenset(zip(*(decmap[n].values() for n in names)))) not in seen:
             seen.add(r)
             yield decmap, regimes
@@ -329,7 +323,7 @@ def test_vci_verdicts_match_the_definition(monkeypatch):
     tables, scan, maps, ranges = _spy_models(monkeypatch), _vci_scan(names), 0, {}
     for decmap, regimes in _oracle_maps(names):
         if (key := _range(scan, decmap, regimes)) not in ranges:
-            _close_vci(scan, len(ranges), key)
+            _close_vci(scan, len(ranges), dec_kernel(decmap, names, regimes))
             ranges[key] = _truth(scan, tables[-1][3])
         truth, maps = ranges[key], maps + 1
         cols = [tuple(tuple(decmap[n][s] for n in slot) for s in regimes) for slot in slots]
@@ -358,13 +352,21 @@ def test_vci_scan_closes_each_range_once(monkeypatch, max_regimes, maps, ranges)
     rep = exhaustive_vci_scan(max_regimes=max_regimes, n_vars=3)
     assert rep.ok and rep.trials == maps
     raw, relabeled = set(), set()
-    for decmap, regimes in _exhaustive_maps(("A", "B", "C"), max_regimes):
+    for decmap, regimes in exhaustive_maps(("A", "B", "C"), max_regimes):
         fs = [decmap[n] for n in ("A", "B", "C")]
         raw.add(frozenset(zip(*(map(f.get, regimes) for f in fs))))
         relabeled.add(frozenset(zip(*([[*dict.fromkeys(f.values())].index(f[s]) for s in regimes]
                                        for f in fs))))
     assert len(calls) == ranges == len(relabeled)
     assert len(raw) == sum(comb(8, i) for i in range(1, max_regimes + 1)) > ranges
+
+
+def test_vci_scan_kernels_do_not_outlive_the_call():
+    """A VCI scan compiles each range it closes outside dec_kernel's
+    process-wide cache: the range memo lasts one call, and so do its kernels."""
+    models._compiled.cache_clear()
+    assert exhaustive_vci_scan(max_regimes=3, n_vars=2).ok
+    assert models._compiled.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("meet", ["sound", "one block"])
@@ -378,7 +380,7 @@ def test_vci_range_memo_replays_what_a_fresh_scan_closes(monkeypatch, meet):
     names = ("A", "B", "C")
     scan, replayed = _vci_scan(names), 0
     monkeypatch.setattr(_Scan, "render", lambda self, k, render=cache(scan.render): render(k))
-    for trial, (decmap, regimes) in enumerate(_exhaustive_maps(names, 3)):
+    for trial, (decmap, regimes) in enumerate(exhaustive_maps(names, 3)):
         before, start = dict(scan.tally), len(scan.violations)
         replayed += _range(scan, decmap, regimes) in scan.ranges
         _vci_model(scan, trial, decmap, regimes)
