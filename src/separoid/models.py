@@ -617,15 +617,17 @@ def check_complementary(fam: RegimeFamily, names: Iterable[str]) -> bool:
 
 def _slot_masks(fam: RegimeFamily, stmt: CIStatement) -> tuple[int, ...]:
     """Masks of the stochastic slots, once every name is known to the family
-    and the decision names identify the regime.  The masks are resolved once
-    per signature; the decision names are checked once per family."""
+    (else the least unknown name of the first such slot, in left, right,
+    cond order, is named) and the decision names identify the regime.  The
+    masks are resolved once per signature; the decision names are checked
+    once per family."""
     k = fam.kernel
     key = (stmt.left.stoch, stmt.right.stoch, stmt.cond.stoch)
     masks = k._resolved.get(key)
     if masks is None:
-        for n in (n for names in key for n in names):
-            if n not in k._bit:
-                raise InvalidModel(f"unknown stochastic variable {n!r}")
+        for names in key:
+            if unknown := names - k._bit.keys():
+                raise InvalidModel(f"unknown stochastic variable {min(unknown)!r}")
         masks = k._resolved[key] = tuple(map(k.mask, key))
     decs = stmt.decision_names
     if decs and decs not in fam._identifying:

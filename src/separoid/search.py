@@ -17,7 +17,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from itertools import chain, compress, product
 from math import comb, prod
 from typing import Iterable, Mapping, Sequence
@@ -428,6 +427,7 @@ class _Scan:
         self.tally = dict.fromkeys(rs.rules, 0)
         self.violations: list = []
         self.ranges: dict = {}  # relabeled VCI range -> (tally delta, violations)
+        self.parts, self.ids, self.vci, self.meets = [], {}, {}, {}  # see _close_vci
 
     def model(self, trial: int, holds, complementary=None, dominating=None) -> bytearray:
         """Close one model's true set under the engine and return its class
@@ -628,11 +628,13 @@ def _vci_model(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str])
     verdict X _||_ Y | meet(Z, W), depends only on the partitions the names
     induce on the range's points: not on which regime takes a point, nor on
     the labels (renaming a name's values is a bijection); violations name
-    keys, never values.  The memo lasts one scan call, the domain listing the
-    process (see ``_Scan``).  A map whose range the scan has closed adds that
-    range's per-rule counts and replays its violations under its own trial
-    index, so ``_Scan.model`` and P6 run once per range: 64 for 4,680 maps of
-    three variables on up to four regimes."""
+    keys, never values.  So ``_close_vci`` decides each verdict and meet
+    once per partition id, across ranges.  The memo and the partition tables
+    last one scan call, the domain listing the process (see ``_Scan``).  A
+    map whose range the scan has closed adds that range's per-rule counts
+    and replays its violations under its own trial index, so ``_Scan.model``
+    and P6 run once per range: 64 for 4,680 maps of three variables on up
+    to four regimes."""
     key = _range(scan, decmap, regimes)
     seen = scan.ranges.get(key)
     if seen is None:
@@ -647,58 +649,68 @@ def _vci_model(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str])
     scan.violations.extend({**v, "trial": trial} for v in violations)
 
 
+def _partition(scan: _Scan, labels: Sequence) -> int:
+    """The id of the partition labels induce on their positions: the labels
+    renumbered by first appearance, interned in the scan's table."""
+    first: dict = {}
+    part = tuple([first.setdefault(v, len(first)) for v in labels])
+    pid = scan.ids.setdefault(part, len(scan.parts))
+    if pid == len(scan.parts):
+        scan.parts.append(part)
+    return pid
+
+
 def _close_vci(scan: _Scan, trial: int, dec: MaskKernel) -> None:
     """Variation independence by mask on a compiled decision map (a mask's
     labels are the regimes' codes on it, ``MaskKernel.labels``; its names
     are the scan's, so the masks agree), then P6 on the model, since meets
-    are not statements the engine can hold: X _||_ Y | Z
-    and X _||_ Y | W with Z and W functions of Y (as many labels on Y as on
-    Y | Z) give X _||_ Y | Z ^ W.  Both premises range over one set W_xy, so
-    P6 is counted per (X, Y), len(W_xy) ** 2 instances, and decided once per
-    distinct meet (``block_meet``) in a table with one row per Z, filled
-    once per unordered (Z, W); the set of meets over W_xy is built once per
-    distinct W_xy listing; only when some verdict fails are the pairs
-    walked, in domain order, to list the violations.  Each variation
-    verdict is computed once per (x & ~z, y & ~z, z), the outer pair
-    ordered, as ``MaskKernel.sci`` does: given z, names shared with Z take
-    fixed values and change no range, the relation is symmetric, and it
-    holds when x & ~z is empty."""
-    names = scan.space.d_names
-    labels = [dec.labels(m) for m in range(scan.space.d_all + 1)]
+    are not statements the engine can hold: X _||_ Y | Z and X _||_ Y | W
+    with Z and W functions of Y (Y | Z and Y induce one partition) give
+    X _||_ Y | Z ^ W.  Each mask's labels become a partition id
+    (``_partition``; ``scan.parts`` holds each id's labels), and each answer
+    is decided once per ids in the scan's tables, which last the scan call:
+    a verdict (``variation_independent``) per ids of (x & ~z, y & ~z, z) in
+    ``scan.vci``, as ``MaskKernel.sci`` asks it (given z, names shared with
+    Z take fixed values and change no range), and a meet (``block_meet``),
+    itself a partition id, per pair of ids in ``scan.meets``.  Both premises
+    of P6 range over one set W_xy, so P6 is counted per (X, Y), len(W_xy)
+    ** 2 instances, and decided on the ids of (X, Y, Z ^ W) over the
+    distinct partitions in W_xy; only when a verdict fails are the pairs
+    walked, in domain order, to list the violations."""
+    names, parts, vci, meets = scan.space.d_names, scan.parts, scan.vci, scan.meets
+    p = [_partition(scan, dec.labels(m)) for m in range(scan.space.d_all + 1)]
 
-    @cache
-    def normal(x: int, y: int, z: int) -> bool:
-        return not x or variation_independent(labels[x], labels[y], labels[z])
+    def holds(x: int, y: int, z: int) -> bool:
+        ok = vci.get((x, y, z))
+        if ok is None:
+            ok = vci[x, y, z] = variation_independent(parts[x], parts[y], parts[z])
+        return ok
 
-    classes = scan.model(trial, lambda k: normal(*sorted((k[1] & ~k[5], k[3] & ~k[5])), k[5]))
+    def meet(z: int, w: int) -> int:
+        m = meets.get((z, w))
+        if m is None:
+            m = meets[z, w] = meets[w, z] = _partition(scan, block_meet(parts[z], parts[w]))
+        return m
+
+    classes = scan.model(trial, lambda k: holds(p[k[1] & ~k[5]], p[k[3] & ~k[5]], p[k[5]]))
     if "P6" not in scan.rs.rules:
         return
-    n = [len(set(ls)) for ls in labels]
     true = [k for u, b in scan.base.items() for k, c in zip(scan.keys[u], scan.classes[u])
-            if n[k[3] | k[5]] == n[k[3]] and classes[b + c]]
+            if p[k[3] | k[5]] == p[k[3]] and classes[b + c]]
     conds: dict = {}  # (x, y) -> every z that is a function of y with X _||_ Y | Z true
     for _, x, _, y, _, z in true:
         conds.setdefault((x, y), []).append(z)
-    used = sorted({z for zs in conds.values() for z in zs})
-    meets: dict = {z: {} for z in used}
-    for i, z in enumerate(used):
-        for w in used[i:]:
-            meets[z][w] = meets[w][z] = block_meet(labels[z], labels[w])
-    verdicts, meet_sets = {}, {}
+    sound = True
     for (x, y), zs in conds.items():
         scan.tally["P6"] += len(zs) ** 2
-        key = tuple(zs)
-        fms = meet_sets.get(key)
-        if fms is None:
-            fms = meet_sets[key] = {fm for z in zs for fm in map(meets[z].__getitem__, zs)}
-        for fm in fms:
-            verdicts[(x, y, fm)] = variation_independent(labels[x], labels[y], fm)
-    if all(verdicts.values()):
+        ids = {p[z] for z in zs}
+        sound = sound and all(holds(p[x], p[y], meet(z, w)) for z in ids for w in ids)
+    if sound:
         return
     for k in true:  # list the violations in domain order; counted above
         _, x, _, y, _, z = k
         for w in sorted(conds[(x, y)]):
-            if not verdicts[(x, y, meets[z][w])]:
+            if not holds(p[x], p[y], meet(p[z], p[w])):
                 premises = [scan.render(k), scan.render((0, x, 0, y, 0, w))]
                 meet_of = f"meet({','.join(mask_names(z, names))}; {','.join(mask_names(w, names))})"
                 scan.violation(trial, "P6", premises,
@@ -727,10 +739,13 @@ def exhaustive_vci_scan(max_regimes: int = 4, n_vars: int = 3) -> ScanReport:
     max_regimes.  The VCI and P6 verdicts depend only on a map's joint
     range up to renaming each variable's values, and the maps share few such
     ranges (64 for the 4,680 maps of three variables on at most four
-    regimes), so each is checked once per call and replayed for the other
-    maps that have it (see ``_vci_model``).  Ranges are not kept between
-    calls; the domain's listing and its class table are, as in every scan
-    (see ``_Scan``)."""
+    regimes), so each is closed once per call and replayed for the other
+    maps that have it (see ``_vci_model``).  Within the call each range test
+    and meet is decided once per partition of the regimes (see
+    ``_close_vci``): on at most three regimes, at most 1 + 2**3 + 5**3 = 134
+    range tests and 1 + 2**2 + 5**2 = 30 meets.  Ranges and partitions are
+    not kept between calls; the domain's listing and its class table are,
+    as in every scan (see ``_Scan``)."""
     if max_regimes < 1 or n_vars < 1:
         raise ValueError("max_regimes and n_vars must be >= 1")
     names = tuple(chr(ord("A") + i) for i in range(n_vars))

@@ -1,8 +1,12 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -1096,6 +1100,35 @@ def test_unknown_names_raise_on_every_family_and_call():
                     assert _answer(check, fam, left) == (
                         "raised", MalformedStatement,
                         "decision variable in the left slot; use check_eci_general")
+
+
+def test_unknown_stochastic_names_name_the_least_of_the_first_slot():
+    """Several unknown stochastic names: the least unknown name of the first
+    slot that has one, in left, right, cond order, whatever the order in
+    which the slots' sets iterate."""
+    fam = interventional_pair(F(1, 3), F(2, 3))
+    cases = [
+        (ci(["X", "Q", "P", "R"], ["Y"], rdec=["Sigma"]), "P"),
+        (ci(["X"], ["T", "Yb", "Ya", "Yc"], ["W", "V"], rdec=["Sigma"]), "Ya"),
+        (ci(["X"], ["T"], ["Zc", "T", "Za", "Zb"], cdec=["Sigma"]), "Za"),
+    ]
+    for stmt, name in cases:
+        for check in (check_eci, check_pairwise_eci, check_eci_general):
+            assert _answer(check, fam, stmt) == (
+                "raised", InvalidModel, f"unknown stochastic variable {name!r}")
+
+
+@pytest.mark.parametrize("seed", ["0", "9", "37", "101"])
+def test_unknown_stochastic_names_under_each_hash_seed(seed):
+    """The test above in a fresh process per PYTHONHASHSEED, so the name
+    sets iterate in several orders."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    code = ("import test_models as t; "
+            "t.test_unknown_stochastic_names_name_the_least_of_the_first_slot()")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
 
 
 def test_resolved_mask_memo_is_bounded_by_stochastic_triples():

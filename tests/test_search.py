@@ -14,6 +14,7 @@ from separoid.files import model_to_dict
 from separoid.errors import SemanticsMismatch
 from separoid.dsl import parse_statement
 from separoid.models import (
+    block_meet,
     check_complementary,
     check_eci_general,
     check_sci,
@@ -281,9 +282,9 @@ def test_vci_range_memo_replays_violations(monkeypatch):
 
 
 def test_vci_normalized_verdicts_equal_raw_ones(monkeypatch):
-    """The scan's VCI verdicts, asked once per (x & ~z, y & ~z, z) with the
-    pair ordered, equal variation_independent on the raw slots for every
-    key of every map of three binary variables on at most three regimes.
+    """The scan's VCI verdicts, asked once per partition ids of (x & ~z,
+    y & ~z, z) on one scan, equal variation_independent on the raw slots for
+    every key of every map of three binary variables on at most three regimes.
     Only the truth tables, expanded from the class verdicts, are compared."""
     tables = _spy_models(monkeypatch)
     names = ("A", "B", "C")
@@ -390,6 +391,76 @@ def test_vci_range_memo_replays_what_a_fresh_scan_closes(monkeypatch, meet):
         assert scan.violations[start:] == fresh.violations
     assert replayed == 584 - len(scan.ranges) and len(scan.ranges) == 29
     assert bool(scan.violations) == (meet == "one block")
+
+
+def _canonical(labels) -> tuple:
+    """The labels renumbered by first appearance: one tuple per partition."""
+    first: dict = {}
+    return tuple(first.setdefault(v, len(first)) for v in labels)
+
+
+def _canonical_partitions(n: int) -> list:
+    """Every partition of n points as its restricted-growth tuple."""
+    return sorted({_canonical(t) for t in product(range(n), repeat=n)})
+
+
+def _brute_meet(a: tuple, b: tuple) -> tuple:
+    """The finest partition that both a and b refine: points joined while
+    some point they share a block with, in a or b, has a lower block."""
+    comp = list(range(len(a)))
+    while True:
+        new = [min(comp[j] for j in range(len(a))
+                   if a[i] == a[j] or b[i] == b[j] or comp[i] == comp[j]) for i in range(len(a))]
+        if new == comp:
+            return _canonical(comp)
+        comp = new
+
+
+def test_vci_answers_depend_on_the_partitions_alone():
+    """The VCI scans decide range tests and meets once per canonical
+    partition (labels numbered by first appearance).  For every triple of
+    partitions of 1 to 4 points, variation_independent on the canonical
+    labels, on a relabeled copy (each slot by another bijection, none of
+    them order-preserving) and brute_vci agree; block_meet on relabeled
+    inputs gives the same canonical partition, the finest that both refine."""
+    relabel = (lambda v: f"v{9 - v}", lambda v: 7 - 3 * v, lambda v: (v % 2, -v))
+    for n, count in zip(range(1, 5), (1, 2, 5, 15)):
+        parts = _canonical_partitions(n)
+        assert len(parts) == count
+        for triple in product(parts, repeat=3):
+            copy = [tuple(map(f, t)) for f, t in zip(relabel, triple)]
+            assert variation_independent(*triple) == variation_independent(*copy) == brute_vci(
+                *triple), triple
+        for a, b in product(parts, repeat=2):
+            meet = _canonical(block_meet(a, b))
+            copy = [tuple(map(f, t)) for f, t in zip(relabel, (a, b))]
+            assert _canonical(block_meet(*copy)) == meet == _brute_meet(a, b), (a, b)
+
+
+def test_vci_scan_asks_each_partition_question_once_per_call(monkeypatch):
+    """exhaustive_vci_scan(3, 4), on at most three regimes, whose points
+    have 1, 2 and 5 partitions: at most 1 + 2**3 + 5**3 range tests and
+    1 + 2**2 + 5**2 meets, each call starting from empty partition tables
+    (so a second call makes the same calls again)."""
+    calls = Counter()
+    for name in ("variation_independent", "block_meet"):
+        f = getattr(search, name)
+        monkeypatch.setattr(search, name, lambda *a, f=f, name=name: calls.update([name]) or f(*a))
+    scans, close = [], search._close_vci
+
+    def spy(scan, trial, dec):
+        if all(s is not scan for s in scans):
+            scans.append(scan)
+            assert scan.parts == [] and scan.ids == scan.vci == scan.meets == {}
+        close(scan, trial, dec)
+
+    monkeypatch.setattr(search, "_close_vci", spy)
+    first = exhaustive_vci_scan(max_regimes=3, n_vars=4)
+    once = dict(calls)
+    assert 0 < once["variation_independent"] <= 134 and 0 < once["block_meet"] <= 30
+    calls.clear()
+    assert exhaustive_vci_scan(max_regimes=3, n_vars=4) == first and first.ok
+    assert dict(calls) == once and len(scans) == 2
 
 
 def test_eci_scan_small_clean():
@@ -853,9 +924,10 @@ def test_p6_partial_meet_mutation_keeps_its_violations_and_counts(monkeypatch):
     # A meet of one block only for two different label lists, so within one
     # model some (X, Y) have only sound meets and others do not: the scans
     # count P6 per (X, Y) and list the violations of the unsound ones.  The
-    # lists are a range's masked codes, so Z and W give equal lists when
-    # they differ only in names constant on the range.  The trials, P6
-    # counts and digests are pinned from this hook.
+    # lists are canonical partitions (labels numbered by first appearance),
+    # so the hook gives one block exactly when Z and W induce different
+    # partitions of the regimes.  The trials, P6 counts and digests are
+    # pinned from this hook.
     meet = search.block_meet
     monkeypatch.setattr(search, "block_meet",
                         lambda a, b: (0,) * len(a) if a != b else meet(a, b))
@@ -866,12 +938,12 @@ def test_p6_partial_meet_mutation_keeps_its_violations_and_counts(monkeypatch):
         reports.append(axiom_soundness_scan(cfg, rule_set("VCI_STRONG")))
     reports.append(exhaustive_vci_scan(max_regimes=3, n_vars=3))
     violations = [v for r in reports for v in r.violations]
-    assert [r.trials for r in reports] == [2, 1, 1, 14]
-    assert [r.instances_by_rule["P6"] for r in reports] == [4844, 460, 577, 37148]
-    assert len(violations) == 2224 and {v["rule"] for v in violations} == {"P6"}
-    assert _digest(violations) == "2ddf8259aaedd5f5d39e896ac5e9358762cfa58a8b3601f8a72b8d09dbdd5ac9"
+    assert [r.trials for r in reports] == [3, 1, 1, 83]
+    assert [r.instances_by_rule["P6"] for r in reports] == [5493, 460, 577, 160976]
+    assert len(violations) == 404 and {v["rule"] for v in violations} == {"P6"}
+    assert _digest(violations) == "8133c3cdec61692dbd86e77df21c32de7fbe753606b977016b4a11fcd282483a"
     assert _digest([r.to_dict() for r in reports]) == (
-        "9c74ed2d9c634a76cc7a8ac6570169bf3f87e2173e61559e10b636acf5947554")
+        "1e76bf20c56695256d60f92ba82b7ffb7e283aa632eae904ce7c02e5d42dbb65")
 
 
 def test_models_sharing_a_trivial_closure_share_no_index(monkeypatch):
