@@ -24,7 +24,7 @@ from .models import (
     conditional,
     conditional_expectation,
 )
-from .universe import CIStatement, ReductionRegistry, VarSet
+from .universe import EMPTY, CIStatement, ReductionRegistry, VarSet, is_reduction
 
 
 @dataclass(frozen=True)
@@ -128,17 +128,13 @@ class Strategy:
 
 
 def _regime_invariant(fam: RegimeFamily, left, cond) -> bool:
-    """The ``check_eci`` verdict on `left _||_ Sigma | cond`, with an
-    identity decision variable synthesized when the family does not declare
-    one; validated as ``check_eci`` validates, but no witness table is
-    built."""
-    fam2, sigma = fam.ensure_identity()
-    stmt = CIStatement(
-        VarSet(frozenset(left)),
-        VarSet(frozenset(), frozenset([sigma])),
-        VarSet(frozenset(cond)),
-    )
-    return fam2.eci(*_validate_eci_statement(fam2, stmt))
+    """The ``check_eci`` verdict on `left _||_ Sigma | cond`, Sigma the
+    regime, asked as the decision-free `left _||_ {} | cond`: one law of
+    left given cond shared by every regime, whether or not the family
+    declares an identity.  Validated as ``check_eci`` validates, but no
+    witness table is built."""
+    stmt = CIStatement(VarSet(left), EMPTY, VarSet(cond))
+    return fam.eci(*_validate_eci_statement(fam, stmt))
 
 
 def check_ancillarity(fam: RegimeFamily, T: Iterable[str]) -> bool:
@@ -156,8 +152,6 @@ def check_sufficiency(
     regime-invariant (X _||_ Sigma | T); T must be part of X or registered as
     a function of it."""
     xs, ts = frozenset(X), frozenset(T)
-    from .universe import is_reduction
-
     if not is_reduction(VarSet(ts), VarSet(xs), registry):
         raise ReductionMissing(
             f"{sorted(ts)} is not a subset of {sorted(xs)} and no reduction is registered"
@@ -208,27 +202,15 @@ def ace(
     return AceResult(ace_int, None, False)
 
 
-def _history_groups(ib: InfoBase, upto: int, extended: bool) -> tuple[str, ...]:
-    """Variables observed strictly before stage `upto` (1-based)."""
-    names: list[str] = []
-    for i in range(upto - 1):
-        names.extend(ib.observed[i])
-        if extended and ib.unmeasured:
-            names.extend(ib.unmeasured[i])
-        names.append(ib.actions[i])
-    return tuple(names)
-
-
 def _stage_statements(ib: InfoBase, extended: bool):
-    n = ib.stages
-    for i in range(1, n + 2):
-        if i <= n:
-            group = list(ib.observed[i - 1])
-            if extended and ib.unmeasured:
-                group += list(ib.unmeasured[i - 1])
-        else:
-            group = list(ib.outcome)
-        yield tuple(group), _history_groups(ib, i, extended)
+    """Each stage's group with the variables observed before it, in stage
+    order, the outcome group last."""
+    past: list[str] = []
+    for i, action in enumerate(ib.actions):
+        group = (*ib.observed[i], *(ib.unmeasured[i] if extended and ib.unmeasured else ()))
+        yield group, tuple(past)
+        past += (*group, action)
+    yield ib.outcome, tuple(past)
 
 
 def _check_stability(fam: RegimeFamily, ib: InfoBase, extended: bool) -> bool:

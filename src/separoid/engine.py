@@ -58,6 +58,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
+from .dsl import render_statement
 from .errors import GuardViolation, IllFormed
 from .universe import (
     DECISION,
@@ -967,8 +968,6 @@ def replay(
 def format_proof(d: Derivation) -> str:
     """Numbered step list in replay order; each line cites the rule and the
     step numbers of its premises."""
-    from .dsl import render_statement
-
     lines = []
     for i, (node, nums) in enumerate(_replay_order(d), 1):
         tag = node.rule
@@ -982,8 +981,6 @@ def format_proof(d: Derivation) -> str:
 
 
 def derivation_to_dict(d: Derivation) -> dict:
-    from .dsl import render_statement
-
     return {
         "statement": render_statement(d.goal),
         "rule": d.rule,

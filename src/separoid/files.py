@@ -22,6 +22,7 @@ import json
 from fractions import Fraction
 from typing import Any, Mapping
 
+from .causal import Strategy
 from .errors import InvalidModel, InvalidStrategy
 from .models import DiscreteDistribution, RegimeFamily
 
@@ -153,9 +154,7 @@ def dump_model(model, path: str) -> None:
 # -- strategies ---------------------------------------------------------------
 
 
-def strategy_from_dict(data: Mapping):
-    from .causal import Strategy
-
+def strategy_from_dict(data: Mapping) -> Strategy:
     if not isinstance(data, dict):
         raise InvalidStrategy("a strategy file holds a JSON object")
     label = data.get("label")

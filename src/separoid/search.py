@@ -34,7 +34,6 @@ from .models import (
     check_complementary,
     check_sci,
     check_vci,
-    dec_columns,
     dec_compile,
     dominating_per_group,
     mask_names,
@@ -611,18 +610,18 @@ class _Scan:
         )
 
 
-def _range(scan: _Scan, decmap: Mapping, regimes: Sequence[str]) -> frozenset:
-    """A map's relabeled range: the set of its points, each name's values
-    numbered by first appearance over the regimes."""
+def _range(scan: _Scan, decmap: Mapping, regimes: Sequence[str]) -> tuple:
+    """A map's relabeled range: its distinct points in sorted order, each
+    name's values numbered by first appearance over the regimes."""
     cols = [[decmap[n][s] for s in regimes] for n in scan.space.d_names]
     cols = [list(map([*dict.fromkeys(col)].index, col)) for col in cols]
-    return frozenset(zip(*cols))
+    return tuple(sorted(set(zip(*cols))))
 
 
 def _vci_model(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str]) -> None:
     """One VCI model, memoized by its relabeled range (``_range``) and
-    compiled (``dec_columns`` and ``dec_compile``, as ``dec_kernel`` does
-    but outside its content cache) only to close a range the scan has not
+    compiled from the range (``dec_compile``, one row per point, outside
+    ``dec_kernel``'s content cache) only to close a range the scan has not
     closed, so no kernel outlives the scan call.  Every variation verdict,
     so the class verdicts, the engine's closure and its order, and every P6
     verdict X _||_ Y | meet(Z, W), depends only on the partitions the names
@@ -639,7 +638,7 @@ def _vci_model(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str])
     seen = scan.ranges.get(key)
     if seen is None:
         before, start = dict(scan.tally), len(scan.violations)
-        _close_vci(scan, trial, dec_compile(*dec_columns(decmap, scan.space.d_names, regimes)))
+        _close_vci(scan, trial, dec_compile(scan.space.d_names, tuple(zip(*key)), len(key)))
         delta = {r: c - before[r] for r, c in scan.tally.items() if c != before[r]}
         scan.ranges[key] = delta, scan.violations[start:]
         return
@@ -662,14 +661,15 @@ def _partition(scan: _Scan, labels: Sequence) -> int:
 
 def _close_vci(scan: _Scan, trial: int, dec: MaskKernel) -> None:
     """Variation independence by mask on a compiled decision map (a mask's
-    labels are the regimes' codes on it, ``MaskKernel.labels``; its names
-    are the scan's, so the masks agree), then P6 on the model, since meets
-    are not statements the engine can hold: X _||_ Y | Z and X _||_ Y | W
-    with Z and W functions of Y (Y | Z and Y induce one partition) give
-    X _||_ Y | Z ^ W.  Each mask's labels become a partition id
-    (``_partition``; ``scan.parts`` holds each id's labels), and each answer
-    is decided once per ids in the scan's tables, which last the scan call:
-    a verdict (``variation_independent``) per ids of (x & ~z, y & ~z, z) in
+    labels are the rows' codes on it, ``MaskKernel.labels``, one row per
+    regime or per point of a range; its names are the scan's, so the masks
+    agree), then P6 on the model, since meets are not statements the
+    engine can hold: X _||_ Y | Z and X _||_ Y | W with Z and W functions
+    of Y (Y | Z and Y induce one partition) give X _||_ Y | Z ^ W.  Each
+    mask's labels become a partition id (``_partition``; ``scan.parts``
+    holds each id's labels), and each answer is decided once per ids in
+    the scan's tables, which last the scan call: a verdict
+    (``variation_independent``) per ids of (x & ~z, y & ~z, z) in
     ``scan.vci``, as ``MaskKernel.sci`` asks it (given z, names shared with
     Z take fixed values and change no range), and a meet (``block_meet``),
     itself a partition id, per pair of ids in ``scan.meets``.  Both premises
@@ -741,11 +741,11 @@ def exhaustive_vci_scan(max_regimes: int = 4, n_vars: int = 3) -> ScanReport:
     ranges (64 for the 4,680 maps of three variables on at most four
     regimes), so each is closed once per call and replayed for the other
     maps that have it (see ``_vci_model``).  Within the call each range test
-    and meet is decided once per partition of the regimes (see
-    ``_close_vci``): on at most three regimes, at most 1 + 2**3 + 5**3 = 134
-    range tests and 1 + 2**2 + 5**2 = 30 meets.  Ranges and partitions are
-    not kept between calls; the domain's listing and its class table are,
-    as in every scan (see ``_Scan``)."""
+    and meet is decided once per partition of a range's points (see
+    ``_close_vci``): on at most three regimes, so at most three points, at
+    most 1 + 2**3 + 5**3 = 134 range tests and 1 + 2**2 + 5**2 = 30 meets.
+    Ranges and partitions are not kept between calls; the domain's listing
+    and its class table are, as in every scan (see ``_Scan``)."""
     if max_regimes < 1 or n_vars < 1:
         raise ValueError("max_regimes and n_vars must be >= 1")
     names = tuple(chr(ord("A") + i) for i in range(n_vars))

@@ -1,4 +1,6 @@
+import hashlib
 from fractions import Fraction as F
+from functools import partial
 from itertools import product
 
 import pytest
@@ -15,15 +17,16 @@ from separoid.causal import (
     g_formula,
 )
 from separoid.errors import (
+    InvalidModel,
     NotIntervention,
     PositivityViolated,
     ReductionMissing,
     StabilityViolated,
 )
-from separoid.models import DiscreteDistribution, RegimeFamily, conditional
+from separoid.models import DiscreteDistribution, RegimeFamily, check_eci, conditional
 from separoid.universe import ReductionRegistry, Universe
 
-from conftest import dist, interventional_pair, materialize_strategy_joint
+from conftest import ci, dist, interventional_pair, materialize_strategy_joint
 
 
 # -- ancillarity and sufficiency ------------------------------------------------
@@ -37,16 +40,6 @@ def test_ancillarity_identical_marginals():
 def test_ancillarity_differs():
     fam = interventional_pair(F(1, 2), F(1, 3))
     assert not check_ancillarity(fam, ["X"])
-
-
-def test_ancillarity_is_the_eci_reduction():
-    from separoid.models import check_eci
-    from conftest import ci
-
-    for p1 in (F(1, 2), F(1, 3)):
-        fam = interventional_pair(F(1, 2), p1)
-        stmt = ci(["X"], (), (), rdec=["Sigma"])
-        assert check_ancillarity(fam, ["X"]) == check_eci(fam, stmt)[0]
 
 
 def _sufficiency_family(theta_a=F(1, 2), theta_b=F(1, 3)):
@@ -287,6 +280,60 @@ def test_extended_stability_broken_u_kernel():
     )
     ib = InfoBase.from_dict(fam.info_base)
     assert not check_extended_stability(fam2, ib)
+
+
+def test_ancillarity_is_the_eci_reduction():
+    # Each regime-invariance check equals check_eci on `left _||_ Sigma |
+    # cond` (one statement per stage for stability), Sigma the identity, on
+    # each family as declared (with Sigma), with no decision variable and
+    # with only a constant one.  Both observational arms of each ACE family
+    # are positive, so its transfer test is the statement's verdict.
+    def eci(fam, left, cond):
+        ident = fam.with_decision("Sigma", {s: s for s in fam.regimes})
+        return check_eci(ident, ci(left, (), cond, rdec=["Sigma"]))[0]
+
+    def stability(check):
+        return lambda fam: check(fam, InfoBase.from_dict(fam.info_base))
+
+    anc_t = partial(check_ancillarity, T=["T"])
+    cases = []  # (family, check, its statements as (left, cond) pairs)
+    for p1 in (F(1, 2), F(1, 3)):
+        fam = interventional_pair(F(1, 2), p1)
+        cases += [(fam, partial(check_ancillarity, T=["X"]), [(["X"], ())]),
+                  (fam, anc_t, [(["T"], ())]),
+                  (fam, partial(check_sufficiency, X=["X", "T"], T=["T"]), [(["X", "T"], ["T"])])]
+    for fam in (_sufficiency_family(), _sufficiency_family(F(1, 2), F(1, 2))):
+        cases += [(fam, anc_t, [(["T"], ())])] + [
+            (fam, partial(check_sufficiency, X=["X1", "X2", "T"], T=t), [(["X1", "X2", "T"], t)])
+            for t in (["T"], ["X1"])]
+    for fam in (_ace_family(k0=F(1, 4), k1=F(3, 4), obs_t1=F(1, 3)),
+                _ace_family(k0=F(2, 5), k1=F(2, 5), obs_t1=F(1, 2)),
+                _ace_family(k0=F(1, 4), k1=F(3, 4), obs_t1=F(1, 2),
+                            obs_k0=F(1, 2), obs_k1=F(1, 2))):
+        cases += [(fam, lambda f: ace(f, "Y", "T").transfer_valid, [(["Y"], ["T"])]),
+                  (fam, anc_t, [(["T"], ())])]
+    for shift in ({}, {"shift_l": True}, {"shift_y": True}):
+        fam = _one_stage_family(**shift)
+        stages = [(["L"], ()), (["Y"], ["L", "A"])]
+        cases += [(fam, stability(check_simple_stability), stages),
+                  (fam, stability(check_extended_stability), stages)]
+    fam = _confounded_family()
+    cases += [(fam, stability(check_simple_stability), [((), ()), (["Y"], ["A"])]),
+              (fam, stability(check_extended_stability), [(["U"], ()), (["Y"], ["U", "A"])])]
+
+    verdicts = []
+    for fam, check, stmts in cases:
+        bare = RegimeFamily(fam.regimes, fam.dists, {}, fam.info_base)
+        for f in (fam, bare, bare.with_decision("C", {s: "0" for s in fam.regimes})):
+            verdicts.append(check(f))
+            assert verdicts[-1] == all(eci(fam, left, cond) for left, cond in stmts)
+            with pytest.raises(InvalidModel) as exc:
+                check_ancillarity(f, ["Q", "P"])
+            assert str(exc.value) == "unknown stochastic variable 'P'"
+    bits = "".join("1" if v else "0" for v in verdicts)
+    assert len(bits) == 3 * 26 and {"0", "1"} <= set(bits)
+    digest = hashlib.sha256(bits.encode()).hexdigest()
+    assert digest == "d330ae76b8743d19f36114408f4ad2ca7166e7507d981f0c157016a7e2603c1e"
 
 
 # -- g-formula ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Source hygiene: every import in a `separoid` module is used there
 (`__init__.py` is skipped, since its imports are the package's re-exports),
-and every private definition, method and instance attribute is read
-somewhere in the package."""
+every private definition, method and instance attribute is read
+somewhere in the package, and a module imports another inside a function
+only where a module-level import would close a cycle."""
 
 import ast
 from collections import Counter
@@ -157,6 +158,40 @@ class C:
         found += self_calling_closures(ast.parse(path.read_text(), str(path)), path.stem)
     assert found == []
 
+
+def package_imports(node: ast.ImportFrom) -> set[str]:
+    """The package modules a relative import names: ``from .dsl import f``
+    names dsl, ``from . import causal, engine`` names both."""
+    return {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+
+
+def test_function_level_imports_only_break_cycles():
+    """Every import of a package module made inside a function would close
+    a cycle at module level: the imported module reaches the importer
+    through the package's module-level imports."""
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+
+    def relative(nodes):
+        return [n for n in nodes if isinstance(n, ast.ImportFrom) and n.level == 1]
+
+    graph = {m: set().union(*map(package_imports, relative(t.body))) for m, t in trees.items()}
+
+    def reaches(a: str, b: str) -> bool:
+        seen, todo = set(), [a]
+        while todo:
+            m = todo.pop()
+            if m == b:
+                return True
+            if m not in seen:
+                seen.add(m)
+                todo.extend(graph.get(m, ()))
+        return False
+
+    local = sorted((m, n) for m, t in trees.items()
+                   for node in relative(ast.walk(t)) if node not in t.body
+                   for n in package_imports(node))
+    assert [f"{m} imports {n}" for m, n in local if not reaches(n, m)] == []
+    assert local == [("universe", "dsl")]  # CIStatement.__repr__: dsl imports universe
 
 
 def test_rule_instances_come_from_expand_alone():
