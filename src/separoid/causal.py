@@ -20,6 +20,7 @@ from .errors import (
 )
 from .models import (
     RegimeFamily,
+    _name_iter,
     _validate_eci_statement,
     conditional,
     conditional_expectation,
@@ -137,21 +138,22 @@ def _regime_invariant(fam: RegimeFamily, left, cond) -> bool:
     return fam.eci(*_validate_eci_statement(fam, stmt))
 
 
-def check_ancillarity(fam: RegimeFamily, T: Iterable[str]) -> bool:
-    """The marginal law of T is the same in every regime (T _||_ Sigma)."""
-    return _regime_invariant(fam, tuple(T), ())
+def check_ancillarity(fam: RegimeFamily, T: str | Iterable[str]) -> bool:
+    """The marginal law of T, one name or several, is the same in every
+    regime (T _||_ Sigma)."""
+    return _regime_invariant(fam, tuple(_name_iter(T)), ())
 
 
 def check_sufficiency(
     fam: RegimeFamily,
-    X: Iterable[str],
-    T: Iterable[str],
+    X: str | Iterable[str],
+    T: str | Iterable[str],
     registry: ReductionRegistry | None = None,
 ) -> bool:
-    """The conditional law of the data X given the statistic T is
-    regime-invariant (X _||_ Sigma | T); T must be part of X or registered as
-    a function of it."""
-    xs, ts = frozenset(X), frozenset(T)
+    """The conditional law of the data X given the statistic T (each one
+    name or several) is regime-invariant (X _||_ Sigma | T); T must be part
+    of X or registered as a function of it."""
+    xs, ts = frozenset(_name_iter(X)), frozenset(_name_iter(T))
     if not is_reduction(VarSet(ts), VarSet(xs), registry):
         raise ReductionMissing(
             f"{sorted(ts)} is not a subset of {sorted(xs)} and no reduction is registered"

@@ -50,6 +50,13 @@ rule step on the bucket only when that step's heap entry ``(c + 1, rule
 index, ())`` is popped.  Every item the step yields from them costs at least
 c + 1 and carries nonempty premises, so it sorts after that entry: items pop
 in the order of eager expansion, and steps whose turn never comes are skipped.
+The heap also holds at most one pending entry per conclusion: a route is
+pushed only when its entry ``(cost, rule index, premises, ...)`` is below the
+least one already pushed for that conclusion.  The heap pops in one total
+order, so only a conclusion's least entry is ever settled, compared with its
+family price or cut off by ``max_statements``; a route not below it would pop
+later and be skipped, so the settled costs and justifications are those of
+pushing every route.
 """
 
 from __future__ import annotations
@@ -746,6 +753,8 @@ def prove(
     rule order, then by canonical premise keys.  Expansion is deferred one
     rule step at a time (see the module docstring), premises included, so
     the result is that of expanding each statement as soon as it is settled.
+    A route to a conclusion is pushed only when it is below every route
+    pushed for it before; the others could only pop later, to be skipped.
 
     Implicit tautologies are priced by ``_Engine.tautology`` and never
     settled, unless another route is cheaper or wins the tie-break (then
@@ -764,6 +773,7 @@ def prove(
     bucket: dict[int, list] = {}  # settled statements by cost, expanded lazily
     kept = 0  # settled statements outside the tautology family
     cut: set[tuple] = set()  # conclusions priced above max_depth
+    best: dict[tuple, tuple] = {}  # least entry pushed per conclusion
 
     def push(name: str, prem: tuple, ck: tuple, note: str) -> None:
         if ck in cost:
@@ -772,10 +782,14 @@ def prove(
         for p in prem:
             pc = cost.get(p)
             c += eng.tautology(p)[0] if pc is None else pc
-        if c <= lim.max_depth:
-            heapq.heappush(heap, (c, ridx[name], prem, ck, note))
-        else:
+        if c > lim.max_depth:
             cut.add(ck)
+            return
+        e = (c, ridx[name], prem, ck, note)
+        b = best.get(ck)
+        if b is None or e < b:  # an entry not below b would pop after it, to no effect
+            best[ck] = e
+            heapq.heappush(heap, e)
 
     def settle(c: int, rule: str, prem: tuple, ck: tuple, note: str) -> None:
         nonlocal kept

@@ -61,6 +61,19 @@ def _sufficiency_family(theta_a=F(1, 2), theta_b=F(1, 3)):
     return RegimeFamily(["a", "b"], dists, {"Sigma": {"a": "a", "b": "b"}})
 
 
+def test_one_name_is_one_variable():
+    """A name passed as a string is that one variable, not its characters."""
+    fam = _sufficiency_family()
+    assert check_ancillarity(fam, "X1") == check_ancillarity(fam, ["X1"]) is False
+    assert check_ancillarity(fam, "T") == check_ancillarity(fam, ["T"]) is False
+    with pytest.raises(InvalidModel, match="'XT'"):
+        check_ancillarity(fam, "XT")
+    assert check_sufficiency(fam, "X1", ()) == check_sufficiency(fam, ["X1"], ()) is False
+    xs = ["X1", "X2", "T"]
+    assert check_sufficiency(fam, xs, "T") == check_sufficiency(fam, xs, ["T"]) is True
+    assert check_sufficiency(fam, xs, "X1") == check_sufficiency(fam, xs, ["X1"]) is False
+
+
 def test_sufficiency_single_regime_trivial():
     fam = interventional_pair(F(1, 2), F(1, 2))
     solo = RegimeFamily(["s0"], {"s0": fam.dists["s0"]}, {"Sigma": {"s0": "s0"}})

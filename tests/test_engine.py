@@ -1,6 +1,7 @@
 import functools
 import gc
 import hashlib
+import heapq
 import itertools
 import random
 
@@ -421,6 +422,48 @@ def test_prove_expands_rule_steps_only_when_due(monkeypatch):
     assert d.rule_sequence() == ["P4", "P3", "P1"]
     assert len(ran["P5"]) <= 400
     assert len(ran["P5"]) < len(ran["P1"])
+
+
+def _c1_chain():
+    """The longest derivation of the benchmark: X3 _||_ X1, X5 | X2, X4 on
+    the chain X1..X5."""
+    ses = parse_session(_chain(5))
+    return ses, ci(["X3"], ["X1", "X5"], ["X2", "X4"])
+
+
+def test_prove_c1_chain_twelve_steps():
+    ses, goal = _c1_chain()
+    d = prove(goal, ses.premises, rule_set("SEPAROID_FULL"), universe=ses.universe)
+    assert isinstance(d, Derivation)
+    assert d.steps == 12
+    assert d.rule_sequence() == "P1 P4 P3 P1 P5 P4 P3 P1 P4 P3 P1 P5".split()
+    assert replay(d, universe=ses.universe, premises=ses.premises)
+
+
+@pytest.mark.parametrize("case", ["c1_chain", "chain7"])
+def test_prove_keeps_one_pending_entry_per_conclusion(monkeypatch, case):
+    """Each item entry ``prove`` pushes is strictly below every earlier entry
+    for its conclusion, so a conclusion's entries strictly decrease.  On
+    c1_chain it pushes 3,020 items, where pushing every route pushed 6,532."""
+    pushed: dict[tuple, list] = {}
+    inner = heapq.heappush
+
+    def recorded(heap, entry):
+        if entry[3] is not None:  # an item, not a rule-step entry
+            pushed.setdefault(entry[3], []).append(entry)
+        inner(heap, entry)
+
+    monkeypatch.setattr(heapq, "heappush", recorded)
+    if case == "c1_chain":
+        ses, goal = _c1_chain()
+    else:
+        ses, goal = parse_session(_chain(7)), _chain_goal(7)
+    d = prove(goal, ses.premises, rule_set("SEPAROID_FULL"), universe=ses.universe)
+    assert isinstance(d, Derivation)
+    for entries in pushed.values():
+        assert all(a > b for a, b in zip(entries, entries[1:]))
+    if case == "c1_chain":
+        assert sum(map(len, pushed.values())) <= 3100
 
 
 def test_prove_left_trivial_goal_outside_guarded_closure():

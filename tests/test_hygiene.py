@@ -1,4 +1,5 @@
-"""Source hygiene: every import in a `separoid` module is used there
+"""Source hygiene: every module parses under the oldest supported Python,
+every import in a `separoid` module is used there
 (`__init__.py` is skipped, since its imports are the package's re-exports),
 every private definition, method and instance attribute is read
 somewhere in the package, and a module imports another inside a function
@@ -30,6 +31,13 @@ def unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_parses_as_python_3_10(path):
+    """``requires-python = ">=3.10"``: no module uses later grammar.  Only
+    the grammar is checked, not the standard library the module calls."""
+    ast.parse(path.read_text(), str(path), feature_version=(3, 10))
 
 
 def private_definitions(tree: ast.Module) -> list[ast.AST]:
