@@ -25,16 +25,19 @@ Instantiation policy (search-space pruning): a statement whose left or
 right slot lies inside the conditioning slot is a universally true filler
 (``_filler``), and no rule takes a filler as its first premise, except the
 two shapes exempt from the guard: decomposition (the P3 family) and DCMP.
-Every rule instance comes from ``_Engine.expand``, which ``prove``,
-``closure``, ``apply_rule``, ``replay`` and the soundness scans all read.
+Every rule instance with premises comes from ``_Engine.expand``, which
+``prove``, ``closure``, ``apply_rule``, ``replay`` and the soundness scans
+all read; the premise-free ones come from ``_Engine.spontaneous``.
 
 Implicit tautologies: the spontaneous instances (P2, P2', P2g) and what the
 P3 family (and, under ECI_RESTRICTED, DCMP) makes of them form a family that
-``_Engine.tautology`` recognises with its premise-free derivation and cost:
-1 for a bare spontaneous instance ``x _||_ y | y``, 2 for one P3/P3'/P3g step
-after it (``x _||_ w | y``, w inside y), and under ECI_RESTRICTED 2 for DCMP
-on an instance and 3 for P3' after that.  Members are never indexed; the P5
-family synthesizes them as second premises when it meets the first premise.
+``_Engine.tautology`` alone defines, with each member's premise-free
+derivation and cost: 1 for a bare spontaneous instance ``x _||_ y | y``, 2
+for one P3/P3'/P3g step after it (``x _||_ w | y``, w inside y), and under
+ECI_RESTRICTED 2 for DCMP on an instance and 3 for P3' after that;
+``members`` and ``spontaneous`` list it through ``tautology``.  Members are
+never indexed; the P5 family synthesizes them as second premises when it
+meets the first premise.
 ``prove`` therefore settles only the statements outside the family (plus the
 few members that another route reaches more cheaply, which keep that cost and
 its tie-break), and ``build`` writes the members' P2/P3 leaves back into the
@@ -66,7 +69,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .dsl import render_statement
-from .errors import GuardViolation, IllFormed
+from .errors import GuardViolation, IllFormed, UnknownVariable
 from .universe import (
     DECISION,
     STOCHASTIC,
@@ -75,6 +78,7 @@ from .universe import (
     ReductionRegistry,
     Universe,
     VarSet,
+    canonicalize,
 )
 
 FLAGS = frozenset(
@@ -267,9 +271,16 @@ class _Space:
         return ms, md
 
     def key_of(self, stmt: CIStatement) -> tuple:
-        ls, ld = self.varset_masks(stmt.left)
-        rs, rd = self.varset_masks(stmt.right)
-        cs, cd = self.varset_masks(stmt.cond)
+        """The key of stmt.  A name outside the universe, or in a part of
+        the other kind, raises ``UnknownVariable`` as ``canonicalize``
+        words it."""
+        try:
+            ls, ld = self.varset_masks(stmt.left)
+            rs, rd = self.varset_masks(stmt.right)
+            cs, cd = self.varset_masks(stmt.cond)
+        except KeyError:
+            canonicalize(self.universe, stmt)
+            raise
         return (ls, ld, rs, rd, cs, cd)
 
     def slot(self, s: int, d: int) -> VarSet:
@@ -331,15 +342,10 @@ def _symmetric(name: str, k: tuple) -> bool:
 
 
 class _Engine:
-    """Shared expansion machinery; every rule instance is drawn by expand."""
+    """Shared expansion machinery; every rule instance with premises is
+    drawn by expand, the premise-free ones by spontaneous."""
 
-    def __init__(
-        self,
-        rs: RuleSet,
-        space: _Space,
-        comp: ComplementarityDecl,
-        mode: str | None,
-    ):
+    def __init__(self, rs: RuleSet, space: _Space, comp: ComplementarityDecl, mode: str | None):
         self.rs = rs
         self.space = space
         self.mode = mode  # 's' | 'd' for the pure rule sets, else None
@@ -352,10 +358,9 @@ class _Engine:
             if RULES[name].arity and not RULES[name].model_only
             and (rs.flags or not RULES[name].flag_gated)
         ]
-        self.comp_masks = tuple(
-            sorted(space.mask(1, f) for f in comp.families if f <= set(space.d_names))
+        self.comp_masks = frozenset(
+            space.mask(1, f) for f in comp.families if f <= set(space.d_names)
         )
-        self.comp_set = frozenset(self.comp_masks)
         # tautologies settled as ordinary statements (prove only)
         self.materialized: set[tuple] = set()
         self.clear()
@@ -399,7 +404,7 @@ class _Engine:
         if rs & ~cs:
             return None
         if self.rs.name == "ECI_RESTRICTED":
-            if ld or not ls or cd not in self.comp_set:
+            if ld or not ls or cd not in self.comp_masks:
                 return None
             if rd == cd:
                 if rs == cs:
@@ -410,7 +415,7 @@ class _Engine:
             if rs == cs:
                 return 2, "DCMP", ((ls, 0, cs, cd, cs, cd),)
             return 3, "P3'", ((ls, 0, cs, 0, cs, cd),)
-        if rd != cd or ld & rd or not (ls or ld) or (ld | rd) not in self.comp_set:
+        if rd != cd or ld & rd or not (ls or ld) or (ld | rd) not in self.comp_masks:
             return None
         if rs == cs:
             return (1, "P2g", ()) if cs or rd else None
@@ -421,22 +426,18 @@ class _Engine:
         indexed, met only where the P5 family synthesizes it."""
         return _r_triv(k) and k not in self.materialized and self.tautology(k) is not None
 
-    def members(self):
-        """Every member of the spontaneous family: the legal keys whose right
-        slot lies inside the conditioning slot in each component, filtered
+    def members(self, rights=lambda c: (0, *_submasks(c))):
+        """Every member of the spontaneous family whose right part in each
+        component is one of ``rights(c)``, c its conditioning part (by
+        default any part inside c): the legal keys with such parts, filtered
         by ``tautology``.  Legality splits by component, so each component's
         (left, right, cond) parts are listed once."""
         sp = self.space
 
         def parts(o: int) -> list[tuple]:
             full = sp.alls[o]
-            return [
-                (l, r, c)
-                for c in range(full + 1)
-                for r in (0, *_submasks(c))
-                for l in range(full + 1)
-                if self.legal(_pure(o, l, r, c))
-            ]
+            return [(l, r, c) for c in range(full + 1) for r in rights(c)
+                    for l in range(full + 1) if self.legal(_pure(o, l, r, c))]
 
         stoch, dec = parts(0), parts(1)
         for ls, rs, cs in stoch:
@@ -444,6 +445,13 @@ class _Engine:
                 k = (ls, ld, rs, rd, cs, cd)
                 if self.tautology(k) is not None:
                     yield k
+
+    def spontaneous(self):
+        """Yield (rule_name, conclusion_key) for the premise-free rules (P2,
+        P2', P2g): the members whose right slot is their conditioning slot,
+        named by ``tautology``, which alone defines them."""
+        for k in self.members(lambda c: (c,)):
+            yield self.tautology(k)[1], k
 
     def leaks(self):
         """Instances from an implicit tautology to a statement outside the
@@ -491,37 +499,6 @@ class _Engine:
             ljoinc = (k[0] | k[4], k[5])
             self.by_left_rjoinc.setdefault((left, rjoinc), []).append(k)
             self.by_right_ljoinc.setdefault((right, ljoinc), []).append(k)
-
-    # -- spontaneous rules ---------------------------------------------------
-
-    def spontaneous(self):
-        """Yield (rule_name, conclusion_key) for premise-free rules."""
-        for name in self.rs.rules:
-            if name == "P2":
-                alls = self.space.alls[self.o]
-                for x in _submasks(alls):
-                    for y in _submasks(alls):
-                        yield name, _pure(self.o, x, y, y)
-            elif name == "P2'":
-                for x in _submasks(self.space.s_all):
-                    for d in self.comp_masks:
-                        yield name, (x, 0, 0, d, 0, d)
-                        for y in _submasks(self.space.s_all):
-                            yield name, (x, 0, y, d, y, d)
-            elif name == "P2g":
-                for fam in self.comp_masks:
-                    splits = [(0, fam)] + [
-                        (xd, fam ^ xd) for xd in _submasks(fam)
-                    ]
-                    for xd, yd in splits:
-                        xs_opts = [0] + list(_submasks(self.space.s_all))
-                        for xs in xs_opts:
-                            if not (xs or xd):
-                                continue
-                            for ys in xs_opts:
-                                if not (ys or yd):
-                                    continue
-                                yield name, (xs, xd, ys, yd, ys, yd)
 
     # -- unary rules -----------------------------------------------------------
 
@@ -966,14 +943,9 @@ def replay(
             keys = [space.key_of(s) for s in known]
             mode = _infer_mode(rs, space, keys)
             eng = engines.get(mode) or engines.setdefault(mode, _Engine(rs, space, comp, mode))
-            # the goal's key, names outside the universe dropped: exact, as
-            # the key must also give the goal back
-            g = node.goal
-            gk = tuple(space.mask(o, names) for vs in (g.left, g.right, g.cond)
-                       for o, names in enumerate((vs.stoch, vs.dec)))
-            if gk not in _one_step(eng, node.rule, known, keys) or space.stmt_of(gk) != g:
+            if space.key_of(node.goal) not in _one_step(eng, node.rule, known, keys):
                 return False
-        except GuardViolation:
+        except (GuardViolation, UnknownVariable):
             return False
         stack.extend(reversed(node.children))
     return True

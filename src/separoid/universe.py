@@ -150,14 +150,17 @@ def statement(universe: Universe, left, right, cond=()) -> CIStatement:
 
 def canonicalize(universe: Universe, stmt: CIStatement) -> CIStatement:
     """Validate slot names against the universe; slots are sets, so the result
-    is sorted and duplicate-free by construction.  Idempotent."""
+    is sorted and duplicate-free by construction.  Idempotent.  An undeclared
+    name, or one in a part of the other kind, raises ``UnknownVariable``
+    naming the least such name of the first slot (left, right, cond) that
+    has one, whatever order the slot's sets iterate in."""
     for slot in (stmt.left, stmt.right, stmt.cond):
-        for n in slot.stoch:
-            if universe.kind(n) != STOCHASTIC:
-                raise UnknownVariable(f"{n!r} is not a stochastic variable")
-        for n in slot.dec:
-            if universe.kind(n) != DECISION:
-                raise UnknownVariable(f"{n!r} is not a decision variable")
+        bad = [(n, kind) for kind, names in ((STOCHASTIC, slot.stoch), (DECISION, slot.dec))
+               for n in names if n not in universe or universe.kind(n) != kind]
+        if bad:
+            n, kind = min(bad)
+            universe.kind(n)  # an undeclared name raises here
+            raise UnknownVariable(f"{n!r} is not a {kind} variable")
     return stmt
 
 

@@ -162,6 +162,53 @@ def brute_image(decmap, X, given, regimes) -> set:
     return {tuple(decmap[n][s] for n in sorted(X)) for s in matched}
 
 
+# -- independent semigraphoid oracle ---------------------------------------------
+
+
+def brute_semigraphoid(premises):
+    """Membership in the semigraphoid that elementary premises a _||_ b | K
+    (one stochastic name per outer slot, none of them in K) generate.  The
+    elementary statements ({a, b}, K) are closed naively under the one rule
+    that generates a semigraphoid's elementary part: a _||_ b | Kc and
+    a _||_ c | K hold together exactly when a _||_ c | Kb and a _||_ b | K
+    do (Studeny, Probabilistic Conditional Independence Structures, 2005).
+    The predicate returned takes a statement X _||_ Y | Z with X and Y
+    disjoint from Z.  It holds iff X and Y are disjoint and every a _||_ b
+    | K with a in X, b in Y and Z <= K <= XYZ minus {a, b} is in the
+    closure: the full-independence model satisfies every disjoint statement
+    and no a _||_ a | Z, so overlapping outer slots never follow."""
+    closed = set()
+    for p in premises:
+        (a,), (b,), k = p.left.stoch, p.right.stoch, p.cond.stoch
+        assert a != b and not {a, b} & k, p
+        closed.add((frozenset({a, b}), k))
+    grown = True
+    while grown:
+        grown = False
+        for pair, k in list(closed):
+            for a in pair:
+                (b,) = pair - {a}
+                for c in k:
+                    base = k - {c}
+                    if (frozenset({a, c}), base) in closed:
+                        new = {(frozenset({a, c}), base | {b}), (pair, base)} - closed
+                        closed |= new
+                        grown = grown or bool(new)
+
+    def holds(stmt) -> bool:
+        x, y, z = stmt.left.stoch, stmt.right.stoch, stmt.cond.stoch
+        assert x and y and not (x | y) & z, stmt
+        if x & y:
+            return False
+        rest = x | y
+        return all((frozenset({a, b}), z | frozenset(extra)) in closed
+                   for a in x for b in y
+                   for n in range(len(rest) - 1)
+                   for extra in combinations(sorted(rest - {a, b}), n))
+
+    return holds
+
+
 # -- canonical small models ----------------------------------------------------
 
 

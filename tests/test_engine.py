@@ -18,6 +18,7 @@ from separoid.engine import (
     _filler,
     _setup,
     _Space,
+    _submasks,
     apply_rule,
     closure,
     derivation_to_dict,
@@ -26,12 +27,12 @@ from separoid.engine import (
     replay,
     rule_set,
 )
-from separoid.errors import GuardViolation, IllFormed
+from separoid.errors import GuardViolation, IllFormed, UnknownVariable
 from separoid.models import RegimeFamily, check_eci_general, check_sci
 from separoid.search import SearchConfig, random_distribution
 from separoid.universe import CIStatement, ComplementarityDecl, ReductionRegistry, Universe
 
-from conftest import ci, dist, vs
+from conftest import brute_semigraphoid, ci, dist, vs
 
 
 RULE_SET_NAMES = ("SEPAROID_FULL", "VCI_STRONG", "ECI_RESTRICTED", "GENERAL")
@@ -139,13 +140,77 @@ def test_apply_rule_rejects_unknown_flags_on_a_given_rule_set(eci_uni):
     assert out == {ci(["X"], ["Y"], ["X", "Z"], rdec=["Th"], cdec=["Ph"])}
 
 
+def _spontaneous_by_rule_set(eng: _Engine):
+    """The reference generator of the premise-free rules, with one branch
+    per rule set: (rule, key) for P2 on the mode's component, P2' over the
+    complementary families, and P2g over every split of a family between
+    the left and the right slot."""
+    s_all, alls, comp = eng.space.s_all, eng.space.alls[eng.o], sorted(eng.comp_masks)
+    for name in eng.rs.rules:
+        if name == "P2":
+            for x in _submasks(alls):
+                for y in _submasks(alls):
+                    yield name, ((0, x, 0, y, 0, y) if eng.o else (x, 0, y, 0, y, 0))
+        elif name == "P2'":
+            for x in _submasks(s_all):
+                for d in comp:
+                    yield name, (x, 0, 0, d, 0, d)
+                    for y in _submasks(s_all):
+                        yield name, (x, 0, y, d, y, d)
+        elif name == "P2g":
+            for fam in comp:
+                for xd in (0, *_submasks(fam)):
+                    yd = fam ^ xd
+                    for xs in (0, *_submasks(s_all)):
+                        for ys in (0, *_submasks(s_all)):
+                            if (xs or xd) and (ys or yd):
+                                yield name, (xs, xd, ys, yd, ys, yd)
+
+
+def _spontaneous_universes():
+    """19 engines: SEPAROID_FULL in mode "s" on 1-7 stochastic names beside
+    two decision names and in mode "d" on 1-3 decision names beside one
+    stochastic name, VCI_STRONG on three decision names, and ECI_RESTRICTED
+    and GENERAL on X, Y, Z and P, T, K with 0-3 complementary families (the
+    empty family among them)."""
+    for n in range(1, 8):
+        uni = Universe.of(stochastic=[f"S{i}" for i in range(n)], decision=["P", "T"])
+        yield _Engine(rule_set("SEPAROID_FULL"), _Space(uni, None), ComplementarityDecl(), "s")
+    for n in range(1, 4):
+        uni = Universe.of(stochastic=["S"], decision=[f"D{i}" for i in range(n)])
+        yield _Engine(rule_set("SEPAROID_FULL"), _Space(uni, None), ComplementarityDecl(), "d")
+    uni = Universe.of(decision=["A", "B", "C"])
+    yield _Engine(rule_set("VCI_STRONG"), _Space(uni, None), ComplementarityDecl(), "d")
+    uni = Universe.of(stochastic=["X", "Y", "Z"], decision=["P", "T", "K"])
+    families = [["T"], ["P", "T"], []]
+    for name in ("ECI_RESTRICTED", "GENERAL"):
+        for n in range(4):
+            comp = ComplementarityDecl.of(*families[:n])
+            yield _Engine(rule_set(name), _Space(uni, None), comp, None)
+
+
+def test_spontaneous_equals_the_per_rule_set_generator():
+    """``_Engine.spontaneous`` lists the premise-free rules through
+    ``tautology``; on every engine of the matrix it yields, as a set, the
+    reference generator's instances, each once."""
+    engines = list(_spontaneous_universes())
+    assert len(engines) == 19
+    for eng in engines:
+        got = list(eng.spontaneous())
+        want = set(_spontaneous_by_rule_set(eng))
+        assert len(got) == len(set(got)) and set(got) == want, (eng.rs.name, eng.mode)
+        assert want or (eng.mode is None and not eng.comp_masks), (eng.rs.name, eng.mode)
+        assert {k for _rule, k in got} <= set(eng.members())
+
+
 def _one_step_by_rule(eng: _Engine, name: str, keys: list) -> set:
     """The reference enumerator: apply_rule's conclusions from a loop of its
     own over ``_Engine.unary`` and ``_Engine.binary``, a synthesized
-    tautology counted as a second premise only when it was supplied."""
+    tautology counted as a second premise only when it was supplied, and
+    the premise-free rules from the per-rule-set generator."""
     arity = RULES[name].arity
     if arity == 0:
-        return {ck for rn, ck in eng.spontaneous() if rn == name}
+        return {ck for rn, ck in _spontaneous_by_rule_set(eng) if rn == name}
     eng.clear()
     keyset = set(keys)
     for k in sorted(keyset):
@@ -618,6 +683,38 @@ def test_prove_agrees_with_closure(case):
                 assert not d.truncated
 
 
+# -- prove agrees with an independent semigraphoid oracle -----------------------------
+
+
+def test_prove_agrees_with_the_semigraphoid_oracle_on_three_names():
+    """Over stochastic A, B, C, SEPAROID_FULL is semigraphoid reasoning.  For
+    each of the 64 sets of elementary premises a _||_ b | K and each of the
+    79 goals whose outer slots are nonempty and disjoint from the
+    conditioning slot, prove derives the goal iff ``brute_semigraphoid``
+    holds it; every derivation replays and no absence is truncated."""
+    names = ("A", "B", "C")
+    uni, rs = Universe.of(stochastic=names), rule_set("SEPAROID_FULL")
+    elementary = [ci([a], [b], k) for a, b in itertools.combinations(names, 2)
+                  for k in ((), tuple(set(names) - {a, b}))]
+    subsets = [frozenset(c) for n in range(4) for c in itertools.combinations(names, n)]
+    goals = [ci(x, y, z) for z in subsets for x in subsets for y in subsets
+             if x and y and not (x | y) & z]
+    assert len(elementary) == 6 and len(goals) == 79
+    derived = 0
+    for bits in range(1 << len(elementary)):
+        prems = [e for i, e in enumerate(elementary) if bits >> i & 1]
+        holds = brute_semigraphoid(prems)
+        for goal in goals:
+            d = prove(goal, prems, rs, universe=uni)
+            assert isinstance(d, Derivation) == holds(goal), (prems, goal)
+            if isinstance(d, Derivation):
+                assert replay(d, universe=uni, premises=prems), format_proof(d)
+                derived += 1
+            else:
+                assert not d.truncated, (prems, goal)
+    assert 0 < derived < 64 * 79
+
+
 # -- closure digests -----------------------------------------------------------------
 
 
@@ -736,6 +833,36 @@ def test_replay_rejects_tampered_derivations(uni3, eci_uni, comp):
     assert not replay(Derivation(b, "P1'", (leaf,)), **kw)
     c, d = ci(["X"], ["Y"], ["Z"], cdec=["Th"]), ci(["Y"], ["X"], ["Z"], cdec=["Th"])
     assert replay(Derivation(d, "P1'", (Derivation(c, "premise"),)), premises=[c], **kw)
+
+
+@pytest.mark.parametrize("entry", ["prove", "closure", "apply_rule", "replay"])
+def test_unknown_names_are_named_by_every_entry_point(entry):
+    """A name outside the universe, or a decision name in a stochastic part,
+    raises ``UnknownVariable`` with ``canonicalize``'s text, naming the
+    least offending name of the first slot that has one; ``replay`` answers
+    False, whether the name is in a step's premise or in its goal."""
+    uni = Universe.of(stochastic=["X", "Y"], decision=["Th", "Ph"])
+    good, rs = ci(["X"], ["Y"]), rule_set("SEPAROID_FULL")
+    cases = [(ci(["X", "Q", "P", "R"], ["Y"]), "undeclared variable 'P'"),
+             (ci(["X"], ["Y", "Th", "Ph"]), "'Ph' is not a stochastic variable"),
+             (ci(["X"], ["Y"], ["Th", "Q"]), "undeclared variable 'Q'")]
+    for bad, text in cases:
+        calls = {"prove": [lambda: prove(bad, [good], rs, universe=uni),
+                           lambda: prove(good, [bad], rs, universe=uni)],
+                 "closure": [lambda: closure([good, bad], rs, universe=uni)],
+                 "apply_rule": [lambda: apply_rule("P1", [bad], universe=uni),
+                                lambda: apply_rule("P3", [good, bad], universe=uni)]}
+        if entry == "replay":
+            swapped = CIStatement(bad.right, bad.left, bad.cond)
+            for d in (Derivation(swapped, "P1", (Derivation(bad, "premise"),)),
+                      Derivation(bad, "P1", (Derivation(good, "premise"),)),
+                      Derivation(bad, "P2")):
+                assert replay(d, universe=uni) is False
+            continue
+        for call in calls[entry]:
+            with pytest.raises(UnknownVariable) as err:
+                call()
+            assert str(err.value) == text
 
 
 def test_replay_builds_one_engine_per_mode(monkeypatch, uni3):

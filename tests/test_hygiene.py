@@ -205,7 +205,8 @@ def test_function_level_imports_only_break_cycles():
 def test_rule_instances_come_from_expand_alone():
     """No module but engine.py reads ``unary``, ``binary`` or ``implicit``,
     and in engine.py no function but ``_Engine.expand`` reads ``unary`` or
-    ``binary``: every rule instance the package draws comes from ``expand``."""
+    ``binary``: every rule instance with premises that the package draws
+    comes from ``expand`` (the premise-free ones from ``spontaneous``)."""
     readers = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -237,3 +238,23 @@ def test_kernel_internals_are_read_in_models_alone():
     readers = [f"{path.name} reads {name}" for path in MODULES if path.name != "models.py"
                for name in sorted(private & set(attribute_reads(ast.parse(path.read_text()))))]
     assert readers == []
+
+
+def test_premise_free_rules_are_named_in_tautology_alone():
+    """The P2 family is defined once: in engine.py the literals "P2", "P2'"
+    and "P2g" occur only in ``RULES``, ``_RULE_SETS`` and
+    ``_Engine.tautology``, so ``spontaneous`` takes its rule names from
+    ``tautology`` and has no branch of its own per rule set."""
+    names = {"P2", "P2'", "P2g"}
+    tree = ast.parse((SRC / "engine.py").read_text())
+    engine = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Engine")
+    tautology = next(n for n in engine.body
+                     if isinstance(n, ast.FunctionDef) and n.name == "tautology")
+    tables = [n for n in tree.body if isinstance(n, (ast.Assign, ast.AnnAssign))
+              and {t.id for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+                   if isinstance(t, ast.Name)} & {"RULES", "_RULE_SETS"}]
+    assert len(tables) == 2
+    allowed = {id(n) for scope in (*tables, tautology) for n in ast.walk(scope)}
+    literals = [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and n.value in names]
+    assert {n.value for n in ast.walk(tautology) if isinstance(n, ast.Constant)} >= names
+    assert [f"line {n.lineno}: {n.value!r}" for n in literals if id(n) not in allowed] == []

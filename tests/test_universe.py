@@ -50,6 +50,24 @@ def test_canonicalize_unknown_variable(uni):
         canonicalize(uni, bad)
 
 
+def test_canonicalize_names_the_least_offending_name():
+    """Several undeclared names, or names of the other kind: the least such
+    name of the first slot that has one, in left, right, cond order,
+    whatever order the slots' sets iterate in."""
+    u = Universe.of(stochastic=["X", "Y"], decision=["Th", "Ph"])
+    cases = [
+        (ci(["X", "Q", "P", "R"], ["Y"]), "undeclared variable 'P'"),
+        (ci(["X"], ["Y", "Th", "Ph"]), "'Ph' is not a stochastic variable"),
+        (ci(["X"], ["Y"], ["Th", "Q", "Ph"]), "'Ph' is not a stochastic variable"),
+        (ci(["X"], ["Y"], cdec=["Th", "Z", "Ph", "Y"]), "'Y' is not a decision variable"),
+        (ci(["X", "W"], ["Y", "V"]), "undeclared variable 'W'"),
+    ]
+    for stmt, text in cases:
+        with pytest.raises(UnknownVariable) as err:
+            canonicalize(u, stmt)
+        assert str(err.value) == text
+
+
 def test_join_examples():
     a, b = vs(["X"], ["Th"]), vs(["Y"])
     assert join(a, b) == vs(["X", "Y"], ["Th"])
@@ -138,12 +156,16 @@ def test_varset_hash_is_cached_and_survives_pickling():
 
 @pytest.mark.parametrize("seed", ["0", "9", "37", "101"])
 def test_varset_pickling_holds_under_each_hash_seed(seed):
-    """The pickling test in a fresh process per PYTHONHASHSEED.  Under 9 and
-    37 a pickled copy's frozensets iterate in another order; the repr lists
-    the sorted names, so it does not show that."""
+    """The pickling test, and the test of canonicalize's offending name, in
+    a fresh process per PYTHONHASHSEED.  Under 9 and 37 a pickled copy's
+    frozensets iterate in another order; the repr lists the sorted names, so
+    it does not show that.  For left slot {X, Q, P, R} over {X, Y},
+    canonicalize used to name the first unknown name met: R, R, Q and P
+    under 0, 9, 37 and 101."""
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
-    code = "import test_universe as t; t.test_varset_hash_is_cached_and_survives_pickling()"
+    code = ("import test_universe as t; t.test_varset_hash_is_cached_and_survives_pickling(); "
+            "t.test_canonicalize_names_the_least_offending_name()")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path})
     assert run.returncode == 0, run.stderr
