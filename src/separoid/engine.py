@@ -43,9 +43,10 @@ few members that another route reaches more cheaply, which keep that cost and
 its tie-break), and ``build`` writes the members' P2/P3 leaves back into the
 proof.  With a registry, P3 can reduce w to a function of y outside y; those
 conclusions are ordinary statements, which ``prove`` seeds from ``leaks()``
-at the cost of their route out of the family.  ``closure`` runs its rounds on
-the statements outside the family too, seeded from ``leaks()``, and adds
-every member (``_Engine.members``) to its result at the end.
+at the cost of their route out of the family, unless the goal is a premise.
+``closure`` runs its rounds on the statements outside the family too, seeded
+from ``leaks()``, and adds every member (``_Engine.members``) to its result
+at the end.
 
 Deferred expansion (partial expansion, Yoshizumi, Miura & Ishida, AAAI 2000):
 ``prove`` keeps the statements settled at cost c in a bucket and runs each
@@ -787,11 +788,12 @@ def prove(
 
     for k in sorted(set(keys)):
         settle(0, "premise", (), k, "")
-    for item in eng.leaks():
-        push(*item)
-    fam = eng.tautology(goal_key)
-    if fam is not None:
-        push(fam[1], fam[2], goal_key, "")
+    if goal_key not in cost:  # a premise goal is settled: seed nothing
+        for item in eng.leaks():
+            push(*item)
+        fam = eng.tautology(goal_key)
+        if fam is not None:
+            push(fam[1], fam[2], goal_key, "")
 
     truncated = False
     while goal_key not in cost and heap:

@@ -152,6 +152,24 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
+def _models(cfg: SearchConfig, semantics: str, exhaustive: bool = False):
+    """The one model source of the search and the scans: (index, model) for
+    ``cfg.trials`` seeded draws (looked up by module-global name per call),
+    or every grid table (SCI) or every decision map on every regime space of
+    1 to ``cfg.regime_count`` regimes (VCI) when exhaustive."""
+    if not exhaustive:
+        draw = {SCI: random_distribution, VCI: random_decmap, ECI: random_family}[semantics]
+        return ((i, draw(cfg, i)) for i in range(cfg.trials))
+    variables = _variables(cfg)
+    if semantics == SCI:
+        return enumerate(grid_distributions(variables, cfg.probability_grid))
+    return enumerate(  # VCI: search_counterexample rejects an exhaustive ECI search
+        {n: dict(zip(regimes, f)) for n, f in zip(variables, combo)}
+        for regimes in map(regime_labels, range(1, cfg.regime_count + 1))
+        for combo in product(*(product(v, repeat=len(regimes)) for v in variables.values()))
+    )
+
+
 def _statement_kind_check(stmts: Iterable[CIStatement], semantics: str) -> None:
     for s in stmts:
         if semantics == SCI and s.decision_names:
@@ -234,37 +252,23 @@ def search_counterexample(
     if semantics not in (SCI, VCI, ECI):
         raise ValueError(f"unknown semantics {semantics!r}")
     _statement_kind_check(premises + [goal], semantics)
-
     if exhaustive:
         if semantics != SCI:
             raise ValueError("exhaustive mode enumerates plain distributions only")
         if prod(cfg.var_cardinalities.values()) > 4:
             raise ValueError("exhaustive mode is limited to at most four atoms "
                              "(the product of the variable cardinalities)")
-        models = enumerate(grid_distributions(_variables(cfg), cfg.probability_grid))
-    elif semantics == SCI:
-        models = ((i, random_distribution(cfg, i)) for i in range(cfg.trials))
-    elif semantics == VCI:
-        models = ((i, random_decmap(cfg, i)) for i in range(cfg.trials))
-    else:
-        models = ((i, random_family(cfg, i)) for i in range(cfg.trials))
-
-    for i, model in models:
+    for i, model in _models(cfg, semantics, exhaustive):
         try:
-            prem_results = [_holds(model, p, semantics) for p in premises]
-            if not all(prem_results):
+            if (not all(_holds(model, p, semantics) for p in premises)
+                    or _holds(model, goal, semantics)):
                 continue
-            goal_holds = _holds(model, goal, semantics)
         except NotComplementary:
             continue  # model incompatible with the statement's decision family
-        if goal_holds:
-            continue
         report = {
             "semantics": semantics,
             "trial": i,
-            "premises": [
-                {"statement": render_statement(p), "holds": True} for p in premises
-            ],
+            "premises": [{"statement": render_statement(p), "holds": True} for p in premises],
             "goal": {"statement": render_statement(goal), "holds": False},
         }
         return CounterexampleResult(semantics, i, model, report, cfg)
@@ -610,15 +614,22 @@ class _Scan:
         )
 
 
-def _range(scan: _Scan, decmap: Mapping, regimes: Sequence[str]) -> tuple:
+def _range(scan: _Scan, decmap: Mapping) -> tuple:
     """A map's relabeled range: its distinct points in sorted order, each
-    name's values numbered by first appearance over the regimes."""
+    name's values numbered by first appearance over the map's regimes."""
+    regimes = next(iter(decmap.values()), ())
     cols = [[decmap[n][s] for s in regimes] for n in scan.space.d_names]
     cols = [list(map([*dict.fromkeys(col)].index, col)) for col in cols]
     return tuple(sorted(set(zip(*cols))))
 
 
-def _vci_model(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str]) -> None:
+def _sci_model(scan: _Scan, trial: int, dist: DiscreteDistribution) -> None:
+    """One SCI model: ``MaskKernel.sci`` on the table's compiled kernel."""
+    sci = dist.kernel.sci
+    scan.model(trial, lambda k: sci(k[0], k[2], k[4]))
+
+
+def _vci_model(scan: _Scan, trial: int, decmap: Mapping) -> None:
     """One VCI model, memoized by its relabeled range (``_range``) and
     compiled from the range (``dec_compile``, one row per point, outside
     ``dec_kernel``'s content cache) only to close a range the scan has not
@@ -634,7 +645,7 @@ def _vci_model(scan: _Scan, trial: int, decmap: Mapping, regimes: Sequence[str])
     and replays its violations under its own trial index, so ``_Scan.model``
     and P6 run once per range: 64 for 4,680 maps of three variables on up
     to four regimes."""
-    key = _range(scan, decmap, regimes)
+    key = _range(scan, decmap)
     seen = scan.ranges.get(key)
     if seen is None:
         before, start = dict(scan.tally), len(scan.violations)
@@ -736,46 +747,35 @@ def _eci_model(scan: _Scan, trial: int, fam: RegimeFamily) -> None:
 def exhaustive_vci_scan(max_regimes: int = 4, n_vars: int = 3) -> ScanReport:
     """VCI_STRONG (P1..P6) against the variation checker over every decision
     map with n_vars binary variables on every regime space of size <=
-    max_regimes.  The VCI and P6 verdicts depend only on a map's joint
-    range up to renaming each variable's values, and the maps share few such
-    ranges (64 for the 4,680 maps of three variables on at most four
-    regimes), so each is closed once per call and replayed for the other
-    maps that have it (see ``_vci_model``).  Within the call each range test
-    and meet is decided once per partition of a range's points (see
-    ``_close_vci``): on at most three regimes, so at most three points, at
-    most 1 + 2**3 + 5**3 = 134 range tests and 1 + 2**2 + 5**2 = 30 meets.
-    Ranges and partitions are not kept between calls; the domain's listing
-    and its class table are, as in every scan (see ``_Scan``)."""
+    max_regimes: the exhaustive VCI models of ``_models``, closed by the scan
+    loop ``axiom_soundness_scan`` shares (``_soundness``).  Each joint range
+    up to relabeling is closed once per call and replayed for the other maps
+    that have it (``_vci_model``), and each range test and meet is decided
+    once per partition of a range's points (``_close_vci``: on at most three
+    regimes, at most 134 range tests and 30 meets).  Ranges and partitions
+    are not kept between calls; the domain's listing and its class table
+    are (see ``_Scan``)."""
     if max_regimes < 1 or n_vars < 1:
         raise ValueError("max_regimes and n_vars must be >= 1")
     names = tuple(chr(ord("A") + i) for i in range(n_vars))
-    scan = _Scan(rule_set("VCI_STRONG"), Universe.of(decision=names), "d")
-    trials = 0
-    for size in range(1, max_regimes + 1):
-        regimes = regime_labels(size)
-        funcs = list(product("01", repeat=size))
-        for combo in product(funcs, repeat=n_vars):
-            decmap = {n: dict(zip(regimes, f)) for n, f in zip(names, combo)}
-            _vci_model(scan, trials, decmap, regimes)
-            trials += 1
-            if scan.violations:
-                return scan.report(trials, ("exhaustive",))
-    return scan.report(trials, ("exhaustive",))
+    cfg = SearchConfig(seed=0, var_cardinalities=dict.fromkeys(names, 2), regime_count=max_regimes)
+    return _soundness(cfg, rule_set("VCI_STRONG"), exhaustive=True, flags=("exhaustive",))
 
 
 def axiom_soundness_scan(cfg: SearchConfig, rs: RuleSet) -> ScanReport:
     """Soundness of the rule set on trial models: each model's true set must
     be closed under the engine's own rule instantiation, i.e. whenever the
     premises of a rule instance hold on the model, its conclusion holds too.
-    Stops after the first model with a violation and reports all of that
-    model's violations; ``trials`` counts the models checked.  They are
-    listed per admitted decision union, in domain order, as the union's one
-    walk meets them: the spontaneous instances concluding in the union,
-    then those with one of its always-true statements as premise, then
-    those with one of its true asked statements as first premise, per
-    statement in domain order and rule step; a spontaneous instance has no
-    premises and a pair is named by both.  P6 violations follow, in the
-    order of ``_close_vci``.
+    The models are the seeded draws of ``_models``, closed by the scan loop
+    ``exhaustive_vci_scan`` shares (``_soundness``), which stops after the
+    first model with a violation and reports all its violations; ``trials``
+    counts the models checked.  They are listed per admitted decision union,
+    in domain order, as the union's one walk meets them: the spontaneous
+    instances concluding in the union, then those with one of its
+    always-true statements as premise, then those with one of its true
+    asked statements as first premise, per statement in domain order and
+    rule step; a spontaneous instance has no premises and a pair is named by
+    both.  P6 violations follow, in the order of ``_close_vci``.
 
     Scan domain: statements with nonempty outer slots that are legal under
     the rule set and, for ECI_RESTRICTED and GENERAL, whose decision union is
@@ -787,29 +787,26 @@ def axiom_soundness_scan(cfg: SearchConfig, rs: RuleSet) -> ScanReport:
     (see ``_Scan``).  P6 is checked on the model, and when dominating_regime
     is the only flag, P4''/P4g run only on premises whose conditioning
     decision names have a dominating regime in every group."""
+    return _soundness(cfg, rs)
+
+
+def _soundness(cfg: SearchConfig, rs: RuleSet, exhaustive: bool = False,
+               flags: tuple[str, ...] | None = None) -> ScanReport:
+    """The one scan loop: close each model of ``_models`` in index order on
+    the rule set's scan, up to the first with a violation."""
     names = tuple(sorted(cfg.var_cardinalities))
     if rs.name == "SEPAROID_FULL":
-        scan = _Scan(rs, Universe.of(stochastic=names), "s")
-
-        def check(t: int) -> None:
-            sci = random_distribution(cfg, t).kernel.sci
-            scan.model(t, lambda k: sci(k[0], k[2], k[4]))
+        semantics, scan = SCI, _Scan(rs, Universe.of(stochastic=names), "s")
     elif rs.name == "VCI_STRONG":
-        scan = _Scan(rs, Universe.of(decision=names), "d")
-        regimes = regime_labels(cfg.regime_count)
-
-        def check(t: int) -> None:
-            _vci_model(scan, t, random_decmap(cfg, t), regimes)
+        semantics, scan = VCI, _Scan(rs, Universe.of(decision=names), "d")
     elif rs.name in ("ECI_RESTRICTED", "GENERAL"):
         decs = ("Sigma", *cfg.decision_cardinalities)
-        scan = _Scan(rs, Universe.of(stochastic=names, decision=decs))
-
-        def check(t: int) -> None:
-            _eci_model(scan, t, random_family(cfg, t))
+        semantics, scan = ECI, _Scan(rs, Universe.of(stochastic=names, decision=decs))
     else:
         raise ValueError(f"no soundness scan for rule set {rs.name!r}")
-    for t in range(cfg.trials):
-        check(t)
+    close = {SCI: _sci_model, VCI: _vci_model, ECI: _eci_model}[semantics]
+    for t, model in _models(cfg, semantics, exhaustive):
+        close(scan, t, model)
         if scan.violations:
             break
-    return scan.report(t + 1)
+    return scan.report(t + 1, flags)

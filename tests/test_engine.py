@@ -405,6 +405,26 @@ def test_prove_premise_is_zero_steps(uni3):
     assert d.steps == 0
 
 
+def test_prove_seeds_no_leaks_for_a_premise_goal(monkeypatch):
+    """A goal that is a premise is settled at cost 0, so prove walks none of
+    the registry's leaks (32,256 of them on this session)."""
+    yielded = []
+    leaks = _Engine.leaks
+
+    def counted(self):
+        for item in leaks(self):
+            yielded.append(item)
+            yield item
+
+    monkeypatch.setattr(_Engine, "leaks", counted)
+    ses = parse_session("stochastic X1, X2, X3, X4, X5, X6; reduce X1 <= X2;"
+                        " premise X1 _||_ X6 | X2;")
+    d = prove(ses.premises[0], ses.premises, rule_set("SEPAROID_FULL"),
+              universe=ses.universe, registry=ses.registry)
+    assert (d.goal, d.rule, d.steps) == (ses.premises[0], "premise", 0)
+    assert yielded == []
+
+
 def test_prove_not_derivable_conclusively(uni3):
     res = prove(ci(["X"], ["Y"]), [ci(["X"], ["Y"], ["Z"])],
                 rule_set("SEPAROID_FULL"), universe=uni3)
@@ -713,6 +733,35 @@ def test_prove_agrees_with_the_semigraphoid_oracle_on_three_names():
             else:
                 assert not d.truncated, (prems, goal)
     assert 0 < derived < 64 * 79
+
+
+def test_prove_agrees_with_the_semigraphoid_oracle_on_four_names():
+    """Over stochastic A, B, C, D: 40 seeded sets of one to four of the 24
+    elementary premises a _||_ b | K, each against the 110 goals whose three
+    slots are pairwise disjoint and whose outer slots are nonempty.  prove
+    derives a goal iff ``brute_semigraphoid`` holds it; every derivation
+    replays and no absence is truncated."""
+    names = ("A", "B", "C", "D")
+    uni, rs = Universe.of(stochastic=names), rule_set("SEPAROID_FULL")
+    subsets = [frozenset(c) for n in range(5) for c in itertools.combinations(names, n)]
+    elementary = [ci([a], [b], k) for a, b in itertools.combinations(names, 2)
+                  for k in subsets if not {a, b} & k]
+    goals = [ci(x, y, z) for z in subsets for x in subsets for y in subsets
+             if x and y and not (x & y or (x | y) & z)]
+    assert len(elementary) == 24 and len(goals) == 110
+    rng, derived = random.Random(4), 0
+    for _ in range(40):
+        prems = rng.sample(elementary, rng.randint(1, 4))
+        holds = brute_semigraphoid(prems)
+        for goal in goals:
+            d = prove(goal, prems, rs, universe=uni)
+            assert isinstance(d, Derivation) == holds(goal), (prems, goal)
+            if isinstance(d, Derivation):
+                assert replay(d, universe=uni, premises=prems), format_proof(d)
+                derived += 1
+            else:
+                assert not d.truncated, (prems, goal)
+    assert 0 < derived < 40 * 110
 
 
 # -- closure digests -----------------------------------------------------------------

@@ -258,3 +258,17 @@ def test_premise_free_rules_are_named_in_tautology_alone():
     literals = [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and n.value in names]
     assert {n.value for n in ast.walk(tautology) if isinstance(n, ast.Constant)} >= names
     assert [f"line {n.lineno}: {n.value!r}" for n in literals if id(n) not in allowed] == []
+
+
+def test_search_models_come_from_models_alone():
+    """search.py draws or enumerates models in ``_models`` alone: no other
+    code there names random_distribution, random_decmap, random_family or
+    grid_distributions, so the counterexample search and every soundness
+    scan read one model source."""
+    sources = {"random_distribution", "random_decmap", "random_family", "grid_distributions"}
+    tree = ast.parse((SRC / "search.py").read_text())
+    models = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_models")
+    inside = {id(n) for n in ast.walk(models)}
+    named = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in sources]
+    assert {n.id for n in named if id(n) in inside} == sources
+    assert [f"line {n.lineno}: {n.id}" for n in named if id(n) not in inside] == []

@@ -27,6 +27,7 @@ from separoid.search import (
     SearchConfig,
     _Scan,
     _close_vci,
+    _models,
     _range,
     _vci_model,
     axiom_soundness_scan,
@@ -217,13 +218,13 @@ def _vci_scan(names):
 
 
 def _per_map_report(names, maps):
-    """Each (decmap, regimes) run through _vci_model on its own scan, so no
+    """Each decision map run through _vci_model on its own scan, so no
     joint range is ever shared; the per-rule tallies are summed."""
     tally = dict.fromkeys(rule_set("VCI_STRONG").rules, 0)
     violations = []
-    for trial, (decmap, regimes) in enumerate(maps):
+    for trial, decmap in enumerate(maps):
         scan = _vci_scan(names)
-        _vci_model(scan, trial, decmap, regimes)
+        _vci_model(scan, trial, decmap)
         for r, c in scan.tally.items():
             tally[r] += c
         violations += scan.violations
@@ -238,7 +239,7 @@ def _counts(rep):
 
 def test_vci_range_memo_matches_per_map_scans():
     names = ("A", "B", "C")
-    maps = list(exhaustive_maps(names, 3))
+    maps = [decmap for decmap, _ in exhaustive_maps(names, 3)]
     assert len(maps) == 8 + 64 + 512
     rep = exhaustive_vci_scan(max_regimes=3, n_vars=3)
     assert _counts(rep) == _per_map_report(names, maps)
@@ -247,8 +248,7 @@ def test_vci_range_memo_matches_per_map_scans():
     cfg = SearchConfig(seed=6, trials=40, var_cardinalities={"A": 2, "B": 2, "C": 2},
                        regime_count=4)
     rep = axiom_soundness_scan(cfg, rule_set("VCI_STRONG"))
-    regimes = regime_labels(cfg.regime_count)
-    maps = [(random_decmap(cfg, t), regimes) for t in range(cfg.trials)]
+    maps = [random_decmap(cfg, t) for t in range(cfg.trials)]
     assert _counts(rep) == _per_map_report(names, maps)
     assert rep.instances_by_rule["P6"] == 19457
 
@@ -264,20 +264,20 @@ def test_vci_range_memo_replays_violations(monkeypatch):
             yield (k[0], k[1], k[2], k[3], k[4], 0), ""
 
     monkeypatch.setattr(_Engine, "unary", unary)
-    names, regimes = ("A", "B", "C"), regime_labels(3)
+    names = ("A", "B", "C")
     first = {"A": {"s0": "0", "s1": "1", "s2": "1"},
              "B": {"s0": "0", "s1": "1", "s2": "0"},
              "C": {"s0": "1", "s1": "0", "s2": "0"}}
     second = {n: {"s0": f["s2"], "s1": f["s0"], "s2": f["s1"]} for n, f in first.items()}
     scan = _vci_scan(names)
-    _vci_model(scan, 0, first, regimes)
+    _vci_model(scan, 0, first)
     once, tally = list(scan.violations), dict(scan.tally)
     assert once and {v["rule"] for v in once} == {"P3"}
-    _vci_model(scan, 7, second, regimes)
+    _vci_model(scan, 7, second)
     assert scan.violations == once + [{**v, "trial": 7} for v in once]
     assert scan.tally == {r: 2 * c for r, c in tally.items()}
     fresh = _vci_scan(names)
-    _vci_model(fresh, 7, second, regimes)
+    _vci_model(fresh, 7, second)
     assert fresh.violations == scan.violations[len(once):]
 
 
@@ -323,7 +323,7 @@ def test_vci_verdicts_match_the_definition(monkeypatch):
     slots = [mask_names(m, names) for m in range(8)]
     tables, scan, maps, ranges = _spy_models(monkeypatch), _vci_scan(names), 0, {}
     for decmap, regimes in _oracle_maps(names):
-        if (key := _range(scan, decmap, regimes)) not in ranges:
+        if (key := _range(scan, decmap)) not in ranges:
             _close_vci(scan, len(ranges), dec_kernel(decmap, names, regimes))
             ranges[key] = _truth(scan, tables[-1][3])
         truth, maps = ranges[key], maps + 1
@@ -381,12 +381,12 @@ def test_vci_range_memo_replays_what_a_fresh_scan_closes(monkeypatch, meet):
     names = ("A", "B", "C")
     scan, replayed = _vci_scan(names), 0
     monkeypatch.setattr(_Scan, "render", lambda self, k, render=cache(scan.render): render(k))
-    for trial, (decmap, regimes) in enumerate(exhaustive_maps(names, 3)):
+    for trial, (decmap, _) in enumerate(exhaustive_maps(names, 3)):
         before, start = dict(scan.tally), len(scan.violations)
-        replayed += _range(scan, decmap, regimes) in scan.ranges
-        _vci_model(scan, trial, decmap, regimes)
+        replayed += _range(scan, decmap) in scan.ranges
+        _vci_model(scan, trial, decmap)
         fresh = _vci_scan(names)
-        _vci_model(fresh, trial, decmap, regimes)
+        _vci_model(fresh, trial, decmap)
         assert {r: c - before[r] for r, c in scan.tally.items()} == fresh.tally
         assert scan.violations[start:] == fresh.violations
     assert replayed == 584 - len(scan.ranges) and len(scan.ranges) == 29
@@ -1471,6 +1471,41 @@ def test_random_models_are_unchanged():
 def test_grid_distributions_counts():
     vars_ = {"X": ["0", "1"]}
     assert sum(1 for _ in grid_distributions(vars_, 4)) == 5  # compositions of 4 into 2
+
+
+def _table(dist) -> tuple:
+    return list(dist.pmf.items()), dist.signature()
+
+
+def _ordered(decmap) -> list:
+    return [(n, list(f.items())) for n, f in decmap.items()]
+
+
+def test_models_yield_what_the_draws_and_enumerations_give():
+    """``_models`` is the one model source.  Index by index, its random SCI,
+    VCI and ECI models are those of random_distribution, random_decmap and
+    random_family; its exhaustive SCI models are grid_distributions' tables
+    and its exhaustive VCI models the 584 maps of ``exhaustive_maps`` over
+    three names on one to three regimes, both in order (key order
+    included)."""
+    cfg = SearchConfig(seed=9, trials=15, var_cardinalities={"A": 2, "B": 3}, regime_count=3,
+                       probability_grid=3, decision_cardinalities={"Th": 2})
+    for semantics, draw, data in [("SCI", random_distribution, _table),
+                                  ("VCI", random_decmap, _ordered),
+                                  ("ECI", random_family, model_to_dict)]:
+        got = [(i, data(m)) for i, m in _models(cfg, semantics)]
+        assert got == [(i, data(draw(cfg, i))) for i in range(cfg.trials)], semantics
+
+    grid = SearchConfig(seed=0, var_cardinalities={"X": 2, "Y": 2}, probability_grid=3)
+    got = [(i, _table(d)) for i, d in _models(grid, "SCI", exhaustive=True)]
+    want = grid_distributions({"X": ("0", "1"), "Y": ("0", "1")}, 3)
+    assert got == list(enumerate(map(_table, want)))
+    assert len(got) == search.model_count(grid, exhaustive=True) == 20
+
+    maps = SearchConfig(seed=0, var_cardinalities=dict.fromkeys("ABC", 2), regime_count=3)
+    got = [(i, _ordered(m)) for i, m in _models(maps, "VCI", exhaustive=True)]
+    assert got == [(i, _ordered(m)) for i, (m, _) in enumerate(exhaustive_maps("ABC", 3))]
+    assert len(got) == 584
 
 
 @pytest.mark.parametrize("rules, sym", [("ECI_RESTRICTED", "P1'"), ("GENERAL", "P1g")])
