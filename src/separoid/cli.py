@@ -8,6 +8,7 @@ machine-readable output goes through ``--json`` with stable keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -423,8 +424,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser``'s parser, built once per process for ``main``; parsing
+    leaves it as it was, and nothing else holds it to change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -56,11 +56,11 @@ c + 1 and carries nonempty premises, so it sorts after that entry: items pop
 in the order of eager expansion, and steps whose turn never comes are skipped.
 The heap also holds at most one pending entry per conclusion: a route is
 pushed only when its entry ``(cost, rule index, premises, ...)`` is below the
-least one already pushed for that conclusion.  The heap pops in one total
-order, so only a conclusion's least entry is ever settled, compared with its
-family price or cut off by ``max_statements``; a route not below it would pop
-later and be skipped, so the settled costs and justifications are those of
-pushing every route.
+least one already pushed for that conclusion, a member of the family other
+than the goal starting from its family price.  The heap pops in one total
+order, so only a conclusion's least entry is ever settled or cut off by
+``max_statements``; a route not below it would pop later and be skipped, so
+the settled costs and justifications are those of pushing every route.
 """
 
 from __future__ import annotations
@@ -299,6 +299,15 @@ class _Space:
         ls, ld, rs, rd, cs, cd = key
         slot = self.slot
         return CIStatement(slot(ls, ld), slot(rs, rd), slot(cs, cd))
+
+    def statements(self, keys: Iterable[tuple]) -> frozenset:
+        """``stmt_of`` over keys, as a set.  Every slot is decoded first, into
+        a table indexed by ``s | d << len(s_names)``: a closure lists 3^n
+        keys, beside which its 2^n slots cost little."""
+        sh = len(self.s_names)
+        tbl = [self.slot(s, d) for d in range(self.d_all + 1) for s in range(self.s_all + 1)]
+        return frozenset([CIStatement(tbl[ls | ld << sh], tbl[rs | rd << sh], tbl[cs | cd << sh])
+                          for ls, ld, rs, rd, cs, cd in keys])
 
     def red(self, o: int, mask: int) -> int:
         """The component-o mask closed under the registry: mask plus every
@@ -713,7 +722,7 @@ def closure(
         agenda = batch
         if truncated:
             break
-    return ClosureResult(frozenset(map(eng.space.stmt_of, known)), truncated, rounds)
+    return ClosureResult(eng.space.statements(known), truncated, rounds)
 
 
 def prove(
@@ -732,7 +741,8 @@ def prove(
     rule step at a time (see the module docstring), premises included, so
     the result is that of expanding each statement as soon as it is settled.
     A route to a conclusion is pushed only when it is below every route
-    pushed for it before; the others could only pop later, to be skipped.
+    pushed for it before, and below its family price when it is a member;
+    the others could only pop later, to be skipped.
 
     Implicit tautologies are priced by ``_Engine.tautology`` and never
     settled, unless another route is cheaper or wins the tie-break (then
@@ -765,6 +775,8 @@ def prove(
             return
         e = (c, ridx[name], prem, ck, note)
         b = best.get(ck)
+        if b is None and ck != goal_key and (fam := eng.tautology(ck)) is not None:
+            b = best[ck] = (fam[0], ridx[fam[1]], fam[2])  # the family price
         if b is None or e < b:  # an entry not below b would pop after it, to no effect
             best[ck] = e
             heapq.heappush(heap, e)
@@ -805,11 +817,7 @@ def prove(
             continue
         if ck in cost:
             continue
-        fam = eng.tautology(ck)
-        if fam is not None:
-            if ck != goal_key and (c, ri, prem) >= (fam[0], ridx[fam[1]], fam[2]):
-                continue  # the implicit derivation is at least as good
-        elif kept >= lim.max_statements:
+        if kept >= lim.max_statements and eng.tautology(ck) is None:
             truncated = True
             break
         settle(c, eng.rs.rules[ri], prem, ck, note)

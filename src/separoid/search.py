@@ -193,7 +193,7 @@ class CounterexampleResult:
 
     def to_dict(self) -> dict:
         model = (
-            {"decision_vars": self.model, "regimes": sorted({s for m in self.model.values() for s in m})}
+            {"decision_vars": self.model, "regimes": list(next(iter(self.model.values()), ()))}
             if isinstance(self.model, dict)
             else model_to_dict(self.model)
         )

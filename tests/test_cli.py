@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from separoid import cli
 from separoid.cli import main
 
 SESSION = """
@@ -127,6 +129,31 @@ def test_derive_left_trivial_goal_outside_guarded_closure(capsys):
     assert rc == 1
     assert json.loads(capsys.readouterr().out) == {
         "derived": False, "goal": "X _||_ Y | X", "truncated": False}
+
+
+_DEMO = ("stochastic L, U, A, Y; decision Sigma; complementary {Sigma};"
+         " premise L, U _||_ Sigma; premise Y _||_ Sigma | A, L, U;"
+         " premise A _||_ U | L, Sigma;")
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    """Every ``main`` call parses with one parser, and no call's ``--flag``
+    list carries over to the next: each answers as a fresh process would.
+    U _||_ Sigma | L on the demo needs P4'' under discrete_variables."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    argv = ["derive", "--rules", "ECI_RESTRICTED", "-e", _DEMO, "U _||_ Sigma | L"]
+    flagged = [*argv[:3], "--flag", "discrete_variables", *argv[3:]]
+    assert [main(flagged), main(argv), main(flagged), main(argv)] == [0, 1, 0, 1]
+    assert built.count("separoid") == 1
+    assert cli.build_parser() is not cli.build_parser()  # callers may change theirs
 
 
 def test_close_contains_goal(session_file, capsys):

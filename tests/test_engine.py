@@ -525,11 +525,8 @@ def test_prove_c1_chain_twelve_steps():
     assert replay(d, universe=ses.universe, premises=ses.premises)
 
 
-@pytest.mark.parametrize("case", ["c1_chain", "chain7"])
-def test_prove_keeps_one_pending_entry_per_conclusion(monkeypatch, case):
-    """Each item entry ``prove`` pushes is strictly below every earlier entry
-    for its conclusion, so a conclusion's entries strictly decrease.  On
-    c1_chain it pushes 3,020 items, where pushing every route pushed 6,532."""
+def _record_item_pushes(monkeypatch) -> dict:
+    """Record each item entry ``prove`` pushes, by conclusion, in push order."""
     pushed: dict[tuple, list] = {}
     inner = heapq.heappush
 
@@ -539,6 +536,15 @@ def test_prove_keeps_one_pending_entry_per_conclusion(monkeypatch, case):
         inner(heap, entry)
 
     monkeypatch.setattr(heapq, "heappush", recorded)
+    return pushed
+
+
+@pytest.mark.parametrize("case", ["c1_chain", "chain7"])
+def test_prove_keeps_one_pending_entry_per_conclusion(monkeypatch, case):
+    """Each item entry ``prove`` pushes is strictly below every earlier entry
+    for its conclusion, so a conclusion's entries strictly decrease.  On
+    c1_chain it pushes 1,744 items, where pushing every route pushed 6,532."""
+    pushed = _record_item_pushes(monkeypatch)
     if case == "c1_chain":
         ses, goal = _c1_chain()
     else:
@@ -549,6 +555,18 @@ def test_prove_keeps_one_pending_entry_per_conclusion(monkeypatch, case):
         assert all(a > b for a, b in zip(entries, entries[1:]))
     if case == "c1_chain":
         assert sum(map(len, pushed.values())) <= 3100
+
+
+def test_prove_prices_family_conclusions_at_push_time(monkeypatch):
+    """A member of the spontaneous family is pushed only on a route below its
+    family price: a route the pop would skip, the implicit derivation being
+    at least as good, is never pushed.  On c1_chain that is 1,744 item
+    pushes, where pricing members at the pop pushed 3,020."""
+    pushed = _record_item_pushes(monkeypatch)
+    ses, goal = _c1_chain()
+    d = prove(goal, ses.premises, rule_set("SEPAROID_FULL"), universe=ses.universe)
+    assert d.rule_sequence() == "P1 P4 P3 P1 P5 P4 P3 P1 P4 P3 P1 P5".split()
+    assert sum(map(len, pushed.values())) <= 1800
 
 
 def test_prove_left_trivial_goal_outside_guarded_closure():
@@ -801,6 +819,50 @@ def test_closure_pinned(text, rs_name, flags, count, digest):
     assert not res.truncated
     assert len(res.statements) == count
     assert _canonical_digest(res.statements) == digest
+
+
+# -- closure results, decoded in one pass ----------------------------------------------
+
+_DECODE_CASES = [
+    (_chain(4), "SEPAROID_FULL", ()),
+    (_chain(5), "SEPAROID_FULL", ()),
+    (_DEMO, "ECI_RESTRICTED", ()),
+    ("decision D1, D2, D3, D4; complementary {D1, D2, D3}; complementary {D1, D2, D3, D4};"
+     " premise D3 _||_ D1 | D2; premise D4 _||_ D1, D2 | D3;", "VCI_STRONG", ()),
+    ("stochastic X, Y, Z; decision K, Th; complementary {K, Th};"
+     " premise X, K _||_ Y, Th | Z;", "GENERAL", ()),
+]
+
+
+@pytest.mark.parametrize("text, rs_name, flags", _DECODE_CASES,
+                         ids=["chain4", "chain5", "demo", "vci", "general"])
+def test_statements_decode_as_stmt_of(text, rs_name, flags):
+    """``_Space.statements`` decodes the family and the premises as
+    ``stmt_of`` does one key at a time, and shares the slots ``slot``
+    hands out."""
+    ses = parse_session(text)
+    eng, keys = _setup(ses.premises, rule_set(rs_name, flags), ses.universe,
+                       ses.registry, ses.complementarity)
+    keys = {*eng.members(), *keys}
+    sp = eng.space
+    got = sp.statements(keys)
+    assert got == frozenset(map(sp.stmt_of, keys))
+    assert len(got) == len(keys)
+    for s in got:
+        for v in (s.left, s.right, s.cond):
+            assert v is sp.slot(*sp.varset_masks(v))
+
+
+def test_truncated_closure_holds_the_family_and_premises():
+    """A truncated closure still holds every member and every premise."""
+    ses = parse_session(_chain(5))
+    rs = rule_set("SEPAROID_FULL")
+    family = closure([], rs, universe=ses.universe).statements
+    res = closure(ses.premises, rs, universe=ses.universe, limits=Limits(max_statements=4))
+    assert res.truncated
+    assert family <= res.statements
+    assert set(ses.premises) <= res.statements
+    assert len(res.statements - family) == 4
 
 
 def test_unary_yields_pinned():

@@ -156,6 +156,15 @@ def test_cx_vci_semantics():
     assert verify_counterexample(res.to_dict(), prem, goal)
 
 
+def test_cx_vci_regimes_keep_the_map_order():
+    """A VCI counterexample lists its regimes in the map's own order, so
+    from 11 regimes on s10 follows s9, not s1."""
+    cfg = SearchConfig(seed=1, trials=50, var_cardinalities={"A": 2, "B": 2}, regime_count=11)
+    res = search_counterexample([], ci((), (), (), ldec=["A"], rdec=["B"]), cfg, "VCI")
+    assert res is not None
+    assert res.to_dict()["model"]["regimes"] == list(regime_labels(11))
+
+
 def test_cx_semantics_mismatch():
     with pytest.raises(SemanticsMismatch):
         search_counterexample([], ci(["X"], ["Y"], rdec=["Sigma"]), cfg3(), "SCI")
