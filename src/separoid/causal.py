@@ -21,7 +21,7 @@ from .errors import (
 from .models import (
     RegimeFamily,
     _name_iter,
-    _validate_eci_statement,
+    check_eci,
     conditional,
     conditional_expectation,
 )
@@ -132,10 +132,9 @@ def _regime_invariant(fam: RegimeFamily, left, cond) -> bool:
     """The ``check_eci`` verdict on `left _||_ Sigma | cond`, Sigma the
     regime, asked as the decision-free `left _||_ {} | cond`: one law of
     left given cond shared by every regime, whether or not the family
-    declares an identity.  Validated as ``check_eci`` validates, but no
-    witness table is built."""
-    stmt = CIStatement(VarSet(left), EMPTY, VarSet(cond))
-    return fam.eci(*_validate_eci_statement(fam, stmt))
+    declares an identity.  The table ``check_eci`` returns is never read,
+    so its names and entries are never built."""
+    return check_eci(fam, CIStatement(VarSet(left), EMPTY, VarSet(cond)))[0]
 
 
 def check_ancillarity(fam: RegimeFamily, T: str | Iterable[str]) -> bool:

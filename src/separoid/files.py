@@ -13,12 +13,14 @@ Model file (regime family)::
 
 Single-distribution files omit "regimes"/"decision_vars" and carry one
 "distribution" list.  Rationals are "num/den" strings; plain integers and
-decimal strings are accepted.  Atoms not listed have mass zero.
+decimal strings are accepted.  Regime labels and values are JSON strings or
+numbers.  Atoms not listed have mass zero.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -28,10 +30,24 @@ from .models import DiscreteDistribution, RegimeFamily
 
 
 def parse_fraction(text) -> Fraction:
+    """A rational from text.  A decimal exponent is bounded as the mantissa's
+    digits are, by Python's default limit of 4,300 digits for an int parsed
+    from text, so "1e-99999999" raises rather than build 10^99999999."""
     try:
+        exp = re.search(r"e([-+]?[\d_]+)\s*\Z", str(text), re.IGNORECASE)
+        if exp and abs(int(exp[1])) > 4300:
+            raise ValueError("exponent beyond 4300 in magnitude")
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as e:
         raise InvalidModel(f"bad rational {text!r}: {e}") from None
+
+
+def _text(value, what: str) -> str:
+    """A regime label or a variable's value as text.  JSON null, booleans,
+    lists and objects raise rather than be read as their Python text."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise InvalidModel(f"{what}: value {value!r} is not a JSON string or number")
+    return str(value)
 
 
 def format_fraction(f: Fraction) -> str:
@@ -52,7 +68,7 @@ def _atoms_to_pmf(variables: Mapping, atoms, where: str) -> dict:
         if set(assign) != set(variables):
             raise InvalidModel(f"{where}: assignment keys {sorted(assign)} must cover "
                                f"{sorted(variables)}")
-        key = tuple(str(assign[n]) for n in sorted(variables))
+        key = tuple(_text(assign[n], f"{where}: variable {n!r}") for n in sorted(variables))
         pmf[key] = pmf.get(key, Fraction(0)) + parse_fraction(p)
     return pmf
 
@@ -64,7 +80,7 @@ def _variables(data: Mapping, kind: str) -> dict:
     for n, vals in variables.items():
         if not isinstance(vals, list):
             raise InvalidModel(f"variable {n!r}: values must be a list")
-    return variables
+    return {n: [_text(v, f"variable {n!r}") for v in vals] for n, vals in variables.items()}
 
 
 def distribution_from_dict(data: Mapping) -> DiscreteDistribution:
@@ -77,21 +93,24 @@ def family_from_dict(data: Mapping) -> RegimeFamily:
     regimes = data.get("regimes")
     if not isinstance(regimes, list) or not regimes:
         raise InvalidModel("family needs a nonempty 'regimes' list")
+    regimes = [_text(r, "'regimes'") for r in regimes]
     variables = _variables(data, "family")
     dists_data = data.get("distributions")
     if not isinstance(dists_data, dict):
         raise InvalidModel("family needs a 'distributions' map keyed by regime")
     dists = {}
     for r in regimes:
-        if str(r) not in dists_data:
+        if r not in dists_data:
             raise InvalidModel(f"missing distribution for regime {r!r}")
-        dists[str(r)] = DiscreteDistribution(
-            variables, _atoms_to_pmf(variables, dists_data[str(r)], f"regime {r}")
+        dists[r] = DiscreteDistribution(
+            variables, _atoms_to_pmf(variables, dists_data[r], f"regime {r}")
         )
     decvars = data.get("decision_vars") or {}
     if not isinstance(decvars, dict) or not all(isinstance(m, dict) for m in decvars.values()):
         raise InvalidModel("'decision_vars' must map each name to a regime -> value map")
-    return RegimeFamily([str(r) for r in regimes], dists, decvars, data.get("info_base"))
+    decvars = {n: {s: _text(v, f"decision variable {n!r} at regime {s!r}") for s, v in m.items()}
+               for n, m in decvars.items()}
+    return RegimeFamily(regimes, dists, decvars, data.get("info_base"))
 
 
 def model_from_dict(data: Mapping):

@@ -15,8 +15,9 @@ reads the law of X given Z from the marginals; SCI checks one equation per
 positive cell.  ECI is per-regime SCI plus one shared law of X given Z,
 decided per group of regimes by ``RegimeFamily.witness``; ``has_witness``
 caches one verdict per (x & ~z, y & ~z, z, group) for ``check_eci`` and
-``check_pairwise_eci``, and a ``WitnessTable`` builds its entries from
-``witness`` on first read.  ``supports`` gives each S_z by z cell code.
+``check_pairwise_eci``, and a ``WitnessTable`` holds its question and
+builds its names, and its entries from ``witness``, on first read.
+``supports`` gives each S_z by z cell code.
 
 A decision map compiles to the same kernel (``dec_kernel``): one
 weight-1 row per regime, each name's values numbered by first appearance;
@@ -41,7 +42,6 @@ per decision-name set, that the names are the family's and identify the regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 from itertools import combinations, product
@@ -457,7 +457,6 @@ class RegimeFamily:
         self._witnessed: dict[tuple, bool] = {}
         self._eci: dict[tuple, bool] = {}
         self._vci: dict[tuple, bool] = {}
-        self._table_names: dict[tuple, tuple] = {}
         self._identifying: set[frozenset] = set()  # decision name sets checked
 
     @property
@@ -542,15 +541,6 @@ class RegimeFamily:
                 self.has_witness(x, y, z, g) for g in self.phi_groups(phi).values())
         return out
 
-    def table_names(self, x: int, z: int, phi: frozenset) -> tuple:
-        """The sorted phi, x and z names of a witness table, cached."""
-        out = self._table_names.get((x, z, phi))
-        if out is None:
-            n = self.kernel.names
-            out = self._table_names[x, z, phi] = (tuple(sorted(phi)), mask_names(x, n),
-                                                  mask_names(z, n))
-        return out
-
     def eci_general(self, x: int, K: frozenset, y: int, theta: frozenset, z: int,
                     phi: frozenset) -> bool:
         """check_eci_general on validated slots: (X, K) _||_ (Y, theta) | (Z, phi)."""
@@ -617,24 +607,36 @@ def _slot_masks(fam: RegimeFamily, stmt: CIStatement) -> tuple[int, ...]:
     return masks
 
 
-@dataclass(frozen=True, eq=False)
 class WitnessTable:
     """Witness values w(phi; x, z) realizing an extended-independence check:
     the common conditional probability of each left-slot assignment given each
     conditioning assignment, per group of regimes sharing a phi value.
     Entries exist only for contexts with positive probability in at least one
-    regime of the group.  The verdict comes from the family's shared
-    per-group cache; ``entries`` are built by ``build`` on first read, and
-    ``==`` compares the three name tuples and the entries."""
+    regime of the group.  The table holds its question (the family, the slot
+    masks and phi); the three name tuples and the entries are built on first
+    read, and ``==`` compares the three name tuples and the entries."""
 
-    phi_vars: tuple[str, ...]
-    x_vars: tuple[str, ...]
-    z_vars: tuple[str, ...]
-    build: Callable[[], dict] = field(repr=False)
+    def __init__(self, fam: RegimeFamily, x: int, y: int, z: int, phi: frozenset):
+        self._fam, self._x, self._y, self._z, self._phi = fam, x, y, z, phi
+
+    phi_vars = cached_property(lambda self: tuple(sorted(self._phi)))
+    x_vars = cached_property(lambda self: mask_names(self._x, self._fam.kernel.names))
+    z_vars = cached_property(lambda self: mask_names(self._z, self._fam.kernel.names))
 
     @cached_property
     def entries(self) -> dict:
-        return self.build()
+        """(phi value, x value, z value) -> w, from each group's witness;
+        every x value of a positive context is listed, zeros included."""
+        fam, x, z = self._fam, self._x, self._z
+        k = fam.kernel
+        x_grid = [(k.code(x, xa), xa) for xa in k.grid(x)]
+        entries = {}
+        for phival, sigmas in fam.phi_groups(self._phi).items():
+            for zc, (n, nx) in fam.witness(x, self._y, z, sigmas).items():
+                za = k.decode(z, zc)
+                for xc, xa in x_grid:
+                    entries[phival, xa, za] = Fraction(nx.get(xc, 0), n)
+        return entries
 
     def value(self, phi: tuple, x: tuple, z: tuple) -> Fraction | None:
         return self.entries.get((phi, x, z))
@@ -644,6 +646,10 @@ class WitnessTable:
             return NotImplemented
         return ((self.phi_vars, self.x_vars, self.z_vars, self.entries)
                 == (other.phi_vars, other.x_vars, other.z_vars, other.entries))
+
+    def __repr__(self) -> str:
+        return (f"WitnessTable(phi_vars={self.phi_vars!r}, x_vars={self.x_vars!r}, "
+                f"z_vars={self.z_vars!r})")
 
 
 def _validate_eci_statement(fam: RegimeFamily, stmt: CIStatement):
@@ -661,25 +667,10 @@ def check_eci(fam: RegimeFamily, stmt: CIStatement) -> tuple[bool, WitnessTable 
     single witness w(x, z) equal to P(X=x | Y=y, Z=z) across all regimes of
     the group and all positive-probability (y, z).  Statements with no
     decision names are checked with a single group containing every regime."""
-    x, y, z, phi = _validate_eci_statement(fam, stmt)
-    if not fam.eci(x, y, z, phi):
+    question = _validate_eci_statement(fam, stmt)
+    if not fam.eci(*question):
         return False, None
-    return True, WitnessTable(*fam.table_names(x, z, phi),
-                              lambda: _witness_entries(fam, x, y, z, phi))
-
-
-def _witness_entries(fam: RegimeFamily, x: int, y: int, z: int, phi: frozenset) -> dict:
-    """(phi value, x value, z value) -> w, from each group's witness; every
-    x value of a positive context is listed, zeros included."""
-    k = fam.kernel
-    x_grid = [(k.code(x, xa), xa) for xa in k.grid(x)]
-    entries = {}
-    for phival, sigmas in fam.phi_groups(phi).items():
-        for zc, (n, nx) in fam.witness(x, y, z, sigmas).items():
-            za = k.decode(z, zc)
-            for xc, xa in x_grid:
-                entries[phival, xa, za] = Fraction(nx.get(xc, 0), n)
-    return entries
+    return True, WitnessTable(fam, *question)
 
 
 def check_pairwise_eci(fam: RegimeFamily, stmt: CIStatement) -> bool:

@@ -29,9 +29,9 @@ from .models import (
     DiscreteDistribution,
     MaskKernel,
     RegimeFamily,
-    _validate_eci_statement,
     block_meet,
     check_complementary,
+    check_eci,
     check_sci,
     check_vci,
     dec_compile,
@@ -211,7 +211,7 @@ def _holds(model, stmt: CIStatement, semantics: str) -> bool:
         return check_sci(model, stmt.left, stmt.right, stmt.cond)
     if semantics == VCI:
         return check_vci(model, stmt.left, stmt.right, stmt.cond)
-    return model.eci(*_validate_eci_statement(model, stmt))
+    return check_eci(model, stmt)[0]
 
 
 def verify_counterexample(data: Mapping, premises, goal) -> bool:

@@ -4,12 +4,16 @@ import os
 import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from separoid import cli
 from separoid.cli import main
+from separoid.errors import InvalidModel
+from separoid.files import parse_fraction
 
 SESSION = """
 stochastic X, Y, Z;
@@ -430,6 +434,80 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, model, strategy, argv):
         rc = main(["gformula", path, write_json(tmp_path, "strategy.json", strategy)] + argv)
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith("error: ") and "Traceback" not in err
+
+
+def _replaced(doc, path, value):
+    """A copy of a JSON document with the value at a key path replaced."""
+    out = json.loads(json.dumps(doc))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize("value", [None, True, ["a"], {"a": 1}],
+                         ids=["null", "bool", "list", "object"])
+@pytest.mark.parametrize("path, named", [
+    (("regimes", 0), "'regimes'"),
+    (("variables", "X", 0), "variable 'X'"),
+    (("distributions", "s0", 0, "assign", "T"), "regime s0: variable 'T'"),
+    (("decision_vars", "Sigma", "s1"), "decision variable 'Sigma' at regime 's1'"),
+], ids=["regime", "variables", "assign", "decision_vars"])
+def test_model_values_must_be_strings_or_numbers(tmp_path, capsys, path, named, value):
+    """A regime label or a value that is not a JSON string or number exits 2,
+    naming where it is, rather than be read as its Python text."""
+    model = write_json(tmp_path, "model.json", _replaced(INEFFECTIVE, path, value))
+    assert main(["check", model, "X _||_ Sigma | T", "--json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: value {value!r} is not a JSON string or number")
+
+
+def test_numeric_model_values_load_as_their_text(tmp_path, capsys):
+    """JSON numbers as regime labels, values and masses load as their text."""
+    model = {
+        "regimes": [0, 1],
+        "variables": {"X": [0, 1], "T": [0, 1]},
+        "decision_vars": {"Sigma": {"0": 0, "1": 1}},
+        "distributions": {str(t): [{"assign": {"X": x, "T": t}, "p": 0.5} for x in (0, 1)]
+                          for t in (0, 1)},
+    }
+
+    def text(doc):
+        if isinstance(doc, dict):
+            return {k: text(v) for k, v in doc.items()}
+        return [text(v) for v in doc] if isinstance(doc, list) else str(doc)
+
+    out = []
+    for doc in (model, text(model)):
+        path = write_json(tmp_path, "model.json", doc)
+        assert main(["check", path, "X _||_ Sigma | T", "--json"]) == 0
+        out.append(capsys.readouterr().out)
+    assert out[0] == out[1] and '"w": "1/2"' in out[0]
+
+
+def test_huge_decimal_exponents_are_rejected_at_once(tmp_path, capsys):
+    """An exponent beyond 4,300 in magnitude, Python's default digit limit
+    for ints parsed from text, exits 2 at once wherever a rational is read;
+    one at the limit still parses."""
+    assert parse_fraction("1e-4300") == Fraction(1, 10 ** 4300)
+    assert parse_fraction("2E+4300") == 2 * 10 ** 4300
+    for text in ("1e-4301", "1e99999999", "1e" + "9" * 5000):
+        with pytest.raises(InvalidModel):
+            parse_fraction(text)
+    model = write_json(tmp_path, "model.json", _replaced(
+        INEFFECTIVE, ("distributions", "s0", 0, "p"), "1e-99999999"))
+    gf = write_json(tmp_path, "gf.json", GF_MODEL)
+    strategy = write_json(tmp_path, "strategy.json", _replaced(
+        STRATEGY, ("stages", 0, "kernel", 0, "dist", "1"), "1e-99999999"))
+    for argv in (["check", model, "X _||_ Sigma | T"],
+                 ["gformula", gf, write_json(tmp_path, "s.json", STRATEGY),
+                  "--k", "0=1e-99999999,1=1"],
+                 ["gformula", gf, strategy]):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        assert "exponent beyond 4300" in capsys.readouterr().err
 
 
 # -- schema mutations: every single-point mutant exits 0, 1 or 2 -------------------

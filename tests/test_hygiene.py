@@ -240,6 +240,16 @@ def test_kernel_internals_are_read_in_models_alone():
     assert readers == []
 
 
+def test_eci_statement_resolution_is_read_in_models_alone():
+    """An ECI statement is resolved to its slot masks in models.py alone:
+    every other module asks ``check_eci``, so there is one ECI verdict path
+    per statement."""
+    private = {"_validate_eci_statement", "_slot_masks"}
+    readers = [f"{path.name} references {name}" for path in MODULES if path.name != "models.py"
+               for name in sorted(private & referenced_names(ast.parse(path.read_text())))]
+    assert readers == []
+
+
 def test_premise_free_rules_are_named_in_tautology_alone():
     """The P2 family is defined once: in engine.py the literals "P2", "P2'"
     and "P2g" occur only in ``RULES``, ``_RULE_SETS`` and

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from separoid import models
 from separoid.errors import (
     CIError,
     EmptyContext,
@@ -938,6 +939,36 @@ def test_witness_table_is_built_on_first_read(monkeypatch):
     assert table.entries == {(("s0",), ("0",), ("0",)): F(1, 2), (("s0",), ("1",), ("0",)): F(1, 2),
                              (("s1",), ("0",), ("1",)): F(1, 2), (("s1",), ("1",), ("1",)): F(1, 2)}
     assert sum(calls.values()) == 4  # read once, kept
+
+
+def test_witness_names_are_built_on_first_read(monkeypatch):
+    """A table holds its question: no holding check_eci names a slot, and
+    reading x_vars builds its names.  It equals, and prints as, a table whose
+    every field was read as soon as check_eci returned, and stays unhashable."""
+    named = Counter()
+    mask_names = models.mask_names
+
+    def counted(mask, names):
+        named[mask] += 1
+        return mask_names(mask, names)
+
+    monkeypatch.setattr(models, "mask_names", counted)
+    fam = interventional_pair(F(1, 2), F(1, 3))
+    holding = [stmt for stmt in _slot_statements(("X", "T"), ("Sigma",))
+               if not stmt.left.dec and check_eci(fam, stmt)[0]]
+    assert len(holding) > 10 and not named
+    stmt = ci(["X"], (), ["T"], cdec=["Sigma"])
+    ok, table = check_eci(fam, stmt)
+    assert ok and table.x_vars == ("X",) and named == {fam.kernel.mask("X"): 1}
+    ok, eager = check_eci(interventional_pair(F(1, 2), F(1, 3)), stmt)
+    fields = (eager.phi_vars, eager.x_vars, eager.z_vars, eager.entries)
+    assert ok and table == eager
+    assert (table.phi_vars, table.x_vars, table.z_vars, table.entries) == fields
+    assert fields[:3] == (("Sigma",), ("X",), ("T",)) and len(fields[3]) == 4
+    assert repr(table) == repr(eager) == (
+        "WitnessTable(phi_vars=('Sigma',), x_vars=('X',), z_vars=('T',))")
+    with pytest.raises(TypeError):
+        hash(table)
 
 
 def _slot_statements(stoch, decisions):
