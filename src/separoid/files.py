@@ -42,11 +42,12 @@ def parse_fraction(text) -> Fraction:
         raise InvalidModel(f"bad rational {text!r}: {e}") from None
 
 
-def _text(value, what: str) -> str:
-    """A regime label or a variable's value as text.  JSON null, booleans,
-    lists and objects raise rather than be read as their Python text."""
+def _text(value, what: str, error: type = InvalidModel) -> str:
+    """A regime label, a variable's value or a strategy's action as text.
+    JSON null, booleans, lists and objects raise ``error`` rather than be
+    read as their Python text."""
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise InvalidModel(f"{what}: value {value!r} is not a JSON string or number")
+        raise error(f"{what}: value {value!r} is not a JSON string or number")
     return str(value)
 
 
@@ -193,18 +194,19 @@ def strategy_from_dict(data: Mapping) -> Strategy:
         if not isinstance(rows, list):
             raise InvalidStrategy(f"stage {i}: 'kernel' must be a list of rows")
         table: dict = {}
-        for row in rows:
+        for j, row in enumerate(rows):
             try:
                 given, dist = row["given"], row["dist"]
             except (TypeError, KeyError):
                 raise InvalidStrategy(f"stage {i}: kernel rows need 'given' and 'dist'") from None
             if not isinstance(given, dict) or not isinstance(dist, dict):
                 raise InvalidStrategy(f"stage {i}: kernel row 'given' and 'dist' must be maps")
-            key = tuple(sorted((str(n), str(v)) for n, v in given.items()))
+            key = tuple(sorted((str(n), _text(v, f"stage {i}: kernel row {j}: given {n!r}",
+                                              InvalidStrategy)) for n, v in given.items()))
             if key in table:
                 raise InvalidStrategy(f"stage {i}: duplicate kernel row for {dict(given)!r}")
             table[key] = {str(v): parse_fraction(p) for v, p in dist.items()}
-        actions.append(str(action))
+        actions.append(_text(action, f"stage {i}: 'action'", InvalidStrategy))
         kernels.append(table)
     return Strategy(label, tuple(actions), tuple(kernels))
 

@@ -639,12 +639,13 @@ def _vci_model(scan: _Scan, trial: int, decmap: Mapping) -> None:
     induce on the range's points: not on which regime takes a point, nor on
     the labels (renaming a name's values is a bijection); violations name
     keys, never values.  So ``_close_vci`` decides each verdict and meet
-    once per partition id, across ranges.  The memo and the partition tables
-    last one scan call, the domain listing the process (see ``_Scan``).  A
-    map whose range the scan has closed adds that range's per-rule counts
-    and replays its violations under its own trial index, so ``_Scan.model``
-    and P6 run once per range: 64 for 4,680 maps of three variables on up
-    to four regimes."""
+    once per partition id, across ranges, and P6 once per pair of ids of X
+    and Y in a range.  The memo and the partition tables last one scan call,
+    the domain listing the process (see ``_Scan``).  A map whose range the
+    scan has closed adds that range's per-rule counts and replays its
+    violations under its own trial index, so ``_Scan.model`` and P6 run
+    once per range: 64 for 4,680 maps of three variables on up to four
+    regimes."""
     key = _range(scan, decmap)
     seen = scan.ranges.get(key)
     if seen is None:
@@ -684,10 +685,15 @@ def _close_vci(scan: _Scan, trial: int, dec: MaskKernel) -> None:
     ``scan.vci``, as ``MaskKernel.sci`` asks it (given z, names shared with
     Z take fixed values and change no range), and a meet (``block_meet``),
     itself a partition id, per pair of ids in ``scan.meets``.  Both premises
-    of P6 range over one set W_xy, so P6 is counted per (X, Y), len(W_xy)
-    ** 2 instances, and decided on the ids of (X, Y, Z ^ W) over the
-    distinct partitions in W_xy; only when a verdict fails are the pairs
-    walked, in domain order, to list the violations."""
+    of P6 with X, Y of ids (a, b) range over the Z whose id c lies in W_ab:
+    those b refines with X _||_ Y | Z true (read from ``scan.vci`` on one
+    mask per id, normalized as its class was asked).  So P6 is counted and
+    decided once per pair of outer ids: n_a * n_b * (sum of cnt[c] over
+    W_ab) ** 2 instances (n_a counts the nonempty masks with id a, cnt[c]
+    every mask with id c), decided on the ids of (a, b, c ^ d).  Exact only
+    because the mode-"d" domain holds every pure-decision key with nonempty
+    outer slots.  Only when a meet fails are the true keys listed and the
+    pairs walked, in domain order, to list the violations."""
     names, parts, vci, meets = scan.space.d_names, scan.parts, scan.vci, scan.meets
     p = [_partition(scan, dec.labels(m)) for m in range(scan.space.d_all + 1)]
 
@@ -706,18 +712,22 @@ def _close_vci(scan: _Scan, trial: int, dec: MaskKernel) -> None:
     classes = scan.model(trial, lambda k: holds(p[k[1] & ~k[5]], p[k[3] & ~k[5]], p[k[5]]))
     if "P6" not in scan.rs.rules:
         return
+    rep = {p[m]: m for m in (0, *range(len(p) - 1, 0, -1))}  # least nonempty mask, else 0
+    cnt, outer, sound = Counter(p), Counter(p[1:]), True
+    coarser = {b: [(c, z) for c, z in rep.items() if p[rep[b] | z] == b] for b in outer}
+    for (a, na), (b, nb) in product(outer.items(), repeat=2):
+        x, y = rep[a], rep[b]
+        w = [c for c, z in coarser[b]
+             if not (x & ~z and y & ~z) or holds(p[x & ~z], p[y & ~z], c)]
+        scan.tally["P6"] += na * nb * sum(map(cnt.__getitem__, w)) ** 2
+        sound = sound and all(holds(a, b, meet(c, d)) for c in w for d in w)
+    if sound:
+        return
     true = [k for u, b in scan.base.items() for k, c in zip(scan.keys[u], scan.classes[u])
             if p[k[3] | k[5]] == p[k[3]] and classes[b + c]]
     conds: dict = {}  # (x, y) -> every z that is a function of y with X _||_ Y | Z true
     for _, x, _, y, _, z in true:
         conds.setdefault((x, y), []).append(z)
-    sound = True
-    for (x, y), zs in conds.items():
-        scan.tally["P6"] += len(zs) ** 2
-        ids = {p[z] for z in zs}
-        sound = sound and all(holds(p[x], p[y], meet(z, w)) for z in ids for w in ids)
-    if sound:
-        return
     for k in true:  # list the violations in domain order; counted above
         _, x, _, y, _, z = k
         for w in sorted(conds[(x, y)]):
@@ -750,11 +760,11 @@ def exhaustive_vci_scan(max_regimes: int = 4, n_vars: int = 3) -> ScanReport:
     max_regimes: the exhaustive VCI models of ``_models``, closed by the scan
     loop ``axiom_soundness_scan`` shares (``_soundness``).  Each joint range
     up to relabeling is closed once per call and replayed for the other maps
-    that have it (``_vci_model``), and each range test and meet is decided
-    once per partition of a range's points (``_close_vci``: on at most three
-    regimes, at most 134 range tests and 30 meets).  Ranges and partitions
-    are not kept between calls; the domain's listing and its class table
-    are (see ``_Scan``)."""
+    that have it (``_vci_model``); range tests and meets are decided once
+    per partition of a range's points, P6 once per pair of partitions of X
+    and Y (``_close_vci``: on at most three regimes, at most 134 range tests
+    and 30 meets).  Ranges and partitions are not kept between calls; the
+    domain's listing and its class table are (see ``_Scan``)."""
     if max_regimes < 1 or n_vars < 1:
         raise ValueError("max_regimes and n_vars must be >= 1")
     names = tuple(chr(ord("A") + i) for i in range(n_vars))

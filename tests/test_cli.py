@@ -463,6 +463,36 @@ def test_model_values_must_be_strings_or_numbers(tmp_path, capsys, path, named, 
     assert err.startswith(f"error: {named}: value {value!r} is not a JSON string or number")
 
 
+@pytest.mark.parametrize("value", [None, True, ["0"], {"0": 1}],
+                         ids=["null", "bool", "list", "object"])
+@pytest.mark.parametrize("path, named", [
+    (("stages", 0, "kernel", 1, "given", "L"), "stage 0: kernel row 1: given 'L'"),
+    (("stages", 0, "action"), "stage 0: 'action'"),
+], ids=["given", "action"])
+def test_strategy_values_must_be_strings_or_numbers(tmp_path, capsys, path, named, value):
+    """A kernel row's given value or a stage's action that is not a JSON
+    string or number exits 2, naming the stage and the row, rather than be
+    read as its Python text."""
+    model = write_json(tmp_path, "gf.json", GF_MODEL)
+    strategy = write_json(tmp_path, "strategy.json", _replaced(STRATEGY, path, value))
+    assert main(["gformula", model, strategy]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: value {value!r} is not a JSON string or number")
+
+
+def test_numeric_strategy_values_load_as_their_text(tmp_path, capsys):
+    """JSON numbers as a kernel row's given values load as their text."""
+    model = write_json(tmp_path, "gf.json", GF_MODEL)
+    out = []
+    for given in (0, 1), ("0", "1"):
+        strategy = STRATEGY
+        for j, v in enumerate(given):
+            strategy = _replaced(strategy, ("stages", 0, "kernel", j, "given", "L"), v)
+        assert main(["gformula", model, write_json(tmp_path, "s.json", strategy), "--json"]) == 0
+        out.append(capsys.readouterr().out)
+    assert out[0] == out[1]
+
+
 def test_numeric_model_values_load_as_their_text(tmp_path, capsys):
     """JSON numbers as regime labels, values and masses load as their text."""
     model = {

@@ -955,6 +955,65 @@ def test_p6_partial_meet_mutation_keeps_its_violations_and_counts(monkeypatch):
         "1e76bf20c56695256d60f92ba82b7ffb7e283aa632eae904ce7c02e5d42dbb65")
 
 
+def _brute_p6(decmap, names, meet=block_meet) -> tuple:
+    """P6 on one decision map from its per-regime labels alone: for every
+    nonempty X and Y, the Z that are functions of Y with X _||_ Y | Z give
+    len(Z's) ** 2 instances, one failing per pair (Z, W) of them without
+    X _||_ Y | meet(Z, W).  (instances, failing instances)."""
+    regimes = list(decmap[names[0]])
+    labels = [tuple(tuple(decmap[n][s] for n in mask_names(m, names)) for s in regimes)
+              for m in range(1 << len(names))]
+    count = failing = 0
+    for x, y in product(labels[1:], labels[1:]):
+        zs = [z for z in labels if len(set(zip(y, z))) == len(set(y))
+              and variation_independent(x, y, z)]
+        count += len(zs) ** 2
+        failing += sum(not variation_independent(x, y, meet(z, w)) for z in zs for w in zs)
+    return count, failing
+
+
+@pytest.mark.parametrize("meet", ["sound", "one block"])
+@pytest.mark.parametrize("regime_count", [4, 5])
+def test_p6_counts_and_soundness_match_a_brute_force_oracle(monkeypatch, regime_count, meet):
+    """The VCI scan's P6 count and violations, decided per partition id,
+    against ``_brute_p6`` on seeded maps with a 3-valued name: per map on a
+    fresh scan, and summed over the maps a soundness scan checks.  A
+    one-block meet makes P6 unsound on every map, so the listing of the
+    violations is checked too; a soundness scan stops after the first."""
+    hook = block_meet if meet == "sound" else (lambda a, b: (0,) * len(a))
+    monkeypatch.setattr(search, "block_meet", hook)
+    names = ("A", "B", "C")
+    cfg = SearchConfig(seed=regime_count, trials=30, var_cardinalities={"A": 3, "B": 2, "C": 2},
+                       regime_count=regime_count)
+    maps = [random_decmap(cfg, t) for t in range(cfg.trials)]
+    oracle = [_brute_p6(decmap, names, hook) for decmap in maps]
+    for trial, decmap in enumerate(maps):
+        scan = _vci_scan(names)
+        _vci_model(scan, trial, decmap)
+        assert (scan.tally["P6"], len(scan.violations)) == oracle[trial], decmap
+    rep = axiom_soundness_scan(cfg, rule_set("VCI_STRONG"))
+    assert rep.ok == (meet == "sound") and rep.trials == (cfg.trials if rep.ok else 1)
+    assert rep.instances_by_rule["P6"] == sum(c for c, _ in oracle[:rep.trials]) > 0
+    assert len(rep.violations) == sum(f for _, f in oracle[:rep.trials])
+    assert {v["rule"] for v in rep.violations} <= {"P6"}
+
+
+def test_vci_scan_covers_every_range_of_three_binary_names():
+    """Every nonempty set of points of three binary decision names, one
+    regime per point, closed through _vci_model on one scan: 255 ranges,
+    128 up to relabeling.  Each map on any finite regime space has one of
+    these ranges, so VCI_STRONG is sound on all of them."""
+    names, points = ("A", "B", "C"), list(product("01", repeat=3))
+    scan = _vci_scan(names)
+    for trial in range(1, 1 << len(points)):
+        chosen = [pt for i, pt in enumerate(points) if trial >> i & 1]
+        regimes = regime_labels(len(chosen))
+        _vci_model(scan, trial, {n: dict(zip(regimes, col)) for n, col in zip(names, zip(*chosen))})
+    assert len(scan.ranges) == 128 and scan.violations == []
+    assert scan.tally == {"P1": 11858, "P2": 12495, "P3": 86094, "P4": 25832, "P5": 13974,
+                          "P6": 133971}
+
+
 def test_models_sharing_a_trivial_closure_share_no_index(monkeypatch):
     # One family of the pinned two-regime ECI_RESTRICTED scan, closed twice:
     # both models count their unions' always-true slots and true classes'
