@@ -115,9 +115,15 @@ class Strategy:
             raise InvalidStrategy(
                 f"strategy actions {self.actions} do not match the info base {ib.actions}"
             )
+        history: set = set()
         for i, table in enumerate(self.kernels):
             values = set(fam.variables[self.actions[i]])
-            for key, dist in table.items():
+            history.update(ib.observed[i])
+            want = sorted(history)
+            for j, (key, dist) in enumerate(table.items()):
+                if (names := [n for n, _v in key]) != want:
+                    raise InvalidStrategy(f"stage {i}: kernel row {j}: given names {names} "
+                                          f"are not the history names {want}")
                 if sum(dist.values(), Fraction(0)) != 1:
                     raise InvalidStrategy(f"stage {i}: kernel at {dict(key)!r} does not sum to 1")
                 for v, p in dist.items():
@@ -126,6 +132,7 @@ class Strategy:
                                               f"{self.actions[i]!r}")
                     if p < 0:
                         raise InvalidStrategy(f"stage {i}: negative kernel mass at {dict(key)!r}")
+            history.add(self.actions[i])
 
 
 def _regime_invariant(fam: RegimeFamily, left, cond) -> bool:

@@ -34,10 +34,12 @@ P3 family (and, under ECI_RESTRICTED, DCMP) makes of them form a family that
 ``_Engine.tautology`` alone defines, with each member's premise-free
 derivation and cost: 1 for a bare spontaneous instance ``x _||_ y | y``, 2
 for one P3/P3'/P3g step after it (``x _||_ w | y``, w inside y), and under
-ECI_RESTRICTED 2 for DCMP on an instance and 3 for P3' after that;
-``members`` and ``spontaneous`` list it through ``tautology``.  Members are
-never indexed; the P5 family synthesizes them as second premises when it
-meets the first premise.
+ECI_RESTRICTED 2 for DCMP on an instance and 3 for P3' after that.
+``members`` and ``spontaneous`` list it through ``tautology``, asked once per
+class rather than once per key: ``legal`` and ``tautology`` read the left
+slot's stochastic part only as zero or nonzero, so one key of each class
+decides every key in it.  Members are never indexed; the P5 family
+synthesizes them as second premises when it meets the first premise.
 ``prove`` therefore settles only the statements outside the family (plus the
 few members that another route reaches more cheaply, which keep that cost and
 its tie-break), and ``build`` writes the members' P2/P3 leaves back into the
@@ -440,28 +442,31 @@ class _Engine:
         """Every member of the spontaneous family whose right part in each
         component is one of ``rights(c)``, c its conditioning part (by
         default any part inside c): the legal keys with such parts, filtered
-        by ``tautology``.  Legality splits by component, so each component's
-        (left, right, cond) parts are listed once."""
-        sp = self.space
-
-        def parts(o: int) -> list[tuple]:
-            full = sp.alls[o]
-            return [(l, r, c) for c in range(full + 1) for r in rights(c)
-                    for l in range(full + 1) if self.legal(_pure(o, l, r, c))]
-
-        stoch, dec = parts(0), parts(1)
-        for ls, rs, cs in stoch:
-            for ld, rd, cd in dec:
-                k = (ls, ld, rs, rd, cs, cd)
-                if self.tautology(k) is not None:
-                    yield k
+        by ``tautology``, in the order (cs, rs, ls, decision parts)."""
+        return (k for _rule, k in self._named(rights))
 
     def spontaneous(self):
         """Yield (rule_name, conclusion_key) for the premise-free rules (P2,
         P2', P2g): the members whose right slot is their conditioning slot,
         named by ``tautology``, which alone defines them."""
-        for k in self.members(lambda c: (c,)):
-            yield self.tautology(k)[1], k
+        return self._named(lambda c: (c,))
+
+    def _named(self, rights):
+        """(rule, key) for each key of ``members(rights)``.  ``legal`` and
+        ``tautology`` read ls only as zero or nonzero, so each (rs, cs) and
+        legal decision part is decided twice, at ls = 0 and at ls = s_all,
+        and the second answer holds for every ls in 1..s_all."""
+        s_all, d_all = self.space.alls
+        dec = [(l, r, c) for c in range(d_all + 1) for r in rights(c)
+               for l in range(d_all + 1) if self.legal(_pure(1, l, r, c))]
+        for cs in range(s_all + 1):
+            for rs in rights(cs):
+                cls = [[(a[1], ld, rd, cd) for ld, rd, cd in dec
+                        if self.legal(k := (ls, ld, rs, rd, cs, cd)) and (a := self.tautology(k))]
+                       for ls in ((0, s_all) if s_all else (0,))]
+                for ls in range(s_all + 1):
+                    for rule, ld, rd, cd in cls[ls > 0]:
+                        yield rule, (ls, ld, rs, rd, cs, cd)
 
     def leaks(self):
         """Instances from an implicit tautology to a statement outside the

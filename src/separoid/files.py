@@ -205,7 +205,10 @@ def strategy_from_dict(data: Mapping) -> Strategy:
                                               InvalidStrategy)) for n, v in given.items()))
             if key in table:
                 raise InvalidStrategy(f"stage {i}: duplicate kernel row for {dict(given)!r}")
-            table[key] = {str(v): parse_fraction(p) for v, p in dist.items()}
+            try:
+                table[key] = {str(v): parse_fraction(p) for v, p in dist.items()}
+            except InvalidModel as e:
+                raise InvalidStrategy(f"stage {i}: kernel row {j}: dist {e}") from None
         actions.append(_text(action, f"stage {i}: 'action'", InvalidStrategy))
         kernels.append(table)
     return Strategy(label, tuple(actions), tuple(kernels))

@@ -203,9 +203,6 @@ class ReductionRegistry:
         self._cache[name] = result
         return result
 
-    def leq(self, a: str, b: str) -> bool:
-        return b in self.ancestors(a)
-
     def reducible_to(self, names: Iterable[str]) -> frozenset:
         """All u that are <= some member of names (members included)."""
         targets = set(names)
@@ -228,11 +225,6 @@ def is_reduction(w: VarSet, y: VarSet, reg: ReductionRegistry | None = None) -> 
         if n not in y.dec and not (reg.ancestors(n) & y.dec):
             return False
     return True
-
-
-def approx_equal(a: VarSet, b: VarSet, reg: ReductionRegistry | None = None) -> bool:
-    """Slot equivalence: mutual reduction (canonical equality when no registry)."""
-    return is_reduction(a, b, reg) and is_reduction(b, a, reg)
 
 
 @dataclass(frozen=True)

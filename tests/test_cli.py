@@ -412,28 +412,34 @@ def _info_base_without(key):
     return model
 
 
-def _strategy_dist_list():
+def _strategy_row(j, key, value):
     strategy = json.loads(json.dumps(STRATEGY))
-    strategy["stages"][0]["kernel"][0]["dist"] = ["0", "1"]
+    strategy["stages"][0]["kernel"][j][key] = value
     return strategy
 
 
-@pytest.mark.parametrize("model, strategy, argv", [
-    (GF_MODEL, STRATEGY, ["--k", "0=1"]),  # no payoff for the reachable Y=1
-    (_info_base_without("observed"), STRATEGY, []),
-    (_info_base_without("action"), STRATEGY, []),
-    (GF_MODEL, _strategy_dist_list(), []),
-    (_bad_assign(), None, []),
+@pytest.mark.parametrize("model, strategy, argv, named", [
+    (GF_MODEL, STRATEGY, ["--k", "0=1"], ""),  # no payoff for the reachable Y=1
+    (_info_base_without("observed"), STRATEGY, [], ""),
+    (_info_base_without("action"), STRATEGY, [], ""),
+    (GF_MODEL, _strategy_row(0, "dist", ["0", "1"]), [], ""),
+    (_bad_assign(), None, [], ""),
+    (GF_MODEL, _strategy_row(1, "dist", {"0": None, "1": "1"}), [],
+     "stage 0: kernel row 1: dist bad rational None"),
+    (GF_MODEL, _strategy_row(1, "given", {"L": "1", "Q": "1"}), [],
+     "stage 0: kernel row 1: given names ['L', 'Q'] are not the history names ['L']"),
 ], ids=["payoff-misses-outcome", "stage-without-observed", "stage-without-action",
-        "strategy-dist-list", "assign-list"])
-def test_malformed_inputs_exit_2(tmp_path, capsys, model, strategy, argv):
+        "strategy-dist-list", "assign-list", "strategy-dist-null", "strategy-given-outside-history"])
+def test_malformed_inputs_exit_2(tmp_path, capsys, model, strategy, argv, named):
+    """Each exits 2 with one error line; where ``named`` is given, the line
+    names the place of the fault (a strategy's stage and kernel row)."""
     path = write_json(tmp_path, "model.json", model)
     if strategy is None:
         rc = main(["check", path, "X _||_ Sigma | T"])
     else:
         rc = main(["gformula", path, write_json(tmp_path, "strategy.json", strategy)] + argv)
     err = capsys.readouterr().err
-    assert rc == 2 and err.startswith("error: ") and "Traceback" not in err
+    assert rc == 2 and err.startswith("error: " + named) and "Traceback" not in err
 
 
 def _replaced(doc, path, value):

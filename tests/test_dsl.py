@@ -64,7 +64,8 @@ def test_session_parsing():
     )
     assert ses.universe.kind("Theta") == "decision"
     assert ses.complementarity.is_declared({"Theta", "Phi"})
-    assert ses.registry.leq("W", "Y")
+    assert "Y" in ses.registry.ancestors("W")
+    assert ses.registry.reducible_to(["Y"]) == {"W", "Y"}
     assert len(ses.premises) == 1
 
 

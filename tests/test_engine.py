@@ -16,6 +16,7 @@ from separoid.engine import (
     RuleSet,
     _Engine,
     _filler,
+    _pure,
     _setup,
     _Space,
     _submasks,
@@ -201,6 +202,53 @@ def test_spontaneous_equals_the_per_rule_set_generator():
         assert len(got) == len(set(got)) and set(got) == want, (eng.rs.name, eng.mode)
         assert want or (eng.mode is None and not eng.comp_masks), (eng.rs.name, eng.mode)
         assert {k for _rule, k in got} <= set(eng.members())
+
+
+def _members_by_candidate_filter(eng: _Engine, rights) -> list:
+    """The reference listing of ``_Engine.members``: each component's
+    (left, right, cond) parts in the order (cond, right, left), kept when
+    legal, their product filtered by ``tautology``, one key at a time."""
+    def parts(o: int) -> list:
+        full = eng.space.alls[o]
+        return [(l, r, c) for c in range(full + 1) for r in rights(c)
+                for l in range(full + 1) if eng.legal(_pure(o, l, r, c))]
+
+    return [k for ls, rs, cs in parts(0) for ld, rd, cd in parts(1)
+            if eng.tautology(k := (ls, ld, rs, rd, cs, cd)) is not None]
+
+
+def _class_engines():
+    """Engines of SEPAROID_FULL in modes "s" and "d", VCI_STRONG,
+    ECI_RESTRICTED and GENERAL, each with and without discrete_variables,
+    on 0-3 stochastic and 0-2 decision names under every complementarity
+    declaration (every set of families of decision names, the empty family
+    among them)."""
+    cases = [("SEPAROID_FULL", "s"), ("SEPAROID_FULL", "d"), ("VCI_STRONG", "d"),
+             ("ECI_RESTRICTED", None), ("GENERAL", None)]
+    for n_s, n_d in itertools.product(range(4), range(3)):
+        dec = [f"D{i}" for i in range(n_d)]
+        uni = Universe.of(stochastic=[f"S{i}" for i in range(n_s)], decision=dec)
+        families = [f for n in range(n_d + 1) for f in itertools.combinations(dec, n)]
+        for decl in itertools.chain.from_iterable(
+                itertools.combinations(families, n) for n in range(len(families) + 1)):
+            comp = ComplementarityDecl.of(*decl)
+            for (name, mode), flags in itertools.product(cases, ((), ("discrete_variables",))):
+                yield _Engine(rule_set(name, flags), _Space(uni, None), comp, mode)
+
+
+def test_members_decided_once_per_class_match_the_candidate_filter():
+    """``members`` and ``spontaneous`` decide one key per zero/nonzero class
+    of ls, yet list what the per-key candidate filter lists, in its order."""
+    spont = lambda c: (c,)  # noqa: E731
+    default = lambda c: (0, *_submasks(c))  # noqa: E731
+    engines = list(_class_engines())
+    assert len(engines) == 880
+    for eng in engines:
+        case = (eng.rs.name, eng.rs.flags, eng.mode, eng.space.names, eng.comp_masks)
+        assert list(eng.members()) == _members_by_candidate_filter(eng, default), case
+        want = _members_by_candidate_filter(eng, spont)
+        assert list(eng.members(spont)) == want, case
+        assert list(eng.spontaneous()) == [(eng.tautology(k)[1], k) for k in want], case
 
 
 def _one_step_by_rule(eng: _Engine, name: str, keys: list) -> set:
@@ -851,6 +899,23 @@ def test_statements_decode_as_stmt_of(text, rs_name, flags):
     for s in got:
         for v in (s.left, s.right, s.cond):
             assert v is sp.slot(*sp.varset_masks(v))
+
+
+@pytest.mark.parametrize("text, rs_name, members", [
+    (_chain(5), "SEPAROID_FULL", 6541),  # from 7,776 candidate keys
+    (_DEMO, "ECI_RESTRICTED", 2190),  # from 3,888 candidate keys
+], ids=["chain5", "demo"])
+def test_members_asks_tautology_once_per_class(monkeypatch, text, rs_name, members):
+    """One ``members()`` pass asks ``tautology`` twice per (rs, cs) and legal
+    decision part, 486 times on both sessions, not once per candidate key."""
+    ses = parse_session(text)
+    eng, _keys = _setup(ses.premises, rule_set(rs_name), ses.universe, ses.registry,
+                        ses.complementarity)
+    calls = []
+    tautology = _Engine.tautology
+    monkeypatch.setattr(_Engine, "tautology", lambda self, k: calls.append(k) or tautology(self, k))
+    assert sum(1 for _ in eng.members()) == members
+    assert len(calls) <= 486
 
 
 def test_truncated_closure_holds_the_family_and_premises():

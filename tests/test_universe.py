@@ -13,7 +13,6 @@ from separoid.universe import (
     ReductionRegistry,
     Universe,
     VarSet,
-    approx_equal,
     canonicalize,
     is_reduction,
     join,
@@ -127,15 +126,6 @@ def test_well_formed_examples():
     general = ci(["X"], ["Y"], ["Z"], ldec=["K"], rdec=["Th"], cdec=["Ph"])
     assert well_formed(general, comp, general=True)
     assert not well_formed(general, comp)  # decision name on the left needs the flag
-
-
-def test_approx_equal_uses_mutual_reduction(uni):
-    reg = ReductionRegistry(uni)
-    reg.register("W", "Y")
-    reg.register("Y", "W")
-    assert approx_equal(vs(["W"]), vs(["Y"]), reg)
-    assert not approx_equal(vs(["W"]), vs(["Z"]), reg)
-    assert approx_equal(vs(["X"]), vs(["X"]))
 
 
 def test_universe_rejects_duplicate_kind_change():
