@@ -12,11 +12,13 @@ tables per mask keyed by masked codes.  Kernels of one signature code alike,
 so codes compare across regimes; value tuples are encoded and decoded only
 at the public edge.  ``conditional`` (with ``probability``/``expectation``)
 reads the law of X given Z from the marginals; SCI checks one equation per
-positive cell.  ECI is per-regime SCI plus one shared law of X given Z,
-decided per group of regimes by ``RegimeFamily.witness``; ``has_witness``
-caches one verdict per (x & ~z, y & ~z, z, group) for ``check_eci`` and
-``check_pairwise_eci``, and a ``WitnessTable`` holds its question and
-builds its names, and its entries from ``witness``, on first read.
+positive cell.  ECI is SCI on one stacked kernel per family
+(``RegimeFamily.stacked``: every regime's rows, a regime column R and a
+column per decision name).  On finite regimes X _||_ (Y, Sigma) | (Z, Phi)
+holds exactly when X _||_ (Y, R) | (Z, Phi) does as SCI under a prior with
+full support, as each row's numerator over its regime's denominator is;
+pairwise ECI coincides with it.  A ``WitnessTable`` holds its question and
+builds its names, and its entries from the stack's laws, on first read.
 ``supports`` gives each S_z by z cell code.
 
 A decision map compiles to the same kernel (``dec_kernel``): one
@@ -44,7 +46,7 @@ from __future__ import annotations
 import math
 from functools import cache, cached_property, lru_cache
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -141,14 +143,20 @@ class DiscreteDistribution:
         return den, {k: p.numerator * (den // p.denominator) for k, p in self.pmf.items()}
 
     @cached_property
-    def kernel(self) -> "MaskKernel":
-        """The compiled form every exact check on this table goes through."""
+    def rows(self) -> list[tuple[tuple, int]]:
+        """The positive atoms as (key, integer numerator) over a common
+        denominator; a table built unchecked has its keys checked here."""
         _, atoms = self.int_atoms()
         rows = [(key, n) for key, n in atoms.items() if n]
         if not self.validated:
             for key, _ in rows:
                 self._check_key(key)
-        return MaskKernel(self.names, map(self.values.__getitem__, self.names), rows)
+        return rows
+
+    @cached_property
+    def kernel(self) -> "MaskKernel":
+        """The compiled form every exact check on this table goes through."""
+        return MaskKernel(self.names, map(self.values.__getitem__, self.names), self.rows)
 
     def probability(self, assignment: Assignment) -> Fraction:
         names = _names(assignment)
@@ -454,10 +462,9 @@ class RegimeFamily:
             self.decvars[name] = {str(s): str(v) for s, v in mapping.items()}
         self.info_base = info_base
         self._groups: dict[frozenset, dict] = {}
-        self._witnessed: dict[tuple, bool] = {}
-        self._eci: dict[tuple, bool] = {}
+        self._regime = 1 << len(sig)  # the bit of the regime column in ``stacked``
+        self._phi_mask: dict[frozenset, int] = {}
         self._vci: dict[tuple, bool] = {}
-        self._identifying: set[frozenset] = set()  # decision name sets checked
 
     @property
     def variables(self) -> dict[str, tuple[str, ...]]:
@@ -489,57 +496,41 @@ class RegimeFamily:
             out = self._groups[phi] = {v: tuple(g) for v, g in sorted(groups.items())}
         return out
 
-    def witness(self, x: int, y: int, z: int, sigmas: Iterable[str]) -> dict | None:
-        """The common-witness test on one group of regimes: one w(., z) equal
-        to P_s(X | y, z) in each regime s of the group on each positive (y, z).
-        Returns z cell -> (n, {x cell: n(x)}), w(x, z) = n(x)/n, from the first
-        regime where z is positive, or None.  Decided as X _||_ Y | Z in each
-        regime plus one law P_s(X | z) across the regimes where z is positive
-        (X _||_ (Y, Theta) | Z split, Theta the regime).  Exact: given w,
-        P_s(X | z) = sum_y P_s(y | z) w(., z) = w(., z), so P_s(X | y, z) =
-        P_s(X | z) on each positive (y, z), and the law is shared; conversely
-        these make it a witness.  Only events {X = x}, {Y = y}, {Z = z} enter,
-        so this holds for overlapping slots too."""
-        laws: dict = {}
-        for s in sigmas:
-            k = self.dists[s].kernel
-            if not k.sci(x, y, z):
-                return None
-            for zc, (n, nx) in k.laws(x, z).items():
-                m, mx = laws.setdefault(zc, (n, nx))
-                if mx is not nx and (mx.keys() != nx.keys()
-                                     or any(mx[a] * n != c * m for a, c in nx.items())):
-                    return None
-        return laws
+    @cached_property
+    def stacked(self) -> MaskKernel:
+        """Every regime's rows in one kernel: the stochastic names at their
+        bits in ``kernel``, a regime column (read by bit, ``_regime``), then
+        the decision names in sorted order.  Each row keeps its numerator
+        over its regime's denominator, a prior with full support."""
+        decs = sorted(self.decvars)
+        values = [*self.variables.values(), self.regimes,
+                  *(tuple(dict.fromkeys(self.decvars[d][s] for s in self.regimes)) for d in decs)]
+        tails = {s: (s, *(self.decvars[d][s] for d in decs)) for s in self.regimes}
+        return MaskKernel((*self.variables, "", *decs), values,
+                          [(key + tails[s], n) for s in self.regimes for key, n in self.dists[s].rows])
 
-    def has_witness(self, x: int, y: int, z: int, sigmas: tuple) -> bool:
-        """Whether the group of regimes has a common witness; cached per
-        (x & ~z, y & ~z, z, group), for ``eci`` and ``check_pairwise_eci``.
-        Exact: given z, X's part inside Z is a point mass, so X has a common
-        witness iff x & ~z has one (always, when empty), and Y's part inside
-        Z changes no (y, z) context.  ECI is not symmetric: no ordering."""
-        x &= ~z
-        if not x:
-            return True
-        key = (x, y & ~z, z, sigmas)
-        out = self._witnessed.get(key)
-        if out is None:
-            out = self._witnessed[key] = self.witness(*key) is not None
+    def phi_mask(self, phi: frozenset) -> int:
+        """The stack's mask of the decision names phi (an unknown name
+        raises, as in ``phi_groups``), or of the regime column when phi
+        identifies the regime, which is exact: both induce one partition of
+        the rows.  Kept in ``_phi_mask``, which the checks read first; the
+        stack is not built."""
+        if len(self.phi_groups(phi)) == len(self.regimes):
+            out = self._regime
+        else:  # the decision columns follow the regime column, in name order
+            out = sum(self._regime << i for i, d in enumerate(sorted(self.decvars), 1) if d in phi)
+        self._phi_mask[phi] = out
         return out
 
     def eci(self, x: int, y: int, z: int, phi: frozenset) -> bool:
-        """ECI: a common witness within every phi group.  The conjunction is
-        cached per (x & ~z, y & ~z, z, phi) too: ``check_pairwise_eci`` on at
-        most two regimes asks exactly ``check_eci``'s question, and the
-        general form asks ``eci`` of keys its scans have decided (without
-        the cache, bench ``query`` p50 per call is about 40 % higher and
-        ``scan`` wall time about 5 %)."""
-        key = (x & ~z, y & ~z, z, phi)
-        out = self._eci.get(key)
-        if out is None:
-            out = self._eci[key] = all(
-                self.has_witness(x, y, z, g) for g in self.phi_groups(phi).values())
-        return out
+        """X _||_ (Y, Sigma) | (Z, phi) as SCI on ``stacked``: X _||_ (Y, R) |
+        (Z, phi), R the regime column.  Within a phi group P(X | y, R = s, z)
+        = P_s(X | y, z), so the SCI equations ask one law of X given each z
+        across the group's positive (y, z): the common witness."""
+        d = self._phi_mask.get(phi)  # read inline: a call shows in a warm check_eci
+        if d is None:
+            d = self.phi_mask(phi)
+        return self.stacked.sci(x, y | self._regime, z | d)
 
     def eci_general(self, x: int, K: frozenset, y: int, theta: frozenset, z: int,
                     phi: frozenset) -> bool:
@@ -599,11 +590,10 @@ def _slot_masks(fam: RegimeFamily, stmt: CIStatement) -> tuple[int, ...]:
                 raise InvalidModel(f"unknown stochastic variable {min(unknown)!r}")
         masks = k._resolved[key] = tuple(map(k.mask, key))
     decs = stmt.decision_names
-    if decs and decs not in fam._identifying:
-        if len(fam.phi_groups(decs)) != len(fam.regimes):
+    if decs and fam._phi_mask.get(decs) != fam._regime:  # else known to identify
+        if fam.phi_mask(decs) != fam._regime:
             raise NotComplementary(
                 f"decision family {tuple(sorted(decs))} does not identify the regime")
-        fam._identifying.add(decs)
     return masks
 
 
@@ -612,12 +602,13 @@ class WitnessTable:
     the common conditional probability of each left-slot assignment given each
     conditioning assignment, per group of regimes sharing a phi value.
     Entries exist only for contexts with positive probability in at least one
-    regime of the group.  The table holds its question (the family, the slot
-    masks and phi); the three name tuples and the entries are built on first
-    read, and ``==`` compares the three name tuples and the entries."""
+    regime of the group.  The table holds its question (the family, the left
+    and conditioning masks and phi); the three name tuples and the entries
+    are built on first read, and ``==`` compares the three name tuples and
+    the entries."""
 
-    def __init__(self, fam: RegimeFamily, x: int, y: int, z: int, phi: frozenset):
-        self._fam, self._x, self._y, self._z, self._phi = fam, x, y, z, phi
+    def __init__(self, fam: RegimeFamily, x: int, z: int, phi: frozenset):
+        self._fam, self._x, self._z, self._phi = fam, x, z, phi
 
     phi_vars = cached_property(lambda self: tuple(sorted(self._phi)))
     x_vars = cached_property(lambda self: mask_names(self._x, self._fam.kernel.names))
@@ -625,17 +616,21 @@ class WitnessTable:
 
     @cached_property
     def entries(self) -> dict:
-        """(phi value, x value, z value) -> w, from each group's witness;
-        every x value of a positive context is listed, zeros included."""
+        """(phi value, x value, z value) -> w, the stack's law of X given
+        (Z, phi), in group order; every x value of a positive context is
+        listed, zeros included."""
         fam, x, z = self._fam, self._x, self._z
-        k = fam.kernel
+        k, d = fam.stacked, fam.phi_mask(self._phi)
+        fd, laws = k.field_of(d), k.laws(x, z | d)
         x_grid = [(k.code(x, xa), xa) for xa in k.grid(x)]
         entries = {}
         for phival, sigmas in fam.phi_groups(self._phi).items():
-            for zc, (n, nx) in fam.witness(x, self._y, z, sigmas).items():
-                za = k.decode(z, zc)
-                for xc, xa in x_grid:
-                    entries[phival, xa, za] = Fraction(nx.get(xc, 0), n)
+            dc = k.code(d, sigmas[:1] if d == fam._regime else phival)
+            for zc, (n, nx) in laws.items():
+                if zc & fd == dc:
+                    za = k.decode(z, zc)
+                    for xc, xa in x_grid:
+                        entries[phival, xa, za] = Fraction(nx.get(xc, 0), n)
         return entries
 
     def value(self, phi: tuple, x: tuple, z: tuple) -> Fraction | None:
@@ -667,25 +662,23 @@ def check_eci(fam: RegimeFamily, stmt: CIStatement) -> tuple[bool, WitnessTable 
     single witness w(x, z) equal to P(X=x | Y=y, Z=z) across all regimes of
     the group and all positive-probability (y, z).  Statements with no
     decision names are checked with a single group containing every regime."""
-    question = _validate_eci_statement(fam, stmt)
-    if not fam.eci(*question):
+    x, y, z, phi = _validate_eci_statement(fam, stmt)
+    if not fam.eci(x, y, z, phi):
         return False, None
-    return True, WitnessTable(fam, *question)
+    return True, WitnessTable(fam, x, z, phi)
 
 
 def check_pairwise_eci(fam: RegimeFamily, stmt: CIStatement) -> bool:
     """Weakening of check_eci: a common witness is required only for each pair
     of regimes within a group; a group of one regime is checked on its own.
-    A group of two is its own only pair, so its verdict is the one check_eci
-    caches for it, and on at most two regimes the two checks are one."""
-    x, y, z, phi = _validate_eci_statement(fam, stmt)
-    if len(fam.regimes) <= 2:
-        return fam.eci(x, y, z, phi)
-    return all(
-        fam.has_witness(x, y, z, pair)
-        for sigmas in fam.phi_groups(phi).values()
-        for pair in (combinations(sigmas, 2) if len(sigmas) > 1 else [sigmas])
-    )
+    On a finite family the two are one condition, so this returns
+    check_eci's verdict.  A witness of the group is one of each pair.
+    Conversely, take positive contexts (y, z) under s and (y', z) under t in
+    one group: if s and t differ, the pair (s, t) has one witness, so
+    P_s(X | y, z) = P_t(X | y', z); if not, the regime's own check, or any
+    pair holding it, gives the same.  So the laws of X given each z agree
+    across the group, and that common law is a witness."""
+    return fam.eci(*_validate_eci_statement(fam, stmt))
 
 
 def compute_S_z(fam: RegimeFamily, Z, z: Assignment) -> tuple[str, ...]:
@@ -750,8 +743,13 @@ def product_space(
 
 def find_dominating(fam: RegimeFamily, subset: Iterable[str] | None = None) -> str | None:
     """Some regime in the subset whose support contains every other member's
-    support; ties broken by regime declaration order."""
-    labels = [s for s in fam.regimes if subset is None or s in set(subset)]
+    support; ties broken by regime declaration order.  A string is one
+    label; an unknown label raises, naming the least one."""
+    if subset is not None:
+        subset = {subset} if isinstance(subset, str) else set(subset)
+        if unknown := subset.difference(fam.regimes):
+            raise InvalidModel(f"unknown regime {min(unknown, key=str)!r}")
+    labels = [s for s in fam.regimes if subset is None or s in subset]
     if not labels:
         raise InvalidModel("empty regime subset")
     # S_a of every atom a that is positive in some member of the subset

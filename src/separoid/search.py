@@ -1,8 +1,8 @@
 """Randomized and exhaustive search for separating models, and soundness
 scans that run the engine's own rules over each model's true set.  Verdicts
-come from the same mask-level tests as the public checkers (``MaskKernel.sci``,
-``RegimeFamily.eci``/``eci_general`` and ``variation_independent`` in
-``models``), so a fix to a checker reaches every scan.
+come from the checkers' own tests in ``models`` (``MaskKernel.sci``, on a
+table's kernel or, through ``RegimeFamily.eci``, on a family's stack, and
+``variation_independent``), so a fix to a checker reaches every scan.
 
 Random masses are drawn as integers on a coarse grid and normalized, so
 degenerate (zero-mass) contexts are common; that is deliberate, since the
@@ -348,7 +348,7 @@ class _Scan:
     - mixed: ``eci_general`` on (X, K) _||_ (Y, theta) | (Z, phi) is
       eci(X, Y | Z, phi | K) and, when K is not empty, the Y check
       eci(Y, {} | Z, phi | theta) and the range test theta _||_ K | phi (K
-      is empty under ECI_RESTRICTED).  ``has_witness`` clears Z from X and
+      is empty under ECI_RESTRICTED).  SCI on the stack clears Z from X and
       Y, and holds at once when X\\Z is empty.  A part of K or theta inside
       phi is fixed given phi: it changes neither phi | K, phi | theta nor
       the range test, and when all of K or theta lies inside phi the range

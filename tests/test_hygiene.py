@@ -282,3 +282,22 @@ def test_search_models_come_from_models_alone():
     named = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in sources]
     assert {n.id for n in named if id(n) in inside} == sources
     assert [f"line {n.lineno}: {n.id}" for n in named if id(n) not in inside] == []
+
+
+def test_independence_is_tested_by_sci_alone():
+    """``MaskKernel.sci`` is the one independence test: the attribute ``sci``
+    is read only in ``check_sci`` and ``RegimeFamily.eci`` (SCI on a table's
+    kernel and on a family's stacked kernel) and in ``search._sci_model``,
+    so ECI has no verdict path of its own."""
+    def name(node: ast.AST) -> str:
+        return getattr(node, "name", f"line {node.lineno}")
+
+    readers = set()
+    for path in MODULES:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            scopes = [(name(node), node)]
+            if isinstance(node, ast.ClassDef):
+                scopes = [(f"{node.name}.{name(d)}", d) for d in node.body]
+            readers |= {f"{path.stem}.{where}" for where, scope in scopes
+                        if attribute_reads(scope)["sci"]}
+    assert readers == {"models.check_sci", "models.RegimeFamily.eci", "search._sci_model"}

@@ -22,6 +22,7 @@ from separoid.errors import (
 )
 from separoid.models import (
     DiscreteDistribution,
+    MaskKernel,
     RegimeFamily,
     WitnessTable,
     check_complementary,
@@ -632,11 +633,12 @@ def test_product_rejects_unvalidated_regime_tables():
 def test_product_equivalence_sampled():
     """check_eci on the family == check_sci on the mixture, decision names
     read as ordinary coordinates (spot check; the exhaustive grid is in the
-    acceptance suite)."""
-    prior = {"r0": F(1, 2), "r1": F(1, 2)}
+    acceptance suite), under the uniform prior and a skewed one: the
+    equivalence holds under any prior with full support on the regimes."""
     stmts = sigma_statements()
     count = 0
-    for fam in grid_families(grid=2):
+    for fam, prior in product(grid_families(grid=2), ({"r0": F(1, 2), "r1": F(1, 2)},
+                                                      {"r0": F(1, 7), "r1": F(6, 7)})):
         prod = product_space(fam, prior)
         for stmt in stmts:
             lhs = check_eci(fam, stmt)[0]
@@ -648,7 +650,7 @@ def test_product_equivalence_sampled():
             )
             assert lhs == rhs, (fam.dists["r0"].pmf, fam.dists["r1"].pmf, stmt)
             count += 1
-    assert count == 100 * len(stmts)
+    assert count == 2 * 100 * len(stmts)
 
 
 # -- complementarity / domination / meet -------------------------------------------
@@ -680,13 +682,39 @@ def test_dominating_disjoint_supports():
     assert find_dominating(fam) is None
 
 
-def test_dominating_observational_regime():
+def _observational_family():
     vars_ = {"T": ["0", "1"]}
     full = dist(vars_, [({"T": "0"}, F(1, 2)), ({"T": "1"}, F(1, 2))])
     d0 = dist(vars_, [({"T": "0"}, F(1))])
     d1 = dist(vars_, [({"T": "1"}, F(1))])
-    fam = RegimeFamily(["do0", "do1", "obs"], {"obs": full, "do0": d0, "do1": d1})
-    assert find_dominating(fam) == "obs"
+    return RegimeFamily(["do0", "do1", "obs"], {"obs": full, "do0": d0, "do1": d1})
+
+
+def test_dominating_observational_regime():
+    assert find_dominating(_observational_family()) == "obs"
+
+
+def test_dominating_subset_rejects_unknown_labels():
+    """An unknown label in the subset raises, naming the least one, rather
+    than being dropped."""
+    fam = _observational_family()
+    for subset, unknown in ((["do1", "nope"], "nope"), (["zz", "obs", "aa"], "aa"),
+                            ([], None)):
+        with pytest.raises(InvalidModel) as err:
+            find_dominating(fam, subset)
+        assert str(err.value) == (f"unknown regime {unknown!r}" if unknown
+                                  else "empty regime subset")
+    assert find_dominating(fam, ["do1", "obs"]) == "obs"
+
+
+def test_dominating_subset_reads_a_string_as_one_label():
+    """A string subset is one regime label, not its characters."""
+    fam = RegimeFamily(["ab", "a", "b"], {s: interventional_pair(F(1, 2), F(1, 2)).dists["s0"]
+                                          for s in ("ab", "a", "b")})
+    assert find_dominating(fam, "b") == "b"
+    assert find_dominating(fam, "ab") == "ab"
+    with pytest.raises(InvalidModel, match="unknown regime 'ba'"):
+        find_dominating(fam, "ba")
 
 
 def test_partition_meet_examples():
@@ -808,17 +836,16 @@ def test_supports_and_domination_match_raw_pmf_sums():
 # -- one verdict per regime group, witness tables built on read ---------------------
 
 
-def _count_witness_calls(monkeypatch):
-    """Wrap RegimeFamily.witness with a counter keyed by (x, y, z, group)."""
+def _count_calls(monkeypatch, name):
+    """Wrap the MaskKernel method with a counter keyed by (kernel, *args)."""
     calls = Counter()
-    witness = RegimeFamily.witness
+    method = getattr(MaskKernel, name)
 
-    def counted(self, x, y, z, sigmas):
-        sigmas = tuple(sigmas)
-        calls[x, y, z, sigmas] += 1
-        return witness(self, x, y, z, sigmas)
+    def counted(self, *args):
+        calls[self, *args] += 1
+        return method(self, *args)
 
-    monkeypatch.setattr(RegimeFamily, "witness", counted)
+    monkeypatch.setattr(MaskKernel, name, counted)
     return calls
 
 
@@ -834,25 +861,30 @@ def _grid_shape_family():
 
 def test_each_group_verdict_is_computed_once(monkeypatch):
     """check_eci, check_pairwise_eci and check_eci_general over the 84
-    grid-shape statements run witness at most once per distinct normalized
-    (x & ~z, y & ~z, z, group), never for a statement whose left slot lies
-    inside its conditioning slot; a second round runs it zero times."""
-    calls = _count_witness_calls(monkeypatch)
+    grid-shape statements factorize on the family's stacked kernel once per
+    distinct normalized stacked triple X\\Z', (Y, R)\\Z' | Z', Z' = (Z, Phi)
+    and Phi replaced by the regime column R when it identifies the regime,
+    never for a statement whose left slot, or whose right slot and R, lie
+    inside Z'; a second round factorizes zero times."""
+    calls = _count_calls(monkeypatch, "_factorizes")
     fam = _grid_shape_family()
     stmts = sigma_statements()
     assert len(stmts) == 84
-    k = fam.kernel
+    k, stack = fam.kernel, fam.stacked
+    r = 1 << len(k.names)
     wanted, inside = set(), 0
     for st in stmts:
         x, y, z = (k.mask(v.stoch) for v in (st.left, st.right, st.cond))
+        phi = st.cond.dec
+        z |= r if check_complementary(fam, phi) else stack.mask(phi)
         inside += not x & ~z
-        wanted |= {(x & ~z, y & ~z, z, g)
-                   for g in fam.phi_groups(st.cond.dec).values() if x & ~z}
+        pair = sorted((x & ~z, (y | r) & ~z))
+        if pair[0]:
+            wanted.add((stack, *pair, z))
     assert inside and len(wanted) < len(stmts)
     first = [(check_eci(fam, st)[0], check_pairwise_eci(fam, st), check_eci_general(fam, st))
              for st in stmts]
-    # a failing group settles a statement, so later groups may go unasked
-    assert set(calls) <= wanted and set(calls.values()) == {1}
+    assert set(calls) == wanted and set(calls.values()) == {1}
     assert {v for row in first for v in row} == {True, False}
     calls.clear()
     again = [(check_eci(fam, st)[0], check_pairwise_eci(fam, st), check_eci_general(fam, st))
@@ -877,28 +909,26 @@ def _shared_x_family():
 
 
 def test_normalized_eci_verdicts_equal_raw_ones():
-    """fam.eci and check_pairwise_eci, asked in normal form, equal the raw
-    witness conjunctions over every (x, y, z) mask triple, overlapping ones
-    included, and every phi; the raw witnesses come from a second family
-    whose verdict caches are never read.  Grid 1 leaves zero-mass contexts."""
-    pairs = [(_shared_x_family(), _shared_x_family())]
+    """fam.eci and check_pairwise_eci, asked in normal form, equal the
+    definition (``brute_eci``, full and pairwise) over every (x, y, z) mask
+    triple, overlapping ones included, and every phi, on families of three
+    and four regimes.  Grid 1 leaves zero-mass contexts."""
+    fams = [_shared_x_family()]
     for regimes, grid in product((3, 4), (1, 2)):
         cfg = SearchConfig(seed=20 + regimes + grid, trials=1,
                            var_cardinalities={"X": 2, "Y": 2, "Z": 2}, regime_count=regimes,
                            probability_grid=grid, decision_cardinalities={"Th": 2})
-        pairs += [(random_family(cfg, t), random_family(cfg, t)) for t in range(2)]
+        fams += [random_family(cfg, t) for t in range(2)]
     seen = Counter()
-    for fam, raw in pairs:
+    for fam in fams:
         names = fam.kernel.names
         for phi in map(frozenset, ((), ("Sigma",), ("Th",), ("Sigma", "Th"))):
-            groups = raw.phi_groups(phi).values()
             for x, y, z in product(range(8), repeat=3):
-                full = all(raw.witness(x, y, z, g) is not None for g in groups)
-                pairwise = all(raw.witness(x, y, z, pair) is not None for g in groups
-                               for pair in (combinations(g, 2) if len(g) > 1 else [g]))
+                xs, ys, zs = (mask_names(m, names) for m in (x, y, z))
+                full = brute_eci(fam, xs, ys, zs, phi) is not None
+                pairwise = brute_eci(fam, xs, ys, zs, phi, pairwise=True) is not None
                 assert fam.eci(x, y, z, phi) == full, (fam.regimes, x, y, z, phi)
-                stmt = ci(mask_names(x, names), mask_names(y, names), mask_names(z, names),
-                          rdec=() if "Sigma" in phi else ["Sigma"], cdec=phi)
+                stmt = ci(xs, ys, zs, rdec=() if "Sigma" in phi else ["Sigma"], cdec=phi)
                 assert check_pairwise_eci(fam, stmt) == pairwise, stmt
                 seen[full, bool(x & z or y & z)] += 1
     assert len(seen) == 4
@@ -929,16 +959,16 @@ def test_eci_matches_bruteforce_oracle():
 
 
 def test_witness_table_is_built_on_first_read(monkeypatch):
-    calls = _count_witness_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, "laws")
     fam = interventional_pair(F(1, 2), F(1, 2))
     ok, table = check_eci(fam, ci(["X"], (), ["T"], cdec=["Sigma"]))
-    # one verdict per group of one regime; the unread table cost nothing
-    assert ok and sum(calls.values()) == 2
+    # the verdict reads no law; the unread table cost nothing
+    assert ok and sum(calls.values()) == 0
     assert table.value(("s0",), ("1",), ("0",)) == F(1, 2)
-    assert sum(calls.values()) == 4
+    assert sum(calls.values()) == 1
     assert table.entries == {(("s0",), ("0",), ("0",)): F(1, 2), (("s0",), ("1",), ("0",)): F(1, 2),
                              (("s1",), ("0",), ("1",)): F(1, 2), (("s1",), ("1",), ("1",)): F(1, 2)}
-    assert sum(calls.values()) == 4  # read once, kept
+    assert sum(calls.values()) == 1  # read once, kept
 
 
 def test_witness_names_are_built_on_first_read(monkeypatch):
@@ -1069,11 +1099,7 @@ def _direct_answer(check, fam, stmt):
         return fam.eci_general(x, stmt.left.dec, y, stmt.right.dec, z, stmt.cond.dec)
     if stmt.left.dec:
         return None
-    groups = fam.phi_groups(stmt.cond.dec).values()
-    if check is check_eci:
-        return all(fam.witness(x, y, z, g) is not None for g in groups)
-    return all(fam.witness(x, y, z, pair) is not None for g in groups
-               for pair in (combinations(g, 2) if len(g) > 1 else [g]))
+    return fam.eci(x, y, z, stmt.cond.dec)
 
 
 def test_shared_masks_are_exact_and_family_checks_do_not_leak():
