@@ -174,9 +174,16 @@ def _parse_cards(text: str | None) -> dict[str, int]:
 def _cmd_search_cx(args) -> int:
     ses = _load_session(args)
     goal = parse_statement(args.goal, ses.universe)
-    cards = _parse_cards(args.cards)
-    if not cards:
-        cards = {n: 2 for n in ses.universe.names("stochastic" if args.semantics != "vci" else "decision")}
+    kind = "decision" if args.semantics == "vci" else "stochastic"
+    declared = ses.universe.names(kind)
+    cards = _parse_cards(args.cards) or dict.fromkeys(declared, 2)
+    if unknown := cards.keys() - declared:
+        raise ValueError(f"--cards names {min(unknown)!r}, which the session does not "
+                         f"declare {kind}")
+    stated = {n for s in (*ses.premises, goal) for v in (s.left, s.right, s.cond)
+              for n in (v.dec if kind == "decision" else v.stoch)}
+    if missing := stated - cards.keys():
+        raise ValueError(f"--cards gives no cardinality for {min(missing)!r}")
     # random_family always adds the identity Sigma; other session decision
     # variables are drawn as random functions on the regimes
     decisions = (

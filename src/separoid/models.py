@@ -6,6 +6,13 @@ zero tolerance.  A regime family holds one joint table per regime over a
 shared variable signature, plus decision variables as functions on the regime
 labels.
 
+A table stores one exact form: integer counts per atom over one
+denominator, the least common one (``int_atoms``).  Integer masses build it
+directly (``DiscreteDistribution.from_counts``, as the search's model
+builders and ``product_space`` do); ``Fraction`` masses are brought to it
+by one least common multiple.  Both are validated in integers, and ``pmf``
+is built from the counts on first read.
+
 Every computation on a table goes through its ``MaskKernel``, one integer
 form: the positive atoms as cell codes of declared value indices, and count
 tables per mask keyed by masked codes.  Kernels of one signature code alike,
@@ -86,23 +93,47 @@ def mask_names(mask: int, names: Sequence[str]) -> tuple[str, ...]:
 
 
 class DiscreteDistribution:
-    """Exact joint probability table over finitely many discrete variables;
+    """Exact joint probability table over finitely many discrete variables,
+    stored as integer counts over one denominator, their least common one
+    (see ``int_atoms``); ``pmf`` is built from them on first read.
     ``validated`` tells whether the table was checked when built."""
 
     def __init__(self, variables: Mapping[str, Sequence[str]], pmf: Mapping, *, validate: bool = True):
+        """A table from masses keyed by value tuples (in sorted name order)
+        or by assignments; masses are read as ``Fraction``s and a key given
+        twice adds up."""
+        names = tuple(sorted(variables))
+        table: dict[tuple, Fraction] = {}
+        for key, p in pmf.items():
+            if type(key) is not tuple and isinstance(key, Mapping):  # tuples skip the ABC test
+                key = tuple(str(key[n]) for n in names)
+            else:
+                key = tuple(map(str, key))
+            if type(p) is not Fraction:
+                p = Fraction(p)
+            table[key] = table[key] + p if key in table else p
+        den = math.lcm(*(p.denominator for p in table.values()))
+        self._store(variables, den, {k: p.numerator * (den // p.denominator)
+                                     for k, p in table.items()}, validate)
+
+    @classmethod
+    def from_counts(cls, variables: Mapping[str, Sequence[str]], counts: Mapping[tuple, int],
+                    den: int, *, validate: bool = True) -> "DiscreteDistribution":
+        """The table with mass n / den on each key (a tuple of values in
+        sorted name order) of counts; checked as ``__init__`` checks."""
+        if den < 1:
+            raise InvalidModel(f"denominator {den} is not positive")
+        g = math.gcd(den, *counts.values())
+        self = cls.__new__(cls)
+        self._store(variables, den // g, {k: n // g for k, n in counts.items()}, validate)
+        return self
+
+    def _store(self, variables, den: int, counts: dict, validate: bool) -> None:
         self.names: tuple[str, ...] = tuple(sorted(variables))
         self.values: dict[str, tuple[str, ...]] = {
             n: tuple(str(v) for v in variables[n]) for n in self.names
         }
-        table: dict[tuple, Fraction] = {}
-        for key, p in pmf.items():
-            if isinstance(key, Mapping):
-                key = tuple(str(key[n]) for n in self.names)
-            else:
-                key = tuple(str(v) for v in key)
-            p = Fraction(p)
-            table[key] = table[key] + p if key in table else p
-        self.pmf: dict[tuple, Fraction] = table
+        self._den, self._counts = den, counts
         self.validated = validate
         if validate:
             self._validate()
@@ -113,14 +144,13 @@ class DiscreteDistribution:
                 raise InvalidModel(f"variable {n!r} has no values")
             if len(set(vals)) != len(vals):
                 raise InvalidModel(f"variable {n!r} has duplicate values")
-        total = Fraction(0)
-        for key, p in self.pmf.items():
+        for key, n in self._counts.items():
             self._check_key(key)
-            if p < 0:
+            if n < 0:
                 raise InvalidModel(f"negative mass on {key!r}")
-            total += p
-        if total != 1:
-            raise InvalidModel(f"masses sum to {total}, not 1")
+        total = sum(self._counts.values())
+        if total != self._den:
+            raise InvalidModel(f"masses sum to {Fraction(total, self._den)}, not 1")
 
     def _check_key(self, key: tuple) -> None:
         if len(key) != len(self.names):
@@ -131,6 +161,12 @@ class DiscreteDistribution:
 
     # -- access ------------------------------------------------------------
 
+    @cached_property
+    def pmf(self) -> dict[tuple, Fraction]:
+        """Atom -> exact mass, zero masses included, in the stored order."""
+        den = self._den
+        return {k: Fraction(n, den) for k, n in self._counts.items()}
+
     def atoms(self):
         return self.pmf.items()
 
@@ -138,16 +174,15 @@ class DiscreteDistribution:
         return tuple((n, self.values[n]) for n in self.names)
 
     def int_atoms(self) -> tuple[int, dict]:
-        """(denominator, atom -> integer numerator) over a common denominator."""
-        den = math.lcm(*(p.denominator for p in self.pmf.values()))
-        return den, {k: p.numerator * (den // p.denominator) for k, p in self.pmf.items()}
+        """The stored form: (den, atom -> integer numerator), zero masses
+        included, over the least common denominator of the masses."""
+        return self._den, dict(self._counts)
 
     @cached_property
     def rows(self) -> list[tuple[tuple, int]]:
-        """The positive atoms as (key, integer numerator) over a common
+        """The positive atoms as (key, integer numerator) over the stored
         denominator; a table built unchecked has its keys checked here."""
-        _, atoms = self.int_atoms()
-        rows = [(key, n) for key, n in atoms.items() if n]
+        rows = [(key, n) for key, n in self._counts.items() if n]
         if not self.validated:
             for key, _ in rows:
                 self._check_key(key)
@@ -170,8 +205,9 @@ class DiscreteDistribution:
 @cache
 def _signature(names: tuple[str, ...]) -> tuple[dict, dict]:
     """Interned per names tuple (see the module docstring): the name -> bit
-    map and a memo of resolved stochastic slots, keyed by name sets or name
-    tuples, never by a statement, holding successful resolutions only."""
+    map and a memo of resolved stochastic slots, keyed by name sets, name
+    tuples or ``VarSet``s, never by a statement, holding successful
+    resolutions only."""
     return {n: 1 << i for i, n in enumerate(names)}, {}
 
 
@@ -317,14 +353,15 @@ def conditional_expectation(dist, name: str, given: Assignment,
 def check_sci(dist: DiscreteDistribution, X, Y, Z) -> bool:
     """Exact factorization check: for every conditioning value with positive
     mass, the joint table of (X, Y) is the product of its margins.  Slots
-    given as a name or a tuple of names are resolved once per signature;
-    any other form is resolved on every call."""
+    given as a name, a tuple of names or a ``VarSet`` are resolved once per
+    signature; any other form is resolved on every call."""
     k = dist.kernel
     try:
         x, y, z = k._resolved[X, Y, Z]
     except (KeyError, TypeError):  # a miss, or an unhashable form
         x, y, z = masks = tuple(k.mask(_name_iter(v)) for v in (X, Y, Z))
-        if all(type(v) in (str, tuple) and all(type(n) is str for n in v) for v in (X, Y, Z)):
+        if all(type(v) is VarSet or type(v) in (str, tuple) and all(type(n) is str for n in v)
+               for v in (X, Y, Z)):
             k._resolved[X, Y, Z] = masks
     return k.sci(x, y, z)
 
@@ -726,18 +763,22 @@ def product_space(
     # a regime key, the regime and its decision values, in sorted name order
     base = fam.dists[fam.regimes[0]].names
     order = [(*base, regime_var, *fam.decvars).index(n) for n in values]
-    pmf: dict[tuple, Fraction] = {}
+    # regime s's count n over den_s has mass n * prior(s) / den_s: each
+    # regime's counts are scaled onto the least common denominator
+    scales = {s: masses[s] / fam.dists[s]._den for s in fam.regimes}
+    den = math.lcm(*(f.denominator for f in scales.values()))
+    counts: dict[tuple, int] = {}
     for s in fam.regimes:
         tail = (s, *(m[s] for m in fam.decvars.values()))
-        for key, p in fam.dists[s].pmf.items():
+        scale = scales[s].numerator * (den // scales[s].denominator)
+        for key, n in fam.dists[s]._counts.items():
             if len(key) != len(base):
                 raise InvalidModel(f"assignment {key!r} does not cover {base}")
             full = key + tail
-            pmf[tuple(full[i] for i in order)] = p * masses[s]
-    prod = DiscreteDistribution.__new__(DiscreteDistribution)
-    prod.names, prod.values, prod.pmf, prod.validated = tuple(values), values, pmf, True
-    if not all(fam.dists[s].validated for s in fam.regimes):
-        prod._validate()  # checked regime tables and prior give a valid product
+            counts[tuple(full[i] for i in order)] = n * scale
+    checked = all(fam.dists[s].validated for s in fam.regimes)
+    prod = DiscreteDistribution.from_counts(values, counts, den, validate=not checked)
+    prod.validated = True  # checked regime tables and prior give a valid product
     return prod
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain, compress, product
 from math import comb, prod
 from typing import Iterable, Mapping, Sequence
@@ -88,13 +87,12 @@ def _variables(cfg: SearchConfig) -> dict[str, tuple[str, ...]]:
 
 def _grid_table(rng: random.Random, variables: Mapping[str, Sequence[str]], grid: int):
     """Integer masses in [0, grid] per atom (the first set to 1 when all are
-    zero), normalized."""
+    zero), over their sum."""
     atoms = list(product(*(variables[n] for n in sorted(variables))))
     masses = [rng.randint(0, grid) for _ in atoms]
     if not any(masses):
         masses[0] = 1
-    total = sum(masses)
-    return DiscreteDistribution(variables, {a: Fraction(m, total) for a, m in zip(atoms, masses)})
+    return DiscreteDistribution.from_counts(variables, dict(zip(atoms, masses)), sum(masses))
 
 
 def random_distribution(cfg: SearchConfig, index: int) -> DiscreteDistribution:
@@ -133,13 +131,10 @@ def random_family(cfg: SearchConfig, index: int) -> RegimeFamily:
 def grid_distributions(variables: Mapping[str, Sequence[str]], grid: int):
     """All pmfs whose masses are integers on a 1/grid lattice (exhaustive)."""
     names = tuple(sorted(variables))
-    atoms = list(product(*(tuple(variables[n]) for n in names)))
+    atoms = list(product(*(tuple(map(str, variables[n])) for n in names)))
     for masses in _compositions(grid, len(atoms)):
-        yield DiscreteDistribution(
-            variables,
-            {a: Fraction(m, grid) for a, m in zip(atoms, masses)},
-            validate=False,
-        )
+        yield DiscreteDistribution.from_counts(variables, dict(zip(atoms, masses)), grid,
+                                               validate=False)
 
 
 def _compositions(total: int, parts: int):

@@ -428,16 +428,28 @@ def _strategy_row(j, key, value):
      "stage 0: kernel row 1: dist bad rational None"),
     (GF_MODEL, _strategy_row(1, "given", {"L": "1", "Q": "1"}), [],
      "stage 0: kernel row 1: given names ['L', 'Q'] are not the history names ['L']"),
+    (None, None, ["search-cx", "-e", "stochastic X, Y, Z;", "--cards", "X=2,Y=2,Z=2,W=3",
+                  "X _||_ Y | Z"],
+     "--cards names 'W', which the session does not declare stochastic"),
+    (None, None, ["search-cx", "-e", "stochastic X, Y, Z;", "--cards", "X=2,Y=2", "X _||_ Y | Z"],
+     "--cards gives no cardinality for 'Z'"),
+    (None, None, ["search-cx", "-e", "stochastic X, U; decision Sigma;", "--semantics", "eci",
+                  "--cards", "X=2", "X _||_ U, Sigma"],
+     "--cards gives no cardinality for 'U'"),
 ], ids=["payoff-misses-outcome", "stage-without-observed", "stage-without-action",
-        "strategy-dist-list", "assign-list", "strategy-dist-null", "strategy-given-outside-history"])
+        "strategy-dist-list", "assign-list", "strategy-dist-null", "strategy-given-outside-history",
+        "cards-undeclared-name", "cards-miss-sci-name", "cards-miss-eci-name"])
 def test_malformed_inputs_exit_2(tmp_path, capsys, model, strategy, argv, named):
     """Each exits 2 with one error line; where ``named`` is given, the line
-    names the place of the fault (a strategy's stage and kernel row)."""
-    path = write_json(tmp_path, "model.json", model)
-    if strategy is None:
-        rc = main(["check", path, "X _||_ Sigma | T"])
+    names the place of the fault (a strategy's stage and kernel row, or a
+    ``--cards`` name).  With no model, argv is the whole command line."""
+    if model is None:
+        rc = main(argv)
+    elif strategy is None:
+        rc = main(["check", write_json(tmp_path, "model.json", model), "X _||_ Sigma | T"])
     else:
-        rc = main(["gformula", path, write_json(tmp_path, "strategy.json", strategy)] + argv)
+        rc = main(["gformula", write_json(tmp_path, "model.json", model),
+                   write_json(tmp_path, "strategy.json", strategy)] + argv)
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith("error: " + named) and "Traceback" not in err
 

@@ -301,3 +301,14 @@ def test_independence_is_tested_by_sci_alone():
             readers |= {f"{path.stem}.{where}" for where, scope in scopes
                         if attribute_reads(scope)["sci"]}
     assert readers == {"models.check_sci", "models.RegimeFamily.eci", "search._sci_model"}
+
+
+def test_search_builds_models_from_integers():
+    """search.py does not import ``fractions``: its model builders pass
+    integer masses and their denominator to ``from_counts``."""
+    tree = ast.parse((SRC / "search.py").read_text())
+    imported = {alias.name.split(".")[0] for n in ast.walk(tree) if isinstance(n, ast.Import)
+                for alias in n.names}
+    imported |= {n.module.split(".")[0] for n in ast.walk(tree)
+                 if isinstance(n, ast.ImportFrom) and n.module}
+    assert "fractions" not in imported

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from separoid import models
+from separoid import models, search
 from separoid.errors import (
     CIError,
     EmptyContext,
@@ -41,6 +41,7 @@ from separoid.models import (
     product_space,
 )
 from separoid.search import SearchConfig, random_distribution, random_family
+from separoid.universe import VarSet
 
 from conftest import (
     brute_conditional,
@@ -1217,9 +1218,9 @@ def test_resolved_mask_memo_is_bounded_by_stochastic_triples():
 
 
 def test_sci_argument_forms_share_or_skip_the_memo():
-    """Every argument form gives the same verdict; only names and tuples of
-    names are memoized, and two generators naming different variables, asked
-    back to back, each get their own answer."""
+    """Every argument form gives the same verdict; only names, tuples of
+    names and ``VarSet``s are memoized, and two generators naming different
+    variables, asked back to back, each get their own answer."""
     vars_ = {"Ga": ["0", "1"], "Gb": ["0", "1"], "Gc": ["0", "1"]}
     # Ga, Gb independent fair coins, Gc a copy of Ga
     d = DiscreteDistribution(vars_, {(a, b, a): F(1, 4) for a in "01" for b in "01"})
@@ -1230,11 +1231,130 @@ def test_sci_argument_forms_share_or_skip_the_memo():
         for x, y in forms:
             size = len(memo)
             assert check_sci(d, x, y, ()) is want, (x, y)
-            assert len(memo) == size + isinstance(x, (str, tuple)), (x, y)
-    assert len(memo) == 4
+            assert len(memo) == size + isinstance(x, (str, tuple, VarSet)), (x, y)
+    assert len(memo) == 6
     assert check_sci(d, (n for n in ["Gb"]), (n for n in ["Ga"]), ())
     assert not check_sci(d, (n for n in ["Gc"]), (n for n in ["Ga"]), ())
-    assert len(memo) == 4
+    assert len(memo) == 6
+
+
+def test_check_sci_resolves_varset_slots_once(monkeypatch):
+    """VarSet slots are memoized per signature: the first check_sci resolves
+    their masks through ``MaskKernel.mask``, the second does not."""
+    calls = []
+    mask = MaskKernel.mask
+
+    def counted(self, names):
+        calls.append(1)
+        return mask(self, names)
+
+    monkeypatch.setattr(MaskKernel, "mask", counted)
+    vars_ = {"Vsa": ["0", "1"], "Vsb": ["0", "1"], "Vsc": ["0", "1"]}  # a signature of its own
+    d = DiscreteDistribution(vars_, {(a, b, a): F(1, 4) for a in "01" for b in "01"})
+    slots = (vs(["Vsa"]), vs(["Vsb"]), vs(["Vsc"]))
+    assert check_sci(d, *slots) and calls
+    calls.clear()
+    assert check_sci(d, *slots) and not calls
+
+
+# -- one stored form: integer and Fraction construction agree ----------------------
+
+
+def _fraction_twin(variables, masses: dict, den: int, validate=True):
+    """The table of integer masses over den, built from Fractions."""
+    return DiscreteDistribution(variables, {k: F(n, den) for k, n in masses.items()},
+                                validate=validate)
+
+
+def _product_by_fractions(fam: RegimeFamily, prior) -> DiscreteDistribution:
+    """product_space's table from raw Fraction products, keyed by assignment."""
+    values = {**fam.variables, "_regime": fam.regimes,
+              **{n: tuple(sorted(set(m.values()))) for n, m in fam.decvars.items()}}
+    pmf = {}
+    for s in fam.regimes:
+        for key, p in fam.dists[s].pmf.items():
+            row = {**dict(zip(fam.variables, key)), "_regime": s,
+                   **{n: m[s] for n, m in fam.decvars.items()}}
+            pmf[tuple(v for _, v in sorted(row.items()))] = p * prior[s]
+    return DiscreteDistribution(values, pmf)
+
+
+def _assert_one_form(a: DiscreteDistribution, b: DiscreteDistribution):
+    """Same pmf (values and order), int_atoms, rows, signature and SCI
+    verdicts on every pair of single names given every conditioning set."""
+    assert list(a.pmf.items()) == list(b.pmf.items())
+    assert a.int_atoms() == b.int_atoms() and a.rows == b.rows
+    assert a.signature() == b.signature()
+    for x, y in product(a.names, repeat=2):
+        for z in _subsets(a.names):
+            assert check_sci(a, x, y, z) == check_sci(b, x, y, z), (x, y, z)
+
+
+def test_integer_and_fraction_construction_agree():
+    """_grid_table (through random_distribution and random_family),
+    grid_distributions and product_space build from integers; each agrees
+    with the same table built from Fractions.  The product is checked for a
+    checked family and an unchecked one, under a uniform and a skewed
+    prior."""
+    variables = {"X": ("0", "1"), "Y": ("0", "1", "2")}
+    atoms = list(product(*variables.values()))
+    for seed, grid in product(range(6), (1, 2, 4)):
+        rng = random.Random(seed)
+        masses = [rng.randint(0, grid) for _ in atoms]
+        masses[0] += not any(masses)
+        d = search._grid_table(random.Random(seed), variables, grid)
+        _assert_one_form(d, _fraction_twin(variables, dict(zip(atoms, masses)), sum(masses)))
+    small = {"X": ("0", "1"), "Y": ("0", "1")}
+    pairs = list(product(*small.values()))
+    for d, masses in zip(search.grid_distributions(small, 3), search._compositions(3, 4)):
+        assert not d.validated
+        _assert_one_form(d, _fraction_twin(small, dict(zip(pairs, masses)), 3, validate=False))
+    checked = random_family(SearchConfig(seed=5, var_cardinalities={"X": 2, "Y": 2},
+                                         regime_count=2, probability_grid=3,
+                                         decision_cardinalities={"Th": 2}), 1)
+    grid = list(search.grid_distributions(small, 2))
+    unchecked = RegimeFamily(["s0", "s1"], {"s0": grid[3], "s1": grid[7]},
+                             {"Sigma": {"s0": "s0", "s1": "s1"}})
+    assert all(d.validated for d in checked.dists.values())
+    for fam, prior in product((checked, unchecked), ({"s0": F(1, 2), "s1": F(1, 2)},
+                                                     {"s0": F(1, 7), "s1": F(6, 7)})):
+        prod = product_space(fam, prior)
+        assert prod.validated
+        _assert_one_form(prod, _product_by_fractions(fam, prior))
+
+
+@pytest.mark.parametrize("masses, den, message", [
+    ({("0",): -1, ("1",): 5}, 4, "negative mass on ('0',)"),
+    ({("0",): 1, ("1",): 1}, 4, "masses sum to 1/2, not 1"),
+    ({("0",): 1, ("2",): 1}, 2, "value '2' not declared for variable 'X'"),
+], ids=["negative", "sum", "undeclared"])
+def test_integer_and_fraction_construction_raise_alike(masses, den, message):
+    vars_ = {"X": ["0", "1"]}
+    for build in (lambda: DiscreteDistribution.from_counts(vars_, masses, den),
+                  lambda: _fraction_twin(vars_, masses, den)):
+        with pytest.raises(InvalidModel) as e:
+            build()
+        assert str(e.value) == message
+
+
+def test_from_counts_rejects_a_nonpositive_denominator():
+    for den in (0, -2):
+        with pytest.raises(InvalidModel, match=f"denominator {den} is not positive"):
+            DiscreteDistribution.from_counts({"X": ["0"]}, {("0",): den}, den)
+
+
+def test_integer_built_tables_do_not_build_pmf():
+    """check_sci, check_eci and product_space read the stored counts: an
+    integer-built table's pmf is never built by them."""
+    fam = random_family(SearchConfig(seed=9, var_cardinalities={"X": 2, "Y": 2},
+                                     regime_count=2, probability_grid=3), 0)
+    d = random_distribution(SearchConfig(seed=9, var_cardinalities={"X": 2, "Y": 2}), 0)
+    check_sci(d, "X", "Y", ())
+    check_eci(fam, ci(["X"], ["Y"], rdec=["Sigma"]))
+    prod = product_space(fam, {"s0": F(1, 3), "s1": F(2, 3)})
+    check_sci(prod, "X", "_regime", "Y")
+    for table in (d, *fam.dists.values(), prod):
+        assert "pmf" not in table.__dict__
 
 
 def test_int_atoms_match_fraction_products():
