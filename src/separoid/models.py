@@ -19,7 +19,8 @@ tables per mask keyed by masked codes.  Kernels of one signature code alike,
 so codes compare across regimes; value tuples are encoded and decoded only
 at the public edge.  ``conditional`` (with ``probability``/``expectation``)
 reads the law of X given Z from the marginals; SCI checks one equation per
-positive cell.  ECI is SCI on one stacked kernel per family
+positive cell, on the four marginals read from the kernel's memo, stopping
+at the first cell that fails.  ECI is SCI on one stacked kernel per family
 (``RegimeFamily.stacked``: every regime's rows, a regime column R and a
 column per decision name).  On finite regimes X _||_ (Y, Sigma) | (Z, Phi)
 holds exactly when X _||_ (Y, R) | (Z, Phi) does as SCI under a prior with
@@ -286,8 +287,10 @@ class MaskKernel:
         if out is None:
             f = self.field_of(mask)
             counts: dict = {}
+            get = counts.get
             for c, n in zip(self._codes, self._weights):
-                counts[c & f] = counts.get(c & f, 0) + n
+                c &= f
+                counts[c] = get(c, 0) + n
             out = self._marg[mask] = f, counts
         return out
 
@@ -318,16 +321,21 @@ class MaskKernel:
         return out
 
     def _factorizes(self, x: int, y: int, z: int) -> bool:
-        """n(c) n(z) = n(x, z) n(y, z) on every positive cell c of (x, y, z).
-        This alone suffices: within a context both sides sum to n(z)^2 over
-        the positive cells, and the right side sums to n(z)^2 over every
-        pair of positive margins, so no such pair has a zero cell; the same
-        holds when X and Y overlap."""
-        fz, nz = self.marg(z)
-        fxz, nxz = self.marg(x | z)
-        fyz, nyz = self.marg(y | z)
-        return all(n * nz[c & fz] == nxz[c & fxz] * nyz[c & fyz]
-                   for c, n in self.marg(x | y | z)[1].items())
+        """n(c) n(z) = n(x, z) n(y, z) on every positive cell c of (x, y, z),
+        the four marginals read from the kernel's memo (``marg`` builds a
+        missing one), stopping at the first cell that fails.  This alone
+        suffices: within a context both sides sum to n(z)^2 over the
+        positive cells, and the right side sums to n(z)^2 over every pair of
+        positive margins, so no such pair has a zero cell; the same holds
+        when X and Y overlap."""
+        memo = self._marg
+        fz, nz = memo.get(z) or self.marg(z)
+        fxz, nxz = memo.get(x | z) or self.marg(x | z)
+        fyz, nyz = memo.get(y | z) or self.marg(y | z)
+        for c, n in (memo.get(x | y | z) or self.marg(x | y | z))[1].items():
+            if n * nz[c & fz] != nxz[c & fxz] * nyz[c & fyz]:
+                return False
+        return True
 
 
 def conditional(dist: DiscreteDistribution, targets, given: Assignment) -> dict[tuple, Fraction]:

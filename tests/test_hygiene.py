@@ -284,23 +284,56 @@ def test_search_models_come_from_models_alone():
     assert [f"line {n.lineno}: {n.id}" for n in named if id(n) not in inside] == []
 
 
+def scopes(path: Path) -> list[tuple[str, ast.AST]]:
+    """A module's top-level statements and each class's members, named
+    ``module.function`` or ``module.Class.member`` (``line n`` for one
+    without a name)."""
+    def name(node: ast.AST) -> str:
+        return getattr(node, "name", f"line {node.lineno}")
+
+    out = []
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.ClassDef):
+            out += [(f"{path.stem}.{node.name}.{name(d)}", d) for d in node.body]
+        else:
+            out.append((f"{path.stem}.{name(node)}", node))
+    return out
+
+
 def test_independence_is_tested_by_sci_alone():
     """``MaskKernel.sci`` is the one independence test: the attribute ``sci``
     is read only in ``check_sci`` and ``RegimeFamily.eci`` (SCI on a table's
     kernel and on a family's stacked kernel) and in ``search._sci_model``,
     so ECI has no verdict path of its own."""
-    def name(node: ast.AST) -> str:
-        return getattr(node, "name", f"line {node.lineno}")
-
-    readers = set()
-    for path in MODULES:
-        for node in ast.parse(path.read_text(), str(path)).body:
-            scopes = [(name(node), node)]
-            if isinstance(node, ast.ClassDef):
-                scopes = [(f"{node.name}.{name(d)}", d) for d in node.body]
-            readers |= {f"{path.stem}.{where}" for where, scope in scopes
-                        if attribute_reads(scope)["sci"]}
+    readers = {where for path in MODULES for where, scope in scopes(path)
+               if attribute_reads(scope)["sci"]}
     assert readers == {"models.check_sci", "models.RegimeFamily.eci", "search._sci_model"}
+
+
+def test_marginals_are_built_in_marg_alone():
+    """``MaskKernel._factorizes`` is read only in ``MaskKernel.sci``, and the
+    marginal memo ``_marg`` is written (bound, stored into by subscript, or
+    changed by a method other than ``get``) only where ``MaskKernel``
+    creates it and in ``MaskKernel.marg``: the factorization reads the memo
+    directly, and no second builder of marginals can hide behind that."""
+    def writes(scope: ast.AST) -> bool:
+        for n in ast.walk(scope):
+            if isinstance(n, ast.Attribute) and n.attr == "_marg" and isinstance(n.ctx, ast.Store):
+                return True
+            if (isinstance(n, ast.Subscript) and not isinstance(n.ctx, ast.Load)
+                    and isinstance(n.value, ast.Attribute) and n.value.attr == "_marg"):
+                return True
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and isinstance(n.func.value, ast.Attribute)
+                    and n.func.value.attr == "_marg" and n.func.attr != "get"):
+                return True
+        return False
+
+    named = [(where, scope) for path in MODULES for where, scope in scopes(path)]
+    assert {where for where, scope in named
+            if attribute_reads(scope)["_factorizes"]} == {"models.MaskKernel.sci"}
+    assert {where for where, scope in named
+            if writes(scope)} == {"models.MaskKernel.__init__", "models.MaskKernel.marg"}
 
 
 def test_search_builds_models_from_integers():

@@ -167,6 +167,20 @@ def test_sci_matches_bruteforce_oracle():
             assert check_sci(d, xs, ys, zs) == brute_sci(d, xs, ys, zs), (d.names, xs, ys, zs)
 
 
+@pytest.mark.parametrize("cards, trials", [({"A": 3, "B": 2, "C": 2}, 12),
+                                           ({"A": 2, "B": 2, "C": 2, "D": 2}, 3)],
+                         ids=["ternary", "four-binary"])
+def test_sci_matches_bruteforce_oracle_beyond_three_binary_names(cards, trials):
+    """Every (X, Y, Z) subset triple on seeded tables with a ternary name
+    (a 2-bit field, so a failing cell need not come first) and with four
+    binary names."""
+    cfg = SearchConfig(seed=9, trials=trials, var_cardinalities=cards, probability_grid=3)
+    for t in range(cfg.trials):
+        d = random_distribution(cfg, t)
+        for xs, ys, zs in product(_subsets(d.names), repeat=3):
+            assert check_sci(d, xs, ys, zs) == brute_sci(d, xs, ys, zs), (t, xs, ys, zs)
+
+
 def test_undeclared_values_raise_when_the_kernel_is_built():
     """A table built with validate=False whose positive row holds an
     undeclared value raises InvalidModel, worded as a checked table's
@@ -891,6 +905,28 @@ def test_each_group_verdict_is_computed_once(monkeypatch):
     again = [(check_eci(fam, st)[0], check_pairwise_eci(fam, st), check_eci_general(fam, st))
              for st in stmts]
     assert again == first and not calls
+
+
+def test_sci_reads_each_marginal_once_per_mask(monkeypatch):
+    """Every subset triple on a table over four binary names builds each
+    marginal that a factorization reads, of Z, (X, Z), (Y, Z) and
+    (X, Y, Z), once per mask; a second round builds none."""
+    calls = _count_calls(monkeypatch, "marg")
+    d = random_distribution(SearchConfig(seed=5, var_cardinalities=dict.fromkeys("ABCD", 2),
+                                         probability_grid=3), 0)
+    k = d.kernel
+    triples = list(product(_subsets(d.names), repeat=3))
+    wanted = set()
+    for slots in triples:
+        x, y, z = (k.mask(v) for v in slots)
+        x, y = x & ~z, y & ~z
+        if x and y:
+            wanted |= {(k, z), (k, x | z), (k, y | z), (k, x | y | z)}
+    first = [check_sci(d, *slots) for slots in triples]
+    assert set(calls) == wanted and set(calls.values()) == {1}
+    assert set(first) == {True, False}
+    calls.clear()
+    assert [check_sci(d, *slots) for slots in triples] == first and not calls
 
 
 def _shared_x_family():
